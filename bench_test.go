@@ -136,7 +136,7 @@ func BenchmarkFigure10(b *testing.B) { runB3(b, 3, 24, false) }
 // BenchmarkFigure11 reproduces Figure 11 (4 threads).
 func BenchmarkFigure11(b *testing.B) { runB3(b, 4, 24, false) }
 
-// --- ablation benches (DESIGN.md §5) ---
+// --- ablation benches (A1, A3–A6) ---
 
 func runB1Alloc(b *testing.B, kind AllocatorKind, threads int) {
 	b.Helper()

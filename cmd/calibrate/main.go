@@ -1,6 +1,6 @@
 // Command calibrate measures the reproduction's single-thread scalars and
 // key multithreaded points against the paper's numbers; a maintenance tool
-// for tuning profile cost constants (DESIGN.md §7).
+// for tuning the profile cost constants in internal/bench/profiles.go.
 package main
 
 import (

@@ -68,7 +68,7 @@ func main() {
 			threads: *threads, ops: *ops, maxSize: *maxSize, checkEvery: *checkEvery,
 			scavenge: *scavenge, binnedRelease: *binnedRelease, offload: *offload,
 			lineAware: *lineAware,
-			memLimit: *memLimit, faultRate: *faultRate, seed: uint64(seed),
+			memLimit:  *memLimit, faultRate: *faultRate, seed: uint64(seed),
 			telemetry: *telemetryOn,
 		}
 		if *memLimitRatio > 0 {

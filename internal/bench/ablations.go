@@ -8,7 +8,7 @@ import (
 	"mtmalloc/internal/vm"
 )
 
-// Ablations exercise the design decisions DESIGN.md §5 calls out. Each
+// Ablations exercise the allocator's design decisions one at a time. Each
 // returns a Table like the paper experiments do.
 
 // AblationArenaPolicy (A1/A2) compares the three allocator designs under

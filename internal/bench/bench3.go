@@ -149,7 +149,8 @@ func runBench3Once(cfg B3Config, seed uint64) (B3Run, error) {
 				as.Write8(t, back, 0xBB)
 				// The 100M-iteration write loop advances analytically: the
 				// sharing topology is fixed until the next alloc/free, so
-				// the steady per-iteration cost is exact (DESIGN.md §6).
+				// the steady per-iteration cost is exact (see
+				// cache.Model.SteadyWriteCost).
 				perIter := w.Cache.SteadyWriteCost(writers[countLine(front)]) +
 					w.Cache.SteadyWriteCost(writers[countLine(back)]) +
 					prof.Bench3LoopWork

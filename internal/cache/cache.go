@@ -10,11 +10,14 @@
 // exact for the false-sharing experiment (benchmark 3) and a good
 // approximation for allocator-metadata "cache sloshing".
 //
-// Lines are identified by a key that combines an address-space ID with the
-// line-aligned address, so two processes never generate coherence traffic
-// against one another even when their heaps use identical virtual addresses;
-// this is precisely the asymmetry benchmark 1 measures between the
-// two-thread and two-process configurations.
+// The model holds the protocol and the per-CPU counters but stores no
+// lines. Each directory entry (Line) lives with the page it describes: the
+// vm layer keeps one per touched line in its page records and hands it to
+// Access, so a line's state is dropped with its page on unmap or release.
+// Because every address space owns its pages, two processes never generate
+// coherence traffic against one another even when their heaps use
+// identical virtual addresses; this is precisely the asymmetry benchmark 1
+// measures between the two-thread and two-process configurations.
 package cache
 
 // Costs is the per-access cycle cost model.
@@ -32,10 +35,11 @@ func DefaultCosts() Costs {
 	return Costs{Hit: 2, MissMemory: 40, MissRemote: 60, Upgrade: 12}
 }
 
-// line is the directory entry for one cache line.
-type line struct {
-	owner   int8   // CPU with the dirty copy, -1 if none
+// Line is the directory entry for one cache line. The caller owns it and
+// passes it to Access by pointer. The zero Line is invalid in every cache.
+type Line struct {
 	sharers uint64 // bitmask of CPUs with a readable copy
+	owner   uint8  // 1 + the CPU with the dirty copy, 0 if none
 }
 
 // CPUStats aggregates access outcomes per CPU.
@@ -47,20 +51,13 @@ type CPUStats struct {
 	Invalidated  uint64 // lines this CPU lost to another CPU's write
 }
 
-// Model is a cache-coherence directory for one machine.
+// Model is the coherence protocol and its per-CPU counters for one
+// machine.
 type Model struct {
 	numCPUs int
 	shift   uint
 	costs   Costs
-
-	lines map[uint64]line
-	stats []CPUStats
-
-	// lastKey/lastVal is a one-entry lookup cache: allocator loops touch the
-	// same few lines repeatedly and this keeps the hot path off the map.
-	lastKey uint64
-	lastOK  bool
-	lastVal line
+	stats   []CPUStats
 
 	// OwnerFlips counts transitions of dirty ownership between distinct
 	// CPUs: the "ping-pong" statistic.
@@ -68,18 +65,18 @@ type Model struct {
 }
 
 // NewModel creates a directory for numCPUs CPUs and 2^lineShift-byte lines.
+// Lines are at least 32 bytes, so a 4 KB page holds at most 128 of them.
 func NewModel(numCPUs int, lineShift uint, costs Costs) *Model {
 	if numCPUs < 1 || numCPUs > 64 {
 		panic("cache: unsupported CPU count")
 	}
-	if lineShift < 4 || lineShift > 12 {
+	if lineShift < 5 || lineShift > 12 {
 		panic("cache: unreasonable line size")
 	}
 	return &Model{
 		numCPUs: numCPUs,
 		shift:   lineShift,
 		costs:   costs,
-		lines:   make(map[uint64]line, 1024),
 		stats:   make([]CPUStats, numCPUs),
 	}
 }
@@ -87,38 +84,11 @@ func NewModel(numCPUs int, lineShift uint, costs Costs) *Model {
 // LineSize returns the modelled cache line size in bytes.
 func (m *Model) LineSize() uint64 { return 1 << m.shift }
 
+// LineShift returns log2 of the line size.
+func (m *Model) LineShift() uint { return m.shift }
+
 // Costs returns the cost model.
 func (m *Model) Costs() Costs { return m.costs }
-
-// Key builds a directory key from an address-space ID and a byte address.
-// Addresses are assumed to fit in 44 bits (the simulated machines are
-// 32-bit); the space ID occupies the high bits so distinct spaces can never
-// alias.
-func (m *Model) Key(space uint32, addr uint64) uint64 {
-	return uint64(space)<<44 | addr>>m.shift
-}
-
-// SameLine reports whether two addresses in one space fall on one line.
-func (m *Model) SameLine(a, b uint64) bool {
-	return a>>m.shift == b>>m.shift
-}
-
-func (m *Model) load(key uint64) line {
-	if m.lastOK && m.lastKey == key {
-		return m.lastVal
-	}
-	l, ok := m.lines[key]
-	if !ok {
-		l = line{owner: -1}
-	}
-	m.lastKey, m.lastVal, m.lastOK = key, l, true
-	return l
-}
-
-func (m *Model) store(key uint64, l line) {
-	m.lines[key] = l
-	m.lastKey, m.lastVal, m.lastOK = key, l, true
-}
 
 // Fill classifies where an access's data came from, for callers that price
 // the interconnect distance of the fill (the vm layer's NUMA surcharge).
@@ -130,77 +100,71 @@ const (
 	FillCache              // served from another CPU's dirty copy
 )
 
-// Access charges one read or write by cpu against the line identified by
-// key and returns its cost in cycles, updating directory state.
-func (m *Model) Access(cpu int, key uint64, write bool) int64 {
-	c, _, _ := m.AccessFill(cpu, key, write)
-	return c
-}
-
-// AccessFill is Access plus the fill classification: where the data came
-// from, and — for cache-to-cache transfers — which CPU supplied it (-1
-// otherwise). The vm layer uses the pair to decide whether a fill crossed
-// a NUMA node boundary: a memory fill travels from the page's home node, a
+// Access charges one read or write by cpu against line l, updating l in
+// place. It returns the cost in cycles, where the data came from, and —
+// for cache-to-cache transfers — which CPU supplied it (-1 otherwise). The
+// vm layer uses fill and from to decide whether a fill crossed a NUMA node
+// boundary: a memory fill travels from the page's home node, a
 // cache-to-cache fill from the supplier CPU's node.
-func (m *Model) AccessFill(cpu int, key uint64, write bool) (int64, Fill, int) {
-	l := m.load(key)
+func (m *Model) Access(cpu int, l *Line, write bool) (cost int64, fill Fill, from int) {
 	bit := uint64(1) << uint(cpu)
+	me := uint8(cpu + 1)
 	st := &m.stats[cpu]
 
 	if write {
 		switch {
-		case l.owner == int8(cpu):
+		case l.owner == me:
 			st.Hits++
 			return m.costs.Hit, FillNone, -1
-		case l.owner >= 0:
+		case l.owner != 0:
 			// Another CPU has the dirty copy: fetch it and take ownership.
+			from := int(l.owner) - 1
 			st.RemoteMisses++
-			m.stats[l.owner].Invalidated++
+			m.stats[from].Invalidated++
 			m.OwnerFlips++
-			from := int(l.owner)
-			m.store(key, line{owner: int8(cpu), sharers: bit})
+			*l = Line{owner: me, sharers: bit}
 			return m.costs.MissRemote, FillCache, from
 		case l.sharers == bit:
 			// We have the only clean copy: silent upgrade still costs a bus
 			// transaction on this era of hardware.
 			st.Upgrades++
-			m.store(key, line{owner: int8(cpu), sharers: bit})
+			*l = Line{owner: me, sharers: bit}
 			return m.costs.Upgrade, FillNone, -1
 		case l.sharers&bit != 0:
 			// We share it with others: invalidate them.
 			st.Upgrades++
 			m.chargeInvalidations(l.sharers &^ bit)
-			m.store(key, line{owner: int8(cpu), sharers: bit})
+			*l = Line{owner: me, sharers: bit}
 			return m.costs.Upgrade, FillNone, -1
 		case l.sharers != 0:
 			// Others hold it clean, we do not: read-for-ownership from
 			// memory plus invalidations.
 			st.ColdMisses++
 			m.chargeInvalidations(l.sharers)
-			m.store(key, line{owner: int8(cpu), sharers: bit})
+			*l = Line{owner: me, sharers: bit}
 			return m.costs.MissMemory, FillMemory, -1
 		default:
 			st.ColdMisses++
-			m.store(key, line{owner: int8(cpu), sharers: bit})
+			*l = Line{owner: me, sharers: bit}
 			return m.costs.MissMemory, FillMemory, -1
 		}
 	}
 
 	// Read.
 	switch {
-	case l.owner == int8(cpu), l.owner < 0 && l.sharers&bit != 0:
+	case l.owner == me, l.owner == 0 && l.sharers&bit != 0:
 		st.Hits++
 		return m.costs.Hit, FillNone, -1
-	case l.owner >= 0:
+	case l.owner != 0:
 		// Dirty in another cache: cache-to-cache transfer, both end shared.
+		from := int(l.owner) - 1
 		st.RemoteMisses++
 		m.OwnerFlips++
-		from := int(l.owner)
-		m.store(key, line{owner: -1, sharers: l.sharers | bit | 1<<uint(l.owner)})
+		*l = Line{sharers: l.sharers | bit | 1<<uint(from)}
 		return m.costs.MissRemote, FillCache, from
 	default:
 		st.ColdMisses++
-		m.store(key, line{owner: -1, sharers: l.sharers | bit})
+		l.sharers |= bit
 		return m.costs.MissMemory, FillMemory, -1
 	}
 }
@@ -214,51 +178,11 @@ func (m *Model) chargeInvalidations(mask uint64) {
 	}
 }
 
-// DropRange forgets directory state for [addr, addr+length) in the given
-// space; called when pages are unmapped so recycled addresses start cold.
-func (m *Model) DropRange(space uint32, addr, length uint64) {
-	if length == 0 {
-		return
-	}
-	first := m.Key(space, addr)
-	last := m.Key(space, addr+length-1)
-	for k := first; k <= last; k++ {
-		delete(m.lines, k)
-	}
-	m.lastOK = false
-}
-
 // Stats returns a copy of the per-CPU statistics.
 func (m *Model) Stats() []CPUStats {
 	out := make([]CPUStats, len(m.stats))
 	copy(out, m.stats)
 	return out
-}
-
-// TotalRemoteMisses sums dirty cache-to-cache transfers over all CPUs.
-func (m *Model) TotalRemoteMisses() uint64 {
-	var t uint64
-	for i := range m.stats {
-		t += m.stats[i].RemoteMisses
-	}
-	return t
-}
-
-// Writers returns how many distinct CPUs from the given list would write
-// the line containing addr, given each CPU writes the address pattern
-// described by addrsPerCPU. It is a helper for analytic compute phases.
-func Writers(m *Model, space uint32, lineAddr uint64, addrsPerCPU map[int][]uint64) int {
-	key := m.Key(space, lineAddr)
-	n := 0
-	for _, addrs := range addrsPerCPU {
-		for _, a := range addrs {
-			if m.Key(space, a) == key {
-				n++
-				break
-			}
-		}
-	}
-	return n
 }
 
 // SteadyWriteCost returns the expected per-write cost, in cycles, for a CPU

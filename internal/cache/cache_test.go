@@ -9,13 +9,19 @@ import (
 
 func newTest() *Model { return NewModel(4, 5, DefaultCosts()) }
 
+// cost is Access without the fill classification.
+func cost(m *Model, cpu int, l *Line, write bool) int64 {
+	c, _, _ := m.Access(cpu, l, write)
+	return c
+}
+
 func TestColdReadThenHit(t *testing.T) {
 	m := newTest()
-	k := m.Key(0, 0x1000)
-	if c := m.Access(0, k, false); c != m.costs.MissMemory {
+	var l Line
+	if c := cost(m, 0, &l, false); c != m.costs.MissMemory {
 		t.Fatalf("cold read cost %d, want %d", c, m.costs.MissMemory)
 	}
-	if c := m.Access(0, k, false); c != m.costs.Hit {
+	if c := cost(m, 0, &l, false); c != m.costs.Hit {
 		t.Fatalf("second read cost %d, want hit", c)
 	}
 	st := m.Stats()[0]
@@ -26,46 +32,46 @@ func TestColdReadThenHit(t *testing.T) {
 
 func TestWriteThenWriteHit(t *testing.T) {
 	m := newTest()
-	k := m.Key(0, 0x40)
-	m.Access(1, k, true)
-	if c := m.Access(1, k, true); c != m.costs.Hit {
+	var l Line
+	m.Access(1, &l, true)
+	if c := cost(m, 1, &l, true); c != m.costs.Hit {
 		t.Fatalf("owned write cost %d, want hit", c)
 	}
 }
 
 func TestUpgradeFromSoleSharer(t *testing.T) {
 	m := newTest()
-	k := m.Key(0, 0x80)
-	m.Access(2, k, false) // cold read, sole clean copy
-	if c := m.Access(2, k, true); c != m.costs.Upgrade {
+	var l Line
+	m.Access(2, &l, false) // cold read, sole clean copy
+	if c := cost(m, 2, &l, true); c != m.costs.Upgrade {
 		t.Fatalf("upgrade cost %d, want %d", c, m.costs.Upgrade)
 	}
 }
 
 func TestRemoteDirtyReadTransfers(t *testing.T) {
 	m := newTest()
-	k := m.Key(0, 0xc0)
-	m.Access(0, k, true) // cpu0 owns dirty
-	if c := m.Access(1, k, false); c != m.costs.MissRemote {
+	var l Line
+	m.Access(0, &l, true) // cpu0 owns dirty
+	if c := cost(m, 1, &l, false); c != m.costs.MissRemote {
 		t.Fatalf("remote read cost %d, want %d", c, m.costs.MissRemote)
 	}
 	// Both now share it clean: reads hit on both.
-	if c := m.Access(0, k, false); c != m.costs.Hit {
+	if c := cost(m, 0, &l, false); c != m.costs.Hit {
 		t.Fatalf("previous owner read cost %d, want hit", c)
 	}
-	if c := m.Access(1, k, false); c != m.costs.Hit {
+	if c := cost(m, 1, &l, false); c != m.costs.Hit {
 		t.Fatalf("new sharer read cost %d, want hit", c)
 	}
 }
 
 func TestPingPongWrites(t *testing.T) {
 	m := newTest()
-	k := m.Key(0, 0x100)
-	m.Access(0, k, true)
+	var l Line
+	m.Access(0, &l, true)
 	flips := m.OwnerFlips
 	for i := 0; i < 10; i++ {
 		cpu := i % 2
-		c := m.Access(cpu, k, true)
+		c := cost(m, cpu, &l, true)
 		if i == 0 && cpu == 0 {
 			continue
 		}
@@ -80,56 +86,18 @@ func TestPingPongWrites(t *testing.T) {
 
 func TestWriteInvalidatesSharers(t *testing.T) {
 	m := newTest()
-	k := m.Key(0, 0x140)
-	m.Access(0, k, false)
-	m.Access(1, k, false)
-	m.Access(2, k, false)
-	m.Access(3, k, true) // had no copy; others shared clean
+	var l Line
+	m.Access(0, &l, false)
+	m.Access(1, &l, false)
+	m.Access(2, &l, false)
+	m.Access(3, &l, true) // had no copy; others shared clean
 	st := m.Stats()
 	if st[0].Invalidated != 1 || st[1].Invalidated != 1 || st[2].Invalidated != 1 {
 		t.Fatalf("invalidations not charged: %+v", st)
 	}
 	// After the write, a read by 0 misses again.
-	if c := m.Access(0, k, false); c == m.costs.Hit {
+	if c := cost(m, 0, &l, false); c == m.costs.Hit {
 		t.Fatal("stale sharer still hit after invalidation")
-	}
-}
-
-func TestSpacesDoNotInterfere(t *testing.T) {
-	m := newTest()
-	a := m.Key(1, 0x2000)
-	b := m.Key(2, 0x2000)
-	if a == b {
-		t.Fatal("keys for distinct spaces collide")
-	}
-	m.Access(0, a, true)
-	m.Access(1, b, true)
-	// Each CPU still owns its own space's line: both write-hit.
-	if c := m.Access(0, a, true); c != m.costs.Hit {
-		t.Fatalf("space 1 lost ownership: cost %d", c)
-	}
-	if c := m.Access(1, b, true); c != m.costs.Hit {
-		t.Fatalf("space 2 lost ownership: cost %d", c)
-	}
-}
-
-func TestSameLine(t *testing.T) {
-	m := newTest()
-	if !m.SameLine(0x20, 0x3f) {
-		t.Fatal("0x20 and 0x3f should share a 32B line")
-	}
-	if m.SameLine(0x1f, 0x20) {
-		t.Fatal("0x1f and 0x20 must not share a line")
-	}
-}
-
-func TestDropRange(t *testing.T) {
-	m := newTest()
-	k := m.Key(0, 0x3000)
-	m.Access(0, k, true)
-	m.DropRange(0, 0x3000, 4096)
-	if c := m.Access(1, k, false); c != m.costs.MissMemory {
-		t.Fatalf("dropped line not cold: cost %d", c)
 	}
 }
 
@@ -151,35 +119,19 @@ func TestSteadyWriteCost(t *testing.T) {
 	}
 }
 
-func TestWritersHelper(t *testing.T) {
-	m := newTest()
-	addrs := map[int][]uint64{
-		0: {0x100},        // line 8
-		1: {0x110},        // same line as cpu0
-		2: {0x140},        // line 10
-		3: {0x100, 0x190}, // touches line 8 too, plus line 12
-	}
-	if w := Writers(m, 0, 0x100, addrs); w != 3 {
-		t.Fatalf("Writers = %d, want 3", w)
-	}
-	if w := Writers(m, 0, 0x140, addrs); w != 1 {
-		t.Fatalf("Writers = %d, want 1", w)
-	}
-}
-
 // Property: after any access sequence, a line has at most one dirty owner,
 // and an owner is always in the sharer set implied by the state encoding.
 func TestSingleOwnerInvariant(t *testing.T) {
 	f := func(seed uint64) bool {
 		m := newTest()
 		r := xrand.New(seed, 0)
-		keys := []uint64{m.Key(0, 0), m.Key(0, 32), m.Key(0, 64), m.Key(1, 0)}
+		lines := make([]Line, 4)
 		for i := 0; i < 2000; i++ {
-			m.Access(r.Intn(4), keys[r.Intn(len(keys))], r.Intn(2) == 0)
+			m.Access(r.Intn(4), &lines[r.Intn(len(lines))], r.Intn(2) == 0)
 		}
-		for _, l := range m.lines {
-			if l.owner >= 0 {
-				if l.sharers != 1<<uint(l.owner) {
+		for _, l := range lines {
+			if l.owner != 0 {
+				if l.sharers != 1<<uint(l.owner-1) {
 					return false
 				}
 			}
@@ -199,8 +151,9 @@ func TestCostsAreFromModel(t *testing.T) {
 		m.costs.Hit: true, m.costs.MissMemory: true,
 		m.costs.MissRemote: true, m.costs.Upgrade: true,
 	}
+	lines := make([]Line, 8)
 	for i := 0; i < 5000; i++ {
-		c := m.Access(r.Intn(4), m.Key(0, uint64(r.Intn(8))*32), r.Intn(2) == 0)
+		c := cost(m, r.Intn(4), &lines[r.Intn(len(lines))], r.Intn(2) == 0)
 		if !valid[c] {
 			t.Fatalf("access returned unknown cost %d", c)
 		}
@@ -209,19 +162,19 @@ func TestCostsAreFromModel(t *testing.T) {
 
 func BenchmarkAccessHit(b *testing.B) {
 	m := newTest()
-	k := m.Key(0, 0x1000)
-	m.Access(0, k, true)
+	var l Line
+	m.Access(0, &l, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Access(0, k, true)
+		m.Access(0, &l, true)
 	}
 }
 
 func BenchmarkAccessPingPong(b *testing.B) {
 	m := newTest()
-	k := m.Key(0, 0x1000)
+	var l Line
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Access(i%2, k, true)
+		m.Access(i%2, &l, true)
 	}
 }

@@ -123,7 +123,7 @@
 // variables that are improperly aligned with regard to hardware caches"
 // (Table 4). Those effects come from coherence traffic on allocator globals
 // at a finer grain than the engine's batch scheduling resolves, so they are
-// modelled analytically (DESIGN.md §2): every operation on an allocator
+// modelled analytically: every operation on an allocator
 // instance shared by s active threads pays SharedTaxUnit*(s-1)/s cycles,
 // and operations on the main arena — whose metadata shares its cache line
 // with the library globals — pay MainArenaSloshUnit*(s-2) more once a third
@@ -495,8 +495,8 @@ type Stats struct {
 	FillRemoteCycles uint64
 	FillC2C          uint64 // cache-to-cache transfers from another CPU's dirty copy
 	FillC2CCycles    uint64
-	ArenaCount     int
-	Heap           heap.Stats // summed over arenas
+	ArenaCount       int
+	Heap             heap.Stats // summed over arenas
 }
 
 // Allocator is the public allocator interface: the system malloc/free pair

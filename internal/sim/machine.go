@@ -22,9 +22,9 @@ type Costs struct {
 	MutexHotWindow Time
 	// MutexMaxWait caps a single contended Lock wait. A real wait lasts at
 	// most a few critical sections; without the cap, a thread whose clock
-	// lags another's committed batch would charge the whole batch gap
-	// (DESIGN.md §6). Saturated locks are unaffected: their per-acquire
-	// waits are one critical section long.
+	// lags another's committed batch would charge the whole batch gap.
+	// Saturated locks are unaffected: their per-acquire waits are one
+	// critical section long.
 	MutexMaxWait Time
 	// DeschedResidual is the extra delay charged when a lock is held by a
 	// thread that was preempted mid-critical-section.
@@ -513,7 +513,7 @@ func (m *Machine) threadFinished(t *Thread) {
 	}
 	m.liveThreads--
 	if t.panicked != nil && m.failure == nil {
-		m.failure = fmt.Errorf("sim: thread %q panicked: %v", t.Name, t.panicked)
+		m.failure = panicError(t)
 		m.aborting = true
 	}
 	// Wake joiners at or after our finish time.
@@ -525,6 +525,16 @@ func (m *Machine) threadFinished(t *Thread) {
 	}
 	t.waiters = nil
 	m.engineCh <- t
+}
+
+// panicError reports a thread's panic with the goroutine stack at the
+// panic. An error value is wrapped, so errors.As and errors.Is reach it
+// through Run's error — a vm.Fault, or the ErrNoMem behind a vm.OOMFault.
+func panicError(t *Thread) error {
+	if err, ok := t.panicked.(error); ok {
+		return fmt.Errorf("sim: thread %q panicked: %w\n%s", t.Name, err, t.panicStack)
+	}
+	return fmt.Errorf("sim: thread %q panicked: %v\n%s", t.Name, t.panicked, t.panicStack)
 }
 
 // abortAll unblocks every live thread with an abort panic so their

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime/debug"
 
 	"mtmalloc/internal/xrand"
 )
@@ -63,7 +64,10 @@ type Thread struct {
 	waiters []*Thread
 	joining *Thread
 
-	panicked any
+	// panicked is the value a panicking body raised and panicStack the
+	// goroutine stack at the panic, for the machine's error.
+	panicked   any
+	panicStack []byte
 
 	// Ops counts simulated operations (MaybeYield calls); exported for
 	// harness statistics.
@@ -242,7 +246,7 @@ func (t *Thread) run() {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, isAbort := r.(abortSignal); !isAbort {
-				t.panicked = r
+				t.panicked, t.panicStack = r, debug.Stack()
 			}
 		}
 		t.finishThread()

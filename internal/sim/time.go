@@ -10,10 +10,10 @@
 // time; they yield cooperatively at operation-batch boundaries, so every run
 // is a pure function of the configuration seed.
 //
-// Accuracy trade-offs (documented in DESIGN.md §6): mutexes keep a monotonic
-// "busy until" horizon instead of a full interval set, critical sections
-// never span yield points, and involuntary preemption is modelled by
-// periodic quantum draws rather than by interrupting user code.
+// Accuracy trade-offs: mutexes keep a monotonic "busy until" horizon
+// instead of a full interval set, critical sections never span yield
+// points, and involuntary preemption is modelled by periodic quantum draws
+// rather than by interrupting user code.
 //
 // # Node topology
 //

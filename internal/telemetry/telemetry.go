@@ -308,9 +308,9 @@ type Report struct {
 	TotalMallocCycles  uint64         `json:"total_malloc_cycles"`
 	TotalFreeCycles    uint64         `json:"total_free_cycles"`
 	TotalMailboxCycles uint64         `json:"total_mailbox_cycles,omitempty"`
-	Latency           []ClassLatency `json:"latency"`
-	Tiers             []TierSummary  `json:"tiers"`
-	Samples           []Sample       `json:"samples"`
+	Latency            []ClassLatency `json:"latency"`
+	Tiers              []TierSummary  `json:"tiers"`
+	Samples            []Sample       `json:"samples"`
 }
 
 // Report builds the summary from everything recorded so far.

@@ -103,9 +103,12 @@ func TestRecommitOverLimitPanicsOOMFault(t *testing.T) {
 	if err == nil {
 		t.Fatal("machine finished cleanly, want an OOMFault-induced failure")
 	}
-	// The engine reports a thread panic by message, so assert on the text.
 	if !strings.Contains(err.Error(), "commit limit") {
 		t.Errorf("machine error %q does not mention the commit limit", err)
+	}
+	// The engine wraps the panicked fault, so the sentinel shows through.
+	if !errors.Is(err, ErrNoMem) {
+		t.Errorf("machine error %q does not wrap ErrNoMem", err)
 	}
 }
 

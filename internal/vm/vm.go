@@ -11,6 +11,28 @@
 // discards page contents and cache lines, so re-extension faults again,
 // exactly as Linux behaves.
 //
+// # The page table
+//
+// Resident pages are found by arithmetic on the address, not through a
+// lookup structure: a two-level radix table over the 32-bit space — a
+// 1024-entry directory of 1024-entry leaves, each leaf allocated on first
+// use — maps a page number to its record. The record holds everything the
+// access path needs: the page's bytes, its home node, and the coherence
+// directory entries (cache.Line) of the lines touched on it, packed in a
+// slice and found through a one-byte-per-line slot index. So one page walk
+// — usually answered by the one-entry cache of the last page touched —
+// yields both the data and the line to charge. The bytes are a separate
+// 4 KB allocation: embedding them would push the record into Go's next
+// size class and cost more memory than the slot index saves.
+//
+// A line's entry lives and dies with its page record. That drops exactly
+// the lines of every unmapped or released range, because a line is only
+// ever charged after its page is resident and every range this package
+// drops is page-aligned: Munmap and ReleasePages align their ranges, and
+// the heap moves the break in page multiples. Each address space owns its
+// page records, so two processes sharing one cache model never generate
+// coherence traffic against each other, even at identical addresses.
+//
 // The reclamation subsystem adds a weaker form of giving memory back:
 // ReleasePages (madvise(MADV_DONTNEED) semantics) keeps a region mapped but
 // drops its resident pages, which read as zero — at the Refault cost — when
@@ -281,14 +303,15 @@ type AddressSpace struct {
 	vmas []VMA // sorted by Start, non-overlapping
 	brk  uint64
 
-	pages map[uint64][]byte
+	// dir is the page table (see the package comment); resident counts
+	// the records in it.
+	dir      [dirSize]*pageLeaf
+	resident uint64
+	// lineShift is log2 of the cache model's line size.
+	lineShift uint
 	// released marks pages ReleasePages handed back to the kernel while their
 	// VMA stayed mapped: the next touch is a refault, not a first touch.
 	released map[uint64]bool
-	// pageNode records each resident page's home node (first-touch or VMA
-	// binding). Only maintained on multi-node machines; see the package
-	// comment's locality model.
-	pageNode map[uint64]int8
 	// numaOn caches whether the machine has more than one node (events are
 	// counted whenever they cross nodes); remoteMult caches the cross-node
 	// multiplier that prices them (1 = free interconnect, nothing extra
@@ -300,7 +323,7 @@ type AddressSpace struct {
 	reuseNodeAffinity bool
 	// one-entry page lookup cache: allocator loops touch few pages.
 	lastIdx  uint64
-	lastPage []byte
+	lastPage *page
 
 	// mmLock serializes faults and mapping changes among threads of this
 	// address space (mmap_sem). kernelLock models the kernel-side lock for
@@ -336,6 +359,82 @@ type AddressSpace struct {
 	stats Stats
 }
 
+// Page-table geometry: 2^20 pages of a 32-bit space, split into a
+// directory of dirSize leaves of leafSize entries each.
+const (
+	leafBits = 10
+	leafSize = 1 << leafBits
+	dirSize  = 1 << (32 - 12 - leafBits)
+)
+
+// pageLeaf is one second-level node of the page table.
+type pageLeaf [leafSize]*page
+
+// page is one resident page's record.
+type page struct {
+	data *[PageSize]byte
+	// node is the page's home node (first touch or VMA binding; always 0
+	// on a 1-node machine). See the package comment's locality model.
+	node int8
+	// slot maps a line's index within the page to 1 + its position in
+	// lines, 0 for a line never touched. Lines are at least 32 bytes, so
+	// a page has at most PageSize>>5 of them and a slot fits in a byte.
+	slot  [PageSize >> 5]uint8
+	lines []cache.Line
+}
+
+// line returns the directory entry for the line at byte offset off of the
+// page, creating an invalid one on first touch.
+func (p *page) line(off uint64, shift uint) *cache.Line {
+	i := off >> shift
+	s := p.slot[i]
+	if s == 0 {
+		p.lines = append(p.lines, cache.Line{})
+		s = uint8(len(p.lines))
+		p.slot[i] = s
+	}
+	return &p.lines[s-1]
+}
+
+// lookup returns the resident record of page number idx, or nil.
+func (as *AddressSpace) lookup(idx uint64) *page {
+	if idx >= dirSize*leafSize {
+		return nil
+	}
+	leaf := as.dir[idx>>leafBits]
+	if leaf == nil {
+		return nil
+	}
+	return leaf[idx&(leafSize-1)]
+}
+
+// install makes p the record of page number idx, allocating the leaf on
+// first use.
+func (as *AddressSpace) install(idx uint64, p *page) {
+	leaf := as.dir[idx>>leafBits]
+	if leaf == nil {
+		leaf = new(pageLeaf)
+		as.dir[idx>>leafBits] = leaf
+	}
+	leaf[idx&(leafSize-1)] = p
+	as.resident++
+}
+
+// evict drops page number idx's record — bytes, home node and cache lines
+// together — and reports whether the page was resident.
+func (as *AddressSpace) evict(idx uint64) bool {
+	if idx >= dirSize*leafSize {
+		return false
+	}
+	leaf := as.dir[idx>>leafBits]
+	if leaf == nil || leaf[idx&(leafSize-1)] == nil {
+		return false
+	}
+	leaf[idx&(leafSize-1)] = nil
+	as.resident--
+	return true
+}
+
 // reuseRegion is one parked anonymous mapping awaiting reuse.
 type reuseRegion struct {
 	addr, length uint64
@@ -367,9 +466,8 @@ func New(id uint32, m *sim.Machine, model *cache.Model, opts ...Option) *Address
 		cache:        model,
 		costs:        DefaultCosts(),
 		brk:          DataBase,
-		pages:        make(map[uint64][]byte, 256),
+		lineShift:    model.LineShift(),
 		released:     make(map[uint64]bool),
-		pageNode:     make(map[uint64]int8),
 		numaOn:       m.Nodes() > 1,
 		remoteMult:   m.RemoteMultiplier(),
 		mmapHint:     MmapBase,
@@ -410,7 +508,7 @@ func (as *AddressSpace) ResidentBytesIn(start, end uint64) uint64 {
 	}
 	var n uint64
 	for p := start / PageSize; p <= (end-1)/PageSize; p++ {
-		if _, ok := as.pages[p]; ok {
+		if as.lookup(p) != nil {
 			n += PageSize
 		}
 	}
@@ -420,14 +518,21 @@ func (as *AddressSpace) ResidentBytesIn(start, end uint64) uint64 {
 // Stats returns a snapshot of the VM statistics.
 func (as *AddressSpace) Stats() Stats {
 	s := as.stats
-	s.PagesPresent = uint64(len(as.pages))
+	s.PagesPresent = as.resident
 	s.ResidentBytes = s.PagesPresent * PageSize
 	s.MmapReuseParked = as.reuseParked
 	s.CommittedBytes = as.committed
 	if as.numa() {
 		s.NodeResidentBytes = make([]uint64, as.mach.Nodes())
-		for _, n := range as.pageNode {
-			s.NodeResidentBytes[n] += PageSize
+		for _, leaf := range as.dir {
+			if leaf == nil {
+				continue
+			}
+			for _, p := range leaf {
+				if p != nil {
+					s.NodeResidentBytes[p.node] += PageSize
+				}
+			}
 		}
 	}
 	return s
@@ -854,8 +959,8 @@ func (as *AddressSpace) MunmapReuse(t *sim.Thread, addr, length uint64) (bool, e
 	// parker's node for a region that was never touched at all.
 	node := int8(0)
 	if as.numa() {
-		if n, ok := as.pageNode[addr/PageSize]; ok {
-			node = n
+		if p := as.lookup(addr / PageSize); p != nil {
+			node = p.node
 		} else {
 			node = int8(t.Node())
 		}
@@ -953,7 +1058,7 @@ func (as *AddressSpace) ReleasePages(t *sim.Thread, addr, length uint64) uint64 
 		if !as.mapped(p) {
 			panic(Fault{Space: as.ID, Addr: p, Op: "release-unmapped"})
 		}
-		if _, ok := as.pages[p/PageSize]; ok {
+		if as.lookup(p/PageSize) != nil {
 			resident = true
 			break
 		}
@@ -966,15 +1071,14 @@ func (as *AddressSpace) ReleasePages(t *sim.Thread, addr, length uint64) uint64 
 	released := uint64(0)
 	for p := lo; p < hi; p += PageSize {
 		idx := p / PageSize
-		if _, ok := as.pages[idx]; !ok {
+		// The frame goes with its home node and cache lines: a refault
+		// re-homes it and starts every line cold.
+		if !as.evict(idx) {
 			continue // never touched or already released: nothing resident
 		}
-		delete(as.pages, idx)
-		delete(as.pageNode, idx) // the frame is gone: a refault re-homes it
 		as.released[idx] = true
 		released += PageSize
 	}
-	as.cache.DropRange(as.ID, lo, hi-lo)
 	as.lastPage = nil
 	as.stats.PagesReleased += released / PageSize
 	// The kernel may hand the frames to someone else: they stop counting
@@ -989,11 +1093,9 @@ func (as *AddressSpace) dropPages(lo, hi uint64) {
 		return
 	}
 	for p := pageFloor(lo); p < hi; p += PageSize {
-		delete(as.pages, p/PageSize)
+		as.evict(p / PageSize)
 		delete(as.released, p/PageSize)
-		delete(as.pageNode, p/PageSize)
 	}
-	as.cache.DropRange(as.ID, lo, hi-lo)
 	as.lastPage = nil
 }
 
@@ -1015,14 +1117,15 @@ func (as *AddressSpace) AllocStack(t *sim.Thread, name string) (uint64, error) {
 	return top, nil
 }
 
-// page returns the backing page for addr, faulting it in on first touch.
-func (as *AddressSpace) page(t *sim.Thread, addr uint64, op string) []byte {
+// page returns the record of the page holding addr, faulting it in on
+// first touch.
+func (as *AddressSpace) page(t *sim.Thread, addr uint64, op string) *page {
 	idx := addr / PageSize
 	if as.lastPage != nil && as.lastIdx == idx {
 		return as.lastPage
 	}
-	p, ok := as.pages[idx]
-	if !ok {
+	p := as.lookup(idx)
+	if p == nil {
 		if !as.mapped(addr) {
 			panic(Fault{Space: as.ID, Addr: addr, Op: op})
 		}
@@ -1078,23 +1181,20 @@ func (as *AddressSpace) page(t *sim.Thread, addr uint64, op string) []byte {
 			t.Unlock(as.mmLock)
 		}
 		as.stats.MinorFaults++
-		p = make([]byte, PageSize)
-		as.pages[idx] = p
-		if as.numa() {
-			as.pageNode[idx] = int8(home)
-		}
+		p = &page{data: new([PageSize]byte), node: int8(home)}
+		as.install(idx, p)
 	}
 	as.lastIdx, as.lastPage = idx, p
 	return p
 }
 
-// charge bills one cache access for addr. On a multi-node machine a fill
-// that crossed a node boundary pays the remote multiplier on top: a
-// memory-served miss travels from the page's home node, a cache-to-cache
-// transfer from the supplying CPU's node. Hits and upgrades stay at the
-// local rate — no data moved.
-func (as *AddressSpace) charge(t *sim.Thread, addr uint64, write bool) {
-	c, fill, from := as.cache.AccessFill(t.CPU(), as.cache.Key(as.ID, addr), write)
+// charge bills one cache access for addr, which lies on page p. On a
+// multi-node machine a fill that crossed a node boundary pays the remote
+// multiplier on top: a memory-served miss travels from the page's home
+// node, a cache-to-cache transfer from the supplying CPU's node. Hits and
+// upgrades stay at the local rate — no data moved.
+func (as *AddressSpace) charge(t *sim.Thread, p *page, addr uint64, write bool) {
+	c, fill, from := as.cache.Access(t.CPU(), p.line(addr%PageSize, as.lineShift), write)
 	switch fill {
 	case cache.FillNone:
 		as.stats.FillLocal++
@@ -1102,10 +1202,8 @@ func (as *AddressSpace) charge(t *sim.Thread, addr uint64, write bool) {
 	case cache.FillMemory:
 		as.stats.FillRemote++
 		as.stats.FillRemoteCycles += uint64(c)
-		if as.numaOn {
-			if home, ok := as.pageNode[addr/PageSize]; ok && int(home) != t.Node() {
-				as.chargeRemote(t, c, false)
-			}
+		if as.numaOn && int(p.node) != t.Node() {
+			as.chargeRemote(t, c, false)
 		}
 	case cache.FillCache:
 		as.stats.FillC2C++
@@ -1126,26 +1224,28 @@ func (as *AddressSpace) LineSize() uint64 { return as.cache.LineSize() }
 // Read32 loads a little-endian uint32.
 func (as *AddressSpace) Read32(t *sim.Thread, addr uint64) uint32 {
 	p := as.page(t, addr, "read32")
-	as.charge(t, addr, false)
+	as.charge(t, p, addr, false)
 	o := addr % PageSize
 	if o+4 > PageSize {
 		panic(Fault{Space: as.ID, Addr: addr, Op: "read32-split"})
 	}
-	return uint32(p[o]) | uint32(p[o+1])<<8 | uint32(p[o+2])<<16 | uint32(p[o+3])<<24
+	d := p.data
+	return uint32(d[o]) | uint32(d[o+1])<<8 | uint32(d[o+2])<<16 | uint32(d[o+3])<<24
 }
 
 // Write32 stores a little-endian uint32.
 func (as *AddressSpace) Write32(t *sim.Thread, addr uint64, v uint32) {
 	p := as.page(t, addr, "write32")
-	as.charge(t, addr, true)
+	as.charge(t, p, addr, true)
 	o := addr % PageSize
 	if o+4 > PageSize {
 		panic(Fault{Space: as.ID, Addr: addr, Op: "write32-split"})
 	}
-	p[o] = byte(v)
-	p[o+1] = byte(v >> 8)
-	p[o+2] = byte(v >> 16)
-	p[o+3] = byte(v >> 24)
+	d := p.data
+	d[o] = byte(v)
+	d[o+1] = byte(v >> 8)
+	d[o+2] = byte(v >> 16)
+	d[o+3] = byte(v >> 24)
 }
 
 // Read64 loads a little-endian uint64.
@@ -1164,39 +1264,40 @@ func (as *AddressSpace) Write64(t *sim.Thread, addr uint64, v uint64) {
 // Write8 stores one byte (benchmark 3's write primitive).
 func (as *AddressSpace) Write8(t *sim.Thread, addr uint64, v byte) {
 	p := as.page(t, addr, "write8")
-	as.charge(t, addr, true)
-	p[addr%PageSize] = v
+	as.charge(t, p, addr, true)
+	p.data[addr%PageSize] = v
 }
 
 // Read8 loads one byte.
 func (as *AddressSpace) Read8(t *sim.Thread, addr uint64) byte {
 	p := as.page(t, addr, "read8")
-	as.charge(t, addr, false)
-	return p[addr%PageSize]
+	as.charge(t, p, addr, false)
+	return p.data[addr%PageSize]
 }
 
 // Peek32 reads a little-endian uint32 without charging simulated costs or
 // faulting pages in: untouched pages read as zero. It exists for integrity
 // checkers and debuggers that must not perturb the simulation.
 func (as *AddressSpace) Peek32(addr uint64) uint32 {
-	p, ok := as.pages[addr/PageSize]
-	if !ok {
+	p := as.lookup(addr / PageSize)
+	if p == nil {
 		return 0
 	}
 	o := addr % PageSize
 	if o+4 > PageSize {
 		return 0
 	}
-	return uint32(p[o]) | uint32(p[o+1])<<8 | uint32(p[o+2])<<16 | uint32(p[o+3])<<24
+	d := p.data
+	return uint32(d[o]) | uint32(d[o+1])<<8 | uint32(d[o+2])<<16 | uint32(d[o+3])<<24
 }
 
 // Peek8 reads one byte without charges or faults.
 func (as *AddressSpace) Peek8(addr uint64) byte {
-	p, ok := as.pages[addr/PageSize]
-	if !ok {
+	p := as.lookup(addr / PageSize)
+	if p == nil {
 		return 0
 	}
-	return p[addr%PageSize]
+	return p.data[addr%PageSize]
 }
 
 // Touch faults in the page containing addr without a data access charge

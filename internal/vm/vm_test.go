@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -213,6 +214,27 @@ func TestSegfaultSurfacesAsError(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "segmentation fault") {
 		t.Fatalf("err = %v, want segfault", err)
+	}
+}
+
+// TestFaultKeepsTypeAndStack: a simulated thread's segfault reaches Run's
+// caller as the vm.Fault itself, not just its text, and the error carries
+// the goroutine stack down to the faulting access.
+func TestFaultKeepsTypeAndStack(t *testing.T) {
+	m, c := testSetup(1)
+	as := New(1, m, c)
+	err := m.Run(func(th *sim.Thread) {
+		as.Read32(th, 0x1000) // below text: unmapped
+	})
+	var f Fault
+	if !errors.As(err, &f) {
+		t.Fatalf("err = %v, want a wrapped vm.Fault", err)
+	}
+	if f.Addr != 0x1000 || f.Op != "read32" {
+		t.Errorf("fault = %+v, want read32 at 0x1000", f)
+	}
+	if !strings.Contains(err.Error(), "vm.(*AddressSpace).Read32") {
+		t.Errorf("error does not name the faulting frame:\n%v", err)
 	}
 }
 

@@ -36,8 +36,8 @@
 //	    _ = inst.Alloc.Free(main, p)
 //	})
 //
-// See DESIGN.md for the architecture and EXPERIMENTS.md for the measured
-// reproduction of every table and figure.
+// See ARCHITECTURE.md for the layers and allocator designs; cmd/repro
+// regenerates the measured reproduction of every table and figure.
 package mtmalloc
 
 import (
@@ -141,7 +141,7 @@ func RunLarson(cfg LarsonConfig) (LarsonResult, error) { return bench.RunLarson(
 // Experiments returns the registry reproducing every table and figure.
 func Experiments() []Experiment { return bench.All() }
 
-// Ablations returns the design-choice studies (DESIGN.md §5).
+// Ablations returns the design-choice studies (A1, A3–A6).
 func Ablations() []Experiment { return bench.Ablations() }
 
 // PredictMinorFaults is benchmark 2's lower-bound fault predictor
