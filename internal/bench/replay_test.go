@@ -96,38 +96,73 @@ func TestReplayBench1(t *testing.T) {
 }
 
 // TestReplayLarson replays the D1/D2 Larson configuration for each kind.
+// The four mutex-era kinds pin the pre-refactor goldens; the lock-free,
+// service-offloaded and line-aware rows pin the designs that otherwise had
+// only two-run determinism checks, with the CAS, mailbox and
+// line-quantization counters their paths move.
 func TestReplayLarson(t *testing.T) {
 	goldens := []struct {
+		name              string // subtest name; the kind's when empty
 		kind              malloc.Kind
+		lineAware         bool
 		throughput        string
 		faults            uint64
 		lockAcqs          uint64
 		depotHits, depotD uint64
+		casAttempts       uint64
+		casFails          uint64
+		svcEpochs         uint64
+		svcRefillHits     uint64
+		lineQuantBytes    uint64
 	}{
-		{malloc.KindPTMalloc, "0x1.c7b2abf1d8b82p+20", 86, 28004, 0, 0},
-		{malloc.KindSerial, "0x1.324956000cd8bp+18", 82, 28004, 0, 0},
-		{malloc.KindPerThread, "0x1.029d02436f0ep+21", 87, 28004, 0, 0},
-		{malloc.KindThreadCache, "0x1.c9fdaee43f3d4p+21", 153, 306, 67, 145},
+		{kind: malloc.KindPTMalloc, throughput: "0x1.c7b2abf1d8b82p+20", faults: 86, lockAcqs: 28004},
+		{kind: malloc.KindSerial, throughput: "0x1.324956000cd8bp+18", faults: 82, lockAcqs: 28004},
+		{kind: malloc.KindPerThread, throughput: "0x1.029d02436f0ep+21", faults: 87, lockAcqs: 28004},
+		{kind: malloc.KindThreadCache, throughput: "0x1.c9fdaee43f3d4p+21", faults: 153, lockAcqs: 306, depotHits: 67, depotD: 145},
+		{kind: malloc.KindLockFree, throughput: "0x1.67268099c599dp+22", faults: 24,
+			depotHits: 71, depotD: 147, casAttempts: 420, casFails: 32},
+		{kind: malloc.KindThreadCacheSvc, throughput: "0x1.93d2853351471p+21", faults: 291, lockAcqs: 470,
+			depotHits: 1, depotD: 254, svcEpochs: 8, svcRefillHits: 250},
+		{kind: malloc.KindLockFreeSvc, throughput: "0x1.54d5f1a201804p+22", faults: 25,
+			depotHits: 27, depotD: 248, casAttempts: 625, casFails: 14, svcEpochs: 13, svcRefillHits: 294},
+		{name: "threadcache-lineaware", kind: malloc.KindThreadCache, lineAware: true, throughput: "0x1.d7bee11cc43afp+21", faults: 159, lockAcqs: 280,
+			depotHits: 33, depotD: 65, lineQuantBytes: 187856},
 	}
 	for _, g := range goldens {
 		g := g
-		t.Run(string(g.kind), func(t *testing.T) {
-			cfg := DefaultLarson(QuadXeon500())
+		name := g.name
+		if name == "" {
+			name = string(g.kind)
+		}
+		t.Run(name, func(t *testing.T) {
+			prof := QuadXeon500()
+			cfg := DefaultLarson(prof)
 			cfg.Threads = 4
 			cfg.Ops = 3000
 			cfg.Runs = 1
 			cfg.Seed = 1
 			cfg.Allocator = g.kind
+			if g.lineAware {
+				costs := prof.AllocCosts
+				costs.LineAware = true
+				cfg.Costs = &costs
+			}
 			res, err := RunLarson(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			run := res.Runs[0]
+			st := run.AllocStats
 			wantf(t, "Throughput", run.Throughput, g.throughput)
 			wantu(t, "MinorFaults", run.MinorFaults, g.faults)
-			wantu(t, "ArenaLockAcqs", run.AllocStats.ArenaLockAcqs, g.lockAcqs)
-			wantu(t, "DepotHits", run.AllocStats.DepotHits, g.depotHits)
-			wantu(t, "DepotDonates", run.AllocStats.DepotDonates, g.depotD)
+			wantu(t, "ArenaLockAcqs", st.ArenaLockAcqs, g.lockAcqs)
+			wantu(t, "DepotHits", st.DepotHits, g.depotHits)
+			wantu(t, "DepotDonates", st.DepotDonates, g.depotD)
+			wantu(t, "CASAttempts", st.CASAttempts, g.casAttempts)
+			wantu(t, "CASFails", st.CASFails, g.casFails)
+			wantu(t, "SvcEpochs", st.SvcEpochs, g.svcEpochs)
+			wantu(t, "SvcRefillHits", st.SvcRefillHits, g.svcRefillHits)
+			wantu(t, "LineQuantBytes", st.LineQuantBytes, g.lineQuantBytes)
 		})
 	}
 }

@@ -8,10 +8,11 @@ import (
 	"mtmalloc/internal/vm"
 )
 
-// binTag is the Go-side record ReleaseBinned keeps per binned free chunk:
-// when frontlink parked it, and how many whole-page interior bytes are still
-// resident (an upper-bound estimate — pages the program never touched count
-// too; zero once the interior has been released).
+// binTag is the Go-side record ReleaseBinned keeps per binned free chunk
+// with a whole page inside it: when frontlink parked it, and how many
+// whole-page interior bytes are still resident (an upper-bound estimate —
+// pages the program never touched count too; zero once the interior has been
+// released).
 type binTag struct {
 	at       sim.Time
 	resident uint64
@@ -100,12 +101,15 @@ type Arena struct {
 	// mappedTotal tracks mmap'd segment bytes for the sub-arena size cap.
 	mappedTotal uint64
 
-	// binStamps records, per binned free chunk, the virtual time frontlink
-	// parked it plus its releasable whole-page interior; unlink clears the
-	// entry. ReleaseBinned consults it to tell idle chunks from ones the
-	// allocator is still turning over, and zeroes the resident estimate once
-	// a chunk's interior has been handed back so repeat sweeps skip it
-	// without charged reads. binResident sums the estimates: the pad
+	// binStamps records, per binned free chunk whose releasable whole-page
+	// interior is non-empty, the virtual time frontlink parked it plus that
+	// interior; unlink clears the entry. A chunk with no whole page inside
+	// has nothing ReleaseBinned could hand back, and is the common case, so
+	// it carries no tag and binning it touches no map. ReleaseBinned
+	// consults the tags to tell idle chunks from ones the allocator is still
+	// turning over, and zeroes the resident estimate once a chunk's interior
+	// has been handed back (the tag stays, resident 0) so repeat sweeps skip
+	// it without charged reads. binResident sums the estimates: the pad
 	// ReleaseBinned keeps is measured against it. These are Go-side books
 	// (like the segment list), only ever looked up by key, never iterated
 	// outside the uncharged Check.
@@ -298,7 +302,7 @@ func (a *Arena) Malloc(t *sim.Thread, req uint32) (uint64, error) {
 		for c != p {
 			csz := a.chunkSize(t, c)
 			if csz >= sz {
-				a.unlink(t, c)
+				a.unlink(t, c, csz)
 				if a.binEmpty(t, idx) {
 					a.clearBin(t, idx)
 				}
@@ -400,7 +404,7 @@ func (a *Arena) Free(t *sim.Thread, mem uint64) error {
 	if w&PrevInuse == 0 {
 		psz := a.prevSize(t, c)
 		p := c - uint64(psz)
-		a.unlink(t, p)
+		a.unlink(t, p, psz)
 		a.stats.Coalesces++
 		c = p
 		sz += psz
@@ -426,7 +430,7 @@ func (a *Arena) Free(t *sim.Thread, mem uint64) error {
 	}
 	if !nextInuse {
 		// Forward coalesce (next is free and not top).
-		a.unlink(t, next)
+		a.unlink(t, next, nsz)
 		a.stats.Coalesces++
 		sz += nsz
 		next = c + uint64(sz)

@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"strings"
 	"testing"
 
 	"mtmalloc/internal/sim"
@@ -174,5 +175,85 @@ func TestReleaseBinnedCoalesceAndRecarve(t *testing.T) {
 			}
 		}
 		mustCheck(t, a)
+	})
+}
+
+// TestSubPageChunkCarriesNoTag: a freed chunk with no whole page inside can
+// never be released, so binning it leaves the release books untouched.
+func TestSubPageChunkCarriesNoTag(t *testing.T) {
+	withArena(t, DefaultParams(), func(th *sim.Thread, a *Arena) {
+		mem := mustMalloc(t, th, a, 2000)
+		mustMalloc(t, th, a, 24) // pin so the free cannot merge into top
+		mustFree(t, th, a, mem)
+		if _, ok := a.binStamps[mem-HeaderSz]; ok {
+			t.Error("binned sub-page chunk carries a release tag")
+		}
+		if len(a.binStamps) != 0 || a.BinResidentEstimate() != 0 {
+			t.Errorf("release books hold %d tags, %d resident bytes; want none", len(a.binStamps), a.BinResidentEstimate())
+		}
+		mustCheck(t, a)
+	})
+}
+
+// TestPageSpanningChunkKeepsTagAfterRelease: a binned chunk with whole pages
+// inside carries a tag counting them resident, and keeps the tag — with
+// nothing left resident — once ReleaseBinned has handed the pages back.
+func TestPageSpanningChunkKeepsTagAfterRelease(t *testing.T) {
+	withArena(t, DefaultParams(), func(th *sim.Thread, a *Arena) {
+		mem, _ := binnedSetup(t, th, a, 20000)
+		c := mem - HeaderSz
+		lo, hi := binReleasable(c, a.ChunkSizeOf(th, mem))
+		tag, ok := a.binStamps[c]
+		if !ok || tag.resident != hi-lo || hi <= lo {
+			t.Fatalf("tag = %+v (present %v), want resident %d > 0", tag, ok, hi-lo)
+		}
+		th.Charge(100)
+		if n := a.ReleaseBinned(th, th.Now(), 0, 0); n == 0 {
+			t.Fatal("ReleaseBinned released nothing")
+		}
+		tag, ok = a.binStamps[c]
+		if !ok || tag.resident != 0 {
+			t.Errorf("after release tag = %+v (present %v), want present with resident 0", tag, ok)
+		}
+		mustCheck(t, a)
+	})
+}
+
+// TestCheckReportsMissingTag: Check catches a page-spanning binned chunk
+// whose release tag is gone, even with the resident sum kept consistent.
+func TestCheckReportsMissingTag(t *testing.T) {
+	withArena(t, DefaultParams(), func(th *sim.Thread, a *Arena) {
+		mem, _ := binnedSetup(t, th, a, 20000)
+		c := mem - HeaderSz
+		a.binResident -= a.binStamps[c].resident
+		delete(a.binStamps, c)
+		err := a.Check()
+		if err == nil || !strings.Contains(err.Error(), "has no release tag") {
+			t.Errorf("Check = %v, want a missing release tag report", err)
+		}
+	})
+}
+
+// TestCheckReportsStrayTag: Check catches a tag on a chunk that is not
+// binned, and a tag on a binned chunk with no whole page inside.
+func TestCheckReportsStrayTag(t *testing.T) {
+	withArena(t, DefaultParams(), func(th *sim.Thread, a *Arena) {
+		live := mustMalloc(t, th, a, 20000)
+		a.binStamps[live-HeaderSz] = binTag{}
+		err := a.Check()
+		if err == nil || !strings.Contains(err.Error(), "not binned") {
+			t.Errorf("Check with a tag on an in-use chunk = %v, want a not-binned report", err)
+		}
+		delete(a.binStamps, live-HeaderSz)
+
+		small := mustMalloc(t, th, a, 2000)
+		mustMalloc(t, th, a, 24) // pin
+		mustFree(t, th, a, small)
+		mustCheck(t, a)
+		a.binStamps[small-HeaderSz] = binTag{}
+		err = a.Check()
+		if err == nil || !strings.Contains(err.Error(), "no whole page inside") {
+			t.Errorf("Check with a tag on a sub-page binned chunk = %v, want a no-whole-page report", err)
+		}
 	})
 }

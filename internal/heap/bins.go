@@ -181,26 +181,30 @@ func (a *Arena) frontlink(t *sim.Thread, c uint64, sz uint32) {
 	}
 	a.markBin(t, idx)
 	a.stats.BinInserts++
+	a.binSettled = false
 	// Idle stamp for ReleaseBinned: a freshly binned chunk (or a re-binned
 	// coalesce product, which may have resident interior again) starts hot,
-	// with its whole-page interior counted resident.
-	lo, hi := binReleasable(c, sz)
-	a.binStamps[c] = binTag{at: t.Now(), resident: hi - lo}
-	a.binResident += hi - lo
-	a.binSettled = false
+	// with its whole-page interior counted resident. A chunk spanning no
+	// whole page has nothing to release and gets no tag.
+	if lo, hi := binReleasable(c, sz); hi > lo {
+		a.binStamps[c] = binTag{at: t.Now(), resident: hi - lo}
+		a.binResident += hi - lo
+	}
 }
 
-// unlink removes chunk c from whatever list it is on.
-func (a *Arena) unlink(t *sim.Thread, c uint64) {
+// unlink removes chunk c, of size sz, from whatever list it is on. Only a
+// chunk spanning a whole page carries a release tag, so the tag books are
+// touched for those alone.
+func (a *Arena) unlink(t *sim.Thread, c uint64, sz uint32) {
 	f := a.fd(t, c)
 	b := a.bk(t, c)
 	a.setFd(t, b, f)
 	a.setBk(t, f, b)
 	a.stats.BinRemoves++
-	if tag, ok := a.binStamps[c]; ok {
-		a.binResident -= tag.resident
+	a.binSettled = false
+	if lo, hi := binReleasable(c, sz); hi > lo {
+		a.binResident -= a.binStamps[c].resident
 		delete(a.binStamps, c)
-		a.binSettled = false
 	}
 }
 
@@ -212,7 +216,7 @@ func (a *Arena) takeLast(t *sim.Thread, i int) uint64 {
 	if last == p {
 		return 0
 	}
-	a.unlink(t, last)
+	a.unlink(t, last, smallBinSize(i))
 	if a.binEmpty(t, i) {
 		a.clearBin(t, i)
 	}

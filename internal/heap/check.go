@@ -54,13 +54,17 @@ func (a *Arena) Walk(visit func(ChunkInfo) bool) error {
 //  3. every free chunk's footer (next chunk's prev_size) equals its size;
 //  4. every free chunk appears in exactly one bin, and that bin's size
 //     range covers it;
-//  5. bin lists are consistent circular doubly-linked lists.
+//  5. bin lists are consistent circular doubly-linked lists;
+//  6. a binned chunk carries a release tag exactly when its releasable
+//     whole-page interior is non-empty, no other chunk carries one, and the
+//     resident estimate is the sum of the tags.
 //
 // It uses uncharged reads and may be called at any point where the arena
 // lock is conceptually held.
 func (a *Arena) Check() error {
-	// Collect bin membership.
-	inBin := make(map[uint64]int)
+	// Collect bin membership, mapping each binned chunk to whether it has a
+	// whole page inside (and so must carry a release tag).
+	inBin := make(map[uint64]bool)
 	for i := 2; i < NBins; i++ {
 		p := a.binPseudo(i)
 		prev := p
@@ -79,12 +83,13 @@ func (a *Arena) Check() error {
 			if _, dup := inBin[c]; dup {
 				return fmt.Errorf("heap: chunk 0x%x on two bin lists", c)
 			}
-			inBin[c] = i
 			sz := a.as.Peek32(c+4) &^ FlagMask
 			lo, hi := binRange(i)
 			if sz < lo || sz >= hi {
 				return fmt.Errorf("heap: bin %d holds size %d outside [%d,%d)", i, sz, lo, hi)
 			}
+			rlo, rhi := binReleasable(c, sz)
+			inBin[c] = rhi > rlo
 			prev = c
 			c = uint64(a.as.Peek32(c + 8))
 		}
@@ -139,18 +144,22 @@ func (a *Arena) Check() error {
 	}
 
 	// The release bookkeeping must mirror the bins exactly: every binned
-	// chunk carries a tag, no tag outlives its chunk, and the resident
-	// estimate is the sum of the tags.
+	// chunk with a whole page inside carries a tag, no other chunk does, and
+	// the resident estimate is the sum of the tags.
 	var wantResident uint64
 	for c, tag := range a.binStamps {
-		if _, ok := inBin[c]; !ok {
+		spansPage, ok := inBin[c]
+		if !ok {
 			return fmt.Errorf("heap: release tag for 0x%x which is not binned", c)
+		}
+		if !spansPage {
+			return fmt.Errorf("heap: release tag for binned chunk 0x%x with no whole page inside", c)
 		}
 		wantResident += tag.resident
 	}
-	for c := range inBin {
-		if _, ok := a.binStamps[c]; !ok {
-			return fmt.Errorf("heap: binned chunk 0x%x has no release tag", c)
+	for c, spansPage := range inBin {
+		if _, ok := a.binStamps[c]; spansPage && !ok {
+			return fmt.Errorf("heap: page-spanning binned chunk 0x%x has no release tag", c)
 		}
 	}
 	if a.binResident != wantResident {

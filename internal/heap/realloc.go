@@ -64,7 +64,7 @@ func (a *Arena) ReallocInPlace(t *sim.Thread, mem uint64, newReq uint32) (addr u
 			nextFree = !a.prevInuse(t, next+uint64(nsz))
 		}
 		if nextFree && uint64(oldSz)+uint64(nsz) >= uint64(newSz) {
-			a.unlink(t, next)
+			a.unlink(t, next, nsz)
 			merged := oldSz + nsz
 			a.setSizeWord(t, c, merged|(w&PrevInuse))
 			a.setPrevInuseBit(t, c+uint64(merged), true)

@@ -545,10 +545,11 @@ type base struct {
 	lineAware bool
 	quantBase heap.Params
 
-	attached map[int]bool
+	// attached and lastArena are keyed by sim thread ID (see denseTable).
+	attached denseTable[bool]
 	active   int
 
-	lastArena map[int]*heap.Arena
+	lastArena denseTable[*heap.Arena]
 
 	stats Stats
 
@@ -569,13 +570,11 @@ type base struct {
 
 func newBase(t *sim.Thread, name string, as *vm.AddressSpace, params heap.Params, costs CostParams) (*base, error) {
 	b := &base{
-		name:      name,
-		as:        as,
-		params:    params,
-		costs:     costs,
-		listLock:  as.Machine().NewMutex(name + ".list"),
-		attached:  make(map[int]bool),
-		lastArena: make(map[int]*heap.Arena),
+		name:     name,
+		as:       as,
+		params:   params,
+		costs:    costs,
+		listLock: as.Machine().NewMutex(name + ".list"),
 	}
 	if costs.LineAware {
 		// Line-quantized carving: raising Align to the line size makes
@@ -608,21 +607,21 @@ func (b *base) Arenas() []*heap.Arena          { return b.arenas }
 func (b *base) AddressSpace() *vm.AddressSpace { return b.as }
 
 func (b *base) AttachThread(t *sim.Thread) {
-	if !b.attached[t.ID()] {
-		b.attached[t.ID()] = true
+	if !b.attached.get(t.ID()) {
+		b.attached.set(t.ID(), true)
 		b.active++
 	}
 }
 
 func (b *base) DetachThread(t *sim.Thread) {
-	if b.attached[t.ID()] {
-		delete(b.attached, t.ID())
+	if b.attached.get(t.ID()) {
+		b.attached.set(t.ID(), false)
 		b.active--
 	}
 }
 
 func (b *base) CurrentArena(t *sim.Thread) *heap.Arena {
-	return b.lastArena[t.ID()]
+	return b.lastArena.get(t.ID())
 }
 
 // opCharge bills the fixed instruction work plus the shared-state taxes for

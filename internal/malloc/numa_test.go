@@ -63,7 +63,7 @@ func TestShardedPoolRoutesHomeArenas(t *testing.T) {
 						t.Errorf("Malloc: %v", err)
 						return
 					}
-					home := al.caches[w.ID()].home
+					home := al.caches.get(w.ID()).home
 					if blind {
 						if home.Node != -1 && !home.IsMain {
 							t.Errorf("node-blind pool arena bound to node %d", home.Node)
@@ -136,7 +136,7 @@ func TestRemoteFreeRoutesToOwnerDepot(t *testing.T) {
 				chunks = append(chunks, p)
 			}
 			prodNode = w.Node()
-			ownerArena = al.caches[w.ID()].home
+			ownerArena = al.caches.get(w.ID()).home
 		})
 		main.Join(producer)
 		if ownerArena == nil || ownerArena.Node != prodNode {

@@ -17,7 +17,7 @@ import (
 // worst-case memory: T threads hold T arenas regardless of load balance.
 type PerThread struct {
 	*base
-	owner map[int]*heap.Arena // thread ID -> arena
+	owner denseTable[*heap.Arena] // thread ID -> arena
 }
 
 // NewPerThread creates the per-thread-arena allocator on as. The main arena
@@ -27,14 +27,15 @@ func NewPerThread(t *sim.Thread, as *vm.AddressSpace, params heap.Params, costs 
 	if err != nil {
 		return nil, err
 	}
-	p := &PerThread{base: b, owner: map[int]*heap.Arena{t.ID(): b.arenas[0]}}
+	p := &PerThread{base: b}
+	p.owner.set(t.ID(), b.arenas[0])
 	return p, nil
 }
 
 // arenaOf returns (creating if needed) the calling thread's private arena.
 func (p *PerThread) arenaOf(t *sim.Thread) (*heap.Arena, error) {
 	t.Charge(sim.Time(p.costs.TSDRead))
-	if a := p.owner[t.ID()]; a != nil {
+	if a := p.owner.get(t.ID()); a != nil {
 		return a, nil
 	}
 	t.Lock(p.listLock)
@@ -46,7 +47,7 @@ func (p *PerThread) arenaOf(t *sim.Thread) (*heap.Arena, error) {
 	p.arenas = append(p.arenas, a)
 	p.stats.ArenaCreations++
 	t.Unlock(p.listLock)
-	p.owner[t.ID()] = a
+	p.owner.set(t.ID(), a)
 	return a, nil
 }
 
@@ -56,7 +57,7 @@ func (p *PerThread) arenaOf(t *sim.Thread) (*heap.Arena, error) {
 func (p *PerThread) Malloc(t *sim.Thread, size uint32) (uint64, error) {
 	t.MaybeYield()
 	start := t.Now()
-	p.opCharge(t, 0, p.owner[t.ID()])
+	p.opCharge(t, 0, p.owner.get(t.ID()))
 	if mem, err, done := p.mmapPath(t, size); done {
 		if err == nil {
 			p.telOp(t, telemetry.OpMalloc, p.params.Request2Size(size), telemetry.TierVM, start)
@@ -82,7 +83,7 @@ func (p *PerThread) mallocArena(t *sim.Thread, size uint32) (uint64, error) {
 	t.Charge(sim.Time(p.costs.WorkMalloc))
 	mem, merr := a.Malloc(t, size)
 	t.Unlock(a.Lock)
-	p.lastArena[t.ID()] = a
+	p.lastArena.set(t.ID(), a)
 	if merr == nil || !(errors.Is(merr, heap.ErrArenaFull) || errors.Is(merr, heap.ErrNoMemory)) {
 		return mem, merr
 	}
@@ -96,7 +97,7 @@ func (p *PerThread) mallocArena(t *sim.Thread, size uint32) (uint64, error) {
 	mem, merr = main.Malloc(t, size)
 	t.Unlock(main.Lock)
 	if merr == nil {
-		p.lastArena[t.ID()] = main
+		p.lastArena.set(t.ID(), main)
 	}
 	return mem, merr
 }
@@ -105,7 +106,7 @@ func (p *PerThread) mallocArena(t *sim.Thread, size uint32) (uint64, error) {
 func (p *PerThread) Free(t *sim.Thread, mem uint64) error {
 	t.MaybeYield()
 	start := t.Now()
-	p.opCharge(t, 0, p.owner[t.ID()])
+	p.opCharge(t, 0, p.owner.get(t.ID()))
 	if done, err := p.freeIfMmapped(t, mem); done {
 		if err == nil {
 			p.telOp(t, telemetry.OpFree, 0, telemetry.TierVM, start)
@@ -116,7 +117,7 @@ func (p *PerThread) Free(t *sim.Thread, mem uint64) error {
 	if err != nil {
 		return err
 	}
-	if own := p.owner[t.ID()]; own != nil && own != a {
+	if own := p.owner.get(t.ID()); own != nil && own != a {
 		p.stats.CrossArenaFrees++
 	}
 	t.Lock(a.Lock)

@@ -95,8 +95,8 @@ func (b *base) emergencyReclaim(t *sim.Thread, level int) uint64 {
 func (tc *ThreadCache) emergencyReclaim(t *sim.Thread, level int) uint64 {
 	total := uint64(0)
 	flushCache := func(c *tcache) {
-		for _, csz := range sortedKeys(c.classes) {
-			cl := c.classes[csz]
+		for _, k := range c.classes.keys() {
+			cl := c.classes.get(k)
 			n := len(cl.entries) + len(cl.remote)
 			if n == 0 {
 				continue
@@ -111,10 +111,10 @@ func (tc *ThreadCache) emergencyReclaim(t *sim.Thread, level int) uint64 {
 		}
 	}
 	if level >= 2 {
-		for _, tid := range sortedKeys(tc.caches) {
-			flushCache(tc.caches[tid])
+		for _, tid := range tc.caches.keys() {
+			flushCache(tc.caches.get(tid))
 		}
-	} else if c := tc.caches[t.ID()]; c != nil {
+	} else if c := tc.caches.get(t.ID()); c != nil {
 		flushCache(c)
 	}
 	if tc.svc != nil {
@@ -147,10 +147,10 @@ func (tc *ThreadCache) setPressure(on bool) {
 	if !on {
 		return
 	}
-	for _, tid := range sortedKeys(tc.caches) {
-		c := tc.caches[tid]
-		for _, csz := range sortedKeys(c.classes) {
-			if cl := c.classes[csz]; cl.mark > tc.batch {
+	for _, tid := range tc.caches.keys() {
+		c := tc.caches.get(tid)
+		for _, k := range c.classes.keys() {
+			if cl := c.classes.get(k); cl.mark > tc.batch {
 				cl.mark = tc.batch
 			}
 		}

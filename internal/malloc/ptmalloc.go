@@ -39,7 +39,7 @@ func NewPTMalloc(t *sim.Thread, as *vm.AddressSpace, params heap.Params, costs C
 // arenaGet implements ptmalloc's arena_get: returns a locked arena.
 func (p *PTMalloc) arenaGet(t *sim.Thread) (*heap.Arena, error) {
 	// Fast path: last arena from thread-specific data.
-	if last := p.lastArena[t.ID()]; last != nil {
+	if last := p.lastArena.get(t.ID()); last != nil {
 		t.Charge(sim.Time(p.costs.TSDRead))
 		if t.TryLock(last.Lock) {
 			return last, nil
@@ -49,7 +49,7 @@ func (p *PTMalloc) arenaGet(t *sim.Thread) (*heap.Arena, error) {
 	// Sweep the list for any unlocked arena.
 	for _, a := range p.arenas {
 		if t.TryLock(a.Lock) {
-			p.lastArena[t.ID()] = a
+			p.lastArena.set(t.ID(), a)
 			return a, nil
 		}
 		p.stats.TrylockFailures++
@@ -61,7 +61,7 @@ func (p *PTMalloc) arenaGet(t *sim.Thread) (*heap.Arena, error) {
 	for _, a := range p.arenas {
 		if t.TryLock(a.Lock) {
 			t.Unlock(p.listLock)
-			p.lastArena[t.ID()] = a
+			p.lastArena.set(t.ID(), a)
 			return a, nil
 		}
 		p.stats.TrylockFailures++
@@ -75,7 +75,7 @@ func (p *PTMalloc) arenaGet(t *sim.Thread) (*heap.Arena, error) {
 	p.stats.ArenaCreations++
 	t.Unlock(p.listLock)
 	t.Lock(a.Lock)
-	p.lastArena[t.ID()] = a
+	p.lastArena.set(t.ID(), a)
 	return a, nil
 }
 
@@ -85,7 +85,7 @@ func (p *PTMalloc) arenaGet(t *sim.Thread) (*heap.Arena, error) {
 func (p *PTMalloc) Malloc(t *sim.Thread, size uint32) (uint64, error) {
 	t.MaybeYield()
 	start := t.Now()
-	p.opCharge(t, 0, p.lastArena[t.ID()])
+	p.opCharge(t, 0, p.lastArena.get(t.ID()))
 	if mem, err, done := p.mmapPath(t, size); done {
 		if err == nil {
 			p.telOp(t, telemetry.OpMalloc, p.params.Request2Size(size), telemetry.TierVM, start)
@@ -126,7 +126,7 @@ func (p *PTMalloc) mallocArena(t *sim.Thread, size uint32) (uint64, error) {
 		mem, err = b.Malloc(t, size)
 		t.Unlock(b.Lock)
 		if err == nil {
-			p.lastArena[t.ID()] = b
+			p.lastArena.set(t.ID(), b)
 			return mem, nil
 		}
 	}
@@ -143,7 +143,7 @@ func (p *PTMalloc) mallocArena(t *sim.Thread, size uint32) (uint64, error) {
 	mem, err = nb.Malloc(t, size)
 	t.Unlock(nb.Lock)
 	if err == nil {
-		p.lastArena[t.ID()] = nb
+		p.lastArena.set(t.ID(), nb)
 	}
 	return mem, err
 }
@@ -153,7 +153,7 @@ func (p *PTMalloc) mallocArena(t *sim.Thread, size uint32) (uint64, error) {
 func (p *PTMalloc) Free(t *sim.Thread, mem uint64) error {
 	t.MaybeYield()
 	start := t.Now()
-	p.opCharge(t, 0, p.lastArena[t.ID()])
+	p.opCharge(t, 0, p.lastArena.get(t.ID()))
 	if done, err := p.freeIfMmapped(t, mem); done {
 		if err == nil {
 			p.telOp(t, telemetry.OpFree, 0, telemetry.TierVM, start)
@@ -164,7 +164,7 @@ func (p *PTMalloc) Free(t *sim.Thread, mem uint64) error {
 	if err != nil {
 		return err
 	}
-	if cur := p.lastArena[t.ID()]; cur != nil && cur != a {
+	if cur := p.lastArena.get(t.ID()); cur != nil && cur != a {
 		p.stats.CrossArenaFrees++
 	}
 	t.Lock(a.Lock)

@@ -87,7 +87,7 @@ func TestCacheRehomeAfterMigration(t *testing.T) {
 			if st.RehomedChunks != 16 {
 				t.Errorf("RehomedChunks = %d, want the 16 parked chunks", st.RehomedChunks)
 			}
-			if home := al.caches[w.ID()].home; home == nil || al.nodeOfArena(home) != n1 {
+			if home := al.caches.get(w.ID()).home; home == nil || al.nodeOfArena(home) != n1 {
 				t.Errorf("post-migration home arena not on node %d", n1)
 			}
 			if err := al.Check(); err != nil {

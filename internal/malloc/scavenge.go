@@ -54,13 +54,13 @@ func (s magazineSource) Name() string { return "magazines" }
 func (s magazineSource) Scavenge(t *sim.Thread, cutoff sim.Time, decayPercent int) uint64 {
 	tc := s.tc
 	released := uint64(0)
-	for _, tid := range sortedKeys(tc.caches) {
-		c := tc.caches[tid]
+	for _, tid := range tc.caches.keys() {
+		c := tc.caches.get(tid)
 		if c.lastOp >= cutoff {
 			continue // the owner is still allocating; leave its magazines hot
 		}
-		for _, csz := range sortedKeys(c.classes) {
-			cl := c.classes[csz]
+		for _, k := range c.classes.keys() {
+			cl := c.classes.get(k)
 			// A pending remote buffer in an idle cache flushes whole: it is
 			// memory in transit to another node, not a working set worth
 			// decaying gently, and its owner has stopped pushing it home.

@@ -44,7 +44,7 @@ func (s *Serial) Malloc(t *sim.Thread, size uint32) (uint64, error) {
 	t.Charge(sim.Time(s.costs.WorkMalloc))
 	p, err := main.Malloc(t, size)
 	t.Unlock(main.Lock)
-	s.lastArena[t.ID()] = main
+	s.lastArena.set(t.ID(), main)
 	if err == nil {
 		s.telOp(t, telemetry.OpMalloc, s.params.Request2Size(size), telemetry.TierArena, start)
 	}

@@ -57,7 +57,7 @@ import (
 // price is that parked chunks cannot coalesce until they are flushed.
 type ThreadCache struct {
 	*base
-	caches map[int]*tcache
+	caches denseTable[*tcache] // keyed by sim thread ID
 
 	// depots are the central transfer caches, one per node shard (a single
 	// entry on flat or node-blind machines); nil when disabled (DepotCap<0).
@@ -158,7 +158,7 @@ type tcClass struct {
 // tcache is one thread's private front cache.
 type tcache struct {
 	home    *heap.Arena
-	classes map[uint32]*tcClass
+	classes denseTable[*tcClass] // keyed by classSlot(csz)
 	// lastOp is the virtual time of the owner's most recent malloc/free;
 	// the scavenger's magazine source treats caches idle since before its
 	// cutoff as reclaimable.
@@ -171,14 +171,14 @@ type tcache struct {
 // classOf returns (creating if needed) the cache's class for chunk size csz,
 // initialising its high-water mark per the sizing policy.
 func (tc *ThreadCache) classOf(c *tcache, csz uint32) *tcClass {
-	cl := c.classes[csz]
+	cl := c.classes.get(classSlot(csz))
 	if cl == nil {
 		mark := tc.highWater
 		if tc.adaptive {
 			mark = tc.batch
 		}
 		cl = &tcClass{csz: csz, mark: mark}
-		c.classes[csz] = cl
+		c.classes.set(classSlot(csz), cl)
 	}
 	return cl
 }
@@ -258,7 +258,6 @@ func newThreadCacheNamed(t *sim.Thread, name string, as *vm.AddressSpace, params
 	}
 	tc := &ThreadCache{
 		base:       b,
-		caches:     make(map[int]*tcache),
 		batch:      costs.CacheBatch,
 		highWater:  costs.CacheHigh,
 		maxBlock:   costs.CacheMax,
@@ -360,13 +359,13 @@ func (tc *ThreadCache) depotFor(node int) depot {
 }
 
 // cacheOf returns (creating if needed) the calling thread's cache. Creation
-// is a map insert, not an arena: threads that only mmap never pay for one.
+// is a table slot, not an arena: threads that only mmap never pay for one.
 func (tc *ThreadCache) cacheOf(t *sim.Thread) *tcache {
 	t.Charge(sim.Time(tc.costs.TSDRead))
-	c := tc.caches[t.ID()]
+	c := tc.caches.get(t.ID())
 	if c == nil {
-		c = &tcache{classes: make(map[uint32]*tcClass), node: -1}
-		tc.caches[t.ID()] = c
+		c = &tcache{node: -1}
+		tc.caches.set(t.ID(), c)
 	}
 	if tc.rehome && tc.sharded() {
 		if n := t.Node(); c.node != n {
@@ -391,8 +390,9 @@ func (tc *ThreadCache) rehomeCache(t *sim.Thread, c *tcache, node int) {
 	if tc.tel != nil {
 		tc.tel.Instant(t, "magazine rehome", "numa")
 	}
-	for _, csz := range sortedKeys(c.classes) {
-		cl := c.classes[csz]
+	for _, k := range c.classes.keys() {
+		cl := c.classes.get(k)
+		csz := cl.csz
 		keep := cl.entries[:0]
 		var evict []tcEntry
 		for _, e := range cl.entries {
@@ -467,7 +467,7 @@ func (tc *ThreadCache) growPool(t *sim.Thread, sh *poolShard) (*heap.Arena, erro
 func (tc *ThreadCache) Malloc(t *sim.Thread, size uint32) (uint64, error) {
 	t.MaybeYield()
 	start := t.Now()
-	tc.opCharge(t, 0, tc.lastArena[t.ID()])
+	tc.opCharge(t, 0, tc.lastArena.get(t.ID()))
 	tc.maybeScavenge(t)
 	if mem, err, done := tc.mmapPath(t, size); done {
 		if err == nil {
@@ -479,14 +479,14 @@ func (tc *ThreadCache) Malloc(t *sim.Thread, size uint32) (uint64, error) {
 	c := tc.cacheOf(t)
 	sz := tc.params.Request2Size(size)
 	if sz <= tc.maxBlock {
-		if cl := c.classes[sz]; cl != nil && len(cl.entries) > 0 {
+		if cl := c.classes.get(classSlot(sz)); cl != nil && len(cl.entries) > 0 {
 			e := cl.entries[len(cl.entries)-1]
 			cl.entries = cl.entries[:len(cl.entries)-1]
 			t.Charge(sim.Time(tc.costs.CacheHit))
 			tc.stats.CacheHits++
 			tc.growOnStreak(cl)
 			tc.userMallocs++
-			tc.lastArena[t.ID()] = e.arena
+			tc.lastArena.set(t.ID(), e.arena)
 			tc.telOp(t, telemetry.OpMalloc, sz, telemetry.TierMagazine, start)
 			return e.mem, nil
 		}
@@ -502,7 +502,7 @@ func (tc *ThreadCache) Malloc(t *sim.Thread, size uint32) (uint64, error) {
 				e := span[len(span)-1]
 				cl.entries = append(cl.entries, span[:len(span)-1]...)
 				tc.userMallocs++
-				tc.lastArena[t.ID()] = e.arena
+				tc.lastArena.set(t.ID(), e.arena)
 				tc.telOp(t, telemetry.OpMalloc, sz, telemetry.TierService, start)
 				return e.mem, nil
 			}
@@ -517,7 +517,7 @@ func (tc *ThreadCache) Malloc(t *sim.Thread, size uint32) (uint64, error) {
 				e := span[len(span)-1]
 				cl.entries = append(cl.entries, span[:len(span)-1]...)
 				tc.userMallocs++
-				tc.lastArena[t.ID()] = e.arena
+				tc.lastArena.set(t.ID(), e.arena)
 				tc.telOp(t, telemetry.OpMalloc, sz, telemetry.TierDepot, start)
 				return e.mem, nil
 			}
@@ -574,7 +574,7 @@ func (tc *ThreadCache) arenaBatch(t *sim.Thread, c *tcache, req uint32, extra in
 				}
 			}
 			t.Unlock(a.Lock)
-			tc.lastArena[t.ID()] = a
+			tc.lastArena.set(t.ID(), a)
 			return mem, nil
 		}
 		t.Unlock(a.Lock)
@@ -594,7 +594,7 @@ func (tc *ThreadCache) arenaBatch(t *sim.Thread, c *tcache, req uint32, extra in
 			t.Unlock(b.Lock)
 			if err2 == nil {
 				c.home = b
-				tc.lastArena[t.ID()] = b
+				tc.lastArena.set(t.ID(), b)
 				return mem, nil
 			}
 		}
@@ -614,7 +614,7 @@ func (tc *ThreadCache) arenaBatch(t *sim.Thread, c *tcache, req uint32, extra in
 			mem, err2 := b.Malloc(t, req)
 			t.Unlock(b.Lock)
 			if err2 == nil {
-				tc.lastArena[t.ID()] = b
+				tc.lastArena.set(t.ID(), b)
 				return mem, nil
 			}
 		}
@@ -638,7 +638,7 @@ func (tc *ThreadCache) buddyBatch(t *sim.Thread, c *tcache, sz uint32) (uint64, 
 		cl.entries = append(cl.entries, entries[:len(entries)-1]...)
 		cl.streak = 0
 	}
-	tc.lastArena[t.ID()] = nil
+	tc.lastArena.set(t.ID(), nil)
 	return e.mem, nil
 }
 
@@ -647,7 +647,7 @@ func (tc *ThreadCache) buddyBatch(t *sim.Thread, c *tcache, sz uint32) (uint64, 
 func (tc *ThreadCache) Free(t *sim.Thread, mem uint64) error {
 	t.MaybeYield()
 	start := t.Now()
-	tc.opCharge(t, 0, tc.lastArena[t.ID()])
+	tc.opCharge(t, 0, tc.lastArena.get(t.ID()))
 	tc.maybeScavenge(t)
 	if tc.lf != nil {
 		// Buddy-backed chunks never belong to an arena and carry no chunk
@@ -980,9 +980,10 @@ func (tc *ThreadCache) flush(t *sim.Thread, victims []tcEntry) error {
 // destructor returns a magazine. Surviving threads then refill from the
 // depot instead of the arena locks (benchmark 2's round handoff).
 func (tc *ThreadCache) DetachThread(t *sim.Thread) {
-	if c := tc.caches[t.ID()]; c != nil {
-		for _, csz := range sortedKeys(c.classes) {
-			cl := c.classes[csz]
+	if c := tc.caches.get(t.ID()); c != nil {
+		for _, k := range c.classes.keys() {
+			cl := c.classes.get(k)
+			csz := cl.csz
 			if err := tc.release(t, csz, cl.entries); err != nil {
 				tc.recordErr(fmt.Errorf("malloc: thread-cache release on detach: %w", err))
 			}
@@ -996,7 +997,7 @@ func (tc *ThreadCache) DetachThread(t *sim.Thread) {
 				cl.remote = nil
 			}
 		}
-		delete(tc.caches, t.ID())
+		tc.caches.set(t.ID(), nil)
 	}
 	tc.base.DetachThread(t)
 }
@@ -1044,8 +1045,10 @@ func (tc *ThreadCache) Stats() Stats {
 	s := tc.sumStats()
 	s.Heap.Mallocs = tc.userMallocs
 	s.Heap.Frees = tc.userFrees
-	for _, c := range tc.caches {
-		for _, cl := range c.classes {
+	for _, tid := range tc.caches.keys() {
+		c := tc.caches.get(tid)
+		for _, k := range c.classes.keys() {
+			cl := c.classes.get(k)
 			s.CachedChunks += len(cl.entries) + len(cl.remote)
 			s.CachedBytes += uint64(len(cl.entries)+len(cl.remote)) * uint64(cl.csz)
 		}
@@ -1121,8 +1124,10 @@ func (tc *ThreadCache) Check() error {
 		}
 		return nil
 	}
-	for tid, c := range tc.caches {
-		for _, cl := range c.classes {
+	for _, tid := range tc.caches.keys() {
+		c := tc.caches.get(tid)
+		for _, k := range c.classes.keys() {
+			cl := c.classes.get(k)
 			for _, list := range [][]tcEntry{cl.entries, cl.remote} {
 				for _, e := range list {
 					if seen[e.mem] {
@@ -1181,8 +1186,10 @@ func (tc *ThreadCache) SharedMagazineLines() int {
 	line := tc.as.LineSize()
 	owner := make(map[uint64]int)
 	shared := make(map[uint64]bool)
-	for tid, c := range tc.caches {
-		for _, cl := range c.classes {
+	for _, tid := range tc.caches.keys() {
+		c := tc.caches.get(tid)
+		for _, k := range c.classes.keys() {
+			cl := c.classes.get(k)
 			for _, e := range cl.entries {
 				for l := e.mem / line; l <= (e.mem+uint64(cl.csz)-1)/line; l++ {
 					if o, ok := owner[l]; ok {
