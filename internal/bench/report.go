@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 )
@@ -93,16 +92,6 @@ func (t *Table) Markdown() string {
 		}
 	}
 	return b.String()
-}
-
-// JSON renders the whole table — metadata, rows and notes — as indented
-// JSON, the machine-readable form CI artifacts and BENCH_*.json use.
-func (t *Table) JSON() (string, error) {
-	b, err := json.MarshalIndent(t, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(b) + "\n", nil
 }
 
 // CSV renders the rows as comma-separated values with a header.
