@@ -41,7 +41,6 @@ func main() {
 	scavenge := flag.Int64("scavenge", 0, "scavenger epoch interval in cycles (0 off): tortures reclamation against the churn")
 	binnedRelease := flag.Bool("binned-release", false, "enable the PageHeap-style binned-chunk page release with no resident pad (implies -scavenge 50000 when -scavenge is 0): tortures interior releases against the churn")
 	nodes := flag.Int("nodes", 0, "override the profile's NUMA node count (0 keeps it): tortures node-sharded placement and cross-node free routing")
-	offload := flag.Bool("offload", false, "run per-node allocator service threads (mailbox refill/flush/scavenge offload): tortures the asynchronous span exchange against the churn")
 	lineAware := flag.Bool("lineaware", false, "enable line-aware placement (line-quantized carving + span coloring): tortures the no-shared-line invariant Check() enforces against the churn")
 	memLimit := flag.Uint64("memlimit", 0, "absolute commit limit in bytes (0 off): tortures the emergency reclamation cascade")
 	memLimitRatio := flag.Float64("memlimit-ratio", 0, "commit limit as a fraction of the unlimited run's peak committed bytes (0 off; measures peak with a first pass per seed)")
@@ -66,7 +65,7 @@ func main() {
 		cfg := tortureConfig{
 			prof: prof, kind: malloc.Kind(*allocator),
 			threads: *threads, ops: *ops, maxSize: *maxSize, checkEvery: *checkEvery,
-			scavenge: *scavenge, binnedRelease: *binnedRelease, offload: *offload,
+			scavenge: *scavenge, binnedRelease: *binnedRelease,
 			lineAware: *lineAware,
 			memLimit:  *memLimit, faultRate: *faultRate, seed: uint64(seed),
 			telemetry: *telemetryOn,
@@ -103,7 +102,6 @@ type tortureConfig struct {
 	threads, ops, maxSize, checkEvery int
 	scavenge                          int64
 	binnedRelease                     bool
-	offload                           bool
 	lineAware                         bool
 	memLimit                          uint64
 	faultRate                         float64
@@ -150,9 +148,9 @@ func printTelemetry(rec *telemetry.Recorder) {
 
 func torture(cfg tortureConfig) (tortureResult, error) {
 	opts := []bench.WorldOption{bench.WithAllocator(cfg.kind)}
-	if cfg.scavenge > 0 || cfg.offload || cfg.lineAware {
-		// Designs without a scavenger or service engine simply ignore the
-		// knobs, so one flag set tortures all kinds uniformly.
+	if cfg.scavenge > 0 || cfg.lineAware {
+		// Designs without a scavenger simply ignore the knobs, so one flag
+		// set tortures all kinds uniformly.
 		costs := cfg.prof.AllocCosts
 		if cfg.scavenge > 0 {
 			costs.ScavengeInterval = cfg.scavenge
@@ -163,7 +161,6 @@ func torture(cfg tortureConfig) (tortureResult, error) {
 			costs.ScavengeMinBinBytes = 4096
 			costs.ScavengeBinPad = -1
 		}
-		costs.Offload = cfg.offload
 		costs.LineAware = cfg.lineAware
 		opts = append(opts, bench.WithAllocCosts(costs))
 	}

@@ -429,9 +429,9 @@ func TestTableRendering(t *testing.T) {
 // benchmark 2 with bursty replacement at 4 threads, the transfer cache must
 // take fewer arena-lock acquisitions than PR 1's depot-less thread cache.
 func TestDepotCutsArenaLockAcqsOnBench2(t *testing.T) {
-	run := func(depotCap int) uint64 {
+	run := func(depotCapBytes int64) uint64 {
 		costs := QuadXeon500().AllocCosts
-		costs.DepotCap = depotCap
+		costs.DepotCapBytes = depotCapBytes
 		costs.MmapReuseCap = -1
 		costs.CacheAdaptive = -1
 		cfg := DefaultB2(QuadXeon500())
@@ -444,12 +444,12 @@ func TestDepotCutsArenaLockAcqsOnBench2(t *testing.T) {
 		cfg.Costs = &costs
 		res, err := RunBench2(cfg)
 		if err != nil {
-			t.Fatalf("bench2 (depot cap %d): %v", depotCap, err)
+			t.Fatalf("bench2 (depot cap %d bytes): %v", depotCapBytes, err)
 		}
 		return res.Runs[0].AllocStats.ArenaLockAcqs
 	}
 	without := run(-1)
-	with := run(8)
+	with := run(0) // the default byte cap
 	if with >= without {
 		t.Errorf("depot did not cut arena lock acquisitions: %d with vs %d without", with, without)
 	}
@@ -462,7 +462,7 @@ func TestReuseCutsSyscallsAndFaultsOnLarson(t *testing.T) {
 	run := func(reuseCap int64) (syscalls, faults uint64) {
 		costs := QuadXeon500().AllocCosts
 		costs.MmapReuseCap = reuseCap
-		costs.DepotCap = -1
+		costs.DepotCapBytes = -1
 		costs.CacheAdaptive = -1
 		cfg := LarsonConfig{Profile: QuadXeon500(), Threads: 2, Slots: 20,
 			MinSize: 160 * 1024, MaxSize: 160 * 1024, Ops: 300, Runs: 1, Seed: 1,

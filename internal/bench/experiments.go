@@ -442,7 +442,7 @@ func ExpMidTier(o Options) (*Table, error) {
 	mk := func(depot, reuse, adaptive bool) *malloc.CostParams {
 		c := prof.AllocCosts
 		if !depot {
-			c.DepotCap = -1
+			c.DepotCapBytes = -1
 		}
 		if !reuse {
 			c.MmapReuseCap = -1

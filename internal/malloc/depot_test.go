@@ -1,11 +1,249 @@
 package malloc
 
 import (
+	"strings"
 	"testing"
 
 	"mtmalloc/internal/heap"
 	"mtmalloc/internal/sim"
 )
+
+// span4 builds a span of 4 synthetic entries (nil arenas, distinct fake
+// addresses starting at base) for direct depot testing.
+func span4(base uint64) []tcEntry {
+	s := make([]tcEntry, 4)
+	for i := range s {
+		s[i] = tcEntry{mem: base + uint64(i)*64}
+	}
+	return s
+}
+
+// TestDepotFlavours runs one script on the mutex depot of the mutex kinds
+// and on the CAS depot of the lock-free kinds: the policy — span LIFO, byte
+// cap, decay remainder, counts, check — must be identical, and only the
+// pricing differs. The mutex flavour takes its class lock for every get, put
+// and scavenge, misses and refusals included; the CAS flavour never locks
+// and updates its stack head only for a successful push or pop, a
+// scavenge's detach, and a re-attach of survivors.
+func TestDepotFlavours(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		lockFree bool
+	}{{"mutex", false}, {"cas", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, _ := newWorld(1, 3)
+			var stats Stats
+			// Byte cap: six 4-chunk spans of class 64.
+			d := newDepot(m, "d", tc.lockFree, 4*64*6, 45, &stats)
+			err := m.Run(func(th *sim.Thread) {
+				if _, ok := d.get(th, 64); ok {
+					t.Error("empty depot served a span")
+				}
+				for i := 0; i < 6; i++ {
+					if !d.put(th, 64, span4(uint64(0x1000*(i+1)))) {
+						t.Errorf("put %d refused below the byte cap", i)
+						return
+					}
+				}
+				if d.put(th, 64, span4(0x9000)) {
+					t.Error("put above the byte cap accepted")
+				}
+				if d.chunkCount() != 24 || d.byteCount() != 24*64 {
+					t.Errorf("parked = %d chunks / %d bytes, want 24 / %d", d.chunkCount(), d.byteCount(), 24*64)
+				}
+				// LIFO: the last donation pops first.
+				if span, ok := d.get(th, 64); !ok {
+					t.Error("full depot served no span")
+				} else if span[0].mem != 0x6000 {
+					t.Errorf("got span base 0x%x, want LIFO top 0x6000", span[0].mem)
+				}
+				// 50% of 5 spans = 2.5: the two oldest leave, 50 hundredths
+				// carry; next epoch 50% of 3 + 50 = 2 more, none carry.
+				for epoch, want := range [][]uint64{{0x1000, 0x2000}, {0x3000, 0x4000}} {
+					victims, spans, bytes := d.scavenge(th, th.Now()+1, 50)
+					if spans != 2 || len(victims) != 8 || bytes != 8*64 {
+						t.Errorf("epoch %d: scavenge = %d spans/%d chunks/%d bytes, want 2/8/%d",
+							epoch, spans, len(victims), bytes, 8*64)
+						return
+					}
+					if victims[0].mem != want[0] || victims[4].mem != want[1] {
+						t.Errorf("epoch %d: scavenged spans 0x%x, 0x%x, want oldest 0x%x, 0x%x",
+							epoch, victims[0].mem, victims[4].mem, want[0], want[1])
+					}
+				}
+				if rem := d.classes[64].decayRem; rem != 0 {
+					t.Errorf("decayRem = %d after two epochs, want 0", rem)
+				}
+				// A full decay detaches the last span with no re-attach.
+				if _, spans, _ := d.scavenge(th, th.Now()+1, 100); spans != 1 {
+					t.Errorf("full decay took %d spans, want the last 1", spans)
+				}
+				if !d.put(th, 64, span4(0x7000)) {
+					t.Error("put into the drained class refused")
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.DepotMisses != 1 || stats.DepotHits != 1 || stats.DepotDonates != 7 || stats.DepotOverflows != 1 {
+				t.Errorf("misses/hits/donates/overflows = %d/%d/%d/%d, want 1/1/7/1",
+					stats.DepotMisses, stats.DepotHits, stats.DepotDonates, stats.DepotOverflows)
+			}
+			seen := make(map[uint64]bool)
+			if err := d.check(seen, func(tcEntry) error { return nil }); err != nil {
+				t.Errorf("check: %v", err)
+			}
+			if len(seen) != 4 || d.chunkCount() != 4 || d.byteCount() != 4*64 {
+				t.Errorf("check visited %d chunks, parked %d / %d bytes, want 4 / 4 / %d",
+					len(seen), d.chunkCount(), d.byteCount(), 4*64)
+			}
+
+			// Pricing: 2 gets + 8 puts + 3 scavenges lock the mutex class;
+			// 7 pushes + 1 pop + 3 detaches + 2 re-attaches update the head.
+			dc := d.classes[64]
+			var ps Stats
+			d.addPointStats(&ps)
+			if tc.lockFree {
+				if dc.lock != nil || ps.DepotLockAcqs != 0 {
+					t.Errorf("CAS depot locked %d times; it must never lock", ps.DepotLockAcqs)
+				}
+				if got := dc.head.PointStats().Acquisitions; got != 13 || ps.CASAttempts != 13 {
+					t.Errorf("CAS updates/attempts = %d/%d, want 13/13", got, ps.CASAttempts)
+				}
+			} else {
+				if dc.head != nil || ps.CASAttempts != 0 {
+					t.Errorf("mutex depot made %d CAS attempts, want 0", ps.CASAttempts)
+				}
+				if dc.lock.Acquisitions != 13 || ps.DepotLockAcqs != 13 {
+					t.Errorf("lock acquisitions = %d (stats %d), want 13", dc.lock.Acquisitions, ps.DepotLockAcqs)
+				}
+			}
+
+			// A byte counter that disagrees with the span list is caught.
+			dc.bytes += 64
+			err = d.check(make(map[uint64]bool), func(tcEntry) error { return nil })
+			if err == nil || !strings.Contains(err.Error(), "byte counter") {
+				t.Errorf("check with a corrupted byte counter = %v, want a byte-counter error", err)
+			}
+		})
+	}
+}
+
+// TestLFDepotAccounting pins the CAS depot's policy arithmetic against the
+// mutex depot's: same hit/miss/donate/overflow counters, same byte caps —
+// only the synchronization pricing differs (CAS, and zero lock acquisitions
+// by construction).
+func TestLFDepotAccounting(t *testing.T) {
+	m, _ := newWorld(1, 3)
+	var stats Stats
+	d := newDepot(m, "lf", true, 4*64*6, 45, &stats) // byte cap: six 4-chunk spans of class 64
+	err := m.Run(func(th *sim.Thread) {
+		if _, ok := d.get(th, 64); ok {
+			t.Error("empty depot served a span")
+		}
+		if stats.DepotMisses != 1 {
+			t.Errorf("DepotMisses = %d, want 1", stats.DepotMisses)
+		}
+		for i := 0; i < 6; i++ {
+			if !d.put(th, 64, span4(uint64(0x1000*(i+1)))) {
+				t.Errorf("put %d refused below the byte cap", i)
+				return
+			}
+		}
+		if d.put(th, 64, span4(0x9000)) {
+			t.Error("put above the byte cap accepted")
+		}
+		if stats.DepotDonates != 6 || stats.DepotOverflows != 1 {
+			t.Errorf("donates/overflows = %d/%d, want 6/1", stats.DepotDonates, stats.DepotOverflows)
+		}
+		if d.chunkCount() != 24 || d.byteCount() != 24*64 {
+			t.Errorf("parked = %d chunks / %d bytes, want 24 / %d", d.chunkCount(), d.byteCount(), 24*64)
+		}
+		// LIFO: the last donation pops first.
+		if span, ok := d.get(th, 64); !ok {
+			t.Error("full depot served no span")
+		} else if span[0].mem != 0x6000 {
+			t.Errorf("got span base 0x%x, want LIFO top 0x6000", span[0].mem)
+		}
+		if stats.DepotHits != 1 {
+			t.Errorf("DepotHits = %d, want 1", stats.DepotHits)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ps Stats
+	d.addPointStats(&ps)
+	if ps.DepotLockAcqs != 0 {
+		t.Errorf("DepotLockAcqs = %d; the lock-free depot must never lock", ps.DepotLockAcqs)
+	}
+	// 6 accepted puts + 1 successful get = 7 CAS updates; the overflow and
+	// the empty get never touch the head word.
+	if got := d.classes[64].head.PointStats().Acquisitions; got != 7 || ps.CASAttempts != 7 {
+		t.Errorf("CAS updates/attempts = %d/%d, want 7/7", got, ps.CASAttempts)
+	}
+	seen := make(map[uint64]bool)
+	if err := d.check(seen, func(tcEntry) error { return nil }); err != nil {
+		t.Errorf("check: %v", err)
+	}
+	if len(seen) != 20 {
+		t.Errorf("check visited %d chunks, want 20", len(seen))
+	}
+}
+
+// TestLFDepotScavengeSnapshot verifies the CAS depot's detach/re-attach
+// scavenge: oldest spans leave first, the fractional decay remainder carries
+// across epochs, and the class's byte counter always matches its span list
+// afterwards (the no-torn-reads invariant check enforces).
+func TestLFDepotScavengeSnapshot(t *testing.T) {
+	m, _ := newWorld(1, 3)
+	var stats Stats
+	d := newDepot(m, "lf", true, 4*64*16, 45, &stats)
+	err := m.Run(func(th *sim.Thread) {
+		for i := 0; i < 3; i++ {
+			if !d.put(th, 64, span4(uint64(0x1000*(i+1)))) {
+				t.Error("put refused")
+				return
+			}
+		}
+		// 50% of 3 spans = 1.5: one span out now, remainder 50 carried.
+		victims, spans, bytes := d.scavenge(th, th.Now()+1, 50)
+		if spans != 1 || len(victims) != 4 || bytes != 4*64 {
+			t.Errorf("scavenge = %d spans/%d chunks/%d bytes, want 1/4/%d", spans, len(victims), bytes, 4*64)
+			return
+		}
+		if victims[0].mem != 0x1000 {
+			t.Errorf("scavenged span base 0x%x, want oldest 0x1000", victims[0].mem)
+		}
+		if d.classes[64].decayRem != 50 {
+			t.Errorf("decayRem = %d, want 50", d.classes[64].decayRem)
+		}
+		if err := d.check(make(map[uint64]bool), func(tcEntry) error { return nil }); err != nil {
+			t.Errorf("check after scavenge: %v", err)
+		}
+		// Next epoch: 50% of 2 spans + 50 carry = 1.5 -> one more span.
+		victims, spans, _ = d.scavenge(th, th.Now()+1, 50)
+		if spans != 1 || len(victims) != 4 || victims[0].mem != 0x2000 {
+			t.Errorf("second scavenge took %d spans / %d chunks, want one span at the next-oldest 0x2000",
+				spans, len(victims))
+			return
+		}
+		if d.chunkCount() != 4 || d.byteCount() != 4*64 {
+			t.Errorf("parked after scavenges = %d/%d, want 4 chunks/%d bytes",
+				d.chunkCount(), d.byteCount(), 4*64)
+		}
+		if err := d.check(make(map[uint64]bool), func(tcEntry) error { return nil }); err != nil {
+			t.Errorf("check after second scavenge: %v", err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 3 pushes + 2 detaches + 2 re-attaches of survivors.
+	if got := d.classes[64].head.PointStats().Acquisitions; got != 7 {
+		t.Errorf("CAS updates = %d, want 7", got)
+	}
+}
 
 // TestDepotHitMissDonateAccounting pins the depot arithmetic with fixed
 // marks: a flush donates whole spans, a later miss consumes one span under
@@ -87,18 +325,18 @@ func TestDepotHitMissDonateAccounting(t *testing.T) {
 }
 
 // TestDepotOverflowFallsBackToArena: a full depot class refuses spans, which
-// are then freed into the arenas (the bounded-leak guarantee). Uses the
-// legacy span-count cap (DepotCapBytes < 0) so the limit is exact.
+// are then freed into the arenas (the bounded-leak guarantee). The byte cap
+// holds exactly one span of four 64-byte requests.
 func TestDepotOverflowFallsBackToArena(t *testing.T) {
 	m, as := newWorld(2, 71)
 	err := m.Run(func(main *sim.Thread) {
 		costs := DefaultCostParams()
 		costs.CacheBatch = 4
 		costs.CacheHigh = 8
-		costs.DepotCap = 1       // one span per class
-		costs.DepotCapBytes = -1 // span-count mode
+		params := heap.DefaultParams()
+		costs.DepotCapBytes = 4 * int64(params.Request2Size(64))
 		costs.CacheAdaptive = -1
-		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
+		al, err := NewThreadCache(main, as, params, costs)
 		if err != nil {
 			t.Errorf("NewThreadCache: %v", err)
 			return
@@ -294,14 +532,13 @@ func TestDepotSpansSurviveCheckAcrossClasses(t *testing.T) {
 }
 
 // TestDepotByteCapAdmitsSmallSpans pins the D2 co-tuning fix: under the
-// byte cap (the default), many small spans — the shape shrunken adaptive
-// marks produce — keep fitting where the old span-count cap would refuse
-// them, while the same cap still bounds total parked bytes.
+// byte cap, many small spans — the shape shrunken adaptive marks produce —
+// keep fitting where a span-count cap of two would refuse them, while the
+// same cap still bounds total parked bytes.
 func TestDepotByteCapAdmitsSmallSpans(t *testing.T) {
 	m, as := newWorld(2, 107)
 	err := m.Run(func(main *sim.Thread) {
 		costs := DefaultCostParams()
-		costs.DepotCap = 2 // would refuse the third span under span counting
 		costs.DepotCapBytes = 8192
 		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {

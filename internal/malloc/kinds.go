@@ -19,10 +19,10 @@ const (
 	KindThreadCache Kind = "threadcache" // per-thread magazine over a shared arena pool
 	KindLockFree    Kind = "lockfree"    // thread cache with CAS depot + buddy page backend
 
-	// Offloaded variants (CostParams.Offload forced on): the same machines
-	// with bookkeeping moved to per-node service threads (service.go). Not
-	// listed by Kinds() — experiments that sweep the five designs keep
-	// their original matrix; D10 names these explicitly.
+	// Offloaded variants: the same machines with bookkeeping moved to
+	// per-node service threads (service.go). Not listed by Kinds() —
+	// experiments that sweep the five designs keep their original matrix;
+	// D10 names these explicitly.
 	KindThreadCacheSvc Kind = "threadcache-svc"
 	KindLockFreeSvc    Kind = "lockfree-svc"
 )
@@ -47,14 +47,8 @@ func New(t *sim.Thread, kind Kind, as *vm.AddressSpace, params heap.Params, cost
 		al, err = NewPTMalloc(t, as, params, costs)
 	case KindPerThread:
 		al, err = NewPerThread(t, as, params, costs)
-	case KindThreadCache:
-		al, err = NewThreadCache(t, as, params, costs)
-	case KindLockFree:
-		al, err = NewLockFree(t, as, params, costs)
-	case KindThreadCacheSvc:
-		al, err = NewThreadCacheService(t, as, params, costs)
-	case KindLockFreeSvc:
-		al, err = NewLockFreeService(t, as, params, costs)
+	case KindThreadCache, KindLockFree, KindThreadCacheSvc, KindLockFreeSvc:
+		al, err = newThreadCache(t, kind, as, params, costs)
 	default:
 		return nil, fmt.Errorf("malloc: unknown allocator kind %q", kind)
 	}

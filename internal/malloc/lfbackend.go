@@ -20,12 +20,7 @@ import (
 // consumer that would touch the arena (flush, node routing, Check) detours
 // through this backend instead.
 type lfBackend struct {
-	as    *vm.AddressSpace
 	nodes []*lfNode
-
-	zonePages  int
-	carveWork  int64
-	returnWork int64
 
 	// pageSpan maps every page of every live block to its span, so free-side
 	// routing is one map probe (the stand-in for a real allocator's radix
@@ -73,6 +68,16 @@ type lfSpan struct {
 	live      int
 }
 
+// The buddy backend's fixed tuning: the zone size in pages, and the
+// per-chunk cycles of a span carve and a chunk return — the lock-free
+// counterparts of the arena's boundary-tag malloc/free work, cheaper
+// because a carve is a bump pointer and a return is a list push.
+const (
+	buddyZonePages  = heap.DefaultBuddyZonePages
+	buddyCarveWork  = 40
+	buddyReturnWork = 30
+)
+
 // lfSpanColors is the color wheel size: head offsets cycle through this many
 // line-size strides. Eight lines covers a 256B-aligned index spread at the
 // profiles' 32B lines while bounding the per-span waste to 7 lines.
@@ -80,17 +85,13 @@ const lfSpanColors = 8
 
 func (sp *lfSpan) avail() int { return len(sp.freeList) + (sp.chunks - sp.carved) }
 
-func newLFBackend(name string, as *vm.AddressSpace, shards []*poolShard, costs CostParams, stats *Stats) *lfBackend {
+func newLFBackend(name string, as *vm.AddressSpace, shards []*poolShard, lineAware bool, stats *Stats) *lfBackend {
 	be := &lfBackend{
-		as:         as,
-		zonePages:  costs.BuddyZonePages,
-		carveWork:  costs.BuddyCarveWork,
-		returnWork: costs.BuddyReturnWork,
-		pageSpan:   make(map[uint64]*lfSpan),
-		lineAware:  costs.LineAware,
-		lineSize:   as.LineSize(),
-		colorSeq:   make(map[int]int),
-		stats:      stats,
+		pageSpan:  make(map[uint64]*lfSpan),
+		lineAware: lineAware,
+		lineSize:  as.LineSize(),
+		colorSeq:  make(map[int]int),
+		stats:     stats,
 	}
 	for _, sh := range shards {
 		bname := name + ".buddy"
@@ -99,7 +100,7 @@ func newLFBackend(name string, as *vm.AddressSpace, shards []*poolShard, costs C
 		}
 		be.nodes = append(be.nodes, &lfNode{
 			node:    sh.node,
-			buddy:   heap.NewBuddy(as, bname, be.zonePages, sh.node),
+			buddy:   heap.NewBuddy(as, bname, buddyZonePages, sh.node),
 			partial: make(map[uint32][]*lfSpan),
 		})
 	}
@@ -146,7 +147,7 @@ func (be *lfBackend) refill(t *sim.Thread, node int, csz uint32, want, batch int
 				sp.carved++
 			}
 			sp.live++
-			t.Charge(sim.Time(be.carveWork))
+			t.Charge(buddyCarveWork)
 			out = append(out, tcEntry{mem: mem})
 		}
 		if sp.avail() == 0 {
@@ -228,16 +229,10 @@ func (be *lfBackend) dropPartial(nd *lfNode, csz uint32, sp *lfSpan) {
 }
 
 // spanAt returns the span owning mem, nil when mem is not buddy-backed.
-// Uncharged — callers on priced paths use spanOf.
+// Uncharged: the free path prices the probe at TSDRead scale, the buddy
+// analogue of base.routeFree's read.
 func (be *lfBackend) spanAt(mem uint64) *lfSpan {
 	return be.pageSpan[mem/vm.PageSize]
-}
-
-// spanOf is the priced routing probe on the free path, the buddy analogue of
-// base.routeFree's TSD-scale read.
-func (be *lfBackend) spanOf(t *sim.Thread, mem uint64, tsdRead int64) *lfSpan {
-	t.Charge(sim.Time(tsdRead))
-	return be.spanAt(mem)
 }
 
 // returnChunk hands one chunk back to its span; the last chunk home frees
@@ -250,7 +245,7 @@ func (be *lfBackend) returnChunk(t *sim.Thread, mem uint64) error {
 	if sp.live <= 0 {
 		return fmt.Errorf("%w: 0x%x returned to an empty span", heap.ErrBadFree, mem)
 	}
-	t.Charge(sim.Time(be.returnWork))
+	t.Charge(buddyReturnWork)
 	sp.freeList = append(sp.freeList, mem)
 	sp.live--
 	if sp.live > 0 {
@@ -306,18 +301,6 @@ func (be *lfBackend) ownsChunk(mem uint64) error {
 		return fmt.Errorf("0x%x not a carved class-%d chunk of span 0x%x", mem, sp.csz, sp.base)
 	}
 	return nil
-}
-
-// parkedBytes sums the chunks parked on span free lists (returned but whose
-// block is still live).
-func (be *lfBackend) parkedBytes() uint64 {
-	n := uint64(0)
-	for _, nd := range be.nodes {
-		for _, sp := range nd.spans {
-			n += uint64(len(sp.freeList)) * uint64(sp.csz)
-		}
-	}
-	return n
 }
 
 // bStats sums the per-node buddy counters.

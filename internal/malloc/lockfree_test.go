@@ -20,9 +20,9 @@ func TestLockFreeBatchAccounting(t *testing.T) {
 		costs.CacheBatch = 4
 		costs.CacheHigh = 8
 		costs.CacheAdaptive = -1
-		al, err := NewLockFree(main, as, heap.DefaultParams(), costs)
+		al, err := newThreadCache(main, KindLockFree, as, heap.DefaultParams(), costs)
 		if err != nil {
-			t.Errorf("NewLockFree: %v", err)
+			t.Errorf("newThreadCache: %v", err)
 			return
 		}
 		al.AttachThread(main)
@@ -99,9 +99,9 @@ func TestLockFreeTorture(t *testing.T) {
 	var al *ThreadCache
 	err := m.Run(func(main *sim.Thread) {
 		var err error
-		al, err = NewLockFree(main, as, heap.DefaultParams(), DefaultCostParams())
+		al, err = newThreadCache(main, KindLockFree, as, heap.DefaultParams(), DefaultCostParams())
 		if err != nil {
-			t.Errorf("NewLockFree: %v", err)
+			t.Errorf("newThreadCache: %v", err)
 			return
 		}
 		// Mailboxes for cross-thread frees: workers drop every 4th chunk in
@@ -195,9 +195,9 @@ func TestLockFreeTorture(t *testing.T) {
 func TestLockFreeFreeIgnoresFakeHeaders(t *testing.T) {
 	m, as := newWorld(1, 7)
 	err := m.Run(func(main *sim.Thread) {
-		al, err := NewLockFree(main, as, heap.DefaultParams(), DefaultCostParams())
+		al, err := newThreadCache(main, KindLockFree, as, heap.DefaultParams(), DefaultCostParams())
 		if err != nil {
-			t.Errorf("NewLockFree: %v", err)
+			t.Errorf("newThreadCache: %v", err)
 			return
 		}
 		al.AttachThread(main)
@@ -251,9 +251,9 @@ func TestLockFreeScavengeDuringChurn(t *testing.T) {
 		costs.ScavengeInterval = 40000
 		costs.ScavengeMinBinBytes = 16 << 10
 		var err error
-		al, err = NewLockFree(main, as, heap.DefaultParams(), costs)
+		al, err = newThreadCache(main, KindLockFree, as, heap.DefaultParams(), costs)
 		if err != nil {
-			t.Errorf("NewLockFree: %v", err)
+			t.Errorf("newThreadCache: %v", err)
 			return
 		}
 		var kids []*sim.Thread

@@ -14,29 +14,29 @@
 //   - ThreadCache: the magazine design later allocators converged on,
 //     grown here into a three-tier hierarchy:
 //
-//     magazine -> transfer cache -> arena pool
+//     magazine -> depot (central transfer cache) -> page backend
 //
 //     Tier 1 is a per-thread, per-size-class magazine: pops and pushes are
 //     lock-free and cost CacheHit cycles. Each class's high-water mark is
 //     adaptive by default (CacheAdaptive): it starts at CacheBatch, grows by
 //     a batch after CacheGrowStreak consecutive lock-free hits, shrinks by a
 //     batch whenever the class flushes, and is clamped to [CacheBatch,
-//     CacheHigh]. Tier 2 is the central transfer cache (the depot): a shared
-//     per-size-class store of chunk spans behind per-class locks. Magazine
-//     misses try the depot (DepotXfer cycles plus one lock) before touching
-//     any arena, and magazine flushes/detaches donate whole spans to it —so
-//     cross-thread free traffic becomes one depot exchange instead of N
-//     arena-lock frees. Each depot class parks at most DepotCap spans;
-//     overflow falls through to tier 3, the CPU-bounded shared arena pool.
+//     CacheHigh]. Tier 2 is the depot: a shared per-size-class store of
+//     chunk spans. Magazine misses try it (DepotXfer cycles plus the class's
+//     lock or CAS) before touching the backend, and magazine flushes and
+//     detaches donate whole spans to it, so cross-thread free traffic
+//     becomes one depot exchange instead of N arena-lock frees. Each depot
+//     class parks at most DepotCapBytes; overflow falls through to tier 3,
+//     the CPU-bounded shared arena pool.
 //
-//   - LockFree: the thread cache with its shared tiers re-priced from
-//     mutexes to CAS (the D5 ablation): the depot becomes per-class Treiber
-//     span stacks (lfdepot.go), pool-shard arena selection becomes an atomic
-//     cursor, magazines re-home after a node migration (CacheRehome), and
-//     cacheable refills bypass the arenas entirely, carving spans out of a
-//     non-blocking buddy page allocator (heap.Buddy) whose level bitmaps are
-//     updated by CAS. Its depot lock acquisitions are zero by construction;
-//     the contention it does pay surfaces in Stats.CASAttempts/CASFails.
+//     One machine serves four kinds, and the Kind alone picks its parts
+//     (see ThreadCache): threadcache prices the depot with mutexes;
+//     lockfree (the D5 ablation) re-prices every shared tier with CAS and
+//     carves cacheable refills from a non-blocking buddy page allocator
+//     (heap.Buddy), so its depot lock acquisitions are zero by construction
+//     and its contention surfaces in Stats.CASAttempts/CASFails;
+//     threadcache-svc and lockfree-svc add per-node service threads that
+//     take over refill, flush and scavenge bookkeeping (service.go, D10).
 //
 // All variants serve requests at or above the mmap threshold from dedicated
 // anonymous mappings, as glibc does ("mmap() for allocation requests larger
@@ -76,7 +76,7 @@
 // padded by ScavengeBinPad), reuse-cache regions parked longer than an
 // epoch are munmapped for real, and finally each arena's free top tail
 // past ScavengeTrimPad is handed back madvise(DONTNEED)-style — the region
-// stays mapped and the next touch pays RefaultCost. The binned and trim
+// stays mapped and the next touch pays the refault cost. The binned and trim
 // stages skip arenas with a malloc/free since the cutoff, so a mid-burst
 // arena is never forced into a madvise/refault ping-pong. Experiment D3
 // measures the result: burst footprint decays during idle phases while the
@@ -93,8 +93,8 @@
 //     CPU count, its arenas' mappings bound to the node (heap.NewSubOnNode /
 //     vm.MmapOnNode). homeArena routes a thread to its own node's shard, so
 //     a batch refill never carves remote memory while local exists;
-//   - the transfer cache becomes one depot per node: magazine flushes
-//     donate to the flusher's node, misses pull from it;
+//   - the depot becomes one depot per node: magazine flushes donate to the
+//     flusher's node, misses pull from it;
 //   - frees of chunks owned by another node's arena are NOT parked in the
 //     local magazine (they would be handed back out as remote memory);
 //     they are buffered per class and routed to the owning node's depot in
@@ -165,16 +165,13 @@ type CostParams struct {
 	CacheMax    uint32 // largest chunk size served from the cache
 
 	// Central transfer cache (the depot between thread magazines and the
-	// arena pool). Zero values take NewThreadCache defaults; DepotCap < 0
-	// disables the depot entirely (PR-1 behaviour: flushes free chunk by
-	// chunk into arenas).
-	DepotXfer int64 // cycles per depot span exchange, on top of the lock costs
-	DepotCap  int   // max spans parked per depot size class; < 0 disables
-	// DepotCapBytes bounds each depot class in bytes instead of spans. The
-	// span-count cap punishes adaptive marks: shrunken marks donate small
-	// spans that hit the count limit while parking almost nothing, so the
-	// byte cap is the default (DefaultDepotCapBytes per class). < 0 falls
-	// back to the DepotCap span count.
+	// page backend). Zero values take NewThreadCache defaults.
+	DepotXfer int64 // cycles per depot span exchange, on top of the lock or CAS
+	// DepotCapBytes bounds the bytes parked in each depot class
+	// (DefaultDepotCapBytes when 0). A byte cap, not a span count: shrunken
+	// adaptive marks donate small spans, which a count limit would refuse
+	// while parking almost nothing. < 0 disables the depot entirely (PR-1
+	// behaviour: flushes free chunk by chunk into arenas).
 	DepotCapBytes int64
 
 	// Adaptive magazine sizing (tcmalloc's slow start). CacheAdaptive >= 0
@@ -218,9 +215,6 @@ type CostParams struct {
 	// warm memory before it ever touches a released page (0 takes the
 	// default, < 0 keeps no pad).
 	ScavengeBinPad int64
-	// RefaultCost overrides the vm profile's cost of touching a page the
-	// scavenger released (0 keeps the profile value).
-	RefaultCost int64
 
 	// NUMANodeBlind disables node-aware placement on multi-node machines:
 	// one flat arena pool with first-touch mappings, a single depot, no
@@ -229,29 +223,6 @@ type CostParams struct {
 	// machine the sharded and blind paths are the same code with one shard,
 	// so the flag has no effect there.
 	NUMANodeBlind bool
-
-	// DepotLockFree replaces the depot's per-class mutexes with Treiber span
-	// stacks priced by the CAS model (lfdepot.go) and makes pool-shard arena
-	// selection read-mostly: the round-robin cursor becomes a priced atomic
-	// fetch-add, and the list lock is only taken to grow a shard. The mutex
-	// pricing — and every pre-existing design's numbers — is untouched when
-	// the flag is off.
-	DepotLockFree bool
-	// BuddyBackend routes cacheable-size refills to a non-blocking buddy page
-	// allocator (heap.Buddy, one per node) instead of the mutex-guarded
-	// arenas: magazine misses carve chunks from buddy-backed spans and whole
-	// blocks return to the buddy when their last chunk comes home, so the
-	// small-object path acquires no arena lock at all. Set (with
-	// DepotLockFree and CacheRehome) by NewLockFree.
-	BuddyBackend bool
-	// BuddyZonePages sizes the buddy backend's zones in pages (rounded up to
-	// a power of two; 0 takes heap.DefaultBuddyZonePages).
-	BuddyZonePages int
-	// BuddyCarveWork and BuddyReturnWork are the per-chunk cycles of the
-	// buddy span carve and return paths (the lock-free analogue of the arena
-	// malloc/free work; zero takes the defaults).
-	BuddyCarveWork  int64
-	BuddyReturnWork int64
 
 	// LineAware makes placement cache-line-aware, the experiment D9 dimension.
 	// Chunk sizes are quantized up to cache-line multiples (heap.Params.Align
@@ -268,34 +239,6 @@ type CostParams struct {
 	// default: placement, charge sequences and the D1-D6/D10 goldens are
 	// bit-identical.
 	LineAware bool
-
-	// CacheRehome re-homes a thread's magazine when the scheduler migrates it
-	// to another NUMA node: on the first operation that observes the node
-	// change, chunks owned by other nodes are released home and the home
-	// arena is re-picked on the new node's shard. Off by default (the D4
-	// designs keep their measured placement drift); NewLockFree turns it on.
-	CacheRehome bool
-
-	// Offload moves the allocator's bookkeeping off the application threads
-	// and onto one service thread per NUMA node, pinned to its own CPU
-	// (service.go): magazine flushes and remote-free batches become bounded
-	// mailbox posts, refills are prefetched ahead of demand, and the scavenge
-	// cascade is driven from the service thread's epoch loop. Off by default
-	// — every pre-existing design and golden is priced exactly as before.
-	// The SpeedMalloc arrangement, at the cost of one core per node.
-	Offload bool
-	// ServiceInterval is the service thread's epoch length in cycles (how
-	// often it polls its mailbox, prefetches and scavenges). 0 takes
-	// DefaultServiceInterval.
-	ServiceInterval int64
-	// ServiceMailboxCap bounds the posts parked in one node's mailbox; a
-	// full mailbox makes the poster fall back to the synchronous release
-	// path. 0 takes DefaultServiceMailboxCap.
-	ServiceMailboxCap int
-	// ServiceWatermark is the floor on prefetched spans the service thread
-	// keeps ready per demanded size class; demand deepens the shelf up to 8x
-	// this. 0 takes DefaultServiceWatermark.
-	ServiceWatermark int
 }
 
 // DefaultMmapReuseCap is the parked-bytes cap NewThreadCache applies when
@@ -304,32 +247,27 @@ type CostParams struct {
 const DefaultMmapReuseCap = 4 << 20
 
 // DefaultDepotCapBytes is the per-class byte cap NewThreadCache applies when
-// DepotCapBytes is zero: roughly DepotCap spans of CacheBatch default-sized
-// chunks, but counted in bytes so small spans from shrunken adaptive marks
-// no longer overflow a count limit while parking almost nothing.
+// DepotCapBytes is zero: about eight spans of CacheBatch default-sized
+// chunks, counted in bytes so small spans from shrunken adaptive marks fit.
 const DefaultDepotCapBytes = 64 << 10
 
 // DefaultScavengeTrimPad is the per-arena resident pad NewThreadCache keeps
 // at each top chunk when ScavengeTrimPad is zero.
 const DefaultScavengeTrimPad = 64 << 10
 
-// DefaultBuddyCarveWork and DefaultBuddyReturnWork are the per-chunk cycles
-// of the buddy backend's span carve and return (the lock-free counterparts
-// of the arena's boundary-tag malloc/free work, cheaper because a span carve
-// is a bump pointer and a return is a list push).
-const (
-	DefaultBuddyCarveWork  = 40
-	DefaultBuddyReturnWork = 30
-)
-
-// Service-thread defaults (CostParams.Offload). The epoch is short relative
-// to a scavenge interval — the mailbox must turn around within a burst — and
-// the mailbox and watermark are sized in spans, not chunks. The mailbox cap
-// must absorb a node's worth of flush traffic for one epoch: a post the cap
-// rejects sends the whole batch down the synchronous remote-release path,
-// which under a handoff (cross-node free) load costs ~1000x the post. 1024
-// posts of a 16-chunk span bound the parked overflow near 1 MB per node —
-// memory the pressure cascade reclaims first anyway.
+// Service-thread tuning of the -svc kinds: the epoch length in cycles (how
+// often a service thread polls its mailbox, prefetches and scavenges), the
+// posts one node's mailbox parks before posters fall back to the
+// synchronous release path, and the floor on prefetched spans kept ready
+// per demanded size class (demand deepens the shelf up to 16x). The epoch
+// is short relative to a scavenge interval — the mailbox must turn around
+// within a burst — and the mailbox and watermark are sized in spans, not
+// chunks. The mailbox cap must absorb a node's worth of flush traffic for
+// one epoch: a post the cap rejects sends the whole batch down the
+// synchronous remote-release path, which under a handoff (cross-node free)
+// load costs ~1000x the post. 1024 posts of a 16-chunk span bound the
+// parked overflow near 1 MB per node — memory the pressure cascade reclaims
+// first anyway.
 const (
 	DefaultServiceInterval   = 50_000
 	DefaultServiceMailboxCap = 1024
@@ -357,7 +295,6 @@ func DefaultCostParams() CostParams {
 		CacheMax:      32 * 1024,
 
 		DepotXfer:       45,
-		DepotCap:        8,
 		DepotCapBytes:   DefaultDepotCapBytes,
 		CacheGrowStreak: 64,
 		MmapReuseWork:   30,
@@ -442,10 +379,10 @@ type Stats struct {
 	CASAttempts    uint64
 	CASFails       uint64
 	CASRetryCycles uint64
-	// Magazine re-homing counters (CacheRehome).
+	// Magazine re-homing counters (the lock-free kinds).
 	CacheRehomes  uint64 // thread caches re-homed after a node migration
 	RehomedChunks uint64 // chunks released home by those re-homings
-	// Service-thread offload counters (CostParams.Offload; all zero inline).
+	// Service-thread offload counters (the -svc kinds; all zero inline).
 	SvcEpochs       uint64 // service-thread epochs run
 	SvcRefillHits   uint64 // magazine misses served by a prefetched mailbox span
 	SvcRefillMisses uint64 // mailbox checked with no span ready (fell to depot/arena)
@@ -456,7 +393,7 @@ type Stats struct {
 	SvcPrefetches   uint64 // spans prefetched into mailboxes ahead of demand
 	SvcParkedChunks int    // chunks parked in mailboxes right now
 	SvcParkedBytes  uint64 // bytes parked in mailboxes right now
-	// Buddy page-backend counters (BuddyBackend; mirrors heap.BuddyStats).
+	// Buddy page-backend counters (the lock-free kinds; mirrors heap.BuddyStats).
 	BuddyAllocs    uint64 // block allocations served by the buddy
 	BuddyFrees     uint64 // whole blocks returned to the buddy
 	BuddySplits    uint64 // block splits on the alloc path
@@ -590,9 +527,6 @@ func newBase(t *sim.Thread, name string, as *vm.AddressSpace, params heap.Params
 	}
 	if costs.MmapReuseCap > 0 {
 		as.SetMmapReuse(uint64(costs.MmapReuseCap), costs.MmapReuseWork)
-	}
-	if costs.RefaultCost > 0 {
-		as.SetRefaultCost(costs.RefaultCost)
 	}
 	main, err := heap.NewMain(t, as, &b.params)
 	if err != nil {

@@ -40,7 +40,7 @@ func TestShardedPoolRoutesHomeArenas(t *testing.T) {
 		err := m.Run(func(main *sim.Thread) {
 			costs := DefaultCostParams()
 			costs.NUMANodeBlind = blind
-			costs.DepotCap = -1 // a depot hit would serve a miss without assigning a home arena
+			costs.DepotCapBytes = -1 // a depot hit would serve a miss without assigning a home arena
 			al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
 			if err != nil {
 				t.Errorf("NewThreadCache: %v", err)
@@ -166,7 +166,7 @@ func TestRemoteFreeRoutesToOwnerDepot(t *testing.T) {
 			if st.RemoteBytes == 0 {
 				t.Error("RemoteBytes = 0")
 			}
-			owner := al.depots[prodNode].(*transferCache)
+			owner := al.depots[prodNode]
 			found := 0
 			for _, dc := range owner.classes {
 				for _, span := range dc.spans {

@@ -122,21 +122,8 @@ func (tc *ThreadCache) emergencyReclaim(t *sim.Thread, level int) uint64 {
 		// flush them ahead of the depot drain so they coalesce with it.
 		total += tc.svc.reclaim(t)
 	}
-	for _, depot := range tc.depots {
-		spans, chunks, bytes := depot.scavenge(t, farFuture, 100)
-		if len(spans) == 0 {
-			continue
-		}
-		victims := make([]tcEntry, 0, chunks)
-		for _, span := range spans {
-			victims = append(victims, span...)
-		}
-		if err := tc.flush(t, victims); err != nil {
-			tc.recordErr(err)
-		}
-		total += bytes
-	}
-	return total + tc.base.emergencyReclaim(t, level)
+	_, _, bytes := tc.drainDepots(t, farFuture, 100)
+	return total + bytes + tc.base.emergencyReclaim(t, level)
 }
 
 // setPressure clamps every magazine class's high-water mark at one batch

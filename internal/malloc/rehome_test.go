@@ -10,7 +10,7 @@ import (
 )
 
 // TestCacheRehomeAfterMigration is the regression test for magazine
-// re-homing (CacheRehome): a worker fills its magazine on one node, sleeps,
+// re-homing (the lock-free kinds' policy): a worker fills its magazine on one node, sleeps,
 // and is forced awake on the other node — its old CPU (and that whole node)
 // is kept busy past its wake time by hog threads, while the other node's
 // CPUs are left idle, so the scheduler's earliest-free pick migrates it. The
@@ -40,14 +40,13 @@ func TestCacheRehomeAfterMigration(t *testing.T) {
 	)
 	var al *ThreadCache
 	err := m.Run(func(main *sim.Thread) {
-		costs := DefaultCostParams()
-		costs.CacheRehome = true
 		var err error
-		al, err = NewThreadCache(main, as, heap.DefaultParams(), costs)
+		al, err = NewThreadCache(main, as, heap.DefaultParams(), DefaultCostParams())
 		if err != nil {
 			t.Errorf("NewThreadCache: %v", err)
 			return
 		}
+		al.rehome = true // the lock-free kinds' policy, on the mutex machine
 		worker := main.Spawn("worker", func(w *sim.Thread) {
 			al.AttachThread(w)
 			var ps []uint64

@@ -110,25 +110,30 @@ type depotSource struct{ tc *ThreadCache }
 func (s depotSource) Name() string { return "depot" }
 
 func (s depotSource) Scavenge(t *sim.Thread, cutoff sim.Time, decayPercent int) uint64 {
-	tc := s.tc
-	total := uint64(0)
+	spans, chunks, bytes := s.tc.drainDepots(t, cutoff, decayPercent)
+	s.tc.stats.ScavengeDepotSpans += uint64(spans)
+	s.tc.stats.ScavengeDepotChunks += uint64(chunks)
+	return bytes
+}
+
+// drainDepots sheds decayPercent of every depot class idle since cutoff into
+// the owning arenas, depot by depot (node order), and reports the spans,
+// chunks and bytes moved. The scavenger's depot stage and the emergency
+// cascade (cutoff farFuture, 100%) both drain through here.
+func (tc *ThreadCache) drainDepots(t *sim.Thread, cutoff sim.Time, decayPercent int) (spans, chunks int, bytes uint64) {
 	for _, depot := range tc.depots {
-		spans, chunks, bytes := depot.scavenge(t, cutoff, decayPercent)
-		if len(spans) == 0 {
+		victims, n, b := depot.scavenge(t, cutoff, decayPercent)
+		if n == 0 {
 			continue
 		}
-		victims := make([]tcEntry, 0, chunks)
-		for _, span := range spans {
-			victims = append(victims, span...)
-		}
 		if err := tc.flush(t, victims); err != nil {
-			tc.recordErr(fmt.Errorf("malloc: scavenging depot spans: %w", err))
+			tc.recordErr(fmt.Errorf("malloc: draining depot spans: %w", err))
 		}
-		tc.stats.ScavengeDepotSpans += uint64(len(spans))
-		tc.stats.ScavengeDepotChunks += uint64(chunks)
-		total += bytes
+		spans += n
+		chunks += len(victims)
+		bytes += b
 	}
-	return total
+	return spans, chunks, bytes
 }
 
 // arenaPageSource is the PageHeap-style stage between the depot and the

@@ -29,7 +29,7 @@ func TestScavengerDecaysIdleMagazines(t *testing.T) {
 	m, as := newWorld(2, 113)
 	err := m.Run(func(main *sim.Thread) {
 		costs := scavCosts(100000, 50)
-		costs.DepotCap = -1 // isolate the magazine path
+		costs.DepotCapBytes = -1 // isolate the magazine path
 		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
 			t.Errorf("NewThreadCache: %v", err)
@@ -101,7 +101,7 @@ func TestScavengerSparesActiveMagazines(t *testing.T) {
 	m, as := newWorld(2, 127)
 	err := m.Run(func(main *sim.Thread) {
 		costs := scavCosts(100000, 100)
-		costs.DepotCap = -1
+		costs.DepotCapBytes = -1
 		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
 			t.Errorf("NewThreadCache: %v", err)
@@ -405,7 +405,7 @@ func TestScavengerSmallMagazineDecayRate(t *testing.T) {
 	m, as := newWorld(2, 151)
 	err := m.Run(func(main *sim.Thread) {
 		costs := scavCosts(100000, 1)
-		costs.DepotCap = -1
+		costs.DepotCapBytes = -1
 		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
 			t.Errorf("NewThreadCache: %v", err)
@@ -458,7 +458,7 @@ func TestScavengerSingleEntryClassHalfDecay(t *testing.T) {
 	m, as := newWorld(2, 153)
 	err := m.Run(func(main *sim.Thread) {
 		costs := scavCosts(100000, 50)
-		costs.DepotCap = -1
+		costs.DepotCapBytes = -1
 		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
 			t.Errorf("NewThreadCache: %v", err)
@@ -559,7 +559,7 @@ func TestScavengerTrimSkipsBusyArenas(t *testing.T) {
 	m, as := newWorld(2, 157)
 	err := m.Run(func(main *sim.Thread) {
 		costs := scavCosts(50000, 50)
-		costs.DepotCap = -1
+		costs.DepotCapBytes = -1
 		params := heap.DefaultParams()
 		params.Trim = false // isolate the scavenger's trim from free-time sbrk trimming
 		al, err := NewThreadCache(main, as, params, costs)
@@ -636,7 +636,7 @@ func TestScavengerReleasesBinnedChunks(t *testing.T) {
 	m, as := newWorld(2, 163)
 	err := m.Run(func(main *sim.Thread) {
 		costs := scavCosts(100000, 100)
-		costs.DepotCap = -1
+		costs.DepotCapBytes = -1
 		costs.ScavengeMinBinBytes = 4096
 		costs.ScavengeBinPad = -1 // no resident pad: one idle chunk must release
 		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)

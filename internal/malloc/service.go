@@ -6,7 +6,6 @@ import (
 	"mtmalloc/internal/heap"
 	"mtmalloc/internal/sim"
 	"mtmalloc/internal/telemetry"
-	"mtmalloc/internal/vm"
 )
 
 // This file is the SpeedMalloc-style offload refactor (experiment D10): one
@@ -30,16 +29,16 @@ import (
 //     routed home for that class, again one post plus the line transfers,
 //     no lock. A miss records demand and a hit records use: together the
 //     class's true per-window refill rate, which sizes the shelf;
-//   - the service thread wakes every ServiceInterval cycles and (1) drains
-//     box overflow — recycling spans of still-wanted classes into the
-//     prefetch shelf, releasing the rest through the ordinary depot/arena
-//     routing, (2) tops demanded classes up from the depot, buddy backend
-//     or arenas — at least ServiceWatermark spans per class per epoch,
-//     deepened by the window's misses, (3) releases the shelf of classes
-//     that have gone cold, and (4) — on node 0's thread only — drives the
-//     five-stage scavenge cascade, registered as the scavenger's single
-//     driver so inline Ticks and stray background loops cannot double-decay
-//     an epoch.
+//   - the service thread wakes every DefaultServiceInterval cycles and (1)
+//     drains box overflow — recycling spans of still-wanted classes into
+//     the prefetch shelf, releasing the rest through the ordinary
+//     depot/arena routing, (2) tops demanded classes up from the depot,
+//     buddy backend or arenas — at least DefaultServiceWatermark spans per
+//     class per epoch, deepened by the window's misses, (3) releases the
+//     shelf of classes that have gone cold, and (4) — on node 0's thread
+//     only — drives the five-stage scavenge cascade, registered as the
+//     scavenger's single driver so inline Ticks and stray background loops
+//     cannot double-decay an epoch.
 //
 // The mailbox itself is ordinary Go state mutated only while its owner runs
 // — the engine resumes one simulated thread at a time — so the message
@@ -130,15 +129,15 @@ type svcDemand struct {
 	count int
 }
 
-// newService builds the offload engine for tc from already default-filled
-// costs. Threads are not spawned here — the harness calls Start once the
-// simulation's main thread exists, and Stop before it finishes.
-func newService(tc *ThreadCache, costs CostParams) *Service {
+// newService builds the offload engine for tc. Threads are not spawned here
+// — the harness calls Start once the simulation's main thread exists, and
+// Stop before it finishes.
+func newService(tc *ThreadCache) *Service {
 	s := &Service{
 		tc:        tc,
-		interval:  sim.Time(costs.ServiceInterval),
-		boxCap:    costs.ServiceMailboxCap,
-		watermark: costs.ServiceWatermark,
+		interval:  DefaultServiceInterval,
+		boxCap:    DefaultServiceMailboxCap,
+		watermark: DefaultServiceWatermark,
 	}
 	mach := tc.as.Machine()
 	mc := mach.Config().Costs
@@ -225,29 +224,41 @@ func (s *Service) Stop(t *sim.Thread) {
 	if s.tc.scav != nil {
 		s.tc.scav.SetDriver(nil)
 	}
-	tc := s.tc
+	s.emptyAll(func(csz uint32, span []tcEntry) error { return s.tc.release(t, csz, span) })
+	for _, n := range s.nodes {
+		n.box.demand = make(map[uint32]svcDemand)
+		n.box.used = make(map[uint32]svcDemand)
+	}
+}
+
+// emptyAll hands every span parked in every mailbox to give — posted batches
+// first, then the shelf class by class — and forgets the shelves and the
+// working sets. Returns the bytes handed over.
+func (s *Service) emptyAll(give func(csz uint32, span []tcEntry) error) uint64 {
+	total := uint64(0)
+	put := func(csz uint32, span []tcEntry) {
+		total += uint64(len(span)) * uint64(csz)
+		if err := give(csz, span); err != nil {
+			s.tc.recordErr(fmt.Errorf("malloc: emptying service mailbox: %w", err))
+		}
+	}
 	for _, n := range s.nodes {
 		box := &n.box
 		for _, p := range box.empty {
-			if err := tc.release(t, p.csz, p.entries); err != nil {
-				tc.recordErr(fmt.Errorf("malloc: draining service mailbox: %w", err))
-			}
+			put(p.csz, p.entries)
 		}
 		box.empty = nil
 		for _, csz := range sortedKeys(box.full) {
 			for _, span := range box.full[csz] {
-				if err := tc.release(t, csz, span); err != nil {
-					tc.recordErr(fmt.Errorf("malloc: draining service shelf: %w", err))
-				}
+				put(csz, span)
 			}
 		}
 		box.full = make(map[uint32][][]tcEntry)
 		box.fullSpans = 0
-		box.demand = make(map[uint32]svcDemand)
-		box.used = make(map[uint32]svcDemand)
 		box.seen = make(map[uint32]uint32)
 		box.idleEpochs = make(map[uint32]int)
 	}
+	return total
 }
 
 // serve is one service thread's body: run an epoch, sleep an interval,
@@ -314,27 +325,26 @@ func (s *Service) takeFull(t *sim.Thread, csz, req uint32) ([]tcEntry, bool) {
 	}
 	box := &s.boxFor(t.Node()).box
 	t.Charge(s.postCost)
-	spans := box.full[csz]
-	if len(spans) == 0 {
+	var span []tcEntry
+	if spans := box.full[csz]; len(spans) > 0 {
+		span = spans[len(spans)-1]
+		box.full[csz] = spans[:len(spans)-1]
+		box.fullSpans--
+	} else {
 		// Nothing prefetched — claim a matching posted flush directly: the
 		// same wait-free exchange, just before the service thread got to
 		// recycle it. This keeps the flush -> refill loop inside the mailbox
 		// at full churn rates, when a whole magazine can turn over within
 		// one service epoch.
 		for i := len(box.empty) - 1; i >= 0; i-- {
-			p := box.empty[i]
-			if p.csz != csz {
-				continue
+			if p := box.empty[i]; p.csz == csz {
+				box.empty = append(box.empty[:i], box.empty[i+1:]...)
+				span = p.entries
+				break
 			}
-			box.empty = append(box.empty[:i], box.empty[i+1:]...)
-			t.Charge(s.spanXfer())
-			u := box.used[csz]
-			u.req = req
-			u.count++
-			box.used[csz] = u
-			s.tc.stats.SvcRefillHits++
-			return p.entries, true
 		}
+	}
+	if len(span) == 0 {
 		d := box.demand[csz]
 		d.req = req
 		d.count++
@@ -342,9 +352,6 @@ func (s *Service) takeFull(t *sim.Thread, csz, req uint32) ([]tcEntry, bool) {
 		s.tc.stats.SvcRefillMisses++
 		return nil, false
 	}
-	span := spans[len(spans)-1]
-	box.full[csz] = spans[:len(spans)-1]
-	box.fullSpans--
 	t.Charge(s.spanXfer())
 	u := box.used[csz]
 	u.req = req
@@ -643,34 +650,11 @@ func (s *Service) carve(t *sim.Thread, a *heap.Arena, csz, req uint32) []tcEntry
 }
 
 // reclaim empties every mailbox straight into the arenas for the emergency
-// cascade: parked spans are exactly the memory pressure wants back. Returns
-// the bytes flushed.
+// cascade: parked spans are exactly the memory pressure wants back. The
+// window's demand survives, so the next epoch restocks what is in use.
+// Returns the bytes flushed.
 func (s *Service) reclaim(t *sim.Thread) uint64 {
-	tc := s.tc
-	total := uint64(0)
-	for _, n := range s.nodes {
-		box := &n.box
-		for _, p := range box.empty {
-			total += uint64(len(p.entries)) * uint64(p.csz)
-			if err := tc.flush(t, p.entries); err != nil {
-				tc.recordErr(err)
-			}
-		}
-		box.empty = nil
-		for _, csz := range sortedKeys(box.full) {
-			for _, span := range box.full[csz] {
-				total += uint64(len(span)) * uint64(csz)
-				if err := tc.flush(t, span); err != nil {
-					tc.recordErr(err)
-				}
-			}
-		}
-		box.full = make(map[uint32][][]tcEntry)
-		box.fullSpans = 0
-		box.seen = make(map[uint32]uint32)
-		box.idleEpochs = make(map[uint32]int)
-	}
-	return total
+	return s.emptyAll(func(_ uint32, span []tcEntry) error { return s.tc.flush(t, span) })
 }
 
 // parked reports the chunks and bytes currently held across all mailboxes.
@@ -724,34 +708,16 @@ func (s *Service) check(seen map[uint64]bool, owns func(tcEntry) error) error {
 	return nil
 }
 
-// Service returns the allocator's offload engine, nil when Offload is off.
+// Service returns the allocator's offload engine, nil for the inline kinds.
 // The harness uses it to start the per-node threads once the simulation's
 // main thread exists and to stop them before the run ends.
 func (tc *ThreadCache) Service() *Service { return tc.svc }
 
 // ServiceOf unwraps al (through the resilient shell) to its offload engine,
-// nil for designs without one or with Offload off.
+// nil for kinds without one.
 func ServiceOf(al Allocator) *Service {
 	if p, ok := al.(interface{ Service() *Service }); ok {
 		return p.Service()
 	}
 	return nil
-}
-
-// NewThreadCacheService is the offloaded variant of NewThreadCache: the same
-// magazine/depot/arena machine with CostParams.Offload forced on.
-func NewThreadCacheService(t *sim.Thread, as *vm.AddressSpace, params heap.Params, costs CostParams) (*ThreadCache, error) {
-	costs.Offload = true
-	return newThreadCacheNamed(t, "threadcache-svc", as, params, costs)
-}
-
-// NewLockFreeService is the offloaded variant of NewLockFree: CAS depot,
-// buddy backend and rehoming, with the bookkeeping moved to the service
-// threads.
-func NewLockFreeService(t *sim.Thread, as *vm.AddressSpace, params heap.Params, costs CostParams) (*ThreadCache, error) {
-	costs.Offload = true
-	costs.DepotLockFree = true
-	costs.BuddyBackend = true
-	costs.CacheRehome = true
-	return newThreadCacheNamed(t, "lockfree-svc", as, params, costs)
 }

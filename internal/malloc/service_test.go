@@ -5,17 +5,29 @@ import (
 
 	"mtmalloc/internal/heap"
 	"mtmalloc/internal/sim"
+	"mtmalloc/internal/vm"
 )
 
 // svcCosts returns thread-cache costs tuned for small deterministic
-// magazines with the offload engine's knobs set explicitly.
-func svcCosts(interval int64) CostParams {
+// magazines.
+func svcCosts() CostParams {
 	costs := DefaultCostParams()
 	costs.CacheBatch = 4
 	costs.CacheHigh = 8
 	costs.CacheAdaptive = -1
-	costs.ServiceInterval = interval
 	return costs
+}
+
+// newSvc builds a threadcache-svc allocator whose service thread wakes every
+// interval cycles; nil (with the test failed) when construction fails.
+func newSvc(t *testing.T, main *sim.Thread, as *vm.AddressSpace, costs CostParams, interval sim.Time) *ThreadCache {
+	al, err := newThreadCache(main, KindThreadCacheSvc, as, heap.DefaultParams(), costs)
+	if err != nil {
+		t.Errorf("newThreadCache: %v", err)
+		return nil
+	}
+	al.svc.interval = interval
+	return al
 }
 
 // TestServiceMailboxRefillFlushCycle: with the service running, a magazine
@@ -27,13 +39,11 @@ func TestServiceMailboxRefillFlushCycle(t *testing.T) {
 	err := m.Run(func(main *sim.Thread) {
 		// Watermark 1 keeps the shelf cap (16x) small enough that a big
 		// free burst overflows past the shelf into the box.
-		costs := svcCosts(50000)
-		costs.ServiceWatermark = 1
-		al, err := NewThreadCacheService(main, as, heap.DefaultParams(), costs)
-		if err != nil {
-			t.Errorf("NewThreadCacheService: %v", err)
+		al := newSvc(t, main, as, svcCosts(), 50000)
+		if al == nil {
 			return
 		}
+		al.svc.watermark = 1
 		svc := al.Service()
 		if svc == nil {
 			t.Error("Service() = nil on an offload-configured allocator")
@@ -129,14 +139,12 @@ func TestServiceMailboxCapFallback(t *testing.T) {
 	err := m.Run(func(main *sim.Thread) {
 		// One box slot per mailbox, a 16-span shelf cap (watermark 1), and
 		// an epoch so far out that nothing drains mid-test.
-		costs := svcCosts(10_000_000)
-		costs.ServiceMailboxCap = 1
-		costs.ServiceWatermark = 1
-		al, err := NewThreadCacheService(main, as, heap.DefaultParams(), costs)
-		if err != nil {
-			t.Errorf("NewThreadCacheService: %v", err)
+		al := newSvc(t, main, as, svcCosts(), 10_000_000)
+		if al == nil {
 			return
 		}
+		al.svc.boxCap = 1
+		al.svc.watermark = 1
 		al.Service().Start(main)
 		main.Sleep(60000) // first epochs only; the next is 10M cycles away
 
@@ -184,9 +192,8 @@ func TestServiceMailboxCapFallback(t *testing.T) {
 func TestServiceReclaimEmptiesMailboxes(t *testing.T) {
 	m, as := newNUMAWorld(4, 2, 41)
 	err := m.Run(func(main *sim.Thread) {
-		al, err := NewThreadCacheService(main, as, heap.DefaultParams(), svcCosts(10_000_000))
-		if err != nil {
-			t.Errorf("NewThreadCacheService: %v", err)
+		al := newSvc(t, main, as, svcCosts(), 10_000_000)
+		if al == nil {
 			return
 		}
 		svc := al.Service()
@@ -221,12 +228,11 @@ func TestServiceReclaimEmptiesMailboxes(t *testing.T) {
 func TestServiceSingleCascadeDriver(t *testing.T) {
 	m, as := newNUMAWorld(4, 2, 43)
 	err := m.Run(func(main *sim.Thread) {
-		costs := svcCosts(100000)
+		costs := svcCosts()
 		costs.ScavengeInterval = 100000
 		costs.ScavengeDecay = 50
-		al, err := NewThreadCacheService(main, as, heap.DefaultParams(), costs)
-		if err != nil {
-			t.Errorf("NewThreadCacheService: %v", err)
+		al := newSvc(t, main, as, costs, 100000)
+		if al == nil {
 			return
 		}
 		scav := al.Scavenger()

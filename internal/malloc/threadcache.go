@@ -18,9 +18,9 @@ import (
 // free-list cache sitting in front of a small shared arena pool.
 //
 //   - malloc pops from the caller's local cache with zero locking; a miss
-//     first tries the central transfer cache (one span under one class
-//     lock), and only a depot miss refills a batch of CacheBatch chunks
-//     from the thread's home arena under its lock;
+//     first tries the depot (one span under one class lock or CAS), and
+//     only a depot miss refills a batch of CacheBatch chunks from the page
+//     backend;
 //   - free pushes onto the local cache without touching any lock, wherever
 //     the chunk's owning arena is — the cross-thread frees that make
 //     benchmark 2 hammer foreign arena locks in ptmalloc are simply parked
@@ -55,26 +55,39 @@ import (
 // Cached chunks — magazine or depot — look allocated from the arena's point
 // of view, so every structural invariant Check() enforces keeps holding; the
 // price is that parked chunks cannot coalesce until they are flushed.
+//
+// One machine serves the four magazine kinds, and the Kind alone picks its
+// parts (newThreadCache):
+//
+//	kind             depot classes  pool cursor  page backend  re-homing  service
+//	threadcache      mutex          Go-side      arenas        no         no
+//	lockfree         CAS stack      CAS          buddy         yes        no
+//	threadcache-svc  mutex          Go-side      arenas        no         yes
+//	lockfree-svc     CAS stack      CAS          buddy         yes        yes
+//
+// The CAS parts are the depot's Treiber stacks (depot.go), a read-mostly
+// pool whose list lock guards growth only, and a per-node non-blocking buddy
+// that cacheable refills carve spans from (lfbackend.go). Magazines re-home
+// with them, since without arena ownership nothing else would repatriate a
+// migrated thread's remote chunks. The service threads live in service.go.
 type ThreadCache struct {
 	*base
 	caches denseTable[*tcache] // keyed by sim thread ID
 
-	// depots are the central transfer caches, one per node shard (a single
-	// entry on flat or node-blind machines); nil when disabled (DepotCap<0).
-	// The implementation is pluggable (depot.go): per-class mutexes by
-	// default, Treiber CAS stacks under DepotLockFree.
-	depots []depot
+	// depots are the tier-2 transfer caches, one per node shard (a single
+	// entry on flat or node-blind machines); nil when disabled
+	// (DepotCapBytes < 0).
+	depots []*depot
 
 	// shards is the node-sharded arena pool; a single shard with node -1
 	// covers the whole machine when flat or node-blind.
-	shards    []*poolShard
-	nodeBlind bool
+	shards []*poolShard
 
-	// lf is the buddy page backend (BuddyBackend): cacheable refills carve
-	// spans from it instead of locking arenas. nil for the mutex designs.
+	// lf is the buddy page backend of the lock-free kinds: cacheable refills
+	// carve spans from it instead of locking arenas. nil for the mutex kinds.
 	lf *lfBackend
 	// rehome re-homes a migrated thread's magazine on the first operation
-	// that observes its node changed (CacheRehome).
+	// that observes its node changed (the lock-free kinds).
 	rehome bool
 
 	batch     int
@@ -94,9 +107,9 @@ type ThreadCache struct {
 	minBinBytes uint64
 	binPad      uint64
 
-	// svc is the per-node service-thread offload engine (service.go), nil
-	// unless CostParams.Offload opted in. Its mailbox fast paths are inert
-	// until the harness calls Service().Start.
+	// svc is the per-node service-thread offload engine (service.go) of the
+	// -svc kinds, nil otherwise. Its mailbox fast paths are inert until the
+	// harness calls Service().Start.
 	svc *Service
 
 	// User-level op counts: arena counters include batch refills and
@@ -126,11 +139,11 @@ type poolShard struct {
 	arenas []*heap.Arena
 	next   int
 	cap    int
-	// cursor prices the round-robin selection as an atomic fetch-add when the
-	// pool is read-mostly (DepotLockFree): home-arena picks happen only on a
+	// cursor prices the round-robin selection as an atomic fetch-add on the
+	// lock-free kinds' read-mostly pool: home-arena picks happen only on a
 	// thread's first miss and after a migration, and never take the list lock
 	// — that is reserved for growing the shard. nil (unpriced Go-side
-	// bookkeeping, the historic behaviour) for the mutex designs.
+	// bookkeeping, the historic behaviour) for the mutex kinds.
 	cursor *sim.CASPoint
 }
 
@@ -164,7 +177,7 @@ type tcache struct {
 	// cutoff as reclaimable.
 	lastOp sim.Time
 	// node is the NUMA node the owner was last seen on (-1 until rehoming
-	// observes one); only maintained when CacheRehome is on.
+	// observes one); only maintained when re-homing is on.
 	node int
 }
 
@@ -186,14 +199,13 @@ func (tc *ThreadCache) classOf(c *tcache, csz uint32) *tcClass {
 // NewThreadCache creates the thread-cache allocator on as. Zero-valued cache
 // knobs in costs take the DefaultCostParams values.
 func NewThreadCache(t *sim.Thread, as *vm.AddressSpace, params heap.Params, costs CostParams) (*ThreadCache, error) {
-	return newThreadCacheNamed(t, "threadcache", as, params, costs)
+	return newThreadCache(t, KindThreadCache, as, params, costs)
 }
 
-// newThreadCacheNamed is the shared constructor behind NewThreadCache and
-// NewLockFree: the two designs are one machine differing only in the costs
-// flags that pick the depot implementation, the pool-cursor pricing, the
-// page backend and the rehoming policy.
-func newThreadCacheNamed(t *sim.Thread, name string, as *vm.AddressSpace, params heap.Params, costs CostParams) (*ThreadCache, error) {
+// newThreadCache builds the magazine machine for one of the four magazine
+// kinds, which alone picks the parts (see ThreadCache).
+func newThreadCache(t *sim.Thread, kind Kind, as *vm.AddressSpace, params heap.Params, costs CostParams) (*ThreadCache, error) {
+	lockFree := kind == KindLockFree || kind == KindLockFreeSvc
 	def := DefaultCostParams()
 	if costs.CacheHit == 0 {
 		costs.CacheHit = def.CacheHit
@@ -215,9 +227,6 @@ func newThreadCacheNamed(t *sim.Thread, name string, as *vm.AddressSpace, params
 	}
 	if costs.DepotXfer == 0 {
 		costs.DepotXfer = def.DepotXfer
-	}
-	if costs.DepotCap == 0 {
-		costs.DepotCap = def.DepotCap
 	}
 	if costs.DepotCapBytes == 0 {
 		costs.DepotCapBytes = def.DepotCapBytes
@@ -242,13 +251,7 @@ func newThreadCacheNamed(t *sim.Thread, name string, as *vm.AddressSpace, params
 	if costs.ScavengeWork == 0 {
 		costs.ScavengeWork = def.ScavengeWork
 	}
-	if costs.BuddyCarveWork == 0 {
-		costs.BuddyCarveWork = DefaultBuddyCarveWork
-	}
-	if costs.BuddyReturnWork == 0 {
-		costs.BuddyReturnWork = DefaultBuddyReturnWork
-	}
-	b, err := newBase(t, name, as, params, costs)
+	b, err := newBase(t, string(kind), as, params, costs)
 	if err != nil {
 		return nil, err
 	}
@@ -263,15 +266,14 @@ func newThreadCacheNamed(t *sim.Thread, name string, as *vm.AddressSpace, params
 		maxBlock:   costs.CacheMax,
 		adaptive:   costs.CacheAdaptive >= 0,
 		growStreak: costs.CacheGrowStreak,
-		rehome:     costs.CacheRehome,
+		rehome:     lockFree,
 	}
 	// Shard the pool by node unless the machine is flat or the profile asked
 	// for the node-blind baseline. The single-shard case is the original
 	// CPU-capped pool: one shard, node -1 (first-touch mappings), the main
 	// arena as slot 0.
 	nodes := as.Machine().Nodes()
-	tc.nodeBlind = costs.NUMANodeBlind || nodes <= 1
-	if tc.nodeBlind {
+	if costs.NUMANodeBlind || nodes <= 1 {
 		tc.shards = []*poolShard{{node: -1, arenas: []*heap.Arena{b.arenas[0]}, cap: cpus}}
 	} else {
 		per := (cpus + nodes - 1) / nodes
@@ -286,50 +288,28 @@ func newThreadCacheNamed(t *sim.Thread, name string, as *vm.AddressSpace, params
 		}
 		as.SetReuseNodeAffinity(true)
 	}
-	if costs.DepotLockFree {
+	if lockFree {
 		// Read-mostly pool: the shards' round-robin cursors become priced
 		// atomic fetch-adds (the list lock now guards growth only).
 		for _, sh := range tc.shards {
 			sh.cursor = as.Machine().NewCASPoint(fmt.Sprintf("%s.pool.n%d", b.name, sh.node))
 		}
+		tc.lf = newLFBackend(b.name, as, tc.shards, costs.LineAware, &b.stats)
 	}
-	if costs.DepotCap > 0 {
-		capBytes := costs.DepotCapBytes
-		if capBytes < 0 {
-			capBytes = 0 // legacy span-count cap
-		}
+	if costs.DepotCapBytes > 0 {
 		for range tc.shards {
 			dname := b.name
 			if len(tc.shards) > 1 {
 				dname = fmt.Sprintf("%s.n%d", b.name, len(tc.depots))
 			}
-			if costs.DepotLockFree {
-				tc.depots = append(tc.depots, newLFDepot(as.Machine(), dname, costs.DepotCap, capBytes, costs.DepotXfer, &b.stats))
-			} else {
-				tc.depots = append(tc.depots, newTransferCache(as.Machine(), dname, costs.DepotCap, capBytes, costs.DepotXfer, &b.stats))
-			}
+			tc.depots = append(tc.depots, newDepot(as.Machine(), dname, lockFree, costs.DepotCapBytes, costs.DepotXfer, &b.stats))
 		}
-	}
-	if costs.BuddyBackend {
-		tc.lf = newLFBackend(b.name, as, tc.shards, costs, &b.stats)
 	}
 	if costs.ScavengeInterval > 0 {
 		tc.scav = tc.newScavenger(costs)
 	}
-	if costs.Offload {
-		if costs.ServiceInterval <= 0 {
-			costs.ServiceInterval = DefaultServiceInterval
-		}
-		if costs.ServiceMailboxCap <= 0 {
-			costs.ServiceMailboxCap = DefaultServiceMailboxCap
-		}
-		if costs.ServiceWatermark <= 0 {
-			costs.ServiceWatermark = DefaultServiceWatermark
-		}
-		tc.costs.ServiceInterval = costs.ServiceInterval
-		tc.costs.ServiceMailboxCap = costs.ServiceMailboxCap
-		tc.costs.ServiceWatermark = costs.ServiceWatermark
-		tc.svc = newService(tc, costs)
+	if kind == KindThreadCacheSvc || kind == KindLockFreeSvc {
+		tc.svc = newService(tc)
 	}
 	return tc, nil
 }
@@ -348,7 +328,7 @@ func (tc *ThreadCache) shardOf(t *sim.Thread) *poolShard {
 
 // depotFor returns the depot of the given node (the single depot when the
 // pool is flat or node-blind), nil when the depot tier is disabled.
-func (tc *ThreadCache) depotFor(node int) depot {
+func (tc *ThreadCache) depotFor(node int) *depot {
 	if len(tc.depots) == 0 {
 		return nil
 	}
@@ -469,83 +449,77 @@ func (tc *ThreadCache) Malloc(t *sim.Thread, size uint32) (uint64, error) {
 	start := t.Now()
 	tc.opCharge(t, 0, tc.lastArena.get(t.ID()))
 	tc.maybeScavenge(t)
-	if mem, err, done := tc.mmapPath(t, size); done {
-		if err == nil {
-			tc.telOp(t, telemetry.OpMalloc, tc.params.Request2Size(size), telemetry.TierVM, start)
-		}
+	mem, class, tier, err := tc.malloc(t, size)
+	if err != nil {
 		return mem, err
+	}
+	if tier != telemetry.TierVM {
+		tc.userMallocs++ // mmapped chunks bypass every cache tier
+	}
+	tc.telOp(t, telemetry.OpMalloc, class, tier, start)
+	return mem, nil
+}
+
+// malloc is Malloc's path through the tiers; it reports the chunk's size
+// class and the tier that served it.
+func (tc *ThreadCache) malloc(t *sim.Thread, size uint32) (uint64, uint32, telemetry.Tier, error) {
+	sz := tc.params.Request2Size(size)
+	if mem, err, done := tc.mmapPath(t, size); done {
+		return mem, sz, telemetry.TierVM, err
 	}
 	tc.noteQuant(size)
 	c := tc.cacheOf(t)
-	sz := tc.params.Request2Size(size)
-	if sz <= tc.maxBlock {
-		if cl := c.classes.get(classSlot(sz)); cl != nil && len(cl.entries) > 0 {
-			e := cl.entries[len(cl.entries)-1]
-			cl.entries = cl.entries[:len(cl.entries)-1]
-			t.Charge(sim.Time(tc.costs.CacheHit))
-			tc.stats.CacheHits++
-			tc.growOnStreak(cl)
-			tc.userMallocs++
-			tc.lastArena.set(t.ID(), e.arena)
-			tc.telOp(t, telemetry.OpMalloc, sz, telemetry.TierMagazine, start)
-			return e.mem, nil
-		}
-		tc.stats.CacheMisses++
-		// Offload fast path: a span the service thread prefetched for this
-		// class costs one mailbox claim plus the descriptor's line
-		// transfers — no lock of any kind. Hit or miss, the claim records
-		// demand so the next epoch prefetches ahead of us.
-		if tc.svc != nil {
-			if span, ok := tc.svc.takeFull(t, sz, size); ok {
-				cl := tc.classOf(c, sz)
-				cl.streak = 0
-				e := span[len(span)-1]
-				cl.entries = append(cl.entries, span[:len(span)-1]...)
-				tc.userMallocs++
-				tc.lastArena.set(t.ID(), e.arena)
-				tc.telOp(t, telemetry.OpMalloc, sz, telemetry.TierService, start)
-				return e.mem, nil
-			}
-		}
-		// Tier 2: one span from the caller's node's transfer cache costs a
-		// class lock and DepotXfer cycles — no arena lock, no per-chunk
-		// malloc work, and never a remote span while local ones exist.
-		if depot := tc.depotFor(t.Node()); depot != nil {
-			if span, ok := depot.get(t, sz); ok {
-				cl := tc.classOf(c, sz)
-				cl.streak = 0
-				e := span[len(span)-1]
-				cl.entries = append(cl.entries, span[:len(span)-1]...)
-				tc.userMallocs++
-				tc.lastArena.set(t.ID(), e.arena)
-				tc.telOp(t, telemetry.OpMalloc, sz, telemetry.TierDepot, start)
-				return e.mem, nil
-			}
-		}
-		if tc.lf != nil {
-			// Tier 3, lock-free design: carve a batch from the buddy backend
-			// — no arena, no lock; the contention is the buddy's bitmap CAS.
-			mem, err := tc.buddyBatch(t, c, sz)
-			if err == nil {
-				tc.userMallocs++
-				tc.telOp(t, telemetry.OpMalloc, sz, telemetry.TierArena, start)
-			}
-			return mem, err
-		}
-		mem, err := tc.arenaBatch(t, c, size, tc.batch-1, tc.costs.CacheRefill+tc.costs.WorkMalloc)
-		if err == nil {
-			tc.userMallocs++
-			tc.telOp(t, telemetry.OpMalloc, sz, telemetry.TierArena, start)
-		}
-		return mem, err
+	if sz > tc.maxBlock {
+		// Too large to cache: straight to the home arena under its lock.
+		mem, err := tc.arenaBatch(t, c, size, 0, tc.costs.WorkMalloc)
+		return mem, sz, telemetry.TierArena, err
 	}
-	// Too large to cache: straight to the home arena under its lock.
-	mem, err := tc.arenaBatch(t, c, size, 0, tc.costs.WorkMalloc)
-	if err == nil {
-		tc.userMallocs++
-		tc.telOp(t, telemetry.OpMalloc, sz, telemetry.TierArena, start)
+	if cl := c.classes.get(classSlot(sz)); cl != nil && len(cl.entries) > 0 {
+		e := cl.entries[len(cl.entries)-1]
+		cl.entries = cl.entries[:len(cl.entries)-1]
+		t.Charge(sim.Time(tc.costs.CacheHit))
+		tc.stats.CacheHits++
+		tc.growOnStreak(cl)
+		tc.lastArena.set(t.ID(), e.arena)
+		return e.mem, sz, telemetry.TierMagazine, nil
 	}
-	return mem, err
+	tc.stats.CacheMisses++
+	// Offload fast path: a span the service thread prefetched for this
+	// class costs one mailbox claim plus the descriptor's line transfers —
+	// no lock of any kind. Hit or miss, the claim records demand so the next
+	// epoch prefetches ahead of us.
+	if tc.svc != nil {
+		if span, ok := tc.svc.takeFull(t, sz, size); ok {
+			return tc.install(t, c, sz, span), sz, telemetry.TierService, nil
+		}
+	}
+	// Tier 2: one span from the caller's node's depot costs DepotXfer cycles
+	// plus the class's lock or CAS — no arena lock, no per-chunk malloc
+	// work, and never a remote span while local ones exist.
+	if depot := tc.depotFor(t.Node()); depot != nil {
+		if span, ok := depot.get(t, sz); ok {
+			return tc.install(t, c, sz, span), sz, telemetry.TierDepot, nil
+		}
+	}
+	if tc.lf != nil {
+		// Tier 3, lock-free kinds: carve a batch from the buddy backend — no
+		// arena, no lock; the contention is the buddy's bitmap CAS.
+		mem, err := tc.buddyBatch(t, c, sz)
+		return mem, sz, telemetry.TierArena, err
+	}
+	mem, err := tc.arenaBatch(t, c, size, tc.batch-1, tc.costs.CacheRefill+tc.costs.WorkMalloc)
+	return mem, sz, telemetry.TierArena, err
+}
+
+// install parks a span fetched for a magazine miss in the caller's class and
+// hands its top chunk to the caller.
+func (tc *ThreadCache) install(t *sim.Thread, c *tcache, sz uint32, span []tcEntry) uint64 {
+	cl := tc.classOf(c, sz)
+	cl.streak = 0
+	e := span[len(span)-1]
+	cl.entries = append(cl.entries, span[:len(span)-1]...)
+	tc.lastArena.set(t.ID(), e.arena)
+	return e.mem
 }
 
 // arenaBatch allocates one chunk for the caller from the thread's home arena
@@ -643,131 +617,93 @@ func (tc *ThreadCache) buddyBatch(t *sim.Thread, c *tcache, sz uint32) (uint64, 
 }
 
 // Free parks cacheable chunks on the local cache without locking; a class
-// crossing its high-water mark is flushed back in arena-grouped batches.
+// crossing its high-water mark is flushed back in whole spans.
 func (tc *ThreadCache) Free(t *sim.Thread, mem uint64) error {
 	t.MaybeYield()
 	start := t.Now()
 	tc.opCharge(t, 0, tc.lastArena.get(t.ID()))
 	tc.maybeScavenge(t)
-	if tc.lf != nil {
-		// Buddy-backed chunks never belong to an arena and carry no chunk
-		// header: route them by span before any header sniffing. The
-		// mmapped-chunk probe reads the size word below mem, which for a
-		// buddy chunk is a neighbour's user bytes — data that can fake the
-		// IsMmapped flag and send the chunk to a bogus munmap.
-		if sp := tc.lf.spanOf(t, mem, tc.costs.TSDRead); sp != nil {
-			return tc.freeBuddy(t, mem, sp, start)
-		}
+	class, tier, err := tc.free(t, mem)
+	if err == nil {
+		tc.telOp(t, telemetry.OpFree, class, tier, start)
 	}
-	if done, err := tc.freeIfMmapped(t, mem); done {
-		if err == nil {
-			tc.telOp(t, telemetry.OpFree, 0, telemetry.TierVM, start)
-		}
-		return err
-	}
-	a, err := tc.routeFree(t, mem)
-	if err != nil {
-		return err
-	}
-	c := tc.cacheOf(t)
-	csz := a.ChunkSizeOf(t, mem)
-	// Implausible sizes (wild or corrupt pointers) take the locked arena
-	// path, which validates and reports ErrBadFree.
-	if csz >= heap.MinChunk && csz <= tc.maxBlock {
-		t.Charge(sim.Time(tc.costs.CacheHit))
-		tc.userFrees++
-		if c.home != nil && c.home != a {
-			tc.stats.CrossArenaFrees++
-		}
-		cl := tc.classOf(c, csz)
-		// A chunk owned by another node's arena must not re-enter the local
-		// hot path: buffer it and route it back to the owning node's depot
-		// in whole spans (Hoard's remote free), where that node's threads
-		// reuse it as local memory.
-		if tc.sharded() && a.Node >= 0 && a.Node != t.Node() {
-			tc.stats.RemoteFrees++
-			tc.stats.RemoteBytes += uint64(csz)
-			cl.remote = append(cl.remote, tcEntry{mem, a})
-			if len(cl.remote) >= tc.batch {
-				victims := cl.remote
-				cl.remote = nil
-				posted, err := tc.releaseOrPost(t, csz, victims, true)
-				if err == nil {
-					tc.telOp(t, telemetry.OpFree, csz, freeTier(posted), start)
-				}
-				return err
-			}
-			tc.telOp(t, telemetry.OpFree, csz, telemetry.TierMagazine, start)
-			return nil
-		}
-		cl.entries = append(cl.entries, tcEntry{mem, a})
-		if len(cl.entries) > cl.mark {
-			posted, err := tc.flushClass(t, cl)
-			if err == nil {
-				tc.telOp(t, telemetry.OpFree, csz, freeTier(posted), start)
-			}
-			return err
-		}
-		tc.telOp(t, telemetry.OpFree, csz, telemetry.TierMagazine, start)
-		return nil
-	}
-	t.Lock(a.Lock)
-	t.Charge(sim.Time(tc.costs.WorkFree))
-	ferr := a.Free(t, mem)
-	t.Unlock(a.Lock)
-	if ferr == nil {
-		tc.userFrees++
-		tc.telOp(t, telemetry.OpFree, csz, telemetry.TierArena, start)
-	}
-	return ferr
+	return err
 }
 
-// freeBuddy parks a buddy-backed chunk exactly like an arena-owned one —
-// local magazine, remote buffer for other nodes' memory — except that the
-// owning node comes from the span and the eventual flush returns the chunk
-// to its span instead of an arena lock.
-func (tc *ThreadCache) freeBuddy(t *sim.Thread, mem uint64, sp *lfSpan, start sim.Time) error {
+// free is Free's path; it reports the chunk's size class and the tier the
+// free reached. Buddy-backed chunks (the lock-free kinds) park exactly like
+// arena-owned ones, except that the owning node comes from the span and the
+// eventual flush returns the chunk to its span instead of an arena.
+func (tc *ThreadCache) free(t *sim.Thread, mem uint64) (uint32, telemetry.Tier, error) {
+	// Owner lookup: buddy span, then the mmapped check, then the arena.
+	// Buddy chunks carry no chunk header, so they are routed before any
+	// header sniffing: the mmapped probe reads the size word below mem,
+	// which for a buddy chunk is a neighbour's user bytes — data that can
+	// fake the IsMmapped flag and send the chunk to a bogus munmap.
+	var sp *lfSpan
+	if tc.lf != nil {
+		t.Charge(sim.Time(tc.costs.TSDRead))
+		sp = tc.lf.spanAt(mem)
+	}
+	var a *heap.Arena
+	if sp == nil {
+		if done, err := tc.freeIfMmapped(t, mem); done {
+			return 0, telemetry.TierVM, err
+		}
+		var err error
+		if a, err = tc.routeFree(t, mem); err != nil {
+			return 0, 0, err
+		}
+	}
 	c := tc.cacheOf(t)
-	csz := sp.csz
-	if csz >= heap.MinChunk && csz <= tc.maxBlock {
-		t.Charge(sim.Time(tc.costs.CacheHit))
-		tc.userFrees++
-		cl := tc.classOf(c, csz)
-		if tc.sharded() && sp.node >= 0 && sp.node != t.Node() {
-			tc.stats.RemoteFrees++
-			tc.stats.RemoteBytes += uint64(csz)
-			cl.remote = append(cl.remote, tcEntry{mem: mem})
-			if len(cl.remote) >= tc.batch {
-				victims := cl.remote
-				cl.remote = nil
-				posted, err := tc.releaseOrPost(t, csz, victims, true)
-				if err == nil {
-					tc.telOp(t, telemetry.OpFree, csz, freeTier(posted), start)
-				}
-				return err
-			}
-			tc.telOp(t, telemetry.OpFree, csz, telemetry.TierMagazine, start)
-			return nil
-		}
-		cl.entries = append(cl.entries, tcEntry{mem: mem})
-		if len(cl.entries) > cl.mark {
-			posted, err := tc.flushClass(t, cl)
-			if err == nil {
-				tc.telOp(t, telemetry.OpFree, csz, freeTier(posted), start)
-			}
-			return err
-		}
-		tc.telOp(t, telemetry.OpFree, csz, telemetry.TierMagazine, start)
-		return nil
+	var csz uint32
+	var node int
+	if sp != nil {
+		csz, node = sp.csz, sp.node
+	} else {
+		csz, node = a.ChunkSizeOf(t, mem), a.Node
 	}
-	// Oversized buddy chunks (no current path carves one) return straight to
-	// their span.
-	if err := tc.lf.returnChunk(t, mem); err != nil {
-		return err
+	// Implausible sizes (wild or corrupt pointers) take the locked arena
+	// path, which validates and reports ErrBadFree. Buddy spans carve only
+	// cacheable classes, so their chunks never land here.
+	if csz < heap.MinChunk || csz > tc.maxBlock {
+		t.Lock(a.Lock)
+		t.Charge(sim.Time(tc.costs.WorkFree))
+		err := a.Free(t, mem)
+		t.Unlock(a.Lock)
+		if err == nil {
+			tc.userFrees++
+		}
+		return csz, telemetry.TierArena, err
 	}
+	t.Charge(sim.Time(tc.costs.CacheHit))
 	tc.userFrees++
-	tc.telOp(t, telemetry.OpFree, csz, telemetry.TierArena, start)
-	return nil
+	if a != nil && c.home != nil && c.home != a {
+		tc.stats.CrossArenaFrees++
+	}
+	cl := tc.classOf(c, csz)
+	// A chunk owned by another node must not re-enter the local hot path:
+	// buffer it and route it back to the owning node's depot in whole spans
+	// (Hoard's remote free), where that node's threads reuse it as local
+	// memory.
+	if tc.sharded() && node >= 0 && node != t.Node() {
+		tc.stats.RemoteFrees++
+		tc.stats.RemoteBytes += uint64(csz)
+		cl.remote = append(cl.remote, tcEntry{mem, a})
+		if len(cl.remote) < tc.batch {
+			return csz, telemetry.TierMagazine, nil
+		}
+		victims := cl.remote
+		cl.remote = nil
+		posted, err := tc.releaseOrPost(t, csz, victims, true)
+		return csz, freeTier(posted), err
+	}
+	cl.entries = append(cl.entries, tcEntry{mem, a})
+	if len(cl.entries) <= cl.mark {
+		return csz, telemetry.TierMagazine, nil
+	}
+	posted, err := tc.flushClass(t, cl)
+	return csz, freeTier(posted), err
 }
 
 // growOnStreak advances a class's hit streak and grows its adaptive mark by
@@ -844,45 +780,31 @@ func (tc *ThreadCache) releaseOrPost(t *sim.Thread, csz uint32, victims []tcEntr
 }
 
 // release returns victims (all of class csz) to the system: spans of up to
-// CacheBatch chunks are donated to the transfer cache (a trailing partial
-// span included — detach must empty the magazine), and whatever the depot
+// CacheBatch chunks are donated to the depot (a trailing partial span
+// included — detach must empty the magazine), and whatever the depot
 // refuses — or everything, when it is disabled — is freed into the owning
 // arenas. On a sharded pool each span is donated to the depot of the node
 // owning its chunks, so remote frees land where their memory lives and a
-// full depot on one node never blocks donations to another. Donated spans
-// are copies, but the arena fallback reorders victims in place; the slice
+// full depot on one node never blocks donations to another; a flat pool is
+// the one-node case of the same loop. Donated spans are copies, but the
+// node grouping and the arena fallback reorder victims in place; the slice
 // holds nothing of value once release returns, and the caller may reuse its
 // backing storage.
 func (tc *ThreadCache) release(t *sim.Thread, csz uint32, victims []tcEntry) error {
 	if len(tc.depots) == 0 {
 		return tc.flush(t, victims)
 	}
-	if !tc.sharded() {
-		depot := tc.depots[0]
-		for len(victims) > 0 {
-			sn := tc.batch
-			if sn > len(victims) {
-				sn = len(victims)
-			}
-			span := make([]tcEntry, sn)
-			copy(span, victims[:sn])
-			if !depot.put(t, csz, span) {
-				break
-			}
-			victims = victims[sn:]
-		}
-		return tc.flush(t, victims)
+	if tc.sharded() {
+		// Group victims by owning node (stable, so LIFO order survives
+		// within a node). Unbound arenas (the main arena) count as node 0.
+		sort.SliceStable(victims, func(i, j int) bool {
+			return tc.nodeOfEntry(victims[i]) < tc.nodeOfEntry(victims[j])
+		})
 	}
-	// Group victims by owning node (stable, so LIFO order survives within a
-	// node), then donate each node's run as spans to that node's depot.
-	// Unbound arenas (the main arena) count as node 0. Refusals fall into
-	// one combined arena flush.
-	sort.SliceStable(victims, func(i, j int) bool {
-		return tc.nodeOfEntry(victims[i]) < tc.nodeOfEntry(victims[j])
-	})
-	var leftovers []tcEntry
-	i := 0
-	for i < len(victims) {
+	// Donate each node's run as spans to that node's depot; refusals are
+	// compacted into victims[:n] for one combined arena flush.
+	n := 0
+	for i := 0; i < len(victims); {
 		node := tc.nodeOfEntry(victims[i])
 		j := i
 		for j < len(victims) && tc.nodeOfEntry(victims[j]) == node {
@@ -898,14 +820,14 @@ func (tc *ThreadCache) release(t *sim.Thread, csz uint32, victims []tcEntry) err
 			span := make([]tcEntry, sn)
 			copy(span, run[:sn])
 			if !depot.put(t, csz, span) {
-				leftovers = append(leftovers, run...)
+				n += copy(victims[n:], run)
 				break
 			}
 			run = run[sn:]
 		}
 		i = j
 	}
-	return tc.flush(t, leftovers)
+	return tc.flush(t, victims[:n])
 }
 
 // nodeOfArena maps an arena to the shard node its chunks live on (unbound
@@ -919,17 +841,20 @@ func (tc *ThreadCache) nodeOfArena(a *heap.Arena) int {
 
 // nodeOfEntry maps a cached chunk to its owning node: the arena's node for
 // arena chunks, the span's for buddy-backed ones (unbound either way counts
-// as node 0).
+// as node 0). A flat pool is all node 0.
 func (tc *ThreadCache) nodeOfEntry(e tcEntry) int {
-	if e.arena == nil {
-		if tc.lf != nil {
-			if sp := tc.lf.spanAt(e.mem); sp != nil && sp.node >= 0 {
-				return sp.node
-			}
-		}
+	if !tc.sharded() {
 		return 0
 	}
-	return tc.nodeOfArena(e.arena)
+	if e.arena != nil {
+		return tc.nodeOfArena(e.arena)
+	}
+	if tc.lf != nil {
+		if sp := tc.lf.spanAt(e.mem); sp != nil && sp.node >= 0 {
+			return sp.node
+		}
+	}
+	return 0
 }
 
 // flush frees victims into their owning arenas. Victims are pre-sorted by
@@ -983,19 +908,14 @@ func (tc *ThreadCache) DetachThread(t *sim.Thread) {
 	if c := tc.caches.get(t.ID()); c != nil {
 		for _, k := range c.classes.keys() {
 			cl := c.classes.get(k)
-			csz := cl.csz
-			if err := tc.release(t, csz, cl.entries); err != nil {
-				tc.recordErr(fmt.Errorf("malloc: thread-cache release on detach: %w", err))
-			}
-			cl.entries = nil
-			if len(cl.remote) > 0 {
-				// Pending remote frees go home with the magazine: release
-				// routes them to their owning nodes' depots.
-				if err := tc.release(t, csz, cl.remote); err != nil {
-					tc.recordErr(fmt.Errorf("malloc: remote-buffer release on detach: %w", err))
+			// Pending remote frees go home with the magazine: release
+			// routes them to their owning nodes' depots.
+			for _, victims := range [][]tcEntry{cl.entries, cl.remote} {
+				if err := tc.release(t, cl.csz, victims); err != nil {
+					tc.recordErr(fmt.Errorf("malloc: thread-cache release on detach: %w", err))
 				}
-				cl.remote = nil
 			}
+			cl.entries, cl.remote = nil, nil
 		}
 		tc.caches.set(t.ID(), nil)
 	}
@@ -1056,18 +976,11 @@ func (tc *ThreadCache) Stats() Stats {
 	for _, depot := range tc.depots {
 		s.DepotChunks += depot.chunkCount()
 		s.DepotBytes += depot.byteCount()
-		s.DepotLockAcqs += depot.lockAcqs()
-		cs := depot.casStats()
-		s.CASAttempts += cs.CASAttempts
-		s.CASFails += cs.CASFails
-		s.CASRetryCycles += uint64(cs.WaitCycles)
+		depot.addPointStats(&s)
 	}
 	for _, sh := range tc.shards {
 		if sh.cursor != nil {
-			cs := sh.cursor.PointStats()
-			s.CASAttempts += cs.CASAttempts
-			s.CASFails += cs.CASFails
-			s.CASRetryCycles += uint64(cs.WaitCycles)
+			addCASStats(&s, sh.cursor.PointStats())
 		}
 	}
 	if tc.lf != nil {
@@ -1090,6 +1003,13 @@ func (tc *ThreadCache) Stats() Stats {
 		s.SvcParkedChunks, s.SvcParkedBytes = tc.svc.parked()
 	}
 	return s
+}
+
+// addCASStats adds one CAS point's attempts, failures and retry cycles to s.
+func addCASStats(s *Stats, ps sim.PointStats) {
+	s.CASAttempts += ps.CASAttempts
+	s.CASFails += ps.CASFails
+	s.CASRetryCycles += uint64(ps.WaitCycles)
 }
 
 // ParkedBytes sums the memory parked in every caching tier right now —

@@ -180,7 +180,7 @@ func TestThreadCacheFlushNoDepot(t *testing.T) {
 		costs := DefaultCostParams()
 		costs.CacheBatch = 4
 		costs.CacheHigh = 8
-		costs.DepotCap = -1
+		costs.DepotCapBytes = -1
 		costs.CacheAdaptive = -1
 		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
