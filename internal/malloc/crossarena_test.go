@@ -7,15 +7,16 @@ import (
 	"mtmalloc/internal/sim"
 )
 
-// TestReallocCallocAcrossArenas covers the cross-arena routing paths for all
-// four designs: a producer thread fills its arena, a consumer thread (owning
+// TestReallocCallocAcrossArenas covers the cross-arena routing paths for
+// every kind: a producer thread fills its arena, a consumer thread (owning
 // a different arena where the design has one) reallocs every chunk — forcing
 // moves whose size reads, copies and frees must route through the chunk's
 // owning arena — and callocs fresh zeroed memory. Asserts data integrity,
 // copied-byte accounting, cross-arena free counts and Check() cleanliness.
+// The offloaded kinds run their service threads through both phases.
 func TestReallocCallocAcrossArenas(t *testing.T) {
 	const nObjs = 60
-	for _, kind := range Kinds() {
+	for _, kind := range allKinds() {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			m, as := newWorld(2, 31)
@@ -24,6 +25,10 @@ func TestReallocCallocAcrossArenas(t *testing.T) {
 				if err != nil {
 					t.Errorf("New: %v", err)
 					return
+				}
+				svc := ServiceOf(al)
+				if svc != nil {
+					svc.Start(main)
 				}
 				space := al.AddressSpace()
 				var objs []uint64
@@ -83,6 +88,9 @@ func TestReallocCallocAcrossArenas(t *testing.T) {
 					}
 				})
 				main.Join(cons)
+				if svc != nil {
+					svc.Stop(main)
+				}
 
 				st := al.Stats()
 				// Nearly all chunks must have moved and copied their

@@ -26,23 +26,23 @@ import (
 //
 //   - the mutex kinds put each class behind a sim.Mutex (the tcmalloc
 //     shape): every get, put and scavenge takes the lock before its
-//     DepotXfer charge and releases it at the end, misses and refusals
+//     depotXferWork charge and releases it at the end, misses and refusals
 //     included;
 //   - the lock-free kinds keep each class on a Treiber stack whose head is a
-//     sim.CASPoint: a successful pop or push is one CAS after the DepotXfer
-//     charge, an empty get or a refused put pays none, and nobody ever
-//     blocks — a preempted thread mid-exchange cannot convoy the class the
-//     way a preempted mutex holder does, which is the property experiment D5
-//     measures. A scavenge detaches the whole stack with one CAS (the
-//     snapshot is then private to the scavenger, so no torn count-vs-list
-//     state is observable) and re-attaches the survivors with a second.
+//     sim.CASPoint: a successful pop or push is one CAS after the
+//     depotXferWork charge, an empty get or a refused put pays none, and
+//     nobody ever blocks — a preempted thread mid-exchange cannot convoy the
+//     class the way a preempted mutex holder does, which is the property
+//     experiment D5 measures. A scavenge detaches the whole stack with one
+//     CAS (the snapshot is then private to the scavenger, so no torn
+//     count-vs-list state is observable) and re-attaches the survivors with
+//     a second.
 type depot struct {
 	mach     *sim.Machine
 	name     string
 	lockFree bool
 	classes  map[uint32]*depotClass
 	capBytes int64
-	xfer     int64
 	stats    *Stats
 }
 
@@ -61,14 +61,13 @@ type depotClass struct {
 	decayRem int
 }
 
-func newDepot(m *sim.Machine, name string, lockFree bool, capBytes, xfer int64, stats *Stats) *depot {
+func newDepot(m *sim.Machine, name string, lockFree bool, capBytes int64, stats *Stats) *depot {
 	return &depot{
 		mach:     m,
 		name:     name,
 		lockFree: lockFree,
 		classes:  make(map[uint32]*depotClass),
 		capBytes: capBytes,
-		xfer:     xfer,
 		stats:    stats,
 	}
 }
@@ -90,12 +89,12 @@ func (d *depot) classOf(csz uint32) *depotClass {
 }
 
 // enter opens an exchange with class dc: the class lock, if it has one,
-// then the DepotXfer charge.
+// then the depotXferWork charge.
 func (d *depot) enter(t *sim.Thread, dc *depotClass) {
 	if dc.lock != nil {
 		t.Lock(dc.lock)
 	}
-	t.Charge(sim.Time(d.xfer))
+	t.Charge(depotXferWork)
 }
 
 // swing prices one change of the class's span stack: a CAS on the head of

@@ -34,7 +34,7 @@ func TestDepotFlavours(t *testing.T) {
 			m, _ := newWorld(1, 3)
 			var stats Stats
 			// Byte cap: six 4-chunk spans of class 64.
-			d := newDepot(m, "d", tc.lockFree, 4*64*6, 45, &stats)
+			d := newDepot(m, "d", tc.lockFree, 4*64*6, &stats)
 			err := m.Run(func(th *sim.Thread) {
 				if _, ok := d.get(th, 64); ok {
 					t.Error("empty depot served a span")
@@ -136,7 +136,7 @@ func TestDepotFlavours(t *testing.T) {
 func TestLFDepotAccounting(t *testing.T) {
 	m, _ := newWorld(1, 3)
 	var stats Stats
-	d := newDepot(m, "lf", true, 4*64*6, 45, &stats) // byte cap: six 4-chunk spans of class 64
+	d := newDepot(m, "lf", true, 4*64*6, &stats) // byte cap: six 4-chunk spans of class 64
 	err := m.Run(func(th *sim.Thread) {
 		if _, ok := d.get(th, 64); ok {
 			t.Error("empty depot served a span")
@@ -198,7 +198,7 @@ func TestLFDepotAccounting(t *testing.T) {
 func TestLFDepotScavengeSnapshot(t *testing.T) {
 	m, _ := newWorld(1, 3)
 	var stats Stats
-	d := newDepot(m, "lf", true, 4*64*16, 45, &stats)
+	d := newDepot(m, "lf", true, 4*64*16, &stats)
 	err := m.Run(func(th *sim.Thread) {
 		for i := 0; i < 3; i++ {
 			if !d.put(th, 64, span4(uint64(0x1000*(i+1)))) {
@@ -252,14 +252,13 @@ func TestDepotHitMissDonateAccounting(t *testing.T) {
 	m, as := newWorld(2, 67)
 	err := m.Run(func(main *sim.Thread) {
 		costs := DefaultCostParams()
-		costs.CacheBatch = 4
-		costs.CacheHigh = 8
 		costs.CacheAdaptive = -1 // fixed marks: flush points are deterministic
 		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
 			t.Errorf("NewThreadCache: %v", err)
 			return
 		}
+		al.batch, al.highWater = 4, 8
 		// 12 allocations = 3 arena refills; freeing all 12 crosses the mark
 		// at the 9th free (9 > 8): the 5-chunk surplus is rounded down to one
 		// whole span of 4, keeping the sub-batch remainder parked.
@@ -331,8 +330,6 @@ func TestDepotOverflowFallsBackToArena(t *testing.T) {
 	m, as := newWorld(2, 71)
 	err := m.Run(func(main *sim.Thread) {
 		costs := DefaultCostParams()
-		costs.CacheBatch = 4
-		costs.CacheHigh = 8
 		params := heap.DefaultParams()
 		costs.DepotCapBytes = 4 * int64(params.Request2Size(64))
 		costs.CacheAdaptive = -1
@@ -341,6 +338,7 @@ func TestDepotOverflowFallsBackToArena(t *testing.T) {
 			t.Errorf("NewThreadCache: %v", err)
 			return
 		}
+		al.batch, al.highWater = 4, 8
 		var ps []uint64
 		for i := 0; i < 40; i++ {
 			p, err := al.Malloc(main, 64)

@@ -27,16 +27,18 @@ const (
 	KindLockFreeSvc    Kind = "lockfree-svc"
 )
 
-// Kinds lists every allocator kind.
+// Kinds lists the five designs under study. The offloaded kinds
+// (KindThreadCacheSvc, KindLockFreeSvc) are not in it: experiments that
+// sweep the designs keep their original matrix, and a caller that wants
+// every kind appends the two itself.
 func Kinds() []Kind {
 	return []Kind{KindSerial, KindPTMalloc, KindPerThread, KindThreadCache, KindLockFree}
 }
 
-// New constructs an allocator of the given kind on as, wrapped in the
-// memory-pressure shell (pressure.go): out-of-memory failures trigger an
-// emergency reclamation cascade and bounded retries before propagating.
-// The shell is a pure pass-through unless an allocation actually fails, so
-// every unlimited run's numbers are those of the bare design.
+// New constructs an allocator of the given kind on as. The design itself is
+// returned — the op frame it runs (malloc.go) already includes the
+// memory-pressure cascade (pressure.go), which stays idle unless an
+// allocation actually fails.
 func New(t *sim.Thread, kind Kind, as *vm.AddressSpace, params heap.Params, costs CostParams) (Allocator, error) {
 	var al Allocator
 	var err error
@@ -55,7 +57,7 @@ func New(t *sim.Thread, kind Kind, as *vm.AddressSpace, params heap.Params, cost
 	if err != nil {
 		return nil, err
 	}
-	return newResilient(al), nil
+	return al, nil
 }
 
 // Aligned returns params adjusted so every returned pointer sits on its own

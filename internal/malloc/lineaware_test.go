@@ -18,7 +18,7 @@ func lineAwareCosts() CostParams {
 // line-aligned chunks whose classes are line multiples, and must account the
 // rounding overhead in LineQuantBytes.
 func TestLineAwareQuantization(t *testing.T) {
-	for _, kind := range Kinds() {
+	for _, kind := range allKinds() {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			m, as := newWorld(2, 7)

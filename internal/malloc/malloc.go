@@ -17,17 +17,17 @@
 //     magazine -> depot (central transfer cache) -> page backend
 //
 //     Tier 1 is a per-thread, per-size-class magazine: pops and pushes are
-//     lock-free and cost CacheHit cycles. Each class's high-water mark is
-//     adaptive by default (CacheAdaptive): it starts at CacheBatch, grows by
-//     a batch after CacheGrowStreak consecutive lock-free hits, shrinks by a
-//     batch whenever the class flushes, and is clamped to [CacheBatch,
-//     CacheHigh]. Tier 2 is the depot: a shared per-size-class store of
-//     chunk spans. Magazine misses try it (DepotXfer cycles plus the class's
-//     lock or CAS) before touching the backend, and magazine flushes and
-//     detaches donate whole spans to it, so cross-thread free traffic
-//     becomes one depot exchange instead of N arena-lock frees. Each depot
-//     class parks at most DepotCapBytes; overflow falls through to tier 3,
-//     the CPU-bounded shared arena pool.
+//     lock-free and cost cacheHitWork cycles. Each class's high-water mark
+//     is adaptive by default (CacheAdaptive): it starts at one batch of
+//     cacheBatch chunks, grows by a batch after cacheGrowStreak consecutive
+//     lock-free hits, shrinks by a batch whenever the class flushes, and is
+//     clamped to [cacheBatch, cacheHigh]. Tier 2 is the depot: a shared
+//     per-size-class store of chunk spans. Magazine misses try it
+//     (depotXferWork cycles plus the class's lock or CAS) before touching
+//     the backend, and magazine flushes and detaches donate whole spans to
+//     it, so cross-thread free traffic becomes one depot exchange instead of
+//     N arena-lock frees. Each depot class parks at most DepotCapBytes;
+//     overflow falls through to tier 3, the CPU-bounded shared arena pool.
 //
 //     One machine serves four kinds, and the Kind alone picks its parts
 //     (see ThreadCache): threadcache prices the depot with mutexes;
@@ -38,10 +38,27 @@
 //     threadcache-svc and lockfree-svc add per-node service threads that
 //     take over refill, flush and scavenge bookkeeping (service.go, D10).
 //
+// # One op frame, many designs
+//
+// Every kind runs the same op frame, written once on base: Malloc, Free,
+// Realloc, Calloc, Stats and Check. The frame owns everything the designs
+// share — the preemption point, the per-op shared-state tax, the inline
+// scavenge tick, the mmap path, line-quantization metering, one telemetry
+// record per op and the out-of-memory cascade-and-retry (pressure.go) —
+// and asks the design, through the unexported design interface, only what
+// differs. base answers every question itself — a malloc locks the one
+// main arena, a free is routed to its owner — so Serial is base plus one
+// answer, PTMalloc and PerThread override how a malloc gets a locked arena
+// and what a full arena falls over to (paper.go), and ThreadCache replaces
+// the arena path wholesale with its tier walk (threadcache.go). Which
+// arena is a thread's own, the one the per-op tax bills, is data: the
+// table base.own points at. New returns the design itself; nothing wraps
+// it.
+//
 // All variants serve requests at or above the mmap threshold from dedicated
 // anonymous mappings, as glibc does ("mmap() for allocation requests larger
 // than 32 pages"). A fourth, orthogonal tier lives in the vm layer: the
-// mmap-region reuse cache (MmapReuseCap bytes, MmapReuseWork cycles per
+// mmap-region reuse cache (MmapReuseCap bytes, mmapReuseWork cycles per
 // operation) parks munmapped above-threshold regions — pages intact — on a
 // bounded size-bucketed list and re-hands them out without a syscall or
 // fresh first-touch faults. ThreadCache enables it by default
@@ -75,7 +92,7 @@
 // middle of a multi-segment sub-arena; enabled by ScavengeMinBinBytes,
 // padded by ScavengeBinPad), reuse-cache regions parked longer than an
 // epoch are munmapped for real, and finally each arena's free top tail
-// past ScavengeTrimPad is handed back madvise(DONTNEED)-style — the region
+// past scavengeTrimPad is handed back madvise(DONTNEED)-style — the region
 // stays mapped and the next touch pays the refault cost. The binned and trim
 // stages skip arenas with a malloc/free since the cutoff, so a mid-burst
 // arena is never forced into a madvise/refault ping-pong. Experiment D3
@@ -135,14 +152,16 @@ import (
 	"fmt"
 
 	"mtmalloc/internal/heap"
+	"mtmalloc/internal/scavenge"
 	"mtmalloc/internal/sim"
 	"mtmalloc/internal/telemetry"
 	"mtmalloc/internal/vm"
 )
 
 // CostParams holds the allocator-level instruction costs in cycles plus the
-// thread-cache tuning knobs; the memory traffic underneath is charged by the
-// heap/vm/cache layers.
+// design knobs a profile or experiment varies; the memory traffic underneath
+// is charged by the heap/vm/cache layers, and the magazine machine's fixed
+// tuning lives in constants (threadcache.go).
 type CostParams struct {
 	WorkMalloc int64 // fixed instruction work per malloc
 	WorkFree   int64 // fixed instruction work per free
@@ -154,39 +173,25 @@ type CostParams struct {
 	// more threads run on one instance.
 	MainArenaSloshUnit int64
 
-	// Thread-cache (KindThreadCache) knobs. Zero values take the defaults
-	// applied by NewThreadCache, so profiles that predate the design keep
-	// working unchanged.
-	CacheHit    int64  // lock-free cache pop/push
-	CacheRefill int64  // fixed overhead per batch refill (on top of WorkMalloc)
-	CacheFlush  int64  // fixed overhead per batch flush (on top of WorkFree)
-	CacheBatch  int    // chunks pulled from the arena per refill
-	CacheHigh   int    // per-class high-water mark (the cap under adaptive sizing)
-	CacheMax    uint32 // largest chunk size served from the cache
-
-	// Central transfer cache (the depot between thread magazines and the
-	// page backend). Zero values take NewThreadCache defaults.
-	DepotXfer int64 // cycles per depot span exchange, on top of the lock or CAS
-	// DepotCapBytes bounds the bytes parked in each depot class
-	// (DefaultDepotCapBytes when 0). A byte cap, not a span count: shrunken
-	// adaptive marks donate small spans, which a count limit would refuse
-	// while parking almost nothing. < 0 disables the depot entirely (PR-1
-	// behaviour: flushes free chunk by chunk into arenas).
+	// DepotCapBytes bounds the bytes parked in each class of the central
+	// transfer cache (the depot between thread magazines and the page
+	// backend; DefaultDepotCapBytes when 0). A byte cap, not a span count:
+	// shrunken adaptive marks donate small spans, which a count limit would
+	// refuse while parking almost nothing. < 0 disables the depot entirely
+	// (PR-1 behaviour: flushes free chunk by chunk into arenas).
 	DepotCapBytes int64
 
 	// Adaptive magazine sizing (tcmalloc's slow start). CacheAdaptive >= 0
 	// grows each class's high-water mark on consecutive-hit streaks and
-	// shrinks it on flush pressure, between CacheBatch and CacheHigh;
-	// CacheAdaptive < 0 pins every mark at CacheHigh (the PR-1 fixed mark).
-	CacheAdaptive   int
-	CacheGrowStreak int // consecutive lock-free hits that grow a class's mark
+	// shrinks it on flush pressure, between cacheBatch and cacheHigh;
+	// CacheAdaptive < 0 pins every mark at cacheHigh (the PR-1 fixed mark).
+	CacheAdaptive int
 
 	// Mmap-region reuse cache (shared vm tier). MmapReuseCap is the byte cap
 	// on parked regions: 0 leaves the cache off for designs that predate it
 	// (the paper's allocators), NewThreadCache defaults it on; < 0 disables
 	// it explicitly.
-	MmapReuseCap  int64
-	MmapReuseWork int64 // cycles per reuse-cache park/lookup
+	MmapReuseCap int64
 
 	// Scavenger (internal/scavenge): epoch-driven decay of idle parked
 	// memory across all tiers. ScavengeInterval is the epoch length in
@@ -197,11 +202,6 @@ type CostParams struct {
 	// ScavengeDecay is the percentage of an idle tier's parked memory
 	// released per epoch (clamped to [1, 100]; 0 takes the default).
 	ScavengeDecay int
-	// ScavengeTrimPad is the number of bytes each arena keeps resident at
-	// its top when the scavenger trims (malloc_trim's pad; 0 takes the
-	// default, < 0 means no pad).
-	ScavengeTrimPad int64
-	ScavengeWork    int64 // fixed cycles charged per scavenge pass
 	// ScavengeMinBinBytes enables the PageHeap-style binned-chunk release
 	// stage (Arena.ReleaseBinned): a free chunk idle for a full epoch has the
 	// whole pages strictly inside it handed back to the kernel, provided at
@@ -209,11 +209,11 @@ type CostParams struct {
 	// worth its syscall. 0 (the default) leaves the stage off, so D1/D2 and
 	// every pre-existing profile measure exactly what they did before.
 	ScavengeMinBinBytes int64
-	// ScavengeBinPad is the binned analogue of ScavengeTrimPad: each arena
-	// keeps up to this many bytes of binned-chunk interior resident, biggest
-	// cold chunks released first, so the next burst's best-fit refill carves
-	// warm memory before it ever touches a released page (0 takes the
-	// default, < 0 keeps no pad).
+	// ScavengeBinPad is the binned analogue of the top trim's pad: each
+	// arena keeps up to this many bytes of binned-chunk interior resident,
+	// biggest cold chunks released first, so the next burst's best-fit
+	// refill carves warm memory before it ever touches a released page (0
+	// takes the default, < 0 keeps no pad).
 	ScavengeBinPad int64
 
 	// NUMANodeBlind disables node-aware placement on multi-node machines:
@@ -246,14 +246,13 @@ type CostParams struct {
 // the cache holds back from the kernel stays honest.
 const DefaultMmapReuseCap = 4 << 20
 
+// mmapReuseWork is the cycles one reuse-cache park or lookup costs.
+const mmapReuseWork = 30
+
 // DefaultDepotCapBytes is the per-class byte cap NewThreadCache applies when
-// DepotCapBytes is zero: about eight spans of CacheBatch default-sized
+// DepotCapBytes is zero: about eight spans of cacheBatch default-sized
 // chunks, counted in bytes so small spans from shrunken adaptive marks fit.
 const DefaultDepotCapBytes = 64 << 10
-
-// DefaultScavengeTrimPad is the per-arena resident pad NewThreadCache keeps
-// at each top chunk when ScavengeTrimPad is zero.
-const DefaultScavengeTrimPad = 64 << 10
 
 // Service-thread tuning of the -svc kinds: the epoch length in cycles (how
 // often a service thread polls its mailbox, prefetches and scavenges), the
@@ -286,18 +285,7 @@ func DefaultCostParams() CostParams {
 		WorkMalloc:    140,
 		WorkFree:      110,
 		TSDRead:       8,
-		SharedTaxUnit: 0,
-		CacheHit:      15,
-		CacheRefill:   60,
-		CacheFlush:    60,
-		CacheBatch:    16,
-		CacheHigh:     64,
-		CacheMax:      32 * 1024,
-
-		DepotXfer:       45,
-		DepotCapBytes:   DefaultDepotCapBytes,
-		CacheGrowStreak: 64,
-		MmapReuseWork:   30,
+		DepotCapBytes: DefaultDepotCapBytes,
 		// MmapReuseCap stays 0: only designs that opt in (NewThreadCache
 		// defaults it to DefaultMmapReuseCap) enable the reuse tier, so the
 		// paper's allocators keep their measured syscall and fault counts.
@@ -305,9 +293,7 @@ func DefaultCostParams() CostParams {
 		// ScavengeInterval stays 0: reclamation is opt-in, so every
 		// throughput experiment (D1/D2) measures exactly what it did before
 		// the subsystem existed. D3 and production profiles turn it on.
-		ScavengeDecay:   50,
-		ScavengeTrimPad: DefaultScavengeTrimPad,
-		ScavengeWork:    120,
+		ScavengeDecay: 50,
 	}
 }
 
@@ -465,8 +451,12 @@ type Allocator interface {
 	Check() error
 }
 
-// base carries the machinery common to all variants.
+// base carries the machinery common to all variants: the arena list, the
+// per-thread tables, the counters, and the op frame every kind runs.
 type base struct {
+	// kind is the design built around this base (the struct embedding it),
+	// asked by the frame for everything that differs between designs.
+	kind   design
 	name   string
 	as     *vm.AddressSpace
 	params heap.Params
@@ -476,8 +466,8 @@ type base struct {
 	listLock *sim.Mutex
 
 	// Line-aware placement (CostParams.LineAware): lineAware records that
-	// newBase raised params.Align to the cache line size; quantBase keeps
-	// the pre-raise params so noteQuant can price what the raise costs each
+	// init raised params.Align to the cache line size; quantBase keeps the
+	// pre-raise params so noteQuant can price what the raise costs each
 	// allocation.
 	lineAware bool
 	quantBase heap.Params
@@ -487,16 +477,36 @@ type base struct {
 	active   int
 
 	lastArena denseTable[*heap.Arena]
+	// own is the table of each thread's own arena: the one whose metadata
+	// the per-op main-arena slosh bills, and the one a free counts as
+	// crossing from. A design points it at lastArena or at its private
+	// arenas; nil makes the main arena every thread's own.
+	own *denseTable[*heap.Arena]
 
 	stats Stats
+	// mallocs and frees count the user operations below the mmap threshold
+	// that succeeded; Stats reports them as Heap.Mallocs/Frees, because the
+	// arena counters of a caching design also count batch refills and miss
+	// parked frees.
+	mallocs, frees uint64
+
+	// scav is the reclamation engine (internal/scavenge), nil unless a
+	// design with parking tiers opted in with ScavengeInterval.
+	scav *scavenge.Scavenger
+
+	// Memory-pressure state (pressure.go): level is the degradation gauge
+	// (0 calm, 1 magazine marks clamped, 2 reuse parking off too) and
+	// calmAt the virtual time at which it clears.
+	level  int
+	calmAt sim.Time
 
 	// tel is the attached telemetry recorder, nil when telemetry is off:
 	// every recording site nil-checks, so the disabled cost is one branch.
-	// telSuppress mutes op recording while the emergency cascade reruns an
+	// muted silences op recording while the emergency cascade reruns an
 	// operation, so the retried op is attributed once, to the emergency
 	// tier, instead of to whichever tier the retry happened to hit.
-	tel         *telemetry.Recorder
-	telSuppress bool
+	tel   *telemetry.Recorder
+	muted bool
 
 	// deferredErr holds the first error from a context that cannot
 	// propagate one (scavenge passes, magazine re-homing, detach flushes).
@@ -505,8 +515,43 @@ type base struct {
 	deferredErr error
 }
 
-func newBase(t *sim.Thread, name string, as *vm.AddressSpace, params heap.Params, costs CostParams) (*base, error) {
-	b := &base{
+// design is what one allocator kind supplies to the op frame. base itself
+// implements every method — a malloc locks the one main arena, a full arena
+// has nowhere to fall over to, a free is routed to its owning arena, nothing
+// is cached — so a design embeds base and overrides only where it differs;
+// method promotion supplies the rest.
+type design interface {
+	// lockArena returns the locked arena a below-threshold malloc carves.
+	lockArena(t *sim.Thread) (*heap.Arena, error)
+	// fallover serves a malloc that arena full refused with err.
+	fallover(t *sim.Thread, full *heap.Arena, size uint32, err error) (uint64, error)
+	// freeArena finds the arena owning mem.
+	freeArena(t *sim.Thread, mem uint64) (*heap.Arena, error)
+
+	// allocate serves a below-threshold malloc (sz is its chunk size) and
+	// reports the tier that served it; the default is the arena path built
+	// from lockArena and fallover.
+	allocate(t *sim.Thread, size, sz uint32) (uint64, telemetry.Tier, error)
+	// deallocate frees mem and reports its size class (0 when the design
+	// does not class chunks) and the tier the free reached; the default
+	// unmaps mmapped chunks and frees the rest into freeArena's arena.
+	deallocate(t *sim.Thread, mem uint64) (uint32, telemetry.Tier, error)
+	// spanClass reports the chunk size of a headerless chunk (the lock-free
+	// kinds' buddy-backed chunks), 0 for a chunk with a boundary tag.
+	spanClass(t *sim.Thread, mem uint64) uint32
+	// reclaim runs one emergency cascade pass at the given pressure level
+	// (escalated: the level just rose) and returns the bytes it shed.
+	reclaim(t *sim.Thread, level int, escalated bool) uint64
+	// addStats adds the design's own tiers to s; check verifies them.
+	addStats(s *Stats)
+	check() error
+}
+
+// init builds the base of design kind: the main arena, line-aware params and
+// the reuse tier.
+func (b *base) init(t *sim.Thread, kind design, name string, as *vm.AddressSpace, params heap.Params, costs CostParams) error {
+	*b = base{
+		kind:     kind,
 		name:     name,
 		as:       as,
 		params:   params,
@@ -526,19 +571,20 @@ func newBase(t *sim.Thread, name string, as *vm.AddressSpace, params heap.Params
 		b.lineAware = true
 	}
 	if costs.MmapReuseCap > 0 {
-		as.SetMmapReuse(uint64(costs.MmapReuseCap), costs.MmapReuseWork)
+		as.SetMmapReuse(uint64(costs.MmapReuseCap), mmapReuseWork)
 	}
 	main, err := heap.NewMain(t, as, &b.params)
 	if err != nil {
-		return nil, fmt.Errorf("malloc: creating main arena: %w", err)
+		return fmt.Errorf("malloc: creating main arena: %w", err)
 	}
 	b.arenas = []*heap.Arena{main}
-	return b, nil
+	return nil
 }
 
 func (b *base) Name() string                   { return b.name }
 func (b *base) Arenas() []*heap.Arena          { return b.arenas }
 func (b *base) AddressSpace() *vm.AddressSpace { return b.as }
+func (b *base) frame() *base                   { return b }
 
 func (b *base) AttachThread(t *sim.Thread) {
 	if !b.attached.get(t.ID()) {
@@ -558,28 +604,293 @@ func (b *base) CurrentArena(t *sim.Thread) *heap.Arena {
 	return b.lastArena.get(t.ID())
 }
 
-// opCharge bills the fixed instruction work plus the shared-state taxes for
-// one operation by t whose current arena is a.
-func (b *base) opCharge(t *sim.Thread, work int64, a *heap.Arena) {
+// Malloc allocates size bytes. An out-of-memory failure runs the emergency
+// cascade and retries (pressure.go) before it reaches the caller.
+func (b *base) Malloc(t *sim.Thread, size uint32) (uint64, error) {
+	start := b.calm(t)
+	mem, err := b.malloc(t, size)
+	if err != nil && isNoMem(err) {
+		return b.rescue(t, err, b.params.Request2Size(size), start, func() (uint64, error) { return b.malloc(t, size) })
+	}
+	return mem, err
+}
+
+// malloc is one unguarded malloc: the frame around the design's allocate.
+func (b *base) malloc(t *sim.Thread, size uint32) (uint64, error) {
+	t.MaybeYield()
+	start := t.Now()
+	b.opCharge(t)
+	if b.scav != nil {
+		b.scavenge(t)
+	}
+	sz := b.params.Request2Size(size)
+	var mem uint64
+	tier := telemetry.TierVM
+	var err error
+	if b.params.MmapThreshold != 0 && sz >= b.params.MmapThreshold {
+		b.stats.MmapDirect++
+		mem, err = b.arenas[0].MmapChunk(t, size)
+	} else {
+		b.noteQuant(size)
+		mem, tier, err = b.kind.allocate(t, size, sz)
+	}
+	if err != nil {
+		return 0, err
+	}
+	if tier != telemetry.TierVM {
+		b.mallocs++
+	}
+	b.telOp(t, telemetry.OpMalloc, sz, tier, start)
+	return mem, nil
+}
+
+// Free releases mem. It is never retried: a free needs no memory.
+func (b *base) Free(t *sim.Thread, mem uint64) error {
+	t.MaybeYield()
+	start := t.Now()
+	b.opCharge(t)
+	if b.scav != nil {
+		b.scavenge(t)
+	}
+	class, tier, err := b.kind.deallocate(t, mem)
+	if err != nil {
+		return err
+	}
+	if tier != telemetry.TierVM {
+		b.frees++
+	}
+	b.telOp(t, telemetry.OpFree, class, tier, start)
+	return nil
+}
+
+// Realloc resizes mem with C semantics, retried whole after an
+// out-of-memory failure: a failed realloc leaves the original chunk intact.
+func (b *base) Realloc(t *sim.Thread, mem uint64, size uint32) (uint64, error) {
+	start := b.calm(t)
+	np, err := b.realloc(t, mem, size)
+	if err != nil && isNoMem(err) {
+		return b.rescue(t, err, 0, start, func() (uint64, error) { return b.realloc(t, mem, size) })
+	}
+	return np, err
+}
+
+// realloc is one unguarded realloc. Moves go through the unguarded malloc
+// and Free, so the design's policy (arena selection, magazines, the mmap
+// threshold) applies to them.
+func (b *base) realloc(t *sim.Thread, mem uint64, size uint32) (uint64, error) {
+	switch {
+	case mem == 0:
+		return b.malloc(t, size)
+	case size == 0:
+		return 0, b.Free(t, mem)
+	}
+	t.MaybeYield()
+	// Mmapped and headerless chunks live outside every arena's segments;
+	// chunk-format operations on them go through the main arena by
+	// convention (the addresses are plain mapped memory).
+	ref := b.arenas[0]
+	if csz := b.kind.spanClass(t, mem); csz != 0 {
+		if b.params.Request2Size(size) == csz {
+			return mem, nil // same class: the chunk already fits
+		}
+		return b.move(t, ref, mem, csz, size)
+	}
+	if ref.IsMmappedMem(t, mem) {
+		return b.move(t, ref, mem, ref.UsableSize(t, mem), size)
+	}
+	a, err := b.routeFree(t, mem)
+	if err != nil {
+		return 0, err
+	}
+	t.Lock(a.Lock)
+	np, ok, err := a.ReallocInPlace(t, mem, size)
+	t.Unlock(a.Lock)
+	if err != nil || ok {
+		return np, err
+	}
+	// In-place resize impossible: move. Size reads and the copy go through
+	// the owning arena, so the coherence charges land on its cache lines.
+	return b.move(t, a, mem, a.UsableSize(t, mem), size)
+}
+
+// move reallocates by a fresh malloc, a copy of the surviving payload
+// through ref, and a free of the old chunk (oldUs usable bytes).
+func (b *base) move(t *sim.Thread, ref *heap.Arena, mem uint64, oldUs, size uint32) (uint64, error) {
+	np, err := b.malloc(t, size)
+	if err != nil {
+		return 0, fmt.Errorf("realloc: %w", err)
+	}
+	ref.CopyPayload(t, np, mem, min(size, oldUs))
+	return np, b.Free(t, mem)
+}
+
+// Calloc allocates size bytes of zeroed memory, retried whole after an
+// out-of-memory failure.
+func (b *base) Calloc(t *sim.Thread, size uint32) (uint64, error) {
+	start := b.calm(t)
+	mem, err := b.calloc(t, size)
+	if err != nil && isNoMem(err) {
+		return b.rescue(t, err, b.params.Request2Size(size), start, func() (uint64, error) { return b.calloc(t, size) })
+	}
+	return mem, err
+}
+
+// calloc is one unguarded calloc. Zeroing writes through the address space
+// (via the main arena, as for every chunk-format operation on memory
+// outside an arena's books): it needs no owner, so it reads no chunk header.
+func (b *base) calloc(t *sim.Thread, size uint32) (uint64, error) {
+	mem, err := b.malloc(t, size)
+	if err == nil {
+		b.arenas[0].Memzero(t, mem, size)
+	}
+	return mem, err
+}
+
+// Stats returns aggregated statistics. The vm mirrors and the arena sums
+// each go through one path — mirrorVMStats and heap.Stats.Add — so a
+// counter added to either layer cannot be silently dropped from the
+// allocator-level aggregate. Heap.Mallocs/Frees report user-level
+// operation counts (the raw per-arena numbers stay available through
+// Arenas()).
+func (b *base) Stats() Stats {
+	s := b.stats
+	s.ArenaCount = len(b.arenas)
+	s.PressureLevel = b.level
+	mirrorVMStats(&s, b.as.Stats())
+	for _, a := range b.arenas {
+		s.ArenaLockAcqs += a.Lock.Acquisitions
+		s.Heap.Add(a.Stats())
+	}
+	s.Heap.Mallocs, s.Heap.Frees = b.mallocs, b.frees
+	if b.scav != nil {
+		sc := b.scav.Stats()
+		s.ScavengeEpochs = sc.Epochs
+		s.ScavengeBytes = sc.BytesReleased
+	}
+	b.kind.addStats(&s)
+	return s
+}
+
+// Check surfaces any deferred error, then verifies every arena and the
+// design's own tiers.
+func (b *base) Check() error {
+	if b.deferredErr != nil {
+		return fmt.Errorf("malloc: deferred error: %w", b.deferredErr)
+	}
+	for _, a := range b.arenas {
+		if err := a.Check(); err != nil {
+			return fmt.Errorf("arena %d: %w", a.Index, err)
+		}
+	}
+	return b.kind.check()
+}
+
+// Scavenger returns the allocator's reclamation engine, nil when scavenging
+// is disabled. The bench harness uses it to run the background scavenger
+// thread and to force passes at phase boundaries.
+func (b *base) Scavenger() *scavenge.Scavenger { return b.scav }
+
+// base's answers to the design interface: every malloc locks the main
+// arena, a full one has nowhere to fall over to, and a free routes to the
+// owning arena, counting frees that cross from the caller's own.
+
+func (b *base) lockArena(t *sim.Thread) (*heap.Arena, error) {
+	t.Lock(b.arenas[0].Lock)
+	return b.arenas[0], nil
+}
+
+func (b *base) fallover(_ *sim.Thread, _ *heap.Arena, _ uint32, err error) (uint64, error) {
+	return 0, err
+}
+
+func (b *base) freeArena(t *sim.Thread, mem uint64) (*heap.Arena, error) {
+	a, err := b.routeFree(t, mem)
+	if own := b.ownArena(t); err == nil && own != nil && own != a {
+		b.stats.CrossArenaFrees++
+	}
+	return a, err
+}
+
+// allocate is the arena path: the instruction work is charged inside the
+// critical section, as the whole path of a libc malloc runs under the
+// arena lock (which is exactly why a single lock convoys on SMP).
+func (b *base) allocate(t *sim.Thread, size, _ uint32) (uint64, telemetry.Tier, error) {
+	a, err := b.kind.lockArena(t)
+	if err != nil {
+		return 0, 0, err
+	}
+	t.Charge(sim.Time(b.costs.WorkMalloc))
+	mem, err := a.Malloc(t, size)
+	t.Unlock(a.Lock)
+	b.lastArena.set(t.ID(), a)
+	if err != nil {
+		mem, err = b.kind.fallover(t, a, size, err)
+	}
+	return mem, telemetry.TierArena, err
+}
+
+func (b *base) deallocate(t *sim.Thread, mem uint64) (uint32, telemetry.Tier, error) {
+	if b.arenas[0].IsMmappedMem(t, mem) {
+		return 0, telemetry.TierVM, b.arenas[0].FreeMmapChunk(t, mem)
+	}
+	a, err := b.kind.freeArena(t, mem)
+	if err != nil {
+		return 0, 0, err
+	}
+	t.Lock(a.Lock)
+	t.Charge(sim.Time(b.costs.WorkFree))
+	err = a.Free(t, mem)
+	t.Unlock(a.Lock)
+	return 0, telemetry.TierArena, err
+}
+
+func (b *base) spanClass(*sim.Thread, uint64) uint32 { return 0 }
+func (b *base) addStats(*Stats)                      {}
+func (b *base) check() error                         { return nil }
+
+// opCharge bills the per-op shared-state taxes for one operation by t.
+func (b *base) opCharge(t *sim.Thread) {
 	b.stats.Ops++
-	c := work
+	c := int64(0)
 	if s := b.active; s >= 2 && b.costs.SharedTaxUnit > 0 {
 		c += b.costs.SharedTaxUnit * int64(s-1) / int64(s)
-		if a != nil && a.IsMain && s >= 3 && b.costs.MainArenaSloshUnit > 0 {
+		if a := b.ownArena(t); a != nil && a.IsMain && s >= 3 && b.costs.MainArenaSloshUnit > 0 {
 			c += b.costs.MainArenaSloshUnit * int64(s-2)
 		}
 	}
 	t.Charge(sim.Time(c))
-	// Every design funnels each op through here exactly once, so this is
-	// the one sampling tick the time series needs. MaybeSample never
-	// charges cycles, so the tick is invisible to the simulation.
+	// Every op passes through here exactly once, so this is the one
+	// sampling tick the time series needs. MaybeSample never charges
+	// cycles, so the tick is invisible to the simulation.
 	b.tel.MaybeSample(t)
+}
+
+// scavenge is the inline scavenge hook: every op of a design with a
+// scavenger calls it once, and it runs a decay pass on the caller when the
+// epoch boundary has passed. Free ride for busy phases; idle phases rely on
+// Background.
+func (b *base) scavenge(t *sim.Thread) {
+	start := t.Now()
+	if b.scav.Tick(t) {
+		// A pass ran: trace it, and give the time series a point right
+		// after the reclaim (the footprint gauges just moved).
+		b.tel.Span(t, "scavenge pass", "scavenge", start)
+		b.tel.MaybeSample(t)
+	}
+}
+
+// ownArena returns t's own arena (see base.own), nil before it has one.
+func (b *base) ownArena(t *sim.Thread) *heap.Arena {
+	if b.own == nil {
+		return b.arenas[0]
+	}
+	return b.own.get(t.ID())
 }
 
 // telOp records one completed operation with the telemetry recorder,
 // unless telemetry is off or the emergency cascade has muted attribution.
 func (b *base) telOp(t *sim.Thread, kind telemetry.OpKind, class uint32, tier telemetry.Tier, start sim.Time) {
-	if b.tel == nil || b.telSuppress {
+	if b.tel == nil || b.muted {
 		return
 	}
 	b.tel.Op(t, kind, class, tier, start)
@@ -599,39 +910,29 @@ func (b *base) routeFree(t *sim.Thread, mem uint64) (*heap.Arena, error) {
 	return nil, fmt.Errorf("%w: 0x%x not in any arena", heap.ErrBadFree, mem)
 }
 
-// mmapPath serves size from a dedicated mapping when it crosses the
-// threshold. Returns (0, nil, false) when the ordinary path should run.
-func (b *base) mmapPath(t *sim.Thread, size uint32) (uint64, error, bool) {
-	if b.params.MmapThreshold != 0 && b.params.Request2Size(size) >= b.params.MmapThreshold {
-		b.stats.MmapDirect++
-		p, err := b.arenas[0].MmapChunk(t, size)
-		return p, err, true
+// grow appends a fresh sub-arena, its mappings bound to node (-1: first
+// touch), to the arena list. The caller holds listLock.
+func (b *base) grow(t *sim.Thread, node int) (*heap.Arena, error) {
+	a, err := heap.NewSubOnNode(t, b.as, &b.params, len(b.arenas), node)
+	if err != nil {
+		return nil, fmt.Errorf("malloc: creating arena: %w", err)
 	}
-	return 0, nil, false
+	b.arenas = append(b.arenas, a)
+	b.stats.ArenaCreations++
+	return a, nil
 }
 
-// freeIfMmapped releases mem when it is an mmapped chunk.
-func (b *base) freeIfMmapped(t *sim.Thread, mem uint64) (bool, error) {
-	if b.arenas[0].IsMmappedMem(t, mem) {
-		return true, b.arenas[0].FreeMmapChunk(t, mem)
+// mallocOn carves size bytes from a under its lock, with no instruction
+// work charged (a fall-over's caller already paid it), and makes a the
+// caller's last arena on success.
+func (b *base) mallocOn(t *sim.Thread, a *heap.Arena, size uint32) (uint64, error) {
+	t.Lock(a.Lock)
+	mem, err := a.Malloc(t, size)
+	t.Unlock(a.Lock)
+	if err == nil {
+		b.lastArena.set(t.ID(), a)
 	}
-	return false, nil
-}
-
-// sumStats collects allocator- and arena-level statistics. The vm mirrors
-// and the arena sums each go through one path — mirrorVMStats and
-// heap.Stats.Add — so a counter added to either layer cannot be silently
-// dropped from the allocator-level aggregate (the fate of the pre-Add
-// hand-written field list).
-func (b *base) sumStats() Stats {
-	s := b.stats
-	s.ArenaCount = len(b.arenas)
-	mirrorVMStats(&s, b.as.Stats())
-	for _, a := range b.arenas {
-		s.ArenaLockAcqs += a.Lock.Acquisitions
-		s.Heap.Add(a.Stats())
-	}
-	return s
+	return mem, err
 }
 
 // mirrorVMStats copies the address-space counters that Stats re-exports at
@@ -667,99 +968,10 @@ func (b *base) noteQuant(size uint32) {
 	}
 }
 
-// reallocOn implements realloc for a variant: al provides the Malloc/Free
-// entry points (so policy like arena selection applies to moves), b the
-// shared routing.
-func reallocOn(al Allocator, b *base, t *sim.Thread, mem uint64, size uint32) (uint64, error) {
-	switch {
-	case mem == 0:
-		return al.Malloc(t, size)
-	case size == 0:
-		return 0, al.Free(t, mem)
-	}
-	t.MaybeYield()
-	// Mmapped chunks live outside every arena's segments; chunk-format
-	// operations on them go through the main arena by convention.
-	ref := b.arenas[0]
-	if ref.IsMmappedMem(t, mem) {
-		// Mmapped chunks move: a fresh allocation, a copy, a munmap.
-		oldUs := ref.UsableSize(t, mem)
-		np, err := al.Malloc(t, size)
-		if err != nil {
-			return 0, err
-		}
-		n := size
-		if oldUs < n {
-			n = oldUs
-		}
-		ref.CopyPayload(t, np, mem, n)
-		return np, al.Free(t, mem)
-	}
-	a, err := b.routeFree(t, mem)
-	if err != nil {
-		return 0, err
-	}
-	t.Lock(a.Lock)
-	np, ok, rerr := a.ReallocInPlace(t, mem, size)
-	t.Unlock(a.Lock)
-	if rerr != nil {
-		return 0, rerr
-	}
-	if ok {
-		return np, nil
-	}
-	// In-place resize impossible: move through the allocator's ordinary
-	// policy, so oversized requests still become anonymous mappings. Size
-	// reads and the copy go through the owning arena, so the coherence
-	// charges land on that arena's cache lines.
-	oldUs := a.UsableSize(t, mem)
-	np, err = al.Malloc(t, size)
-	if err != nil {
-		return 0, fmt.Errorf("realloc: %w", err)
-	}
-	n := size
-	if oldUs < n {
-		n = oldUs
-	}
-	a.CopyPayload(t, np, mem, n)
-	return np, al.Free(t, mem)
-}
-
-// callocOn implements calloc for a variant. Zeroing is routed through the
-// arena that owns the fresh chunk (mmapped chunks zero via the main arena),
-// so the memory traffic is charged against the right arena's lines.
-func callocOn(al Allocator, b *base, t *sim.Thread, size uint32) (uint64, error) {
-	p, err := al.Malloc(t, size)
-	if err != nil {
-		return 0, err
-	}
-	ref := b.arenas[0]
-	if !ref.IsMmappedMem(t, p) {
-		if a, rerr := b.routeFree(t, p); rerr == nil {
-			ref = a
-		}
-	}
-	ref.Memzero(t, p, size)
-	return p, nil
-}
-
 // recordErr stashes the first error from a path with no caller to return it
-// to; checkAll reports it.
+// to; Check reports it.
 func (b *base) recordErr(err error) {
 	if err != nil && b.deferredErr == nil {
 		b.deferredErr = err
 	}
-}
-
-// checkAll verifies every arena and surfaces any deferred error.
-func (b *base) checkAll() error {
-	if b.deferredErr != nil {
-		return fmt.Errorf("malloc: deferred error: %w", b.deferredErr)
-	}
-	for _, a := range b.arenas {
-		if err := a.Check(); err != nil {
-			return fmt.Errorf("arena %d: %w", a.Index, err)
-		}
-	}
-	return nil
 }

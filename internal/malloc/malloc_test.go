@@ -17,10 +17,17 @@ func newWorld(cpus int, seed uint64) (*sim.Machine, *vm.AddressSpace) {
 	return m, vm.New(1, m, c)
 }
 
-// runWith builds an allocator of each kind and runs body against it.
+// allKinds lists every kind New builds: the five designs plus the two
+// offloaded kinds Kinds() leaves out.
+func allKinds() []Kind {
+	return append(Kinds(), KindThreadCacheSvc, KindLockFreeSvc)
+}
+
+// runAllKinds builds an allocator of each kind and runs body against it on
+// the main thread (the offloaded kinds' mailboxes stay inert: no workers).
 func runAllKinds(t *testing.T, body func(t *testing.T, th *sim.Thread, al Allocator)) {
 	t.Helper()
-	for _, kind := range Kinds() {
+	for _, kind := range allKinds() {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			m, as := newWorld(2, 7)
@@ -400,9 +407,10 @@ func TestAlignedVariant(t *testing.T) {
 
 // TestTortureMultiThread drives all kinds with concurrent workers doing
 // cross-thread frees through a shared mailbox, verifying data stamps and
-// structural invariants.
+// structural invariants. The offloaded kinds run their service threads
+// beside the workers, stopped (draining every mailbox) before the checks.
 func TestTortureMultiThread(t *testing.T) {
-	for _, kind := range Kinds() {
+	for _, kind := range allKinds() {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			m, as := newWorld(2, 29)
@@ -411,6 +419,10 @@ func TestTortureMultiThread(t *testing.T) {
 				if err != nil {
 					t.Errorf("New: %v", err)
 					return
+				}
+				svc := ServiceOf(al)
+				if svc != nil {
+					svc.Start(main)
 				}
 				type obj struct {
 					p     uint64
@@ -454,6 +466,9 @@ func TestTortureMultiThread(t *testing.T) {
 				}
 				for _, w := range ws {
 					main.Join(w)
+				}
+				if svc != nil {
+					svc.Stop(main)
 				}
 				for _, o := range mailbox {
 					if err := al.Free(main, o.p); err != nil {

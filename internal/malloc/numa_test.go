@@ -99,8 +99,6 @@ func TestRemoteFreeRoutesToOwnerDepot(t *testing.T) {
 	m, as := newNUMAWorld(4, 2, 23)
 	err := m.Run(func(main *sim.Thread) {
 		costs := DefaultCostParams()
-		costs.CacheBatch = 4
-		costs.CacheHigh = 8
 		costs.CacheAdaptive = -1
 		costs.ScavengeInterval = 10_000_000 // long epochs: only forced passes run
 		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
@@ -108,6 +106,7 @@ func TestRemoteFreeRoutesToOwnerDepot(t *testing.T) {
 			t.Errorf("NewThreadCache: %v", err)
 			return
 		}
+		al.batch, al.highWater = 4, 8
 		const n = 8
 		var chunks []uint64
 		var prodNode, consNode int
@@ -232,12 +231,9 @@ func TestTwoNodeChurnTortureWithScavenge(t *testing.T) {
 	m, as := newNUMAWorld(4, 2, 167)
 	err := m.Run(func(main *sim.Thread) {
 		costs := DefaultCostParams()
-		costs.CacheBatch = 4
-		costs.CacheHigh = 8
 		costs.CacheAdaptive = -1
 		costs.ScavengeInterval = 50000
 		costs.ScavengeDecay = 50
-		costs.ScavengeTrimPad = 8 * 1024
 		costs.ScavengeMinBinBytes = 4096 // all five cascade stages race the churn
 		costs.ScavengeBinPad = -1
 		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
@@ -245,6 +241,7 @@ func TestTwoNodeChurnTortureWithScavenge(t *testing.T) {
 			t.Errorf("NewThreadCache: %v", err)
 			return
 		}
+		al.batch, al.highWater, al.trimPad = 4, 8, 8*1024
 		type obj struct {
 			p     uint64
 			n     uint32
@@ -406,7 +403,7 @@ func TestSumStatsDropsNoHeapField(t *testing.T) {
 		gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
 		for i := 0; i < gv.NumField(); i++ {
 			if gv.Field(i).Uint() != wv.Field(i).Uint() {
-				t.Errorf("Stats().Heap.%s = %d, want %d (field dropped from sumStats?)",
+				t.Errorf("Stats().Heap.%s = %d, want %d (field dropped from the Stats aggregate?)",
 					gv.Type().Field(i).Name, gv.Field(i).Uint(), wv.Field(i).Uint())
 			}
 		}

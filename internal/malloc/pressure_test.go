@@ -7,15 +7,17 @@ import (
 
 	"mtmalloc/internal/heap"
 	"mtmalloc/internal/sim"
+	"mtmalloc/internal/telemetry"
 	"mtmalloc/internal/vm"
 )
 
 // TestPerThreadOverflowsToMainUnderCommitLimit pins the satellite behavior of
 // perthread.Malloc: when the private arena cannot grow at all (ErrNoMemory
 // from the commit limit, not just ErrArenaFull), the request overflows to the
-// main arena's remaining free chunks instead of failing outright. The
-// allocator is built directly — without the resilient shell — so the fallback
-// itself is what satisfies the requests.
+// main arena's remaining free chunks instead of failing outright. Every
+// malloc runs the op frame's emergency cascade on failure, so the test pins
+// that no cascade pass had run by the last success (EmergencyScavenges == 0):
+// the fallback itself is what satisfied the requests.
 func TestPerThreadOverflowsToMainUnderCommitLimit(t *testing.T) {
 	m, as := newWorld(2, 7)
 	err := m.Run(func(th *sim.Thread) {
@@ -59,6 +61,7 @@ func TestPerThreadOverflowsToMainUnderCommitLimit(t *testing.T) {
 			as.SetMemLimit(as.Stats().CommittedBytes)
 			var got []uint64
 			var last error
+			var cascades uint64 // emergency passes run by the last success
 			for i := 0; i < 300; i++ {
 				mem, merr := p.Malloc(wt, 60*1024)
 				if merr != nil {
@@ -66,6 +69,7 @@ func TestPerThreadOverflowsToMainUnderCommitLimit(t *testing.T) {
 					break
 				}
 				got = append(got, mem)
+				cascades = p.Stats().EmergencyScavenges
 			}
 			if last == nil {
 				t.Error("malloc kept succeeding with zero commit headroom")
@@ -74,6 +78,9 @@ func TestPerThreadOverflowsToMainUnderCommitLimit(t *testing.T) {
 			}
 			if len(got) == 0 {
 				t.Error("no allocation overflowed to the main arena's free chunks")
+			}
+			if cascades != 0 {
+				t.Errorf("EmergencyScavenges = %d by the last success: the cascade, not the fallback, served the requests", cascades)
 			}
 			for _, mem := range got {
 				if err := p.Free(wt, mem); err != nil {
@@ -280,12 +287,12 @@ func TestDeferredErrorSurfacesInCheck(t *testing.T) {
 		if err := al.Check(); err != nil {
 			t.Errorf("fresh allocator Check: %v", err)
 		}
-		r, ok := al.(*resilient)
+		tc, ok := al.(*ThreadCache)
 		if !ok {
-			t.Fatalf("New returned %T, want the resilient shell", al)
+			t.Fatalf("New returned %T, want the design itself", al)
 		}
 		planted := errors.New("flush failed mid-scavenge")
-		r.rec.baseOf().recordErr(planted)
+		tc.recordErr(planted)
 		cerr := al.Check()
 		if cerr == nil {
 			t.Fatal("Check passed with a deferred error recorded")
@@ -296,5 +303,104 @@ func TestDeferredErrorSurfacesInCheck(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEmergencyTierTelemetryAllKinds pins the emergency tier's attribution
+// for every kind: under a commit limit with no headroom left, a malloc that
+// only the cascade can serve is recorded exactly once — in TierEmergency,
+// for the whole call, cascade passes and retry included — per-tier malloc
+// cycles still sum to the malloc total, and the cascade counters rise.
+func TestEmergencyTierTelemetryAllKinds(t *testing.T) {
+	for _, kind := range allKinds() {
+		kind := kind
+		t.Run(string(kind), func(t *testing.T) {
+			m, as := newWorld(1, 7)
+			err := m.Run(func(th *sim.Thread) {
+				al, err := New(th, kind, as, heap.DefaultParams(), DefaultCostParams())
+				if err != nil {
+					t.Errorf("New: %v", err)
+					return
+				}
+				rec := telemetry.NewRecorder(telemetry.Config{ClockMHz: 100})
+				if !AttachTelemetry(al, rec) {
+					t.Fatal("AttachTelemetry refused a built-in kind")
+				}
+				// Every other chunk of a touched, uncacheable run freed back:
+				// the holes sit binned between live neighbours, resident and
+				// too small for the request below, until the cascade's binned
+				// release hands their interiors back.
+				var held []uint64
+				for i := 0; i < 16; i++ {
+					mem, merr := al.Malloc(th, 50*1024)
+					if merr != nil {
+						t.Errorf("warm-up malloc: %v", merr)
+						return
+					}
+					for off := uint64(0); off < 50*1024; off += vm.PageSize {
+						as.Write8(th, mem+off, 1) // make every page resident
+					}
+					if i%2 == 0 {
+						defer func() {
+							if err := al.Free(th, mem); err != nil {
+								t.Errorf("warm-up free: %v", err)
+							}
+						}()
+						continue
+					}
+					held = append(held, mem)
+				}
+				for _, mem := range held {
+					if err := al.Free(th, mem); err != nil {
+						t.Errorf("warm-up free: %v", err)
+						return
+					}
+				}
+				as.SetMemLimit(as.Stats().CommittedBytes)
+				before, rep0 := al.Stats(), rec.Report()
+				start := th.Now()
+				mem, merr := al.Malloc(th, 120*1024)
+				took := uint64(th.Now() - start)
+				if merr != nil {
+					t.Errorf("malloc the cascade should rescue: %v", merr)
+					return
+				}
+				st, rep := al.Stats(), rec.Report()
+				if st.EmergencyScavenges <= before.EmergencyScavenges || st.OOMRetries <= before.OOMRetries {
+					t.Errorf("cascade counters did not rise: scavenges %d -> %d, retries %d -> %d",
+						before.EmergencyScavenges, st.EmergencyScavenges, before.OOMRetries, st.OOMRetries)
+				}
+				if st.OOMFails != 0 {
+					t.Errorf("OOMFails = %d for a rescued malloc", st.OOMFails)
+				}
+				if got := rep.MallocOps - rep0.MallocOps; got != 1 {
+					t.Errorf("rescued malloc recorded %d times, want once", got)
+				}
+				if got := rec.TierCycles(telemetry.OpMalloc, telemetry.TierEmergency); got != took {
+					t.Errorf("emergency tier holds %d cycles, want the whole call's %d", got, took)
+				}
+				sum := uint64(0)
+				for _, ts := range rep.Tiers {
+					if ts.Op == "malloc" {
+						sum += ts.Cycles
+						if ts.Tier == telemetry.TierEmergency.String() && ts.Ops != 1 {
+							t.Errorf("emergency tier holds %d mallocs, want 1", ts.Ops)
+						}
+					}
+				}
+				if sum != rep.TotalMallocCycles {
+					t.Errorf("malloc tier cycles sum to %d, total is %d", sum, rep.TotalMallocCycles)
+				}
+				if err := al.Free(th, mem); err != nil {
+					t.Errorf("free: %v", err)
+				}
+				if err := al.Check(); err != nil {
+					t.Errorf("Check: %v", err)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

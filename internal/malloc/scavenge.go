@@ -226,15 +226,21 @@ func (s trimSource) Scavenge(t *sim.Thread, cutoff sim.Time, decayPercent int) u
 	return released
 }
 
+// The scavenger's fixed tuning: the resident pad each arena keeps at its top
+// when the trim stage runs (malloc_trim's pad), and the cycles charged per
+// scavenge pass.
+const (
+	scavengeTrimPad = 64 << 10
+	scavengeWork    = 120
+)
+
 // newScavenger builds the scavenger for a thread cache from its (already
 // default-filled) cost params and registers the tier sources in cascade
 // order. It is the single source of truth for the reclamation tuning: the
-// trim pad lives here (on tc, read by the trim source) and in no second copy
-// inside the engine's policy.
-func (tc *ThreadCache) newScavenger(costs CostParams) *scavenge.Scavenger {
-	if pad := costs.ScavengeTrimPad; pad > 0 {
-		tc.trimPad = uint32(pad)
-	}
+// pads live here (on tc, read by the sources) and in no second copy inside
+// the engine's policy.
+func (tc *ThreadCache) newScavenger(costs CostParams) {
+	tc.trimPad = scavengeTrimPad
 	if costs.ScavengeMinBinBytes > 0 {
 		tc.minBinBytes = uint64(costs.ScavengeMinBinBytes)
 		switch {
@@ -247,7 +253,7 @@ func (tc *ThreadCache) newScavenger(costs CostParams) *scavenge.Scavenger {
 	sc := scavenge.New(scavenge.Policy{
 		Interval:     sim.Time(costs.ScavengeInterval),
 		DecayPercent: costs.ScavengeDecay,
-		Work:         costs.ScavengeWork,
+		Work:         scavengeWork,
 	})
 	sc.Register(magazineSource{tc})
 	if len(tc.depots) > 0 {
@@ -258,26 +264,5 @@ func (tc *ThreadCache) newScavenger(costs CostParams) *scavenge.Scavenger {
 	}
 	sc.Register(reuseSource{tc})
 	sc.Register(trimSource{tc})
-	return sc
-}
-
-// Scavenger returns the allocator's reclamation engine, nil when scavenging
-// is disabled. The bench harness uses it to run the background scavenger
-// thread and to force passes at phase boundaries.
-func (tc *ThreadCache) Scavenger() *scavenge.Scavenger { return tc.scav }
-
-// maybeScavenge is the inline hook: allocator entry points call it once per
-// operation, and it runs a decay pass on the caller when the epoch boundary
-// has passed. Free ride for busy phases; idle phases rely on Background.
-func (tc *ThreadCache) maybeScavenge(t *sim.Thread) {
-	if tc.scav == nil {
-		return
-	}
-	start := t.Now()
-	if tc.scav.Tick(t) && tc.tel != nil {
-		// A pass ran: trace it, and give the time series a point right
-		// after the reclaim (the footprint gauges just moved).
-		tc.tel.Span(t, "scavenge pass", "scavenge", start)
-		tc.tel.MaybeSample(t)
-	}
+	tc.scav = sc
 }

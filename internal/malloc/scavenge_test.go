@@ -10,16 +10,20 @@ import (
 )
 
 // scavCosts returns thread-cache costs with the scavenger on at the given
-// epoch interval and deterministic fixed marks.
+// epoch interval and deterministic fixed marks; narrowScav sets the rest of
+// the test geometry on the allocator built from them.
 func scavCosts(interval int64, decay int) CostParams {
 	costs := DefaultCostParams()
-	costs.CacheBatch = 4
-	costs.CacheHigh = 8
 	costs.CacheAdaptive = -1
 	costs.ScavengeInterval = interval
 	costs.ScavengeDecay = decay
-	costs.ScavengeTrimPad = 8 * 1024
 	return costs
+}
+
+// narrowScav gives a thread cache built from scavCosts 4-chunk refills, a
+// fixed mark of 8 and an 8 KB trim pad, before its first operation.
+func narrowScav(al *ThreadCache) {
+	al.batch, al.highWater, al.trimPad = 4, 8, 8*1024
 }
 
 // TestScavengerDecaysIdleMagazines: a thread's parked magazine decays once
@@ -35,6 +39,7 @@ func TestScavengerDecaysIdleMagazines(t *testing.T) {
 			t.Errorf("NewThreadCache: %v", err)
 			return
 		}
+		narrowScav(al)
 		var ps []uint64
 		for i := 0; i < 8; i++ {
 			p, err := al.Malloc(main, 64)
@@ -107,6 +112,7 @@ func TestScavengerSparesActiveMagazines(t *testing.T) {
 			t.Errorf("NewThreadCache: %v", err)
 			return
 		}
+		narrowScav(al)
 		// Pair traffic keeps lastOp fresh across epoch boundaries; the
 		// inline Tick runs passes as time crosses each boundary.
 		for i := 0; i < 2000; i++ {
@@ -145,6 +151,7 @@ func TestScavengerReturnsColdDepotSpans(t *testing.T) {
 			t.Errorf("NewThreadCache: %v", err)
 			return
 		}
+		narrowScav(al)
 		w := main.Spawn("producer", func(w *sim.Thread) {
 			al.AttachThread(w)
 			defer al.DetachThread(w) // donates the magazine to the depot
@@ -202,6 +209,7 @@ func TestScavengerExpiresReuseRegionsAndTrims(t *testing.T) {
 			t.Errorf("NewThreadCache: %v", err)
 			return
 		}
+		narrowScav(al)
 		// Park an above-threshold region with its pages faulted in.
 		const sz = 256 * 1024
 		p, err := al.Malloc(main, sz)
@@ -285,6 +293,7 @@ func TestDetachAndFlushRaceScavengerEpochs(t *testing.T) {
 			t.Errorf("NewThreadCache: %v", err)
 			return
 		}
+		narrowScav(al)
 		stop := false
 		bg := main.Spawn("scavenger", func(w *sim.Thread) {
 			al.Scavenger().Background(w, func() bool { return stop })
@@ -411,6 +420,7 @@ func TestScavengerSmallMagazineDecayRate(t *testing.T) {
 			t.Errorf("NewThreadCache: %v", err)
 			return
 		}
+		narrowScav(al)
 		var ps []uint64
 		for i := 0; i < 4; i++ {
 			p, err := al.Malloc(main, 64)
@@ -464,6 +474,7 @@ func TestScavengerSingleEntryClassHalfDecay(t *testing.T) {
 			t.Errorf("NewThreadCache: %v", err)
 			return
 		}
+		narrowScav(al)
 		// Drain the refill batch (CacheBatch=4) so exactly one entry parks.
 		var ps []uint64
 		for i := 0; i < 4; i++ {
@@ -509,6 +520,7 @@ func TestScavengerSmallDepotDecayRate(t *testing.T) {
 			t.Errorf("NewThreadCache: %v", err)
 			return
 		}
+		narrowScav(al)
 		// A dying producer donates exactly one 4-chunk span to the depot.
 		w := main.Spawn("producer", func(w *sim.Thread) {
 			al.AttachThread(w)
@@ -567,6 +579,7 @@ func TestScavengerTrimSkipsBusyArenas(t *testing.T) {
 			t.Errorf("NewThreadCache: %v", err)
 			return
 		}
+		narrowScav(al)
 		al.AttachThread(main)
 		// Main (home: arena 0) builds a fat resident free top, then goes idle.
 		const big = 40000 // above CacheMax: straight to the arena, no magazine
@@ -644,6 +657,7 @@ func TestScavengerReleasesBinnedChunks(t *testing.T) {
 			t.Errorf("NewThreadCache: %v", err)
 			return
 		}
+		narrowScav(al)
 		const big = 40000
 		A, err := al.Malloc(main, big)
 		if err != nil {
@@ -727,6 +741,7 @@ func TestBinnedReleaseChurnTorture(t *testing.T) {
 			t.Errorf("NewThreadCache: %v", err)
 			return
 		}
+		narrowScav(al)
 		al.AttachThread(main)
 		r := xrand.New(167, 1)
 		type obj struct {
@@ -829,6 +844,7 @@ func TestDetachImmediatelyBeforeAndAfterEpoch(t *testing.T) {
 			t.Errorf("NewThreadCache: %v", err)
 			return
 		}
+		narrowScav(al)
 		total := 0
 		for round := 0; round < 6; round++ {
 			w := main.Spawn(fmt.Sprintf("r%d", round), func(w *sim.Thread) {

@@ -51,7 +51,6 @@ type Service struct {
 	watermark int // prefetched spans kept per demanded class
 
 	// Per-line swap pricing, resolved once from the machine's cache model.
-	lineSize uint64
 	lineXfer int64
 	postCost sim.Time
 	wakeCost sim.Time
@@ -143,10 +142,8 @@ func newService(tc *ThreadCache) *Service {
 	mc := mach.Config().Costs
 	s.postCost = mc.MailboxPost
 	s.wakeCost = mc.MailboxWake
-	s.lineSize = 64
 	s.lineXfer = 60
 	if cm := tc.as.Cache(); cm != nil {
-		s.lineSize = cm.LineSize()
 		s.lineXfer = cm.Costs().MissRemote
 	}
 	nodes := mach.Nodes()
@@ -160,7 +157,7 @@ func newService(tc *ThreadCache) *Service {
 		}
 		for req := uint32(1); req <= svcSeedMax; req++ {
 			csz := tc.params.Request2Size(req)
-			if csz > svcSeedMax || csz > tc.maxBlock {
+			if csz > svcSeedMax || csz > cacheMax {
 				continue
 			}
 			if _, ok := box.seen[csz]; !ok {
@@ -288,7 +285,7 @@ func (s *Service) boxFor(node int) *svcNode {
 // spanXfer prices moving a span across caches: one remote-miss transfer of
 // the descriptor line (head pointer + count). The chunks themselves move on
 // first touch, exactly as they would coming out of the depot — the mailbox
-// swap replaces the depot's lock acquisition and DepotXfer charge with a
+// swap replaces the depot's lock acquisition and depotXferWork charge with a
 // wait-free line exchange, which is where the offload's app-side saving
 // comes from.
 func (s *Service) spanXfer() sim.Time {
@@ -628,7 +625,7 @@ func (s *Service) fetchSpan(t *sim.Thread, node int, csz, req uint32) []tcEntry 
 func (s *Service) carve(t *sim.Thread, a *heap.Arena, csz, req uint32) []tcEntry {
 	tc := s.tc
 	t.Lock(a.Lock)
-	t.Charge(sim.Time(tc.costs.CacheRefill + tc.costs.WorkMalloc))
+	t.Charge(sim.Time(cacheRefillWork + tc.costs.WorkMalloc))
 	var span []tcEntry
 	for i := 0; i < tc.batch; i++ {
 		p, err := a.Malloc(t, req)
@@ -713,8 +710,7 @@ func (s *Service) check(seen map[uint64]bool, owns func(tcEntry) error) error {
 // main thread exists and to stop them before the run ends.
 func (tc *ThreadCache) Service() *Service { return tc.svc }
 
-// ServiceOf unwraps al (through the resilient shell) to its offload engine,
-// nil for kinds without one.
+// ServiceOf returns al's offload engine, nil for kinds without one.
 func ServiceOf(al Allocator) *Service {
 	if p, ok := al.(interface{ Service() *Service }); ok {
 		return p.Service()

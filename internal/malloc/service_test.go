@@ -8,17 +8,15 @@ import (
 	"mtmalloc/internal/vm"
 )
 
-// svcCosts returns thread-cache costs tuned for small deterministic
-// magazines.
+// svcCosts returns thread-cache costs with deterministic fixed marks.
 func svcCosts() CostParams {
 	costs := DefaultCostParams()
-	costs.CacheBatch = 4
-	costs.CacheHigh = 8
 	costs.CacheAdaptive = -1
 	return costs
 }
 
-// newSvc builds a threadcache-svc allocator whose service thread wakes every
+// newSvc builds a threadcache-svc allocator with small magazines (4-chunk
+// refills, a high-water mark of 8) whose service thread wakes every
 // interval cycles; nil (with the test failed) when construction fails.
 func newSvc(t *testing.T, main *sim.Thread, as *vm.AddressSpace, costs CostParams, interval sim.Time) *ThreadCache {
 	al, err := newThreadCache(main, KindThreadCacheSvc, as, heap.DefaultParams(), costs)
@@ -26,6 +24,7 @@ func newSvc(t *testing.T, main *sim.Thread, as *vm.AddressSpace, costs CostParam
 		t.Errorf("newThreadCache: %v", err)
 		return nil
 	}
+	al.batch, al.highWater = 4, 8
 	al.svc.interval = interval
 	return al
 }

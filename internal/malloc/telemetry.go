@@ -4,45 +4,31 @@ import (
 	"mtmalloc/internal/telemetry"
 )
 
-// AttachTelemetry wires rec into al: op recording inside the design, and a
+// AttachTelemetry wires rec into al: op recording in the op frame, and a
 // sample source that snapshots the allocator for the time series (byte
 // gauges per caching tier, pressure level, lock/CAS wait cycles, and the
 // per-arena resident-vs-live fragmentation gauge). It reports false for an
-// allocator without the package-internal hooks (none of the built-in
-// kinds). Attaching a nil recorder detaches telemetry.
+// allocator this package did not build. Attaching a nil recorder detaches
+// telemetry.
 //
 // Everything the sample source reads is Go-side bookkeeping — no cycles
 // are charged, no locks taken — so an attached recorder cannot perturb
 // the simulation.
 func AttachTelemetry(al Allocator, rec *telemetry.Recorder) bool {
-	b := baseOfAllocator(al)
-	if b == nil {
+	f, ok := al.(interface{ frame() *base })
+	if !ok {
 		return false
 	}
+	b := f.frame()
 	b.tel = rec
-	if rec == nil {
-		return true
-	}
-	rec.SetSampleSource(func() telemetry.Sample { return snapshotSample(al, b) })
+	rec.SetSampleSource(b.sample)
 	return true
 }
 
-// baseOfAllocator digs the shared base out of al, unwrapping the pressure
-// shell when present.
-func baseOfAllocator(al Allocator) *base {
-	if r, ok := al.(*resilient); ok {
-		return r.rec.baseOf()
-	}
-	if rec, ok := al.(reclaimer); ok {
-		return rec.baseOf()
-	}
-	return nil
-}
-
-// snapshotSample builds one time-series point from the allocator's own
-// aggregate stats plus the machine's contention-point counters.
-func snapshotSample(al Allocator, b *base) telemetry.Sample {
-	st := al.Stats()
+// sample builds one time-series point from the allocator's own aggregate
+// stats plus the machine's contention-point counters.
+func (b *base) sample() telemetry.Sample {
+	st := b.Stats()
 	s := telemetry.Sample{
 		ResidentBytes:  b.as.Stats().ResidentBytes,
 		CommittedBytes: st.CommittedBytes,

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"mtmalloc/internal/heap"
-	"mtmalloc/internal/scavenge"
 	"mtmalloc/internal/sim"
 	"mtmalloc/internal/telemetry"
 	"mtmalloc/internal/vm"
@@ -19,7 +18,7 @@ import (
 //
 //   - malloc pops from the caller's local cache with zero locking; a miss
 //     first tries the depot (one span under one class lock or CAS), and
-//     only a depot miss refills a batch of CacheBatch chunks from the page
+//     only a depot miss refills a batch of cacheBatch chunks from the page
 //     backend;
 //   - free pushes onto the local cache without touching any lock, wherever
 //     the chunk's owning arena is — the cross-thread frees that make
@@ -29,7 +28,7 @@ import (
 //     when the depot is full or disabled);
 //   - per-class high-water marks are adaptive by default: they slow-start
 //     at one batch, grow on consecutive-hit streaks and shrink on flush
-//     pressure, bounded by CacheHigh;
+//     pressure, bounded by cacheHigh;
 //   - the arena pool is capped at the machine's CPU count (threads map onto
 //     home arenas round-robin), so T threads cost min(T, CPUs) arenas
 //     instead of PerThread's T.
@@ -70,8 +69,12 @@ import (
 // that cacheable refills carve spans from (lfbackend.go). Magazines re-home
 // with them, since without arena ownership nothing else would repatriate a
 // migrated thread's remote chunks. The service threads live in service.go.
+//
+// The machine runs the op frame on base (malloc.go) like every design: it
+// replaces the arena path with its tier walk (allocate, deallocate), adds
+// its tiers to the cascade and the stats, and checks them.
 type ThreadCache struct {
-	*base
+	base
 	caches denseTable[*tcache] // keyed by sim thread ID
 
 	// depots are the tier-2 transfer caches, one per node shard (a single
@@ -90,19 +93,18 @@ type ThreadCache struct {
 	// that observes its node changed (the lock-free kinds).
 	rehome bool
 
+	// The magazine geometry, cacheBatch and cacheHigh unless a test
+	// narrows them before the first operation.
 	batch     int
 	highWater int
-	maxBlock  uint32
 
 	// Adaptive magazine sizing (tcmalloc slow start).
 	adaptive   bool
 	growStreak int
 
-	// scav is the reclamation engine (internal/scavenge), nil unless
-	// ScavengeInterval opted in. trimPad is the resident pad its trim source
-	// keeps at every arena top and minBinBytes the binned-release floor; both
-	// are set by newScavenger, the single owner of the reclamation tuning.
-	scav        *scavenge.Scavenger
+	// The reclamation tuning of the scavenger's sources (scavenge.go):
+	// trimPad is the resident pad the trim source keeps at every arena top,
+	// minBinBytes the binned-release floor and binPad its resident pad.
 	trimPad     uint32
 	minBinBytes uint64
 	binPad      uint64
@@ -111,16 +113,25 @@ type ThreadCache struct {
 	// -svc kinds, nil otherwise. Its mailbox fast paths are inert until the
 	// harness calls Service().Start.
 	svc *Service
-
-	// User-level op counts: arena counters include batch refills and
-	// deferred flushes, so Stats() reports these instead.
-	userMallocs uint64
-	userFrees   uint64
-
-	// pressured clamps every magazine's high-water mark at one batch while
-	// the pressure wrapper (pressure.go) reports sustained memory pressure.
-	pressured bool
 }
+
+// The magazine machine's fixed tuning. Work constants are cycles: a
+// lock-free magazine pop or push, the fixed overhead of a batch refill and
+// of a batch flush (on top of WorkMalloc and WorkFree), and of a depot span
+// exchange (on top of the class's lock or CAS). A refill pulls cacheBatch
+// chunks; an adaptive mark grows by a batch after cacheGrowStreak
+// consecutive hits, up to cacheHigh; chunks above cacheMax bytes are never
+// cached.
+const (
+	cacheHitWork    = 15
+	cacheRefillWork = 60
+	cacheFlushWork  = 60
+	depotXferWork   = 45
+	cacheBatch      = 16
+	cacheHigh       = 64
+	cacheGrowStreak = 64
+	cacheMax        = 32 * 1024
+)
 
 // tcEntry is one cached chunk: the user pointer plus the arena that owns it,
 // recorded at push time so flushes need no routing scan.
@@ -157,7 +168,7 @@ type tcClass struct {
 	// owning node's depot (or arenas) in whole spans once a batch gathers.
 	// Always empty on flat or node-blind machines.
 	remote []tcEntry
-	// mark is the class's current high-water mark; fixed at CacheHigh when
+	// mark is the class's current high-water mark; fixed at cacheHigh when
 	// adaptive sizing is off, otherwise slow-started at one batch.
 	mark int
 	// streak counts consecutive lock-free hits since the last miss or flush.
@@ -196,8 +207,8 @@ func (tc *ThreadCache) classOf(c *tcache, csz uint32) *tcClass {
 	return cl
 }
 
-// NewThreadCache creates the thread-cache allocator on as. Zero-valued cache
-// knobs in costs take the DefaultCostParams values.
+// NewThreadCache creates the thread-cache allocator on as. Zero-valued
+// DepotCapBytes, MmapReuseCap and ScavengeDecay take their defaults.
 func NewThreadCache(t *sim.Thread, as *vm.AddressSpace, params heap.Params, costs CostParams) (*ThreadCache, error) {
 	return newThreadCache(t, KindThreadCache, as, params, costs)
 }
@@ -206,36 +217,8 @@ func NewThreadCache(t *sim.Thread, as *vm.AddressSpace, params heap.Params, cost
 // kinds, which alone picks the parts (see ThreadCache).
 func newThreadCache(t *sim.Thread, kind Kind, as *vm.AddressSpace, params heap.Params, costs CostParams) (*ThreadCache, error) {
 	lockFree := kind == KindLockFree || kind == KindLockFreeSvc
-	def := DefaultCostParams()
-	if costs.CacheHit == 0 {
-		costs.CacheHit = def.CacheHit
-	}
-	if costs.CacheRefill == 0 {
-		costs.CacheRefill = def.CacheRefill
-	}
-	if costs.CacheFlush == 0 {
-		costs.CacheFlush = def.CacheFlush
-	}
-	if costs.CacheBatch <= 0 {
-		costs.CacheBatch = def.CacheBatch
-	}
-	if costs.CacheHigh <= 0 {
-		costs.CacheHigh = def.CacheHigh
-	}
-	if costs.CacheMax == 0 {
-		costs.CacheMax = def.CacheMax
-	}
-	if costs.DepotXfer == 0 {
-		costs.DepotXfer = def.DepotXfer
-	}
 	if costs.DepotCapBytes == 0 {
-		costs.DepotCapBytes = def.DepotCapBytes
-	}
-	if costs.CacheGrowStreak <= 0 {
-		costs.CacheGrowStreak = def.CacheGrowStreak
-	}
-	if costs.MmapReuseWork == 0 {
-		costs.MmapReuseWork = def.MmapReuseWork
+		costs.DepotCapBytes = DefaultDepotCapBytes
 	}
 	if costs.MmapReuseCap == 0 {
 		// The modern design defaults the vm reuse tier on; the paper's
@@ -243,38 +226,27 @@ func newThreadCache(t *sim.Thread, kind Kind, as *vm.AddressSpace, params heap.P
 		costs.MmapReuseCap = DefaultMmapReuseCap
 	}
 	if costs.ScavengeDecay <= 0 {
-		costs.ScavengeDecay = def.ScavengeDecay
-	}
-	if costs.ScavengeTrimPad == 0 {
-		costs.ScavengeTrimPad = def.ScavengeTrimPad
-	}
-	if costs.ScavengeWork == 0 {
-		costs.ScavengeWork = def.ScavengeWork
-	}
-	b, err := newBase(t, string(kind), as, params, costs)
-	if err != nil {
-		return nil, err
-	}
-	cpus := as.Machine().Config().CPUs
-	if cpus < 1 {
-		cpus = 1
+		costs.ScavengeDecay = DefaultCostParams().ScavengeDecay
 	}
 	tc := &ThreadCache{
-		base:       b,
-		batch:      costs.CacheBatch,
-		highWater:  costs.CacheHigh,
-		maxBlock:   costs.CacheMax,
+		batch:      cacheBatch,
+		highWater:  cacheHigh,
 		adaptive:   costs.CacheAdaptive >= 0,
-		growStreak: costs.CacheGrowStreak,
+		growStreak: cacheGrowStreak,
 		rehome:     lockFree,
 	}
+	if err := tc.init(t, tc, string(kind), as, params, costs); err != nil {
+		return nil, err
+	}
+	tc.own = &tc.lastArena
+	cpus := max(as.Machine().Config().CPUs, 1)
 	// Shard the pool by node unless the machine is flat or the profile asked
 	// for the node-blind baseline. The single-shard case is the original
 	// CPU-capped pool: one shard, node -1 (first-touch mappings), the main
 	// arena as slot 0.
 	nodes := as.Machine().Nodes()
 	if costs.NUMANodeBlind || nodes <= 1 {
-		tc.shards = []*poolShard{{node: -1, arenas: []*heap.Arena{b.arenas[0]}, cap: cpus}}
+		tc.shards = []*poolShard{{node: -1, arenas: []*heap.Arena{tc.arenas[0]}, cap: cpus}}
 	} else {
 		per := (cpus + nodes - 1) / nodes
 		for n := 0; n < nodes; n++ {
@@ -282,7 +254,7 @@ func newThreadCache(t *sim.Thread, kind Kind, as *vm.AddressSpace, params heap.P
 			if n == 0 {
 				// The main arena (brk segment, first-touch) serves as node
 				// 0's first slot, as it did for the flat pool.
-				sh.arenas = []*heap.Arena{b.arenas[0]}
+				sh.arenas = []*heap.Arena{tc.arenas[0]}
 			}
 			tc.shards = append(tc.shards, sh)
 		}
@@ -292,21 +264,21 @@ func newThreadCache(t *sim.Thread, kind Kind, as *vm.AddressSpace, params heap.P
 		// Read-mostly pool: the shards' round-robin cursors become priced
 		// atomic fetch-adds (the list lock now guards growth only).
 		for _, sh := range tc.shards {
-			sh.cursor = as.Machine().NewCASPoint(fmt.Sprintf("%s.pool.n%d", b.name, sh.node))
+			sh.cursor = as.Machine().NewCASPoint(fmt.Sprintf("%s.pool.n%d", tc.name, sh.node))
 		}
-		tc.lf = newLFBackend(b.name, as, tc.shards, costs.LineAware, &b.stats)
+		tc.lf = newLFBackend(tc.name, as, tc.shards, costs.LineAware, &tc.stats)
 	}
 	if costs.DepotCapBytes > 0 {
 		for range tc.shards {
-			dname := b.name
+			dname := tc.name
 			if len(tc.shards) > 1 {
-				dname = fmt.Sprintf("%s.n%d", b.name, len(tc.depots))
+				dname = fmt.Sprintf("%s.n%d", tc.name, len(tc.depots))
 			}
-			tc.depots = append(tc.depots, newDepot(as.Machine(), dname, lockFree, costs.DepotCapBytes, costs.DepotXfer, &b.stats))
+			tc.depots = append(tc.depots, newDepot(as.Machine(), dname, lockFree, costs.DepotCapBytes, &tc.stats))
 		}
 	}
 	if costs.ScavengeInterval > 0 {
-		tc.scav = tc.newScavenger(costs)
+		tc.newScavenger(costs)
 	}
 	if kind == KindThreadCacheSvc || kind == KindLockFreeSvc {
 		tc.svc = newService(tc)
@@ -431,57 +403,32 @@ func (tc *ThreadCache) homeArena(t *sim.Thread, c *tcache) (*heap.Arena, error) 
 // routing and stats registry).
 func (tc *ThreadCache) growPool(t *sim.Thread, sh *poolShard) (*heap.Arena, error) {
 	t.Lock(tc.listLock)
-	a, err := heap.NewSubOnNode(t, tc.as, &tc.params, len(tc.arenas), sh.node)
-	if err != nil {
-		t.Unlock(tc.listLock)
-		return nil, fmt.Errorf("malloc: creating pool arena: %w", err)
+	a, err := tc.grow(t, sh.node)
+	if err == nil {
+		sh.arenas = append(sh.arenas, a)
 	}
-	tc.arenas = append(tc.arenas, a)
-	sh.arenas = append(sh.arenas, a)
-	tc.stats.ArenaCreations++
 	t.Unlock(tc.listLock)
-	return a, nil
+	return a, err
 }
 
-// Malloc allocates size bytes, serving cacheable sizes from the local cache.
-func (tc *ThreadCache) Malloc(t *sim.Thread, size uint32) (uint64, error) {
-	t.MaybeYield()
-	start := t.Now()
-	tc.opCharge(t, 0, tc.lastArena.get(t.ID()))
-	tc.maybeScavenge(t)
-	mem, class, tier, err := tc.malloc(t, size)
-	if err != nil {
-		return mem, err
-	}
-	if tier != telemetry.TierVM {
-		tc.userMallocs++ // mmapped chunks bypass every cache tier
-	}
-	tc.telOp(t, telemetry.OpMalloc, class, tier, start)
-	return mem, nil
-}
-
-// malloc is Malloc's path through the tiers; it reports the chunk's size
-// class and the tier that served it.
-func (tc *ThreadCache) malloc(t *sim.Thread, size uint32) (uint64, uint32, telemetry.Tier, error) {
-	sz := tc.params.Request2Size(size)
-	if mem, err, done := tc.mmapPath(t, size); done {
-		return mem, sz, telemetry.TierVM, err
-	}
-	tc.noteQuant(size)
+// allocate is the tier walk of a below-threshold malloc (sz is its chunk
+// size): the caller's magazine, then the service shelf, the depot and the
+// page backend; it reports the tier that served the chunk.
+func (tc *ThreadCache) allocate(t *sim.Thread, size, sz uint32) (uint64, telemetry.Tier, error) {
 	c := tc.cacheOf(t)
-	if sz > tc.maxBlock {
+	if sz > cacheMax {
 		// Too large to cache: straight to the home arena under its lock.
 		mem, err := tc.arenaBatch(t, c, size, 0, tc.costs.WorkMalloc)
-		return mem, sz, telemetry.TierArena, err
+		return mem, telemetry.TierArena, err
 	}
 	if cl := c.classes.get(classSlot(sz)); cl != nil && len(cl.entries) > 0 {
 		e := cl.entries[len(cl.entries)-1]
 		cl.entries = cl.entries[:len(cl.entries)-1]
-		t.Charge(sim.Time(tc.costs.CacheHit))
+		t.Charge(cacheHitWork)
 		tc.stats.CacheHits++
 		tc.growOnStreak(cl)
 		tc.lastArena.set(t.ID(), e.arena)
-		return e.mem, sz, telemetry.TierMagazine, nil
+		return e.mem, telemetry.TierMagazine, nil
 	}
 	tc.stats.CacheMisses++
 	// Offload fast path: a span the service thread prefetched for this
@@ -490,25 +437,25 @@ func (tc *ThreadCache) malloc(t *sim.Thread, size uint32) (uint64, uint32, telem
 	// epoch prefetches ahead of us.
 	if tc.svc != nil {
 		if span, ok := tc.svc.takeFull(t, sz, size); ok {
-			return tc.install(t, c, sz, span), sz, telemetry.TierService, nil
+			return tc.install(t, c, sz, span), telemetry.TierService, nil
 		}
 	}
-	// Tier 2: one span from the caller's node's depot costs DepotXfer cycles
-	// plus the class's lock or CAS — no arena lock, no per-chunk malloc
-	// work, and never a remote span while local ones exist.
+	// Tier 2: one span from the caller's node's depot costs depotXferWork
+	// cycles plus the class's lock or CAS — no arena lock, no per-chunk
+	// malloc work, and never a remote span while local ones exist.
 	if depot := tc.depotFor(t.Node()); depot != nil {
 		if span, ok := depot.get(t, sz); ok {
-			return tc.install(t, c, sz, span), sz, telemetry.TierDepot, nil
+			return tc.install(t, c, sz, span), telemetry.TierDepot, nil
 		}
 	}
 	if tc.lf != nil {
 		// Tier 3, lock-free kinds: carve a batch from the buddy backend — no
 		// arena, no lock; the contention is the buddy's bitmap CAS.
 		mem, err := tc.buddyBatch(t, c, sz)
-		return mem, sz, telemetry.TierArena, err
+		return mem, telemetry.TierArena, err
 	}
-	mem, err := tc.arenaBatch(t, c, size, tc.batch-1, tc.costs.CacheRefill+tc.costs.WorkMalloc)
-	return mem, sz, telemetry.TierArena, err
+	mem, err := tc.arenaBatch(t, c, size, tc.batch-1, cacheRefillWork+tc.costs.WorkMalloc)
+	return mem, telemetry.TierArena, err
 }
 
 // install parks a span fetched for a magazine miss in the caller's class and
@@ -563,12 +510,8 @@ func (tc *ThreadCache) arenaBatch(t *sim.Thread, c *tcache, req uint32, extra in
 			if b == a {
 				continue
 			}
-			t.Lock(b.Lock)
-			mem, err2 := b.Malloc(t, req)
-			t.Unlock(b.Lock)
-			if err2 == nil {
+			if mem, err := tc.mallocOn(t, b, req); err == nil {
 				c.home = b
-				tc.lastArena.set(t.ID(), b)
 				return mem, nil
 			}
 		}
@@ -584,11 +527,7 @@ func (tc *ThreadCache) arenaBatch(t *sim.Thread, c *tcache, req uint32, extra in
 			if b == a || slices.Contains(sh.arenas, b) {
 				continue
 			}
-			t.Lock(b.Lock)
-			mem, err2 := b.Malloc(t, req)
-			t.Unlock(b.Lock)
-			if err2 == nil {
-				tc.lastArena.set(t.ID(), b)
+			if mem, err := tc.mallocOn(t, b, req); err == nil {
 				return mem, nil
 			}
 		}
@@ -600,7 +539,7 @@ func (tc *ThreadCache) arenaBatch(t *sim.Thread, c *tcache, req uint32, extra in
 // batch-1 parked, charged like an arena batch refill but with no lock — the
 // only shared state touched is the buddy's bitmap, priced by CAS.
 func (tc *ThreadCache) buddyBatch(t *sim.Thread, c *tcache, sz uint32) (uint64, error) {
-	t.Charge(sim.Time(tc.costs.CacheRefill + tc.costs.WorkMalloc))
+	t.Charge(sim.Time(cacheRefillWork + tc.costs.WorkMalloc))
 	entries, err := tc.lf.refill(t, t.Node(), sz, tc.batch, tc.batch)
 	if err != nil {
 		return 0, err
@@ -616,25 +555,13 @@ func (tc *ThreadCache) buddyBatch(t *sim.Thread, c *tcache, sz uint32) (uint64, 
 	return e.mem, nil
 }
 
-// Free parks cacheable chunks on the local cache without locking; a class
-// crossing its high-water mark is flushed back in whole spans.
-func (tc *ThreadCache) Free(t *sim.Thread, mem uint64) error {
-	t.MaybeYield()
-	start := t.Now()
-	tc.opCharge(t, 0, tc.lastArena.get(t.ID()))
-	tc.maybeScavenge(t)
-	class, tier, err := tc.free(t, mem)
-	if err == nil {
-		tc.telOp(t, telemetry.OpFree, class, tier, start)
-	}
-	return err
-}
-
-// free is Free's path; it reports the chunk's size class and the tier the
-// free reached. Buddy-backed chunks (the lock-free kinds) park exactly like
-// arena-owned ones, except that the owning node comes from the span and the
-// eventual flush returns the chunk to its span instead of an arena.
-func (tc *ThreadCache) free(t *sim.Thread, mem uint64) (uint32, telemetry.Tier, error) {
+// deallocate parks cacheable chunks on the local cache without locking; a
+// class crossing its high-water mark is flushed back in whole spans. It
+// reports the chunk's size class and the tier the free reached. Buddy-backed
+// chunks (the lock-free kinds) park exactly like arena-owned ones, except
+// that the owning node comes from the span and the eventual flush returns
+// the chunk to its span instead of an arena.
+func (tc *ThreadCache) deallocate(t *sim.Thread, mem uint64) (uint32, telemetry.Tier, error) {
 	// Owner lookup: buddy span, then the mmapped check, then the arena.
 	// Buddy chunks carry no chunk header, so they are routed before any
 	// header sniffing: the mmapped probe reads the size word below mem,
@@ -647,8 +574,8 @@ func (tc *ThreadCache) free(t *sim.Thread, mem uint64) (uint32, telemetry.Tier, 
 	}
 	var a *heap.Arena
 	if sp == nil {
-		if done, err := tc.freeIfMmapped(t, mem); done {
-			return 0, telemetry.TierVM, err
+		if tc.arenas[0].IsMmappedMem(t, mem) {
+			return 0, telemetry.TierVM, tc.arenas[0].FreeMmapChunk(t, mem)
 		}
 		var err error
 		if a, err = tc.routeFree(t, mem); err != nil {
@@ -666,18 +593,14 @@ func (tc *ThreadCache) free(t *sim.Thread, mem uint64) (uint32, telemetry.Tier, 
 	// Implausible sizes (wild or corrupt pointers) take the locked arena
 	// path, which validates and reports ErrBadFree. Buddy spans carve only
 	// cacheable classes, so their chunks never land here.
-	if csz < heap.MinChunk || csz > tc.maxBlock {
+	if csz < heap.MinChunk || csz > cacheMax {
 		t.Lock(a.Lock)
 		t.Charge(sim.Time(tc.costs.WorkFree))
 		err := a.Free(t, mem)
 		t.Unlock(a.Lock)
-		if err == nil {
-			tc.userFrees++
-		}
 		return csz, telemetry.TierArena, err
 	}
-	t.Charge(sim.Time(tc.costs.CacheHit))
-	tc.userFrees++
+	t.Charge(cacheHitWork)
 	if a != nil && c.home != nil && c.home != a {
 		tc.stats.CrossArenaFrees++
 	}
@@ -707,11 +630,11 @@ func (tc *ThreadCache) free(t *sim.Thread, mem uint64) (uint32, telemetry.Tier, 
 }
 
 // growOnStreak advances a class's hit streak and grows its adaptive mark by
-// one batch after growStreak consecutive lock-free hits, up to CacheHigh.
+// one batch after growStreak consecutive lock-free hits, up to highWater.
 // Under memory pressure (pressure.go) marks stay clamped at one batch: a fat
 // magazine is exactly the parked memory an emergency pass just reclaimed.
 func (tc *ThreadCache) growOnStreak(cl *tcClass) {
-	if !tc.adaptive || tc.pressured {
+	if !tc.adaptive || tc.level > 0 {
 		return
 	}
 	cl.streak++
@@ -780,7 +703,7 @@ func (tc *ThreadCache) releaseOrPost(t *sim.Thread, csz uint32, victims []tcEntr
 }
 
 // release returns victims (all of class csz) to the system: spans of up to
-// CacheBatch chunks are donated to the depot (a trailing partial span
+// one batch of chunks are donated to the depot (a trailing partial span
 // included — detach must empty the magazine), and whatever the depot
 // refuses — or everything, when it is disabled — is freed into the owning
 // arenas. On a sharded pool each span is donated to the depot of the node
@@ -867,7 +790,7 @@ func (tc *ThreadCache) flush(t *sim.Thread, victims []tcEntry) error {
 		return nil
 	}
 	tc.stats.CacheFlushes++
-	t.Charge(sim.Time(tc.costs.CacheFlush))
+	t.Charge(cacheFlushWork)
 	if tc.lf != nil {
 		// Buddy-backed victims return to their spans lock-free; only the
 		// arena-owned remainder (if any) takes locks below.
@@ -922,49 +845,25 @@ func (tc *ThreadCache) DetachThread(t *sim.Thread) {
 	tc.base.DetachThread(t)
 }
 
-// Realloc resizes mem with C semantics. A chunk being resized is owned by
-// the user, never parked in a cache, so the shared path applies unchanged —
-// except buddy-backed chunks, which live outside every arena and are resized
-// here (in place within their class, moved through Malloc otherwise).
-func (tc *ThreadCache) Realloc(t *sim.Thread, mem uint64, size uint32) (uint64, error) {
-	if tc.lf != nil && mem != 0 && size != 0 {
-		if sp := tc.lf.spanAt(mem); sp != nil {
-			t.MaybeYield()
-			t.Charge(sim.Time(tc.costs.TSDRead))
-			sz := tc.params.Request2Size(size)
-			if sz == sp.csz {
-				return mem, nil // same class: the chunk already fits
-			}
-			np, err := tc.Malloc(t, size)
-			if err != nil {
-				return 0, fmt.Errorf("realloc: %w", err)
-			}
-			n := size
-			if sp.csz < n {
-				n = sp.csz
-			}
-			// Chunk-format copies route through the main arena by convention
-			// (as mmapped chunks do); the addresses are plain mapped memory.
-			tc.arenas[0].CopyPayload(t, np, mem, n)
-			return np, tc.Free(t, mem)
-		}
+// spanClass reports the class of a buddy-backed chunk, which carries no
+// boundary tag for realloc to read; the lookup is priced like the free
+// path's.
+func (tc *ThreadCache) spanClass(t *sim.Thread, mem uint64) uint32 {
+	if tc.lf == nil {
+		return 0
 	}
-	return reallocOn(tc, tc.base, t, mem, size)
+	sp := tc.lf.spanAt(mem)
+	if sp == nil {
+		return 0
+	}
+	t.Charge(sim.Time(tc.costs.TSDRead))
+	return sp.csz
 }
 
-// Calloc allocates zeroed memory.
-func (tc *ThreadCache) Calloc(t *sim.Thread, size uint32) (uint64, error) {
-	return callocOn(tc, tc.base, t, size)
-}
-
-// Stats returns aggregated statistics. Heap.Mallocs/Frees report user-level
-// operation counts: the arena-level counters include batch refills and
-// exclude parked frees, which would make the designs incomparable (the raw
-// per-arena numbers stay available through Arenas()).
-func (tc *ThreadCache) Stats() Stats {
-	s := tc.sumStats()
-	s.Heap.Mallocs = tc.userMallocs
-	s.Heap.Frees = tc.userFrees
+// addStats adds the caching tiers: chunks and bytes parked in magazines,
+// depots and mailboxes, and the contention counters of the pool cursors and
+// the buddy backend.
+func (tc *ThreadCache) addStats(s *Stats) {
 	for _, tid := range tc.caches.keys() {
 		c := tc.caches.get(tid)
 		for _, k := range c.classes.keys() {
@@ -976,11 +875,11 @@ func (tc *ThreadCache) Stats() Stats {
 	for _, depot := range tc.depots {
 		s.DepotChunks += depot.chunkCount()
 		s.DepotBytes += depot.byteCount()
-		depot.addPointStats(&s)
+		depot.addPointStats(s)
 	}
 	for _, sh := range tc.shards {
 		if sh.cursor != nil {
-			addCASStats(&s, sh.cursor.PointStats())
+			addCASStats(s, sh.cursor.PointStats())
 		}
 	}
 	if tc.lf != nil {
@@ -994,15 +893,9 @@ func (tc *ThreadCache) Stats() Stats {
 		s.CASFails += bs.CASFails
 		s.CASRetryCycles += uint64(bs.RetryCycles)
 	}
-	if tc.scav != nil {
-		sc := tc.scav.Stats()
-		s.ScavengeEpochs = sc.Epochs
-		s.ScavengeBytes = sc.BytesReleased
-	}
 	if tc.svc != nil {
 		s.SvcParkedChunks, s.SvcParkedBytes = tc.svc.parked()
 	}
-	return s
 }
 
 // addCASStats adds one CAS point's attempts, failures and retry cycles to s.
@@ -1021,13 +914,10 @@ func (tc *ThreadCache) ParkedBytes() uint64 {
 	return s.CachedBytes + s.DepotBytes + s.SvcParkedBytes + s.MmapReuseParked
 }
 
-// Check verifies every arena plus the cache invariants: every parked chunk
-// — magazine or depot — must lie inside the arena recorded for it and appear
-// in at most one cache slot across all tiers.
-func (tc *ThreadCache) Check() error {
-	if err := tc.checkAll(); err != nil {
-		return err
-	}
+// check verifies the cache invariants: every parked chunk — magazine, depot
+// or mailbox — must lie inside the arena recorded for it and appear in at
+// most one cache slot across all tiers.
+func (tc *ThreadCache) check() error {
 	seen := make(map[uint64]bool)
 	// owns validates one cached chunk's provenance: inside its recorded arena,
 	// or — for the nil-arena entries of the lock-free design — a carved chunk
@@ -1125,5 +1015,3 @@ func (tc *ThreadCache) SharedMagazineLines() int {
 	}
 	return len(shared)
 }
-
-var _ Allocator = (*ThreadCache)(nil)

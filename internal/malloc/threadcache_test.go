@@ -39,7 +39,7 @@ func TestThreadCacheBatchAccounting(t *testing.T) {
 			t.Errorf("NewThreadCache: %v", err)
 			return
 		}
-		batch := uint64(costs.CacheBatch)
+		batch := uint64(al.batch)
 		var ps []uint64
 		for i := uint64(0); i < batch; i++ {
 			p, err := al.Malloc(main, 64)
@@ -123,13 +123,12 @@ func TestThreadCacheFlushHighWater(t *testing.T) {
 	m, as := newWorld(2, 43)
 	err := m.Run(func(main *sim.Thread) {
 		costs := DefaultCostParams()
-		costs.CacheBatch = 4
-		costs.CacheHigh = 8
 		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
 			t.Errorf("NewThreadCache: %v", err)
 			return
 		}
+		al.batch, al.highWater = 4, 8
 		const n = 20
 		var ps []uint64
 		for i := 0; i < n; i++ {
@@ -148,10 +147,10 @@ func TestThreadCacheFlushHighWater(t *testing.T) {
 		}
 		st := al.Stats()
 		if st.DepotDonates < 2 {
-			t.Errorf("depot donates=%d, want >= 2 over %d frees with high water %d", st.DepotDonates, n, costs.CacheHigh)
+			t.Errorf("depot donates=%d, want >= 2 over %d frees with high water %d", st.DepotDonates, n, al.highWater)
 		}
-		if st.CachedChunks > costs.CacheHigh {
-			t.Errorf("cached chunks=%d exceed high water %d", st.CachedChunks, costs.CacheHigh)
+		if st.CachedChunks > al.highWater {
+			t.Errorf("cached chunks=%d exceed high water %d", st.CachedChunks, al.highWater)
 		}
 		if got := al.Arenas()[0].Stats().Frees; got != 0 {
 			t.Errorf("arena frees=%d, want 0 (releases donated to the depot)", got)
@@ -178,8 +177,6 @@ func TestThreadCacheFlushNoDepot(t *testing.T) {
 	m, as := newWorld(2, 43)
 	err := m.Run(func(main *sim.Thread) {
 		costs := DefaultCostParams()
-		costs.CacheBatch = 4
-		costs.CacheHigh = 8
 		costs.DepotCapBytes = -1
 		costs.CacheAdaptive = -1
 		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
@@ -187,6 +184,7 @@ func TestThreadCacheFlushNoDepot(t *testing.T) {
 			t.Errorf("NewThreadCache: %v", err)
 			return
 		}
+		al.batch, al.highWater = 4, 8
 		const n = 20
 		var ps []uint64
 		for i := 0; i < n; i++ {
@@ -205,10 +203,10 @@ func TestThreadCacheFlushNoDepot(t *testing.T) {
 		}
 		st := al.Stats()
 		if st.CacheFlushes < 2 {
-			t.Errorf("flushes=%d, want >= 2 over %d frees with high water %d", st.CacheFlushes, n, costs.CacheHigh)
+			t.Errorf("flushes=%d, want >= 2 over %d frees with high water %d", st.CacheFlushes, n, al.highWater)
 		}
-		if st.CachedChunks > costs.CacheHigh {
-			t.Errorf("cached chunks=%d exceed high water %d", st.CachedChunks, costs.CacheHigh)
+		if st.CachedChunks > al.highWater {
+			t.Errorf("cached chunks=%d exceed high water %d", st.CachedChunks, al.highWater)
 		}
 		if got := al.Arenas()[0].Stats().Frees; got == 0 {
 			t.Error("no frees reached the arena despite flushes")
@@ -480,15 +478,13 @@ func TestAdaptiveMarkGrowsOnHitStreak(t *testing.T) {
 		var st Stats
 		err := m.Run(func(main *sim.Thread) {
 			costs := DefaultCostParams()
-			costs.CacheBatch = 4
-			costs.CacheHigh = 16
-			costs.CacheGrowStreak = 8
 			costs.CacheAdaptive = adaptive
 			al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
 			if err != nil {
 				t.Errorf("NewThreadCache: %v", err)
 				return
 			}
+			al.batch, al.highWater, al.growStreak = 4, 16, 8
 			// Malloc/free pairs: every pop after the first refill is a hit.
 			for i := 0; i < 100; i++ {
 				p, err := al.Malloc(main, 64)
@@ -525,14 +521,12 @@ func TestAdaptiveMarkShrinksOnFlushPressure(t *testing.T) {
 	m, as := newWorld(2, 97)
 	err := m.Run(func(main *sim.Thread) {
 		costs := DefaultCostParams()
-		costs.CacheBatch = 4
-		costs.CacheHigh = 16
-		costs.CacheGrowStreak = 8
 		al, err := NewThreadCache(main, as, heap.DefaultParams(), costs)
 		if err != nil {
 			t.Errorf("NewThreadCache: %v", err)
 			return
 		}
+		al.batch, al.highWater, al.growStreak = 4, 16, 8
 		// Grow the mark with pair traffic first.
 		for i := 0; i < 100; i++ {
 			p, err := al.Malloc(main, 64)

@@ -13,11 +13,12 @@
 // arena design — plus a fourth design from the paper's future: a
 // tcmalloc/Hoard-style thread cache (ThreadCache), where each thread keeps a
 // size-classed magazine in front of a CPU-count-bounded arena pool. Mallocs
-// pop from the magazine with zero locking, misses refill a batch under one
-// lock acquisition, and frees park locally until a class crosses its
-// high-water mark (CostParams.CacheHit/CacheRefill/CacheFlush price the
-// operations; CacheBatch/CacheHigh/CacheMax tune the policy). Experiment D1
-// compares all four designs head-to-head.
+// pop from the magazine with zero locking, misses refill a batch of 16
+// chunks under one lock acquisition, and frees park locally until a class
+// crosses its adaptive high-water mark (at most 64 chunks; chunks above
+// 32 KB are never cached). All designs run one op frame and differ only in
+// the policy it asks them for. Experiment D1 compares all four designs
+// head-to-head.
 //
 // The package surface re-exports the pieces a user needs to run the
 // paper's experiments or build new workloads:
