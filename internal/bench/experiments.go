@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"mtmalloc/internal/malloc"
 	"mtmalloc/internal/stats"
@@ -199,18 +201,54 @@ func ExpTable4(o Options) (*Table, error) {
 	return t, nil
 }
 
+// sweepRows computes row(i) for every i in [0, n) on up to GOMAXPROCS
+// goroutines and returns the results by index, so a table built from them
+// keeps its order. Each row of a sweep is its own simulation on its own
+// machine, and nothing runs concurrently inside one, so every result is
+// the one a sequential sweep gives. The error of the lowest failing row is
+// returned.
+func sweepRows[R any](n int, row func(i int) (R, error)) ([]R, error) {
+	out := make([]R, n)
+	errs := make([]error, n)
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := min(n, runtime.GOMAXPROCS(0)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				out[i], errs[i] = row(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // --- scalability figures ---
 
 func threadSweep(o Options, prof Profile, size uint32, threadCounts []int, runs int, want func(int) float64, id, title string) (*Table, error) {
 	t := &Table{ID: id, Title: title,
 		Columns: []string{"threads", "measured(s)", "stddev", "paper(s)", "delta"}}
 	pairs := o.pairs()
+	results, err := sweepRows(len(threadCounts), func(i int) (B1Result, error) {
+		return RunBench1(B1Config{Profile: prof, Threads: threadCounts[i], Size: size, Pairs: pairs, Runs: runs, Seed: o.seed()})
+	})
+	if err != nil {
+		return nil, err
+	}
 	var xs, ys []float64
-	for _, n := range threadCounts {
-		r, err := RunBench1(B1Config{Profile: prof, Threads: n, Size: size, Pairs: pairs, Runs: runs, Seed: o.seed()})
-		if err != nil {
-			return nil, err
-		}
+	for i, n := range threadCounts {
+		r := results[i]
 		got := ScaleSeconds(r.All.Mean, pairs, FullPairs)
 		sd := ScaleSeconds(r.All.Stddev, pairs, FullPairs)
 		w := want(n)
@@ -257,16 +295,19 @@ func ExpFigure4(o Options) (*Table, error) {
 func roundsSweep(o Options, prof Profile, threads int, rounds []int, runs int, id, title string) (*Table, error) {
 	t := &Table{ID: id, Title: title,
 		Columns: []string{"rounds", "min", "avg", "max", "predicted", "spread", "arenas(max)"}}
-	for _, r := range rounds {
+	results, err := sweepRows(len(rounds), func(i int) (B2Result, error) {
 		cfg := DefaultB2(prof)
 		cfg.Threads = threads
-		cfg.Rounds = r
+		cfg.Rounds = rounds[i]
 		cfg.Runs = runs
 		cfg.Seed = o.seed()
-		res, err := RunBench2(cfg)
-		if err != nil {
-			return nil, err
-		}
+		return RunBench2(cfg)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range rounds {
+		res := results[i]
 		arenas := 0
 		for _, rr := range res.Runs {
 			if rr.ArenaCount > arenas {

@@ -12,13 +12,16 @@
 //
 // The model holds the protocol and the per-CPU counters but stores no
 // lines. Each directory entry (Line) lives with the page it describes: the
-// vm layer keeps one per touched line in its page records and hands it to
-// Access, so a line's state is dropped with its page on unmap or release.
+// vm layer keeps one beside the bytes of each touched line in its page
+// records and hands it to Hit, and on a miss to Access, so a line's state
+// is dropped with its page on unmap or release.
 // Because every address space owns its pages, two processes never generate
 // coherence traffic against one another even when their heaps use
 // identical virtual addresses; this is precisely the asymmetry benchmark 1
 // measures between the two-thread and two-process configurations.
 package cache
+
+import "math/bits"
 
 // Costs is the per-access cycle cost model.
 type Costs struct {
@@ -36,7 +39,7 @@ func DefaultCosts() Costs {
 }
 
 // Line is the directory entry for one cache line. The caller owns it and
-// passes it to Access by pointer. The zero Line is invalid in every cache.
+// passes it to Hit and Access by pointer. The zero Line is invalid in every cache.
 type Line struct {
 	sharers uint64 // bitmask of CPUs with a readable copy
 	owner   uint8  // 1 + the CPU with the dirty copy, 0 if none
@@ -64,13 +67,16 @@ type Model struct {
 	OwnerFlips uint64
 }
 
+// MinLineShift is log2 of the narrowest line NewModel accepts: 32 bytes, so
+// a 4 KB page holds at most 128 lines.
+const MinLineShift = 5
+
 // NewModel creates a directory for numCPUs CPUs and 2^lineShift-byte lines.
-// Lines are at least 32 bytes, so a 4 KB page holds at most 128 of them.
 func NewModel(numCPUs int, lineShift uint, costs Costs) *Model {
 	if numCPUs < 1 || numCPUs > 64 {
 		panic("cache: unsupported CPU count")
 	}
-	if lineShift < 5 || lineShift > 12 {
+	if lineShift < MinLineShift || lineShift > 12 {
 		panic("cache: unreasonable line size")
 	}
 	return &Model{
@@ -100,6 +106,19 @@ const (
 	FillCache              // served from another CPU's dirty copy
 )
 
+// Hit settles an access that hits: cpu holds l dirty, or a read finds l
+// clean in cpu's cache. It counts the hit and returns its cost and true.
+// Otherwise it returns false and changes nothing, and the caller settles the
+// access with Access. It is the one definition of a hit, small enough to
+// inline into the caller's access path; Access starts with it.
+func (m *Model) Hit(cpu int, l *Line, write bool) (int64, bool) {
+	if l.owner == uint8(cpu+1) || !write && l.owner == 0 && l.sharers&(1<<uint(cpu)) != 0 {
+		m.stats[cpu].Hits++
+		return m.costs.Hit, true
+	}
+	return 0, false
+}
+
 // Access charges one read or write by cpu against line l, updating l in
 // place. It returns the cost in cycles, where the data came from, and —
 // for cache-to-cache transfers — which CPU supplied it (-1 otherwise). The
@@ -107,15 +126,15 @@ const (
 // boundary: a memory fill travels from the page's home node, a
 // cache-to-cache fill from the supplier CPU's node.
 func (m *Model) Access(cpu int, l *Line, write bool) (cost int64, fill Fill, from int) {
+	if c, ok := m.Hit(cpu, l, write); ok {
+		return c, FillNone, -1
+	}
 	bit := uint64(1) << uint(cpu)
 	me := uint8(cpu + 1)
 	st := &m.stats[cpu]
 
 	if write {
 		switch {
-		case l.owner == me:
-			st.Hits++
-			return m.costs.Hit, FillNone, -1
 		case l.owner != 0:
 			// Another CPU has the dirty copy: fetch it and take ownership.
 			from := int(l.owner) - 1
@@ -152,9 +171,6 @@ func (m *Model) Access(cpu int, l *Line, write bool) (cost int64, fill Fill, fro
 
 	// Read.
 	switch {
-	case l.owner == me, l.owner == 0 && l.sharers&bit != 0:
-		st.Hits++
-		return m.costs.Hit, FillNone, -1
 	case l.owner != 0:
 		// Dirty in another cache: cache-to-cache transfer, both end shared.
 		from := int(l.owner) - 1
@@ -169,12 +185,11 @@ func (m *Model) Access(cpu int, l *Line, write bool) (cost int64, fill Fill, fro
 	}
 }
 
+// chargeInvalidations counts one lost line for every CPU in mask, visiting
+// only the set bits.
 func (m *Model) chargeInvalidations(mask uint64) {
-	for c := 0; mask != 0; c++ {
-		if mask&1 != 0 {
-			m.stats[c].Invalidated++
-		}
-		mask >>= 1
+	for ; mask != 0; mask &= mask - 1 {
+		m.stats[bits.TrailingZeros64(mask)].Invalidated++
 	}
 }
 

@@ -98,11 +98,15 @@ func (m *refModel) access(cpu int, key uint64, write bool) (int64, Fill, int) {
 }
 
 // TestAccessMatchesKeyedReference drives the caller-held Line protocol and
-// the keyed reference with the same random (cpu, line, read/write) stream
-// and requires identical cost, fill and supplier on every access, then
-// identical per-CPU stats and owner flips. Two spaces share line numbers
-// so the reference's space-keyed isolation is exercised too; the 64-CPU
-// model reaches sharer bit 63.
+// the keyed reference with the same random (cpu, line, read/write) stream.
+// Even-numbered accesses are settled the way the vm layer does: Hit first,
+// Access when Hit declines. Hit must claim exactly the accesses the
+// reference charges as hits, at the reference's cost, and must leave the
+// line and every counter alone when it declines. Odd-numbered accesses go
+// to Access alone, hits included. Every Access must match the reference's
+// cost, fill and supplier. At the end per-CPU stats and owner flips must be
+// identical. Two spaces share line numbers so the reference's space-keyed
+// isolation is exercised too; the 64-CPU model reaches sharer bit 63.
 func TestAccessMatchesKeyedReference(t *testing.T) {
 	for _, cpus := range []int{4, 64} {
 		for seed := uint64(1); seed <= 4; seed++ {
@@ -110,6 +114,8 @@ func TestAccessMatchesKeyedReference(t *testing.T) {
 			ref := newRef(cpus, 5, DefaultCosts())
 			const spaces, perSpace = 2, 12
 			lines := make([]Line, spaces*perSpace)
+			snap := make([]CPUStats, cpus)
+			hits, accessHits := 0, 0
 			r := xrand.New(seed, uint64(cpus))
 			for i := 0; i < 20000; i++ {
 				cpu := r.Intn(cpus)
@@ -118,12 +124,44 @@ func TestAccessMatchesKeyedReference(t *testing.T) {
 				}
 				space, n := r.Intn(spaces), r.Intn(perSpace)
 				write := r.Intn(3) == 0
-				c, fill, from := m.Access(cpu, &lines[space*perSpace+n], write)
+				l := &lines[space*perSpace+n]
+				refHits := ref.stats[cpu].Hits
 				rc, rfill, rfrom := ref.access(cpu, ref.key(uint32(space+1), uint64(n)<<5), write)
+				refHit := ref.stats[cpu].Hits != refHits
+
+				if i%2 == 0 {
+					copy(snap, m.stats)
+					held, flips := *l, m.OwnerFlips
+					if hc, hit := m.Hit(cpu, l, write); hit != refHit {
+						t.Fatalf("cpus=%d seed=%d access %d (cpu %d line %d/%d write=%v): Hit = %v, reference hit = %v",
+							cpus, seed, i, cpu, space, n, write, hit, refHit)
+					} else if hit {
+						if hc != rc {
+							t.Fatalf("cpus=%d seed=%d access %d: Hit cost %d, reference %d", cpus, seed, i, hc, rc)
+						}
+						hits++
+						continue
+					}
+					if *l != held || m.OwnerFlips != flips {
+						t.Fatalf("cpus=%d seed=%d access %d: declined Hit changed the line or owner flips", cpus, seed, i)
+					}
+					for c := range snap {
+						if m.stats[c] != snap[c] {
+							t.Fatalf("cpus=%d seed=%d access %d: declined Hit changed cpu %d stats %+v -> %+v", cpus, seed, i, c, snap[c], m.stats[c])
+						}
+					}
+				} else if refHit {
+					accessHits++
+				}
+				c, fill, from := m.Access(cpu, l, write)
 				if c != rc || fill != rfill || from != rfrom {
 					t.Fatalf("cpus=%d seed=%d access %d (cpu %d line %d/%d write=%v): got (%d, %d, %d), reference (%d, %d, %d)",
 						cpus, seed, i, cpu, space, n, write, c, fill, from, rc, rfill, rfrom)
 				}
+			}
+			if hits == 0 || hits == 10000 || accessHits == 0 || accessHits == 10000 {
+				t.Fatalf("cpus=%d seed=%d: Hit settled %d of its 10000 accesses, Access alone %d of its 10000; each stream must mix hits and misses",
+					cpus, seed, hits, accessHits)
 			}
 			got := m.Stats()
 			for cpu := range got {

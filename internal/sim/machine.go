@@ -191,6 +191,10 @@ type Machine struct {
 	rng      *xrand.RNG
 	engineCh chan *Thread // thread handing control back to the engine
 
+	// nodeOf maps each CPU to its NUMA node (see NodeOfCPU), computed once
+	// so the per-access lookup is a load, not two divisions.
+	nodeOf []int
+
 	// points registers every contention point (mutex or CAS) created on the
 	// machine, in creation order, for harness-level enumeration.
 	points []ContentionPoint
@@ -227,6 +231,11 @@ func NewMachine(cfg Config) *Machine {
 		m.cpus[i].lastThread = -1
 		m.cpus[i].nextPreemptCheck = cfg.Quantum
 	}
+	m.nodeOf = make([]int, cfg.CPUs)
+	per := (cfg.CPUs + cfg.Nodes - 1) / cfg.Nodes
+	for cpu := range m.nodeOf {
+		m.nodeOf[cpu] = min(cpu/per, cfg.Nodes-1)
+	}
 	return m
 }
 
@@ -237,18 +246,14 @@ func (m *Machine) Config() Config { return m.cfg }
 func (m *Machine) Nodes() int { return m.cfg.Nodes }
 
 // NodeOfCPU returns the NUMA node CPU cpu belongs to. CPUs map onto nodes
-// in contiguous blocks; negative CPU indices (a thread never dispatched)
-// report node 0.
+// in contiguous blocks of ceil(CPUs/Nodes); negative CPU indices (a thread
+// never dispatched) report node 0. A CPU past the last is a programming
+// error and panics.
 func (m *Machine) NodeOfCPU(cpu int) int {
-	if m.cfg.Nodes <= 1 || cpu < 0 {
+	if cpu < 0 {
 		return 0
 	}
-	per := (m.cfg.CPUs + m.cfg.Nodes - 1) / m.cfg.Nodes
-	n := cpu / per
-	if n >= m.cfg.Nodes {
-		n = m.cfg.Nodes - 1
-	}
-	return n
+	return m.nodeOf[cpu]
 }
 
 // RemoteMultiplier returns the configured cross-node access multiplier,

@@ -44,6 +44,32 @@ func TestNodeTopologyMapping(t *testing.T) {
 			t.Errorf("odd NodeOfCPU(%d) = %d, want %d", cpu, got, w)
 		}
 	}
+
+	// The precomputed table agrees with the block formula on every shape:
+	// node count clamped to [1, CPUs], blocks of ceil(CPUs/Nodes), a node
+	// past the last clamped onto it.
+	for cpus := 1; cpus <= 64; cpus++ {
+		for nodes := 1; nodes <= 8; nodes++ {
+			m := NewMachine(Config{CPUs: cpus, Nodes: nodes, Seed: 1})
+			eff := min(nodes, cpus)
+			if m.Nodes() != eff {
+				t.Fatalf("CPUs=%d Nodes=%d: Nodes() = %d, want %d", cpus, nodes, m.Nodes(), eff)
+			}
+			per := (cpus + eff - 1) / eff
+			for cpu := 0; cpu < cpus; cpu++ {
+				want := cpu / per
+				if want >= eff {
+					want = eff - 1
+				}
+				if got := m.NodeOfCPU(cpu); got != want {
+					t.Fatalf("CPUs=%d Nodes=%d: NodeOfCPU(%d) = %d, want %d", cpus, nodes, cpu, got, want)
+				}
+			}
+			if got := m.NodeOfCPU(-1); got != 0 {
+				t.Fatalf("CPUs=%d Nodes=%d: NodeOfCPU(-1) = %d, want 0", cpus, nodes, got)
+			}
+		}
+	}
 }
 
 // TestRemoteMultiplierNormalization: zero and sub-1 values mean "flat".

@@ -14,10 +14,11 @@ import (
 // sink keeps benchmarked loads from being optimized away.
 var sink uint32
 
-// benchSpace runs body on thread 0 of a fresh 2-CPU machine.
-func benchSpace(b *testing.B, body func(th *sim.Thread, as *AddressSpace)) {
+// benchSpace runs body on thread 0 of a fresh 2-CPU machine split over the
+// given number of NUMA nodes.
+func benchSpace(b *testing.B, nodes int, body func(th *sim.Thread, as *AddressSpace)) {
 	b.Helper()
-	m := sim.NewMachine(sim.Config{CPUs: 2, ClockMHz: 100, Seed: 1})
+	m := sim.NewMachine(sim.Config{CPUs: 2, Nodes: nodes, ClockMHz: 100, Seed: 1})
 	as := New(1, m, cache.NewModel(2, 5, cache.DefaultCosts()))
 	if err := m.Run(func(th *sim.Thread) { body(th, as) }); err != nil {
 		b.Fatal(err)
@@ -26,7 +27,7 @@ func benchSpace(b *testing.B, body func(th *sim.Thread, as *AddressSpace)) {
 
 // BenchmarkRead32Hit: one CPU re-reading a word it already holds.
 func BenchmarkRead32Hit(b *testing.B) {
-	benchSpace(b, func(th *sim.Thread, as *AddressSpace) {
+	benchSpace(b, 1, func(th *sim.Thread, as *AddressSpace) {
 		base, _ := as.Sbrk(th, PageSize)
 		as.Write32(th, base+64, 1)
 		b.ResetTimer()
@@ -39,9 +40,16 @@ func BenchmarkRead32Hit(b *testing.B) {
 // BenchmarkWrite32PingPong: two CPUs take turns writing the same lines, so
 // every write fetches its line dirty from the other CPU's cache. The
 // thread moves between CPUs once per sweep of pingPongLines lines.
-func BenchmarkWrite32PingPong(b *testing.B) {
+func BenchmarkWrite32PingPong(b *testing.B) { pingPong(b, 1) }
+
+// BenchmarkWrite32PingPongCrossNode: the same ping-pong with the two CPUs
+// on different NUMA nodes, so every transfer also takes the remote-fill
+// path that looks up the supplier's node.
+func BenchmarkWrite32PingPongCrossNode(b *testing.B) { pingPong(b, 2) }
+
+func pingPong(b *testing.B, nodes int) {
 	const pingPongLines = 1024
-	benchSpace(b, func(th *sim.Thread, as *AddressSpace) {
+	benchSpace(b, nodes, func(th *sim.Thread, as *AddressSpace) {
 		base, _ := as.Sbrk(th, pingPongLines*32)
 		for a := base; a < base+pingPongLines*32; a += PageSize {
 			as.Write32(th, a, 0) // fault the pages in before timing
@@ -60,10 +68,12 @@ func BenchmarkWrite32PingPong(b *testing.B) {
 }
 
 // BenchmarkMapTouchUnmap: one 160 KB mmap, a write to every page, and the
-// munmap that drops the pages with their cache lines.
+// munmap that drops the pages with their cache lines. B/op is the host
+// memory the 40 faults allocate.
 func BenchmarkMapTouchUnmap(b *testing.B) {
 	const region = 160 << 10
-	benchSpace(b, func(th *sim.Thread, as *AddressSpace) {
+	b.ReportAllocs()
+	benchSpace(b, 1, func(th *sim.Thread, as *AddressSpace) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			addr, err := as.Mmap(th, region, "bench")

@@ -157,36 +157,52 @@ func TestSpaceIsolation(t *testing.T) {
 	}
 }
 
-// TestSameLine: addresses on one 32-byte line share one directory entry,
-// and the neighbouring line has its own. A dirty line written from CPU 0
-// is a cache-to-cache fill for CPU 1 anywhere on that line, and a cold
-// miss one byte past its end.
+// TestSameLine: addresses on one line share one directory entry, and the
+// neighbouring line has its own — with 32-byte lines, one granule each,
+// and with 64-byte lines, whose entry spans two granules. A dirty line
+// written from CPU 0 is a cache-to-cache fill for CPU 1 anywhere on that
+// line, including a granule of it never written, and a cold miss one byte
+// past its end.
 func TestSameLine(t *testing.T) {
-	m, c := testSetup(2)
-	as := New(1, m, c)
-	err := m.Run(func(th *sim.Thread) {
-		base, _ := as.Sbrk(th, PageSize)
-		moveTo(th, 0)
-		as.Write8(th, base+0x20, 1)
-		as.Write8(th, base+0x1f, 1)
-		moveTo(th, 1)
-		before := as.Stats()
-		as.Read8(th, base+0x3f) // same line as 0x20: supplied dirty by CPU 0
-		after := as.Stats()
-		if after.FillC2C != before.FillC2C+1 {
-			t.Errorf("0x20 and 0x3f should share a line: FillC2C %d -> %d", before.FillC2C, after.FillC2C)
-		}
-		as.Read8(th, base+0x40) // the next line: never touched
-		if s := as.Stats(); s.FillRemote != after.FillRemote+1 || s.FillC2C != after.FillC2C {
-			t.Errorf("0x40 must start a fresh line: FillRemote %d -> %d, FillC2C %d -> %d",
-				after.FillRemote, s.FillRemote, after.FillC2C, s.FillC2C)
-		}
-		as.Read8(th, base+0x1f) // line 0, dirty on CPU 0: not the 0x20 line
-		if s := as.Stats(); s.FillC2C != after.FillC2C+1 {
-			t.Errorf("0x1f must not share 0x20's line: FillC2C %d -> %d", after.FillC2C, s.FillC2C)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, shift := range []uint{5, 6} {
+		size := uint64(1) << shift
+		t.Run(fmt.Sprintf("line%d", size), func(t *testing.T) {
+			m := sim.NewMachine(sim.Config{CPUs: 2, ClockMHz: 100, Seed: 1})
+			as := New(1, m, cache.NewModel(2, shift, cache.DefaultCosts()))
+			err := m.Run(func(th *sim.Thread) {
+				base, _ := as.Sbrk(th, PageSize)
+				moveTo(th, 0)
+				as.Write8(th, base+size, 1)
+				as.Write8(th, base+size-1, 2)
+				moveTo(th, 1)
+				before := as.Stats()
+				// Same line as base+size: supplied dirty by CPU 0.
+				if got := as.Read8(th, base+2*size-1); got != 0 {
+					t.Errorf("unwritten byte reads %d", got)
+				}
+				after := as.Stats()
+				if after.FillC2C != before.FillC2C+1 {
+					t.Errorf("+0x%x and +0x%x should share a line: FillC2C %d -> %d", size, 2*size-1, before.FillC2C, after.FillC2C)
+				}
+				as.Read8(th, base+2*size) // the next line: never touched
+				if s := as.Stats(); s.FillRemote != after.FillRemote+1 || s.FillC2C != after.FillC2C {
+					t.Errorf("+0x%x must start a fresh line: FillRemote %d -> %d, FillC2C %d -> %d",
+						2*size, after.FillRemote, s.FillRemote, after.FillC2C, s.FillC2C)
+				}
+				// Line 0, dirty on CPU 0: not base+size's line.
+				if got := as.Read8(th, base+size-1); got != 2 {
+					t.Errorf("+0x%x reads %d, want 2", size-1, got)
+				}
+				if s := as.Stats(); s.FillC2C != after.FillC2C+1 {
+					t.Errorf("+0x%x must not share +0x%x's line: FillC2C %d -> %d", size-1, size, after.FillC2C, s.FillC2C)
+				}
+				if got := as.Read8(th, base+size); got != 1 {
+					t.Errorf("+0x%x reads %d, want 1", size, got)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

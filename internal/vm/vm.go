@@ -17,13 +17,21 @@
 // lookup structure: a two-level radix table over the 32-bit space — a
 // 1024-entry directory of 1024-entry leaves, each leaf allocated on first
 // use — maps a page number to its record. The record holds everything the
-// access path needs: the page's bytes, its home node, and the coherence
-// directory entries (cache.Line) of the lines touched on it, packed in a
-// slice and found through a one-byte-per-line slot index. So one page walk
-// — usually answered by the one-entry cache of the last page touched —
-// yields both the data and the line to charge. The bytes are a separate
-// 4 KB allocation: embedding them would push the record into Go's next
-// size class and cost more memory than the slot index saves.
+// access path needs: the page's home node and its touched 32-byte
+// granules, packed in a slice and found through a one-byte-per-granule
+// slot index. A granule holds its bytes and, when it starts a cache line,
+// that line's coherence directory entry (cache.Line). So one page walk —
+// usually answered by the one-entry cache of the last page touched — and
+// one slot load yield both the data and the line to charge; a hit is then
+// settled by cache.Model.Hit without entering the full protocol.
+//
+// Only touched granules are stored: a granule never touched reads as zero,
+// so a fault allocates the small record and zeroes nothing, and a resident
+// page costs the host memory of what the program wrote or charged on it,
+// not 4 KB. This is demand paging one level down — most simulated pages
+// are touched in a few lines (chunk headers, a thread's stack top). A
+// 32-bit access may straddle two granules; like every load or store it is
+// billed as one access, to the line of its address.
 //
 // A line's entry lives and dies with its page record. That drops exactly
 // the lines of every unmapped or released range, because a line is only
@@ -72,6 +80,7 @@
 package vm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -367,33 +376,82 @@ const (
 	dirSize  = 1 << (32 - 12 - leafBits)
 )
 
+// Granule geometry: a page is stored as the granules touched on it. A
+// granule is the narrowest line the cache model accepts, so every line
+// starts on a granule boundary.
+const (
+	granuleShift = cache.MinLineShift
+	granuleSize  = 1 << granuleShift
+	pageGranules = PageSize >> granuleShift
+)
+
 // pageLeaf is one second-level node of the page table.
 type pageLeaf [leafSize]*page
 
 // page is one resident page's record.
 type page struct {
-	data *[PageSize]byte
 	// node is the page's home node (first touch or VMA binding; always 0
 	// on a 1-node machine). See the package comment's locality model.
 	node int8
-	// slot maps a line's index within the page to 1 + its position in
-	// lines, 0 for a line never touched. Lines are at least 32 bytes, so
-	// a page has at most PageSize>>5 of them and a slot fits in a byte.
-	slot  [PageSize >> 5]uint8
-	lines []cache.Line
+	// slot maps a granule's index within the page to 1 + its position in
+	// grans, 0 for a granule never touched. A page has 128 granules, so a
+	// slot fits in a byte.
+	slot  [pageGranules]uint8
+	grans []granule
 }
 
-// line returns the directory entry for the line at byte offset off of the
-// page, creating an invalid one on first touch.
-func (p *page) line(off uint64, shift uint) *cache.Line {
-	i := off >> shift
-	s := p.slot[i]
-	if s == 0 {
-		p.lines = append(p.lines, cache.Line{})
-		s = uint8(len(p.lines))
-		p.slot[i] = s
+// granule is 32 touched bytes of a page, plus the directory entry of the
+// cache line that starts at them (unused when a wider line starts on an
+// earlier granule).
+type granule struct {
+	data [granuleSize]byte
+	line cache.Line
+}
+
+// granule returns granule i of the page, materializing a zero one on
+// first touch. Materializing may move the others: a pointer from an
+// earlier call is stale after a call that added a granule.
+func (p *page) granule(i uint64) *granule {
+	if g := p.peek(i); g != nil {
+		return g
 	}
-	return &p.lines[s-1]
+	p.grans = append(p.grans, granule{})
+	p.slot[i] = uint8(len(p.grans))
+	return &p.grans[len(p.grans)-1]
+}
+
+// peek returns granule i of the page, or nil when it was never touched.
+func (p *page) peek(i uint64) *granule {
+	if s := p.slot[i]; s != 0 {
+		return &p.grans[s-1]
+	}
+	return nil
+}
+
+// load32 reads the little-endian word at byte offset o of the page (o+4 <=
+// PageSize), which may straddle two granules. Untouched bytes read as zero.
+func (p *page) load32(o uint64) uint32 {
+	if o%granuleSize <= granuleSize-4 {
+		if g := p.peek(o >> granuleShift); g != nil {
+			return binary.LittleEndian.Uint32(g.data[o%granuleSize:])
+		}
+		return 0
+	}
+	var v uint32
+	for i := uint64(0); i < 4; i++ {
+		if g := p.peek((o + i) >> granuleShift); g != nil {
+			v |= uint32(g.data[(o+i)%granuleSize]) << (8 * i)
+		}
+	}
+	return v
+}
+
+// store32 writes the little-endian word at byte offset o of the page (o+4
+// <= PageSize) when it straddles two granules, materializing both.
+func (p *page) store32(o uint64, v uint32) {
+	for i := uint64(0); i < 4; i++ {
+		p.granule((o + i) >> granuleShift).data[(o+i)%granuleSize] = byte(v >> (8 * i))
+	}
 }
 
 // lookup returns the resident record of page number idx, or nil.
@@ -420,8 +478,8 @@ func (as *AddressSpace) install(idx uint64, p *page) {
 	as.resident++
 }
 
-// evict drops page number idx's record — bytes, home node and cache lines
-// together — and reports whether the page was resident.
+// evict drops page number idx's record — granules, home node and cache
+// lines together — and reports whether the page was resident.
 func (as *AddressSpace) evict(idx uint64) bool {
 	if idx >= dirSize*leafSize {
 		return false
@@ -1118,21 +1176,20 @@ func (as *AddressSpace) AllocStack(t *sim.Thread, name string) (uint64, error) {
 }
 
 // page returns the record of the page holding addr, faulting it in on
-// first touch.
+// first touch, and makes it the one-entry cache's page. access checks that
+// cache before calling it.
 func (as *AddressSpace) page(t *sim.Thread, addr uint64, op string) *page {
 	idx := addr / PageSize
-	if as.lastPage != nil && as.lastIdx == idx {
-		return as.lastPage
-	}
 	p := as.lookup(idx)
 	if p == nil {
 		if !as.mapped(addr) {
 			panic(Fault{Space: as.ID, Addr: addr, Op: op})
 		}
 		// Minor fault: serialize on the address-space lock, charge service
-		// time, and materialize a zero page. A page ReleasePages gave back
-		// costs the (usually higher) refault rate and is counted separately,
-		// but it is still a minor fault. Refaults are serviced without the
+		// time, and install a zero page — an empty record, whose untouched
+		// granules read as zero. A page ReleasePages gave back costs the
+		// (usually higher) refault rate and is counted separately, but it
+		// is still a minor fault. Refaults are serviced without the
 		// exclusive lock: the VMA tree is unchanged (do_anonymous_page runs
 		// with mmap_sem held shared, and the fresh frame is zeroed outside
 		// the page-table lock), so concurrent threads refaulting a released
@@ -1181,24 +1238,52 @@ func (as *AddressSpace) page(t *sim.Thread, addr uint64, op string) *page {
 			t.Unlock(as.mmLock)
 		}
 		as.stats.MinorFaults++
-		p = &page{data: new([PageSize]byte), node: int8(home)}
+		p = &page{node: int8(home)}
 		as.install(idx, p)
 	}
 	as.lastIdx, as.lastPage = idx, p
 	return p
 }
 
-// charge bills one cache access for addr, which lies on page p. On a
-// multi-node machine a fill that crossed a node boundary pays the remote
-// multiplier on top: a memory-served miss travels from the page's home
-// node, a cache-to-cache transfer from the supplying CPU's node. Hits and
-// upgrades stay at the local rate — no data moved.
-func (as *AddressSpace) charge(t *sim.Thread, p *page, addr uint64, write bool) {
-	c, fill, from := as.cache.Access(t.CPU(), p.line(addr%PageSize, as.lineShift), write)
-	switch fill {
-	case cache.FillNone:
+// access is the one data path of every charged load and store: it resolves
+// the page holding addr (faulting it in on first touch) and the granule
+// holding addr, bills one cache access for addr's line, and returns both.
+// A hit is settled inline; anything else goes to miss. Hits and the misses
+// that moved no data (upgrades) count as local fills.
+func (as *AddressSpace) access(t *sim.Thread, addr uint64, write bool, op string) (*page, *granule) {
+	p := as.lastPage
+	if p == nil || as.lastIdx != addr/PageSize {
+		p = as.page(t, addr, op)
+	}
+	off := addr % PageSize
+	g := p.granule(off >> granuleShift)
+	l := &g.line
+	if as.lineShift != granuleShift {
+		// A wider line keeps its entry in the granule it starts at.
+		l = &p.granule(off >> as.lineShift << (as.lineShift - granuleShift)).line
+		g = p.granule(off >> granuleShift) // re-resolved: the line's granule may have moved it
+	}
+	c, local := as.cache.Hit(t.CPU(), l, write)
+	if !local {
+		c, local = as.miss(t, p, l, write)
+	}
+	if local {
 		as.stats.FillLocal++
 		as.stats.FillLocalCycles += uint64(c)
+	}
+	t.Charge(sim.Time(c))
+	return p, g
+}
+
+// miss settles an access to line l of page p that Hit declined and returns
+// its cost and whether no data moved (an upgrade, billed at the local rate).
+// It counts the fills that moved data. On a multi-node machine such a fill
+// that crossed a node boundary pays the remote multiplier on top: a
+// memory-served miss travels from the page's home node, a cache-to-cache
+// transfer from the supplying CPU's node.
+func (as *AddressSpace) miss(t *sim.Thread, p *page, l *cache.Line, write bool) (int64, bool) {
+	c, fill, from := as.cache.Access(t.CPU(), l, write)
+	switch fill {
 	case cache.FillMemory:
 		as.stats.FillRemote++
 		as.stats.FillRemoteCycles += uint64(c)
@@ -1208,13 +1293,11 @@ func (as *AddressSpace) charge(t *sim.Thread, p *page, addr uint64, write bool) 
 	case cache.FillCache:
 		as.stats.FillC2C++
 		as.stats.FillC2CCycles += uint64(c)
-		if as.numaOn {
-			if as.mach.NodeOfCPU(from) != t.Node() {
-				as.chargeRemote(t, c, false)
-			}
+		if as.numaOn && as.mach.NodeOfCPU(from) != t.Node() {
+			as.chargeRemote(t, c, false)
 		}
 	}
-	t.Charge(sim.Time(c))
+	return c, fill == cache.FillNone
 }
 
 // LineSize reports the cache model's line size in bytes — the quantum
@@ -1223,29 +1306,29 @@ func (as *AddressSpace) LineSize() uint64 { return as.cache.LineSize() }
 
 // Read32 loads a little-endian uint32.
 func (as *AddressSpace) Read32(t *sim.Thread, addr uint64) uint32 {
-	p := as.page(t, addr, "read32")
-	as.charge(t, p, addr, false)
+	p, g := as.access(t, addr, false, "read32")
+	if o := addr % granuleSize; o <= granuleSize-4 {
+		return binary.LittleEndian.Uint32(g.data[o:])
+	}
 	o := addr % PageSize
 	if o+4 > PageSize {
 		panic(Fault{Space: as.ID, Addr: addr, Op: "read32-split"})
 	}
-	d := p.data
-	return uint32(d[o]) | uint32(d[o+1])<<8 | uint32(d[o+2])<<16 | uint32(d[o+3])<<24
+	return p.load32(o)
 }
 
 // Write32 stores a little-endian uint32.
 func (as *AddressSpace) Write32(t *sim.Thread, addr uint64, v uint32) {
-	p := as.page(t, addr, "write32")
-	as.charge(t, p, addr, true)
+	p, g := as.access(t, addr, true, "write32")
+	if o := addr % granuleSize; o <= granuleSize-4 {
+		binary.LittleEndian.PutUint32(g.data[o:], v)
+		return
+	}
 	o := addr % PageSize
 	if o+4 > PageSize {
 		panic(Fault{Space: as.ID, Addr: addr, Op: "write32-split"})
 	}
-	d := p.data
-	d[o] = byte(v)
-	d[o+1] = byte(v >> 8)
-	d[o+2] = byte(v >> 16)
-	d[o+3] = byte(v >> 24)
+	p.store32(o, v)
 }
 
 // Read64 loads a little-endian uint64.
@@ -1263,20 +1346,18 @@ func (as *AddressSpace) Write64(t *sim.Thread, addr uint64, v uint64) {
 
 // Write8 stores one byte (benchmark 3's write primitive).
 func (as *AddressSpace) Write8(t *sim.Thread, addr uint64, v byte) {
-	p := as.page(t, addr, "write8")
-	as.charge(t, p, addr, true)
-	p.data[addr%PageSize] = v
+	_, g := as.access(t, addr, true, "write8")
+	g.data[addr%granuleSize] = v
 }
 
 // Read8 loads one byte.
 func (as *AddressSpace) Read8(t *sim.Thread, addr uint64) byte {
-	p := as.page(t, addr, "read8")
-	as.charge(t, p, addr, false)
-	return p.data[addr%PageSize]
+	_, g := as.access(t, addr, false, "read8")
+	return g.data[addr%granuleSize]
 }
 
 // Peek32 reads a little-endian uint32 without charging simulated costs or
-// faulting pages in: untouched pages read as zero. It exists for integrity
+// faulting pages in: untouched bytes read as zero. It exists for integrity
 // checkers and debuggers that must not perturb the simulation.
 func (as *AddressSpace) Peek32(addr uint64) uint32 {
 	p := as.lookup(addr / PageSize)
@@ -1287,8 +1368,7 @@ func (as *AddressSpace) Peek32(addr uint64) uint32 {
 	if o+4 > PageSize {
 		return 0
 	}
-	d := p.data
-	return uint32(d[o]) | uint32(d[o+1])<<8 | uint32(d[o+2])<<16 | uint32(d[o+3])<<24
+	return p.load32(o)
 }
 
 // Peek8 reads one byte without charges or faults.
@@ -1297,7 +1377,11 @@ func (as *AddressSpace) Peek8(addr uint64) byte {
 	if p == nil {
 		return 0
 	}
-	return p.data[addr%PageSize]
+	g := p.peek(addr % PageSize >> granuleShift)
+	if g == nil {
+		return 0
+	}
+	return g.data[addr%granuleSize]
 }
 
 // Touch faults in the page containing addr without a data access charge
