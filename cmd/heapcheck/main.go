@@ -15,14 +15,12 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
 
 	"mtmalloc/internal/bench"
-	"mtmalloc/internal/heap"
 	"mtmalloc/internal/malloc"
 	"mtmalloc/internal/sim"
 	"mtmalloc/internal/telemetry"
@@ -113,11 +111,6 @@ type tortureConfig struct {
 // then tolerate out-of-memory mallocs as skipped operations.
 func (c tortureConfig) pressured() bool { return c.memLimit > 0 || c.faultRate > 0 }
 
-// isOOM matches either layer's out-of-memory error.
-func isOOM(err error) bool {
-	return errors.Is(err, heap.ErrNoMemory) || errors.Is(err, vm.ErrNoMem)
-}
-
 type tortureResult struct {
 	peakCommitted                      uint64
 	emergencies, retries, fails, skips uint64
@@ -181,9 +174,7 @@ func torture(cfg tortureConfig) (tortureResult, error) {
 			as.SetMemLimit(cfg.memLimit)
 		}
 		svc := malloc.ServiceOf(al)
-		if svc != nil {
-			svc.Start(main)
-		}
+		svc.Start(main)
 		if cfg.faultRate > 0 {
 			as.SetFaultInjection(vm.InjectPolicy{Prob: cfg.faultRate, Seed: cfg.seed})
 		}
@@ -225,7 +216,7 @@ func torture(cfg tortureConfig) (tortureResult, error) {
 						n := uint32(1 + r.Intn(cfg.maxSize))
 						p, err := al.Malloc(t, n)
 						if err != nil {
-							if cfg.pressured() && isOOM(err) {
+							if cfg.pressured() && malloc.IsNoMem(err) {
 								// The emergency cascade already did its
 								// bounded retries; the op is skipped, and the
 								// heap must still pass every check below.
@@ -262,11 +253,9 @@ func torture(cfg tortureConfig) (tortureResult, error) {
 		for _, x := range ws {
 			main.Join(x)
 		}
-		if svc != nil {
-			// Stop drains every mailbox back through the depots before the
-			// final structural check and the malloc/free balance below.
-			svc.Stop(main)
-		}
+		// Stop drains every mailbox back through the depots before the
+		// final structural check and the malloc/free balance below.
+		svc.Stop(main)
 		for _, o := range shared {
 			if err := al.Free(main, o.p); err != nil {
 				checkErr = err

@@ -94,6 +94,7 @@ func runBench1Once(cfg B1Config, seed uint64) (B1Run, error) {
 			if err != nil {
 				panic(err)
 			}
+			malloc.ServiceOf(inst.Alloc).Start(main)
 			insts = append(insts, inst)
 		}
 		workers := make([]*sim.Thread, cfg.Threads)
@@ -123,6 +124,9 @@ func runBench1Once(cfg B1Config, seed uint64) (B1Run, error) {
 		}
 		for _, wk := range workers {
 			main.Join(wk)
+		}
+		for _, inst := range insts {
+			malloc.ServiceOf(inst.Alloc).Stop(main)
 		}
 		out.ArenaCount = len(insts[0].Alloc.Arenas())
 		out.AllocStats = insts[0].Alloc.Stats()

@@ -113,6 +113,8 @@ func runBench2Once(cfg B2Config, seed uint64) (B2Run, error) {
 			panic(err)
 		}
 		al, as := inst.Alloc, inst.AS
+		svc := malloc.ServiceOf(al)
+		svc.Start(main)
 
 		// Main allocates each chain's pointer array and initial objects,
 		// storing the addresses in simulated memory (the array pages are
@@ -196,6 +198,7 @@ func runBench2Once(cfg B2Config, seed uint64) (B2Run, error) {
 		for _, h := range heads {
 			main.Join(h)
 		}
+		svc.Stop(main)
 
 		st := as.Stats()
 		out.MinorFaults = st.MinorFaults

@@ -6,7 +6,6 @@ import (
 	"mtmalloc/internal/malloc"
 	"mtmalloc/internal/sim"
 	"mtmalloc/internal/stats"
-	"mtmalloc/internal/vm"
 )
 
 // B3Config parameterizes benchmark 3, the false-sharing test: Threads (at
@@ -17,10 +16,11 @@ import (
 //
 // Allocator, when set, overrides the profile's default design so the
 // benchmark exercises that design's real placement (magazine refills, depot
-// spans, buddy carving) instead of only the main arena's; Costs additionally
-// overrides the allocator cost params (how D9 switches LineAware on). The
-// write loop itself still advances analytically from the resulting sharing
-// topology — the placement is real, the 100M iterations are not replayed.
+// spans, buddy carving) instead of only the main arena's, with an offloaded
+// kind's service threads running; Costs additionally overrides the allocator
+// cost params (LineAware placement, for one). The write loop itself still
+// advances analytically from the resulting sharing topology — the placement
+// is real, the 100M iterations are not replayed.
 type B3Config struct {
 	Profile   Profile
 	Threads   int
@@ -31,11 +31,6 @@ type B3Config struct {
 	Costs     *malloc.CostParams
 	Runs      int
 	Seed      uint64
-}
-
-// DefaultB3 fills the paper's constants (100 M writes).
-func DefaultB3(p Profile) B3Config {
-	return B3Config{Profile: p, Threads: 2, Size: 16, Writes: 100_000_000, Runs: 3, Seed: 1}
 }
 
 // B3Run is one execution's observables.
@@ -96,6 +91,8 @@ func runBench3Once(cfg B3Config, seed uint64) (B3Run, error) {
 			panic(err)
 		}
 		al, as := inst.Alloc, inst.AS
+		svc := malloc.ServiceOf(al)
+		svc.Start(main)
 
 		// Real allocators arrive at this benchmark with history, which is
 		// why the paper calls normal-mode addresses "somewhat
@@ -170,7 +167,7 @@ func runBench3Once(cfg B3Config, seed uint64) (B3Run, error) {
 			main.Join(wk)
 		}
 		out.WallSeconds = w.Seconds(main.Now() - start)
-		_ = vm.PageSize
+		svc.Stop(main)
 	})
 	return out, err
 }

@@ -147,10 +147,9 @@ func RunFootprint(cfg FootprintConfig) (FootprintRun, error) {
 		// scavenger thread would be a second driver — the service engine
 		// replaces it outright.
 		svc := malloc.ServiceOf(al)
+		svc.Start(main)
 		var scavThread *sim.Thread
-		if svc != nil {
-			svc.Start(main)
-		} else if sc, ok := al.(interface{ Scavenger() *scavenge.Scavenger }); ok && sc.Scavenger() != nil {
+		if sc, ok := al.(interface{ Scavenger() *scavenge.Scavenger }); ok && svc == nil && sc.Scavenger() != nil {
 			scavThread = main.Spawn("scavenger", func(t *sim.Thread) {
 				sc.Scavenger().Background(t, func() bool { return stop })
 			})
@@ -223,9 +222,7 @@ func RunFootprint(cfg FootprintConfig) (FootprintRun, error) {
 		if scavThread != nil {
 			main.Join(scavThread)
 		}
-		if svc != nil {
-			svc.Stop(main)
-		}
+		svc.Stop(main)
 
 		// Per-phase throughput: every fill/drain slot op plus every churn
 		// replace counts two ops (a free and a malloc is two, a fill malloc

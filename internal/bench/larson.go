@@ -48,7 +48,7 @@ type LarsonConfig struct {
 	Producers int
 	// Rotate switches to the classic Larson & Krishnan "bleeding" handoff,
 	// the benchmark's defining structure: memory allocated by one thread is
-	// freed by another. Ops is split into RotateRounds rounds; between
+	// freed by another. Ops is split into larsonRotateRounds rounds; between
 	// rounds every thread hands its slot array to the next one, so each
 	// round frees objects the array's previous holder allocated — balanced
 	// cross-thread (at NUMA scale mostly cross-node) frees, the sustained
@@ -56,11 +56,8 @@ type LarsonConfig struct {
 	// A full barrier separates rounds so two threads never work one array.
 	// Mutually exclusive with Producers, Phases and TolerateOOM.
 	Rotate bool
-	// RotateRounds is the number of handoff rounds when Rotate is set
-	// (default 8, clamped to Ops).
-	RotateRounds int
-	Runs         int
-	Seed         uint64
+	Runs   int
+	Seed   uint64
 	// Allocator overrides the profile default when non-empty.
 	Allocator malloc.Kind
 	// Costs overrides the profile's allocator cost params when non-nil
@@ -70,9 +67,6 @@ type LarsonConfig struct {
 	// (vm.SetMemLimit) before the workload starts: growth past it fails
 	// with vm.ErrNoMem and the allocator's emergency cascade takes over.
 	MemLimit uint64
-	// Faults, when non-nil, arms deterministic mmap/sbrk fault injection
-	// on the instance's address space (vm.SetFaultInjection).
-	Faults *vm.InjectPolicy
 	// TolerateOOM makes workers treat an out-of-memory slot refill as a
 	// skipped operation (the slot stays empty and is skipped on its next
 	// turn) instead of a fatal error; skips are counted in
@@ -86,6 +80,10 @@ type LarsonConfig struct {
 	// bit-identical.
 	Telemetry *telemetry.Config
 }
+
+// larsonRotateRounds is the number of handoff rounds of a Rotate run,
+// clamped to Ops.
+const larsonRotateRounds = 8
 
 // DefaultLarson returns the conventional parameters.
 func DefaultLarson(p Profile) LarsonConfig {
@@ -169,9 +167,6 @@ func runLarsonOnce(cfg LarsonConfig, seed uint64) (LarsonRun, error) {
 		if cfg.MemLimit > 0 {
 			as.SetMemLimit(cfg.MemLimit)
 		}
-		if cfg.Faults != nil {
-			as.SetFaultInjection(*cfg.Faults)
-		}
 		var rec *telemetry.Recorder
 		if cfg.Telemetry != nil {
 			tcfg := *cfg.Telemetry
@@ -186,9 +181,7 @@ func runLarsonOnce(cfg LarsonConfig, seed uint64) (LarsonRun, error) {
 		// clock starts and stop them after the last worker joins but outside
 		// the measured wall (the stop join only waits out one epoch).
 		svc := malloc.ServiceOf(al)
-		if svc != nil {
-			svc.Start(main)
-		}
+		svc.Start(main)
 		start := main.Now()
 		if cfg.Producers > 0 || cfg.Rotate {
 			if cfg.Producers > 0 {
@@ -197,9 +190,7 @@ func runLarsonOnce(cfg LarsonConfig, seed uint64) (LarsonRun, error) {
 				runLarsonRotate(cfg, w, main, inst)
 			}
 			wall := w.Seconds(main.Now() - start)
-			if svc != nil {
-				svc.Stop(main)
-			}
+			svc.Stop(main)
 			workers := cfg.Threads
 			if cfg.Producers > 0 {
 				workers = cfg.Producers
@@ -231,7 +222,7 @@ func runLarsonOnce(cfg LarsonConfig, seed uint64) (LarsonRun, error) {
 				for s := 0; s < cfg.Slots; s++ {
 					p, err := al.Malloc(t, randSize())
 					if err != nil {
-						if !cfg.TolerateOOM || !isOOM(err) {
+						if !cfg.TolerateOOM || !malloc.IsNoMem(err) {
 							panic(fmt.Sprintf("larson: prefill: %v", err))
 						}
 						oomSkips++
@@ -256,7 +247,7 @@ func runLarsonOnce(cfg LarsonConfig, seed uint64) (LarsonRun, error) {
 						sz := randSize()
 						p, err := al.Malloc(t, sz)
 						if err != nil {
-							if !cfg.TolerateOOM || !isOOM(err) {
+							if !cfg.TolerateOOM || !malloc.IsNoMem(err) {
 								panic(fmt.Sprintf("larson: alloc: %v", err))
 							}
 							oomSkips++
@@ -291,9 +282,7 @@ func runLarsonOnce(cfg LarsonConfig, seed uint64) (LarsonRun, error) {
 			main.Join(wk)
 		}
 		wall := w.Seconds(main.Now() - start)
-		if svc != nil {
-			svc.Stop(main)
-		}
+		svc.Stop(main)
 		out.WallSeconds = wall
 		out.Throughput = float64(cfg.Ops*cfg.Threads) / wall
 		out.VMStats = as.Stats()
@@ -313,13 +302,7 @@ func runLarsonOnce(cfg LarsonConfig, seed uint64) (LarsonRun, error) {
 // imbalanced variant's consumers already use.
 func runLarsonRotate(cfg LarsonConfig, w *World, main *sim.Thread, inst *Instance) {
 	al, as := inst.Alloc, inst.AS
-	rounds := cfg.RotateRounds
-	if rounds <= 0 {
-		rounds = 8
-	}
-	if rounds > cfg.Ops {
-		rounds = cfg.Ops
-	}
+	rounds := min(larsonRotateRounds, cfg.Ops)
 	arrs := make([]uint64, cfg.Threads)
 	arrived := 0 // cumulative count of (worker, round) completions
 	workers := make([]*sim.Thread, cfg.Threads)

@@ -57,3 +57,36 @@ func TestOffloadedLarsonDeterministic(t *testing.T) {
 		})
 	}
 }
+
+// TestHarnessesRunTheService: benchmarks 1 and 2 and the D9 placement
+// harness start an offloaded kind's service threads, so a -svc kind there
+// measures the mailbox design rather than silently running inline.
+func TestHarnessesRunTheService(t *testing.T) {
+	svc := malloc.KindThreadCacheSvc
+	for _, processes := range []bool{false, true} {
+		res, err := RunBench1(B1Config{Profile: QuadXeon500(), Threads: 2, Processes: processes,
+			Size: 64, Pairs: 2000, Runs: 1, Seed: 1, Allocator: svc})
+		if err != nil {
+			t.Fatalf("RunBench1 (processes %v): %v", processes, err)
+		}
+		if res.Runs[0].AllocStats.SvcEpochs == 0 {
+			t.Errorf("RunBench1 (processes %v): no service epoch ran", processes)
+		}
+	}
+	b2, err := RunBench2(B2Config{Profile: QuadXeon500(), Threads: 2, Rounds: 2, Objects: 500,
+		Size: 40, Replace: 0.5, Runs: 1, Seed: 1, Allocator: svc})
+	if err != nil {
+		t.Fatalf("RunBench2: %v", err)
+	}
+	if b2.Runs[0].AllocStats.SvcEpochs == 0 {
+		t.Error("RunBench2: no service epoch ran")
+	}
+	pl, err := RunPlacement(PlacementConfig{Profile: NUMAServerScale(2, 4), Threads: 3, Sizes: []uint32{16, 24, 56},
+		ObjsPerConsumer: 40, WorkingSet: 4, QueueDepth: 4, Allocator: svc, Seed: 1})
+	if err != nil {
+		t.Fatalf("RunPlacement: %v", err)
+	}
+	if pl.AllocStats.SvcEpochs == 0 {
+		t.Error("RunPlacement: no service epoch ran")
+	}
+}

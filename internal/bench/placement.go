@@ -5,7 +5,6 @@ import (
 
 	"mtmalloc/internal/malloc"
 	"mtmalloc/internal/sim"
-	"mtmalloc/internal/vm"
 )
 
 // This file is experiment D9, the allocation-placement study. The paper's
@@ -133,6 +132,8 @@ func RunPlacement(cfg PlacementConfig) (PlacementRun, error) {
 			panic(err)
 		}
 		al, as := inst.Alloc, inst.AS
+		svc := malloc.ServiceOf(al)
+		svc.Start(main)
 		consumers := cfg.Threads - 1
 		queues := make([]*pcQueue, consumers)
 		for i := range queues {
@@ -233,6 +234,7 @@ func RunPlacement(cfg PlacementConfig) (PlacementRun, error) {
 		if out.WallSeconds > 0 {
 			out.Throughput = float64(consumers*cfg.ObjsPerConsumer) / out.WallSeconds
 		}
+		svc.Stop(main)
 		out.AllocStats = al.Stats()
 		out.ResidentBytes = as.Stats().ResidentBytes
 		if sm, ok := al.(interface{ SharedMagazineLines() int }); ok {
@@ -241,7 +243,6 @@ func RunPlacement(cfg PlacementConfig) (PlacementRun, error) {
 		if err := al.Check(); err != nil {
 			panic(fmt.Sprintf("placement: check: %v", err))
 		}
-		_ = vm.PageSize
 	})
 	return out, err
 }

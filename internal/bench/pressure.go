@@ -1,12 +1,9 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 
-	"mtmalloc/internal/heap"
 	"mtmalloc/internal/malloc"
-	"mtmalloc/internal/vm"
 )
 
 // This file is experiment D6: graceful degradation under memory pressure.
@@ -17,13 +14,6 @@ import (
 // allocator lives off its emergency reclamation cascade (malloc/pressure.go)
 // until even that cannot find the bytes — the first hard failure ends the
 // ratchet and is the design's floor.
-
-// isOOM reports whether err is an out-of-memory failure from either layer:
-// the heap's ErrNoMemory wrap or the vm's typed commit-limit/injection
-// refusal.
-func isOOM(err error) bool {
-	return errors.Is(err, heap.ErrNoMemory) || errors.Is(err, vm.ErrNoMem)
-}
 
 // PressureRatios is the D6 commit-limit ratchet, in fractions of the
 // unlimited run's peak committed bytes, highest first. 1.50 and 1.25 are the

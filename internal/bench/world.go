@@ -141,10 +141,5 @@ func (w *World) BindThread(t *sim.Thread, inst *Instance) {
 	w.threadInst[t.ID()] = inst
 }
 
-// InstanceOf returns the instance a thread is bound to.
-func (w *World) InstanceOf(t *sim.Thread) *Instance {
-	return w.threadInst[t.ID()]
-}
-
 // Seconds converts simulated cycles to seconds for this world's clock.
 func (w *World) Seconds(c sim.Time) float64 { return w.M.Seconds(c) }

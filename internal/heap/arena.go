@@ -98,8 +98,10 @@ type Arena struct {
 	params   *Params
 	hdrBase  uint64
 	segments []segment
-	// mappedTotal tracks mmap'd segment bytes for the sub-arena size cap.
+	// mappedTotal tracks mmap'd segment bytes for the sub-arena size cap,
+	// mapCap (subArenaSize, unless a same-package test narrows it).
 	mappedTotal uint64
+	mapCap      uint64
 
 	// binStamps records, per binned free chunk whose releasable whole-page
 	// interior is non-empty, the virtual time frontlink parked it plus that
@@ -174,12 +176,10 @@ func NewSubOnNode(t *sim.Thread, as *vm.AddressSpace, params *Params, index, nod
 		Node:      node,
 		as:        as,
 		params:    params,
+		mapCap:    subArenaSize,
 		binStamps: make(map[uint64]binTag),
 	}
-	initial := uint64(params.SubArenaSize / 8)
-	if initial < 32*vm.PageSize {
-		initial = 32 * vm.PageSize
-	}
+	const initial = subArenaSize / 8
 	base, err := as.MmapOnNode(t, initial, fmt.Sprintf("arena.%d", index), node)
 	if err != nil {
 		return nil, err
@@ -260,10 +260,6 @@ func (a *Arena) LastOp() sim.Time { return a.lastOp }
 
 // AddressSpace returns the arena's backing address space.
 func (a *Arena) AddressSpace() *vm.AddressSpace { return a.as }
-
-// HeaderBase returns the simulated address of the arena header; the bench
-// harness uses it to reason about metadata cache-line placement.
-func (a *Arena) HeaderBase() uint64 { return a.hdrBase }
 
 // Malloc allocates a chunk for req bytes and returns the user address.
 // The caller must hold a.Lock.
@@ -461,7 +457,7 @@ func (a *Arena) segmentEndFor(c uint64) uint64 {
 // extend grows the heap so the top chunk can satisfy a request of sz bytes.
 func (a *Arena) extend(t *sim.Thread, sz uint32) error {
 	a.stats.Extends++
-	need := pageCeilI(int64(sz) + MinChunk + int64(a.params.TopPad) + 64)
+	need := pageCeilI(int64(sz) + MinChunk + 64)
 
 	if a.IsMain {
 		var sbrkErr error
@@ -488,11 +484,8 @@ func (a *Arena) extend(t *sim.Thread, sz uint32) error {
 
 	mapLen := uint64(need)
 	if !a.IsMain {
-		grow := uint64(a.params.SubArenaSize / 8)
-		if mapLen < grow {
-			mapLen = grow
-		}
-		if a.mappedTotal+mapLen > uint64(a.params.SubArenaSize) {
+		mapLen = max(mapLen, a.mapCap/8)
+		if a.mappedTotal+mapLen > a.mapCap {
 			return ErrArenaFull
 		}
 	} else if mapLen < 64*vm.PageSize {
@@ -562,7 +555,7 @@ func (a *Arena) maybeTrim(t *sim.Thread) {
 	if topSz <= a.params.TrimThreshold {
 		return
 	}
-	keep := int64(a.params.TopPad) + MinChunk + 64
+	keep := int64(MinChunk + 64)
 	extra := (int64(topSz) - keep) &^ (vm.PageSize - 1)
 	if extra <= 0 {
 		return

@@ -88,10 +88,6 @@ func (a *Arena) binFirst(t *sim.Thread, i int) uint64 {
 	return a.fd(t, a.binPseudo(i))
 }
 
-func (a *Arena) binLast(t *sim.Thread, i int) uint64 {
-	return a.bk(t, a.binPseudo(i))
-}
-
 func (a *Arena) binEmpty(t *sim.Thread, i int) bool {
 	return a.binFirst(t, i) == a.binPseudo(i)
 }

@@ -290,13 +290,13 @@ func TestSubArenaAllocatesAndFills(t *testing.T) {
 	c := cache.NewModel(1, 5, cache.DefaultCosts())
 	as := vm.New(1, m, c)
 	params := DefaultParams()
-	params.SubArenaSize = 256 * 1024
 	err := m.Run(func(th *sim.Thread) {
 		a, err := NewSub(th, as, &params, 1)
 		if err != nil {
 			t.Errorf("NewSub: %v", err)
 			return
 		}
+		a.mapCap = 256 * 1024
 		if a.IsMain {
 			t.Error("sub arena marked main")
 		}
@@ -315,7 +315,7 @@ func TestSubArenaAllocatesAndFills(t *testing.T) {
 				return
 			}
 		}
-		// Should have fit roughly SubArenaSize / chunk size allocations.
+		// Should have fit roughly mapCap / chunk size allocations.
 		if len(ps) < 40 {
 			t.Errorf("sub arena filled after only %d allocations", len(ps))
 		}
@@ -506,7 +506,7 @@ func TestTortureSingleThread(t *testing.T) {
 					}
 					var p uint64
 					var err error
-					if n >= a.params.MmapThreshold {
+					if n >= MmapThreshold {
 						p, err = a.MmapChunk(th, n)
 					} else {
 						p, err = a.Malloc(th, n)

@@ -52,6 +52,17 @@ const (
 // NBins is the number of bins, matching ptmalloc's av_ array.
 const NBins = 128
 
+// MmapThreshold is the request size at and above which malloc gives a
+// request its own anonymous mapping (M_MMAP_THRESHOLD, the glibc default
+// of 128 KB, the paper's "32 pages").
+const MmapThreshold = 128 * 1024
+
+// subArenaSize is the mapping budget of a non-main arena (ptmalloc's
+// HEAP_MAX_SIZE region, 1 MB here): its first mapping is an eighth of it,
+// each extension at least another eighth, and growth past it fails with
+// ErrArenaFull.
+const subArenaSize = 1 << 20
+
 // Params are the tunable allocator parameters, the ones glibc exposes via
 // mallopt(3) plus reproduction-specific switches.
 type Params struct {
@@ -59,19 +70,10 @@ type Params struct {
 	// memory is returned to the system with a negative sbrk
 	// (M_TRIM_THRESHOLD, default 128 KB).
 	TrimThreshold uint32
-	// TopPad is extra space requested on each heap extension and preserved
-	// on trim (M_TOP_PAD).
-	TopPad uint32
-	// MmapThreshold: requests at or above this get their own anonymous
-	// mapping (M_MMAP_THRESHOLD, default 128 KB, the paper's "32 pages").
-	MmapThreshold uint32
 	// Align is the address alignment of returned memory; 8 is the glibc
 	// default, a cache line (32) reproduces the paper's "cache-aligned"
 	// benchmark 3 variant at the cost of internal fragmentation.
 	Align uint32
-	// SubArenaSize is the mapping size used for non-main arenas (ptmalloc's
-	// HEAP_MAX_SIZE region, 1 MB by default here).
-	SubArenaSize uint32
 	// RetrySbrkWithMmap enables the glibc >= 2.1.3 behaviour of falling back
 	// to mmap when sbrk cannot grow past a library mapping (§3).
 	RetrySbrkWithMmap bool
@@ -83,10 +85,7 @@ type Params struct {
 func DefaultParams() Params {
 	return Params{
 		TrimThreshold:     128 * 1024,
-		TopPad:            0,
-		MmapThreshold:     128 * 1024,
 		Align:             8,
-		SubArenaSize:      1024 * 1024,
 		RetrySbrkWithMmap: true,
 		Trim:              true,
 	}

@@ -29,9 +29,7 @@ func BenchmarkLarson(b *testing.B) {
 					panic(err)
 				}
 				svc := ServiceOf(al)
-				if svc != nil {
-					svc.Start(main)
-				}
+				svc.Start(main)
 				b.ResetTimer()
 				var ws []*sim.Thread
 				for w := 0; w < threads; w++ {
@@ -71,9 +69,7 @@ func BenchmarkLarson(b *testing.B) {
 					main.Join(w)
 				}
 				b.StopTimer()
-				if svc != nil {
-					svc.Stop(main)
-				}
+				svc.Stop(main)
 				if err := al.Check(); err != nil {
 					panic(err)
 				}

@@ -27,9 +27,7 @@ func TestReallocCallocAcrossArenas(t *testing.T) {
 					return
 				}
 				svc := ServiceOf(al)
-				if svc != nil {
-					svc.Start(main)
-				}
+				svc.Start(main)
 				space := al.AddressSpace()
 				var objs []uint64
 				prod := main.Spawn("prod", func(w *sim.Thread) {
@@ -88,9 +86,7 @@ func TestReallocCallocAcrossArenas(t *testing.T) {
 					}
 				})
 				main.Join(cons)
-				if svc != nil {
-					svc.Stop(main)
-				}
+				svc.Stop(main)
 
 				st := al.Stats()
 				// Nearly all chunks must have moved and copied their

@@ -41,7 +41,7 @@ type depot struct {
 	mach     *sim.Machine
 	name     string
 	lockFree bool
-	classes  map[uint32]*depotClass
+	classes  denseTable[*depotClass] // keyed by classSlot
 	capBytes int64
 	stats    *Stats
 }
@@ -66,7 +66,6 @@ func newDepot(m *sim.Machine, name string, lockFree bool, capBytes int64, stats 
 		mach:     m,
 		name:     name,
 		lockFree: lockFree,
-		classes:  make(map[uint32]*depotClass),
 		capBytes: capBytes,
 		stats:    stats,
 	}
@@ -75,7 +74,7 @@ func newDepot(m *sim.Machine, name string, lockFree bool, capBytes int64, stats 
 // classOf returns (creating if needed) the depot class for chunk size csz.
 // Creation is Go-side bookkeeping; the simulated cost is the point traffic.
 func (d *depot) classOf(csz uint32) *depotClass {
-	dc := d.classes[csz]
+	dc := d.classes.get(classSlot(csz))
 	if dc == nil {
 		dc = &depotClass{}
 		if d.lockFree {
@@ -83,7 +82,7 @@ func (d *depot) classOf(csz uint32) *depotClass {
 		} else {
 			dc.lock = d.mach.NewMutex(fmt.Sprintf("%s.depot.%d", d.name, csz))
 		}
-		d.classes[csz] = dc
+		d.classes.set(classSlot(csz), dc)
 	}
 	return dc
 }
@@ -165,8 +164,8 @@ func (d *depot) put(t *sim.Thread, csz uint32, span []tcEntry) bool {
 // refresh lastUse: a class nobody exchanges with keeps decaying epoch after
 // epoch until it is empty.
 func (d *depot) scavenge(t *sim.Thread, cutoff sim.Time, decayPercent int) (victims []tcEntry, spans int, bytes uint64) {
-	for _, csz := range sortedKeys(d.classes) {
-		dc := d.classes[csz]
+	for _, k := range d.classes.keys() {
+		dc, csz := d.classes.get(k), slotClass(k)
 		if dc.lastUse >= cutoff || len(dc.spans) == 0 {
 			continue
 		}
@@ -196,8 +195,8 @@ func (d *depot) scavenge(t *sim.Thread, cutoff sim.Time, decayPercent int) (vict
 // chunkCount returns the number of chunks parked right now.
 func (d *depot) chunkCount() int {
 	n := 0
-	for _, dc := range d.classes {
-		for _, span := range dc.spans {
+	for _, k := range d.classes.keys() {
+		for _, span := range d.classes.get(k).spans {
 			n += len(span)
 		}
 	}
@@ -207,8 +206,8 @@ func (d *depot) chunkCount() int {
 // byteCount returns the number of bytes parked right now.
 func (d *depot) byteCount() uint64 {
 	n := int64(0)
-	for _, dc := range d.classes {
-		n += dc.bytes
+	for _, k := range d.classes.keys() {
+		n += d.classes.get(k).bytes
 	}
 	return uint64(n)
 }
@@ -217,8 +216,8 @@ func (d *depot) byteCount() uint64 {
 // the depot-tier contention currency experiment D5 expects to collapse to
 // zero on the lock-free kinds — or CAS attempts, failures and retry cycles.
 func (d *depot) addPointStats(s *Stats) {
-	for _, dc := range d.classes {
-		if dc.lock != nil {
+	for _, k := range d.classes.keys() {
+		if dc := d.classes.get(k); dc.lock != nil {
 			s.DepotLockAcqs += dc.lock.Acquisitions
 		} else {
 			addCASStats(s, dc.head.PointStats())
@@ -231,8 +230,8 @@ func (d *depot) addPointStats(s *Stats) {
 // cache slot anywhere (magazines included), and each class's byte counter
 // agrees with its span list.
 func (d *depot) check(seen map[uint64]bool, owns func(tcEntry) error) error {
-	for _, csz := range sortedKeys(d.classes) {
-		dc := d.classes[csz]
+	for _, k := range d.classes.keys() {
+		dc, csz := d.classes.get(k), slotClass(k)
 		var listBytes int64
 		for _, span := range dc.spans {
 			listBytes += int64(len(span)) * int64(csz)

@@ -71,7 +71,7 @@ func TestDepotFlavours(t *testing.T) {
 							epoch, victims[0].mem, victims[4].mem, want[0], want[1])
 					}
 				}
-				if rem := d.classes[64].decayRem; rem != 0 {
+				if rem := d.classes.get(classSlot(64)).decayRem; rem != 0 {
 					t.Errorf("decayRem = %d after two epochs, want 0", rem)
 				}
 				// A full decay detaches the last span with no re-attach.
@@ -100,7 +100,7 @@ func TestDepotFlavours(t *testing.T) {
 
 			// Pricing: 2 gets + 8 puts + 3 scavenges lock the mutex class;
 			// 7 pushes + 1 pop + 3 detaches + 2 re-attaches update the head.
-			dc := d.classes[64]
+			dc := d.classes.get(classSlot(64))
 			var ps Stats
 			d.addPointStats(&ps)
 			if tc.lockFree {
@@ -179,7 +179,7 @@ func TestLFDepotAccounting(t *testing.T) {
 	}
 	// 6 accepted puts + 1 successful get = 7 CAS updates; the overflow and
 	// the empty get never touch the head word.
-	if got := d.classes[64].head.PointStats().Acquisitions; got != 7 || ps.CASAttempts != 7 {
+	if got := d.classes.get(classSlot(64)).head.PointStats().Acquisitions; got != 7 || ps.CASAttempts != 7 {
 		t.Errorf("CAS updates/attempts = %d/%d, want 7/7", got, ps.CASAttempts)
 	}
 	seen := make(map[uint64]bool)
@@ -215,8 +215,8 @@ func TestLFDepotScavengeSnapshot(t *testing.T) {
 		if victims[0].mem != 0x1000 {
 			t.Errorf("scavenged span base 0x%x, want oldest 0x1000", victims[0].mem)
 		}
-		if d.classes[64].decayRem != 50 {
-			t.Errorf("decayRem = %d, want 50", d.classes[64].decayRem)
+		if d.classes.get(classSlot(64)).decayRem != 50 {
+			t.Errorf("decayRem = %d, want 50", d.classes.get(classSlot(64)).decayRem)
 		}
 		if err := d.check(make(map[uint64]bool), func(tcEntry) error { return nil }); err != nil {
 			t.Errorf("check after scavenge: %v", err)
@@ -240,7 +240,7 @@ func TestLFDepotScavengeSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 3 pushes + 2 detaches + 2 re-attaches of survivors.
-	if got := d.classes[64].head.PointStats().Acquisitions; got != 7 {
+	if got := d.classes.get(classSlot(64)).head.PointStats().Acquisitions; got != 7 {
 		t.Errorf("CAS updates = %d, want 7", got)
 	}
 }

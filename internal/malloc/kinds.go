@@ -59,10 +59,3 @@ func New(t *sim.Thread, kind Kind, as *vm.AddressSpace, params heap.Params, cost
 	}
 	return al, nil
 }
-
-// Aligned returns params adjusted so every returned pointer sits on its own
-// cache-line boundary: the benchmark 3 "cache-aligned" variant.
-func Aligned(params heap.Params, lineSize uint32) heap.Params {
-	params.Align = lineSize
-	return params
-}

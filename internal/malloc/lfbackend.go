@@ -29,22 +29,27 @@ type lfBackend struct {
 
 	// Line-aware span coloring (CostParams.LineAware): each carving thread
 	// rotates fresh spans' first-chunk origin through lfSpanColors line-size
-	// strides; colorSeq is the per-thread position on the wheel.
+	// strides; colorSeq is the per-thread position on the wheel, keyed by
+	// thread ID.
 	lineAware bool
 	lineSize  uint64
-	colorSeq  map[int]int
+	colorSeq  denseTable[int]
 
 	stats *Stats
 }
 
-// lfNode is one node's slice of the backend: its buddy and its partial-span
-// lists (spans with chunks still available, per size class, oldest first).
+// lfNode is one node's slice of the backend: its buddy, its size classes
+// (keyed by classSlot) and every live span.
 type lfNode struct {
 	node    int
 	buddy   *heap.Buddy
-	partial map[uint32][]*lfSpan
+	classes denseTable[*lfClass]
 	spans   []*lfSpan
 }
+
+// lfClass is one size class of a node: its partial-span list, the spans
+// with chunks still available, oldest first.
+type lfClass struct{ partial []*lfSpan }
 
 // lfSpan is one buddy block carved into chunks of a single size class.
 // Chunks are carved lazily front to back; returned chunks park on freeList.
@@ -90,7 +95,6 @@ func newLFBackend(name string, as *vm.AddressSpace, shards []*poolShard, lineAwa
 		pageSpan:  make(map[uint64]*lfSpan),
 		lineAware: lineAware,
 		lineSize:  as.LineSize(),
-		colorSeq:  make(map[int]int),
 		stats:     stats,
 	}
 	for _, sh := range shards {
@@ -99,9 +103,8 @@ func newLFBackend(name string, as *vm.AddressSpace, shards []*poolShard, lineAwa
 			bname = fmt.Sprintf("%s.buddy.n%d", name, sh.node)
 		}
 		be.nodes = append(be.nodes, &lfNode{
-			node:    sh.node,
-			buddy:   heap.NewBuddy(as, bname, buddyZonePages, sh.node),
-			partial: make(map[uint32][]*lfSpan),
+			node:  sh.node,
+			buddy: heap.NewBuddy(as, bname, buddyZonePages, sh.node),
 		})
 	}
 	return be
@@ -157,19 +160,25 @@ func (be *lfBackend) refill(t *sim.Thread, node int, csz uint32, want, batch int
 	return out, nil
 }
 
+// classOf returns (creating if needed) the node's record of class csz.
+func (nd *lfNode) classOf(csz uint32) *lfClass {
+	cl := nd.classes.get(classSlot(csz))
+	if cl == nil {
+		cl = &lfClass{}
+		nd.classes.set(classSlot(csz), cl)
+	}
+	return cl
+}
+
 // partialSpan returns the oldest span of csz with chunks available, pruning
 // exhausted list heads as it goes.
 func (be *lfBackend) partialSpan(nd *lfNode, csz uint32) *lfSpan {
-	list := nd.partial[csz]
-	for len(list) > 0 {
-		if list[0].avail() > 0 {
-			nd.partial[csz] = list
-			return list[0]
+	cl := nd.classOf(csz)
+	for len(cl.partial) > 0 {
+		if sp := cl.partial[0]; sp.avail() > 0 {
+			return sp
 		}
-		list = list[1:]
-	}
-	if len(nd.partial[csz]) > 0 {
-		nd.partial[csz] = list
+		cl.partial = cl.partial[1:]
 	}
 	return nil
 }
@@ -196,8 +205,8 @@ func (be *lfBackend) newSpan(t *sim.Thread, nd *lfNode, csz uint32, batch int) (
 		// Color the span: skip a per-thread rotating number of lines before
 		// the first chunk. Buddy blocks are page-aligned, so without this
 		// every thread's hot head chunk maps to the same index sets.
-		seq := be.colorSeq[t.ID()]
-		be.colorSeq[t.ID()] = seq + 1
+		seq := be.colorSeq.get(t.ID())
+		be.colorSeq.set(t.ID(), seq+1)
 		off := uint64((t.ID()+seq)%lfSpanColors) * be.lineSize
 		if off > 0 && uint64(sp.pages)*vm.PageSize-off >= uint64(csz) {
 			sp.base = addr + off
@@ -211,7 +220,8 @@ func (be *lfBackend) newSpan(t *sim.Thread, nd *lfNode, csz uint32, batch int) (
 	for p := 0; p < pages; p++ {
 		be.pageSpan[addr/vm.PageSize+uint64(p)] = sp
 	}
-	nd.partial[csz] = append(nd.partial[csz], sp)
+	cl := nd.classOf(csz)
+	cl.partial = append(cl.partial, sp)
 	nd.spans = append(nd.spans, sp)
 	return sp, nil
 }
@@ -219,10 +229,10 @@ func (be *lfBackend) newSpan(t *sim.Thread, nd *lfNode, csz uint32, batch int) (
 // dropPartial removes an exhausted span from its class's partial list; the
 // span stays registered (its chunks are out) until the last one returns.
 func (be *lfBackend) dropPartial(nd *lfNode, csz uint32, sp *lfSpan) {
-	list := nd.partial[csz]
-	for i, s := range list {
+	cl := nd.classOf(csz)
+	for i, s := range cl.partial {
 		if s == sp {
-			nd.partial[csz] = append(list[:i], list[i+1:]...)
+			cl.partial = append(cl.partial[:i], cl.partial[i+1:]...)
 			return
 		}
 	}

@@ -609,7 +609,7 @@ func (b *base) CurrentArena(t *sim.Thread) *heap.Arena {
 func (b *base) Malloc(t *sim.Thread, size uint32) (uint64, error) {
 	start := b.calm(t)
 	mem, err := b.malloc(t, size)
-	if err != nil && isNoMem(err) {
+	if err != nil && IsNoMem(err) {
 		return b.rescue(t, err, b.params.Request2Size(size), start, func() (uint64, error) { return b.malloc(t, size) })
 	}
 	return mem, err
@@ -627,7 +627,7 @@ func (b *base) malloc(t *sim.Thread, size uint32) (uint64, error) {
 	var mem uint64
 	tier := telemetry.TierVM
 	var err error
-	if b.params.MmapThreshold != 0 && sz >= b.params.MmapThreshold {
+	if sz >= heap.MmapThreshold {
 		b.stats.MmapDirect++
 		mem, err = b.arenas[0].MmapChunk(t, size)
 	} else {
@@ -668,7 +668,7 @@ func (b *base) Free(t *sim.Thread, mem uint64) error {
 func (b *base) Realloc(t *sim.Thread, mem uint64, size uint32) (uint64, error) {
 	start := b.calm(t)
 	np, err := b.realloc(t, mem, size)
-	if err != nil && isNoMem(err) {
+	if err != nil && IsNoMem(err) {
 		return b.rescue(t, err, 0, start, func() (uint64, error) { return b.realloc(t, mem, size) })
 	}
 	return np, err
@@ -729,7 +729,7 @@ func (b *base) move(t *sim.Thread, ref *heap.Arena, mem uint64, oldUs, size uint
 func (b *base) Calloc(t *sim.Thread, size uint32) (uint64, error) {
 	start := b.calm(t)
 	mem, err := b.calloc(t, size)
-	if err != nil && isNoMem(err) {
+	if err != nil && IsNoMem(err) {
 		return b.rescue(t, err, b.params.Request2Size(size), start, func() (uint64, error) { return b.calloc(t, size) })
 	}
 	return mem, err

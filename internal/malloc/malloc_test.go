@@ -383,7 +383,8 @@ func TestFreeWildPointerFails(t *testing.T) {
 func TestAlignedVariant(t *testing.T) {
 	m, as := newWorld(1, 23)
 	err := m.Run(func(th *sim.Thread) {
-		params := Aligned(heap.DefaultParams(), 32)
+		params := heap.DefaultParams()
+		params.Align = 32
 		al, err := NewPTMalloc(th, as, params, DefaultCostParams())
 		if err != nil {
 			t.Errorf("New: %v", err)
@@ -421,9 +422,7 @@ func TestTortureMultiThread(t *testing.T) {
 					return
 				}
 				svc := ServiceOf(al)
-				if svc != nil {
-					svc.Start(main)
-				}
+				svc.Start(main)
 				type obj struct {
 					p     uint64
 					stamp byte
@@ -467,9 +466,7 @@ func TestTortureMultiThread(t *testing.T) {
 				for _, w := range ws {
 					main.Join(w)
 				}
-				if svc != nil {
-					svc.Stop(main)
-				}
+				svc.Stop(main)
 				for _, o := range mailbox {
 					if err := al.Free(main, o.p); err != nil {
 						t.Errorf("drain Free: %v", err)

@@ -167,8 +167,8 @@ func TestRemoteFreeRoutesToOwnerDepot(t *testing.T) {
 			}
 			owner := al.depots[prodNode]
 			found := 0
-			for _, dc := range owner.classes {
-				for _, span := range dc.spans {
+			for _, k := range owner.classes.keys() {
+				for _, span := range owner.classes.get(k).spans {
 					for _, e := range span {
 						if e.arena != ownerArena {
 							t.Errorf("owner depot span holds chunk of arena %d (node %d)", e.arena.Index, e.arena.Node)

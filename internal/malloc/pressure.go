@@ -34,10 +34,10 @@ import (
 // stop parking in the reuse cache. The window slides on every failure and
 // full caching returns once it expires.
 
-// isNoMem reports whether err means the system ran out of memory — either
+// IsNoMem reports whether err means the system ran out of memory — either
 // the heap's wrap (heap.ErrNoMemory) or the vm's typed refusal (vm.ErrNoMem,
 // from a commit limit or injected fault) anywhere in the chain.
-func isNoMem(err error) bool {
+func IsNoMem(err error) bool {
 	return err != nil && (errors.Is(err, heap.ErrNoMemory) || errors.Is(err, vm.ErrNoMem))
 }
 
@@ -78,7 +78,7 @@ func (b *base) rescue(t *sim.Thread, err error, class uint32, start sim.Time, op
 	b.tel.Instant(t, "emergency cascade", "pressure")
 	b.muted = true
 	var mem uint64
-	for attempt := 1; attempt <= maxOOMAttempts && isNoMem(err); attempt++ {
+	for attempt := 1; attempt <= maxOOMAttempts && IsNoMem(err); attempt++ {
 		escalated := attempt > b.level
 		if escalated {
 			b.level = attempt
@@ -91,7 +91,7 @@ func (b *base) rescue(t *sim.Thread, err error, class uint32, start sim.Time, op
 		b.tel.Instant(t, "oom retry", "pressure")
 		mem, err = op()
 	}
-	if isNoMem(err) {
+	if IsNoMem(err) {
 		mem = 0
 		b.stats.OOMFails++
 		b.tel.Instant(t, "oom fail", "pressure")

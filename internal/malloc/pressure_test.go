@@ -135,7 +135,7 @@ func TestPtmallocSurvivesInjectedMmapFailures(t *testing.T) {
 				for j := 0; j < 200; j++ {
 					mem, merr := al.Malloc(wt, 60*1024)
 					if merr != nil {
-						if !isNoMem(merr) {
+						if !IsNoMem(merr) {
 							t.Errorf("op %d: non-OOM failure %v", j, merr)
 							return
 						}
@@ -217,7 +217,7 @@ func TestEmergencyCascadeUnderCommitLimit(t *testing.T) {
 		for i := 0; i < 150; i++ {
 			mem, merr := al.Malloc(th, 512)
 			if merr != nil {
-				if isNoMem(merr) {
+				if IsNoMem(merr) {
 					continue // the cascade gave up on this one; tolerated
 				}
 				t.Errorf("round 2 malloc: %v", merr)

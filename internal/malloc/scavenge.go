@@ -1,27 +1,12 @@
 package malloc
 
 import (
-	"cmp"
 	"fmt"
-	"sort"
 
 	"mtmalloc/internal/heap"
 	"mtmalloc/internal/scavenge"
 	"mtmalloc/internal/sim"
 )
-
-// sortedKeys returns m's keys in ascending order. Every walk over an
-// allocator-side map must go through this (or equivalent sorting): raw map
-// iteration order would leak Go runtime randomness into the simulation and
-// break run-for-run determinism.
-func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
-	ks := make([]K, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
-}
 
 // This file wires the thread-cache allocator into the reclamation subsystem
 // (internal/scavenge). Each caching tier registers as a scavenge.Source, and
@@ -38,9 +23,9 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 // sources free into the arenas carry fresh idle stamps, so they ride out to
 // the kernel on the following epochs once they have proven cold.
 //
-// All sources iterate their state in sorted order (thread IDs, size
-// classes), never raw map order: a scavenge pass must be a pure function of
-// the simulation state for runs to stay deterministic.
+// All sources walk their state in ascending key order — the dense tables'
+// thread IDs and size classes — never Go map order: a scavenge pass must be
+// a pure function of the simulation state for runs to stay deterministic.
 
 // magazineSource decays the magazines of threads that have stopped
 // allocating: a thread cache idle since before the cutoff loses
@@ -48,8 +33,6 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 // owning arenas (not the depot — the point is reclamation, not another
 // parking tier).
 type magazineSource struct{ tc *ThreadCache }
-
-func (s magazineSource) Name() string { return "magazines" }
 
 func (s magazineSource) Scavenge(t *sim.Thread, cutoff sim.Time, decayPercent int) uint64 {
 	tc := s.tc
@@ -107,8 +90,6 @@ func (s magazineSource) Scavenge(t *sim.Thread, cutoff sim.Time, decayPercent in
 // node's arenas, so decay stays node-local.
 type depotSource struct{ tc *ThreadCache }
 
-func (s depotSource) Name() string { return "depot" }
-
 func (s depotSource) Scavenge(t *sim.Thread, cutoff sim.Time, decayPercent int) uint64 {
 	spans, chunks, bytes := s.tc.drainDepots(t, cutoff, decayPercent)
 	s.tc.stats.ScavengeDepotSpans += uint64(spans)
@@ -149,8 +130,6 @@ func (tc *ThreadCache) drainDepots(t *sim.Thread, cutoff sim.Time, decayPercent 
 // chunk the churn re-carves two epochs later just buys a madvise/refault
 // ping-pong with no lasting footprint win.
 type arenaPageSource struct{ tc *ThreadCache }
-
-func (s arenaPageSource) Name() string { return "binned-pages" }
 
 func (s arenaPageSource) Scavenge(t *sim.Thread, cutoff sim.Time, decayPercent int) uint64 {
 	tc := s.tc
@@ -193,8 +172,6 @@ func (tc *ThreadCache) forEachIdleArena(t *sim.Thread, cutoff sim.Time, fn func(
 // percentage, is the policy here — a parked region is all-or-nothing.
 type reuseSource struct{ tc *ThreadCache }
 
-func (s reuseSource) Name() string { return "mmap-reuse" }
-
 func (s reuseSource) Scavenge(t *sim.Thread, cutoff sim.Time, decayPercent int) uint64 {
 	_, bytes, err := s.tc.as.EvictReuseBefore(t, cutoff)
 	if err != nil {
@@ -214,8 +191,6 @@ func (s reuseSource) Scavenge(t *sim.Thread, cutoff sim.Time, decayPercent int) 
 // until those stages stop flushing — with geometric decay that is a handful
 // of epochs for a fat magazine, after which the coalesced chunks go out.
 type trimSource struct{ tc *ThreadCache }
-
-func (s trimSource) Name() string { return "arena-trim" }
 
 func (s trimSource) Scavenge(t *sim.Thread, cutoff sim.Time, decayPercent int) uint64 {
 	tc := s.tc

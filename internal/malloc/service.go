@@ -42,15 +42,23 @@ import (
 //
 // The mailbox itself is ordinary Go state mutated only while its owner runs
 // — the engine resumes one simulated thread at a time — so the message
-// passing is priced (sim.Costs.MailboxPost/MailboxWake plus
-// cache-model line transfers) but needs no host synchronization.
+// passing is priced (postCost and wakeCost, derived from the machine's
+// costs, plus cache-model line transfers) but needs no host
+// synchronization. Each class's shelf and working-set books sit in one
+// svcClass record, in a table indexed by classSlot like the magazines'.
 type Service struct {
 	tc        *ThreadCache
 	interval  sim.Time
 	boxCap    int // max posts parked per node mailbox
 	watermark int // prefetched spans kept per demanded class
 
-	// Per-line swap pricing, resolved once from the machine's cache model.
+	// Message pricing, resolved once from the machine: a post or claim is
+	// an atomic slot reservation plus the store that makes the payload
+	// visible (2*MutexAtomic); the wakeup of a poll that finds work pulls
+	// the mailbox lines onto the service core and comes off the timer
+	// sleep, cheaper than a full context switch since posters never signal
+	// (ContextSwitch/4); a span's descriptor line moves at the cache
+	// model's remote-miss price.
 	lineXfer int64
 	postCost sim.Time
 	wakeCost sim.Time
@@ -70,34 +78,52 @@ type svcNode struct {
 // svcMailbox is the bounded span-exchange between one node's app threads
 // and its service thread.
 type svcMailbox struct {
-	// full holds prefetched spans ready for takeFull, per class (LIFO).
-	full      map[uint32][][]tcEntry
-	fullSpans int
+	// classes holds each class's record, keyed by classSlot.
+	classes   denseTable[*svcClass]
+	fullSpans int // spans shelved across all classes
 	// empty holds posted flush/remote batches awaiting the drain.
 	empty []svcPost
-	// demand records the classes app threads missed on since the last
-	// epoch, with a request size that carves each (Request2Size is not
+}
+
+// svcClass is one size class of a node's mailbox: its prefetch shelf and
+// its working-set books.
+type svcClass struct {
+	// full holds prefetched spans ready for takeFull (LIFO).
+	full [][]tcEntry
+	// demand records the window's misses on the class since the last
+	// epoch, with a request size that carves it (Request2Size is not
 	// invertible, so the class alone cannot drive an arena carve).
-	demand map[uint32]svcDemand
-	// used records the classes app threads hit on since the last epoch.
-	// Hits are liveness — a class served perfectly every window must not
-	// age off the shelf — and consumption: the shelf target is sized to
-	// hits plus misses, the window's true refill rate, not just the
-	// shortfall. Sizing to misses alone oscillates: a deepened shelf
-	// serves a few windows of pure hits, decays back to the watermark,
-	// and the misses return.
-	used map[uint32]svcDemand
-	// seen is the node's working set: every class demanded recently, with
-	// the request size that carves it. The prefetcher keeps all of them
-	// stocked, not just the last window's misses — a workload rotating
-	// through a dozen size classes demands a different subset each window,
-	// and restocking only the latest subset caps the hit rate near the
-	// rotation's overlap.
-	seen map[uint32]uint32
-	// idleEpochs counts epochs a working-set class has gone undemanded;
-	// enough in a row (svcIdleLimit) drop it from the working set and
-	// release its shelf back through the ordinary routing.
-	idleEpochs map[uint32]int
+	demand svcDemand
+	// used records the window's hits. Hits are liveness — a class served
+	// perfectly every window must not age off the shelf — and
+	// consumption: the shelf target is sized to hits plus misses, the
+	// window's true refill rate, not just the shortfall. Sizing to misses
+	// alone oscillates: a deepened shelf serves a few windows of pure
+	// hits, decays back to the watermark, and the misses return.
+	used svcDemand
+	// seen puts the class in the node's working set — every class demanded
+	// recently — with req the request size that carves it. The prefetcher
+	// keeps all of them stocked, not just the last window's misses: a
+	// workload rotating through a dozen size classes demands a different
+	// subset each window, and restocking only the latest subset caps the
+	// hit rate near the rotation's overlap.
+	seen bool
+	req  uint32
+	// idleEpochs counts epochs the class has gone undemanded while in the
+	// working set or holding shelved spans; enough in a row (svcIdleLimit)
+	// drop it from the working set and release its shelf back through the
+	// ordinary routing.
+	idleEpochs int
+}
+
+// classOf returns (creating if needed) the record of class csz.
+func (box *svcMailbox) classOf(csz uint32) *svcClass {
+	cl := box.classes.get(classSlot(csz))
+	if cl == nil {
+		cl = &svcClass{}
+		box.classes.set(classSlot(csz), cl)
+	}
+	return cl
 }
 
 // svcIdleLimit is how many demand-free epochs a class survives in the
@@ -122,7 +148,8 @@ type svcPost struct {
 	entries []tcEntry
 }
 
-// svcDemand is one class's demand record for the current epoch.
+// svcDemand is one class's misses or hits in the current epoch's window;
+// count 0 means none.
 type svcDemand struct {
 	req   uint32
 	count int
@@ -140,31 +167,25 @@ func newService(tc *ThreadCache) *Service {
 	}
 	mach := tc.as.Machine()
 	mc := mach.Config().Costs
-	s.postCost = mc.MailboxPost
-	s.wakeCost = mc.MailboxWake
+	s.postCost = 2 * mc.MutexAtomic
+	s.wakeCost = mc.ContextSwitch / 4
 	s.lineXfer = 60
 	if cm := tc.as.Cache(); cm != nil {
 		s.lineXfer = cm.Costs().MissRemote
 	}
 	nodes := mach.Nodes()
 	for n := 0; n < nodes; n++ {
-		box := svcMailbox{
-			full:       make(map[uint32][][]tcEntry),
-			demand:     make(map[uint32]svcDemand),
-			used:       make(map[uint32]svcDemand),
-			seen:       make(map[uint32]uint32),
-			idleEpochs: make(map[uint32]int),
-		}
+		nd := &svcNode{node: n}
 		for req := uint32(1); req <= svcSeedMax; req++ {
 			csz := tc.params.Request2Size(req)
 			if csz > svcSeedMax || csz > cacheMax {
 				continue
 			}
-			if _, ok := box.seen[csz]; !ok {
-				box.seen[csz] = req
+			if cl := nd.box.classOf(csz); !cl.seen {
+				cl.seen, cl.req = true, req
 			}
 		}
-		s.nodes = append(s.nodes, &svcNode{node: n, box: box})
+		s.nodes = append(s.nodes, nd)
 	}
 	return s
 }
@@ -176,9 +197,10 @@ func (s *Service) Running() bool { return s.running }
 
 // Start spawns one service thread per node, each pinned to the last CPU of
 // its node's block, and elects node 0's thread as the scavenge driver.
-// Idempotent while running.
+// Idempotent while running, and a no-op on a nil Service, so a harness
+// starts ServiceOf(al) whatever the kind.
 func (s *Service) Start(parent *sim.Thread) {
-	if s.running {
+	if s == nil || s.running {
 		return
 	}
 	s.running = true
@@ -205,9 +227,10 @@ func (s *Service) Start(parent *sim.Thread) {
 // Stop shuts the service down: the fast paths go inert immediately, each
 // thread is joined at its next epoch boundary, the scavenge schedule is
 // handed back, and every mailbox is drained through the synchronous release
-// path so no chunk stays parked in a dead mailbox.
+// path so no chunk stays parked in a dead mailbox. A no-op on a nil Service
+// or one not running.
 func (s *Service) Stop(t *sim.Thread) {
-	if !s.running {
+	if s == nil || !s.running {
 		return
 	}
 	s.running = false
@@ -223,14 +246,13 @@ func (s *Service) Stop(t *sim.Thread) {
 	}
 	s.emptyAll(func(csz uint32, span []tcEntry) error { return s.tc.release(t, csz, span) })
 	for _, n := range s.nodes {
-		n.box.demand = make(map[uint32]svcDemand)
-		n.box.used = make(map[uint32]svcDemand)
+		n.box.classes = denseTable[*svcClass]{}
 	}
 }
 
 // emptyAll hands every span parked in every mailbox to give — posted batches
 // first, then the shelf class by class — and forgets the shelves and the
-// working sets. Returns the bytes handed over.
+// working sets, keeping the window's demand. Returns the bytes handed over.
 func (s *Service) emptyAll(give func(csz uint32, span []tcEntry) error) uint64 {
 	total := uint64(0)
 	put := func(csz uint32, span []tcEntry) {
@@ -245,15 +267,14 @@ func (s *Service) emptyAll(give func(csz uint32, span []tcEntry) error) uint64 {
 			put(p.csz, p.entries)
 		}
 		box.empty = nil
-		for _, csz := range sortedKeys(box.full) {
-			for _, span := range box.full[csz] {
-				put(csz, span)
+		for _, k := range box.classes.keys() {
+			cl := box.classes.get(k)
+			for _, span := range cl.full {
+				put(slotClass(k), span)
 			}
+			cl.full, cl.seen, cl.idleEpochs = nil, false, 0
 		}
-		box.full = make(map[uint32][][]tcEntry)
 		box.fullSpans = 0
-		box.seen = make(map[uint32]uint32)
-		box.idleEpochs = make(map[uint32]int)
 	}
 	return total
 }
@@ -299,8 +320,8 @@ func (s *Service) spanXfer() sim.Time {
 // generous on purpose: a shelf at its target keeps the flush->refill
 // circulation inside the mailboxes, while overflow leaks to the depot only
 // for the prefetcher to buy it back under the depot lock next epoch.
-func (s *Service) targetFor(box *svcMailbox, csz uint32) int {
-	target := box.demand[csz].count + box.used[csz].count
+func (s *Service) targetFor(cl *svcClass) int {
+	target := cl.demand.count + cl.used.count
 	if target < s.watermark {
 		target = s.watermark
 	}
@@ -322,10 +343,11 @@ func (s *Service) takeFull(t *sim.Thread, csz, req uint32) ([]tcEntry, bool) {
 	}
 	box := &s.boxFor(t.Node()).box
 	t.Charge(s.postCost)
+	cl := box.classOf(csz)
 	var span []tcEntry
-	if spans := box.full[csz]; len(spans) > 0 {
-		span = spans[len(spans)-1]
-		box.full[csz] = spans[:len(spans)-1]
+	if n := len(cl.full); n > 0 {
+		span = cl.full[n-1]
+		cl.full = cl.full[:n-1]
 		box.fullSpans--
 	} else {
 		// Nothing prefetched — claim a matching posted flush directly: the
@@ -342,18 +364,14 @@ func (s *Service) takeFull(t *sim.Thread, csz, req uint32) ([]tcEntry, bool) {
 		}
 	}
 	if len(span) == 0 {
-		d := box.demand[csz]
-		d.req = req
-		d.count++
-		box.demand[csz] = d
+		cl.demand.req = req
+		cl.demand.count++
 		s.tc.stats.SvcRefillMisses++
 		return nil, false
 	}
 	t.Charge(s.spanXfer())
-	u := box.used[csz]
-	u.req = req
-	u.count++
-	box.used[csz] = u
+	cl.used.req = req
+	cl.used.count++
 	s.tc.stats.SvcRefillHits++
 	return span, true
 }
@@ -423,9 +441,9 @@ func (s *Service) postEmpty(t *sim.Thread, csz uint32, victims []tcEntry, remote
 // for the drain otherwise. False means the mailbox refused it.
 func (s *Service) postGroup(t *sim.Thread, d int, csz uint32, span []tcEntry) bool {
 	box := &s.nodes[d].box
-	if len(box.full[csz]) < s.targetFor(box, csz) {
+	if cl := box.classOf(csz); len(cl.full) < s.targetFor(cl) {
 		t.Charge(s.postCost + s.spanXfer())
-		box.full[csz] = append(box.full[csz], span)
+		cl.full = append(cl.full, span)
 		box.fullSpans++
 		s.tc.stats.SvcFlushPosts++
 		return true
@@ -466,8 +484,8 @@ func (s *Service) epoch(t *sim.Thread, n *svcNode) {
 	for _, p := range posts {
 		opStart := t.Now()
 		t.Charge(s.postCost + s.spanXfer())
-		if len(box.full[p.csz]) < s.targetFor(box, p.csz) {
-			box.full[p.csz] = append(box.full[p.csz], p.entries)
+		if cl := box.classOf(p.csz); len(cl.full) < s.targetFor(cl) {
+			cl.full = append(cl.full, p.entries)
 			box.fullSpans++
 		} else if err := tc.release(t, p.csz, p.entries); err != nil {
 			tc.recordErr(fmt.Errorf("malloc: service drain: %w", err))
@@ -482,15 +500,17 @@ func (s *Service) epoch(t *sim.Thread, n *svcNode) {
 	// the window's refill rate, floored at the watermark. A rotating
 	// workload finds a span shelved whichever class it lands on next, and a
 	// class served perfectly stays stocked instead of aging off mid-streak.
-	for _, csz := range sortedKeys(box.demand) {
-		box.seen[csz] = box.demand[csz].req
-		delete(box.idleEpochs, csz)
-	}
-	for _, csz := range sortedKeys(box.used) {
-		box.seen[csz] = box.used[csz].req
-		delete(box.idleEpochs, csz)
-	}
-	for _, csz := range sortedKeys(box.seen) {
+	for _, k := range box.classes.keys() {
+		cl := box.classes.get(k)
+		if cl.demand.count > 0 {
+			cl.seen, cl.req, cl.idleEpochs = true, cl.demand.req, 0
+		}
+		if cl.used.count > 0 {
+			cl.seen, cl.req, cl.idleEpochs = true, cl.used.req, 0
+		}
+		if !cl.seen {
+			continue
+		}
 		// Top up incrementally: a watermark's worth of spans per class per
 		// epoch, deepened by the misses the window actually saw — each miss
 		// was an app thread paying depot prices, so buying that many back
@@ -499,15 +519,16 @@ func (s *Service) epoch(t *sim.Thread, n *svcNode) {
 		// lock down there) and a long epoch is exactly what lets the
 		// mailbox overflow into synchronous fallbacks. The steady supply
 		// is the flush/route circulation; this loop only mends leaks.
-		target := s.targetFor(box, csz)
-		buy := s.watermark + box.demand[csz].count
-		for fetched := 0; len(box.full[csz]) < target && fetched < buy; fetched++ {
+		csz := slotClass(k)
+		target := s.targetFor(cl)
+		buy := s.watermark + cl.demand.count
+		for fetched := 0; len(cl.full) < target && fetched < buy; fetched++ {
 			opStart := t.Now()
-			span := s.fetchSpan(t, n.node, csz, box.seen[csz])
+			span := s.fetchSpan(t, n.node, csz, cl.req)
 			if len(span) == 0 {
 				break
 			}
-			box.full[csz] = append(box.full[csz], span)
+			cl.full = append(cl.full, span)
 			box.fullSpans++
 			tc.stats.SvcPrefetches++
 			tc.telOp(t, telemetry.OpMailbox, csz, telemetry.TierService, opStart)
@@ -515,41 +536,34 @@ func (s *Service) epoch(t *sim.Thread, n *svcNode) {
 		}
 	}
 
-	// 3. Age the working set: svcIdleLimit epochs with no demand and a
-	// class drops out, its shelf returning through the ordinary routing.
-	// (Shelved classes outside the working set — recycled drains that were
-	// never demanded — age on the same clock.)
-	cold := make(map[uint32]bool)
-	for csz := range box.full {
-		cold[csz] = true
-	}
-	for csz := range box.seen {
-		cold[csz] = true
-	}
-	for _, csz := range sortedKeys(cold) {
-		if _, hot := box.demand[csz]; hot {
+	// 3. Age the working set and reset the window: svcIdleLimit epochs
+	// with no demand and a class drops out, its shelf returning through the
+	// ordinary routing. Shelved classes outside the working set — recycled
+	// drains that were never demanded — age on the same clock. (A class
+	// whose shelf a hit emptied was folded into the working set above.)
+	// This is a second walk, after every top-up, because a decaying
+	// shelf's release feeds the tiers a later top-up would carve from.
+	for _, k := range box.classes.keys() {
+		cl := box.classes.get(k)
+		hot := cl.demand.count > 0 || cl.used.count > 0
+		cl.demand, cl.used = svcDemand{}, svcDemand{}
+		if hot || !cl.seen && len(cl.full) == 0 {
 			continue
 		}
-		if _, hot := box.used[csz]; hot {
+		cl.idleEpochs++
+		if cl.idleEpochs < svcIdleLimit {
 			continue
 		}
-		box.idleEpochs[csz]++
-		if box.idleEpochs[csz] < svcIdleLimit {
-			continue
-		}
-		for _, span := range box.full[csz] {
+		csz := slotClass(k)
+		for _, span := range cl.full {
 			if err := tc.release(t, csz, span); err != nil {
 				tc.recordErr(fmt.Errorf("malloc: service shelf decay: %w", err))
 			}
 			box.fullSpans--
 			worked = true
 		}
-		delete(box.full, csz)
-		delete(box.seen, csz)
-		delete(box.idleEpochs, csz)
+		cl.full, cl.seen, cl.idleEpochs = nil, false, 0
 	}
-	box.demand = make(map[uint32]svcDemand)
-	box.used = make(map[uint32]svcDemand)
 
 	// 4. Node 0's thread is the elected scavenge driver (SetDriver): the
 	// five-stage cascade runs here, off every app thread's critical path.
@@ -579,7 +593,7 @@ func (s *Service) fetchSpan(t *sim.Thread, node int, csz, req uint32) []tcEntry 
 	if tc.lf != nil {
 		entries, err := tc.lf.refill(t, node, csz, tc.batch, tc.batch)
 		if err != nil {
-			if !isNoMem(err) {
+			if !IsNoMem(err) {
 				tc.recordErr(fmt.Errorf("malloc: service prefetch: %w", err))
 			}
 			return nil
@@ -662,10 +676,10 @@ func (s *Service) parked() (int, uint64) {
 			chunks += len(p.entries)
 			bytes += uint64(len(p.entries)) * uint64(p.csz)
 		}
-		for csz, spans := range n.box.full {
-			for _, span := range spans {
+		for _, k := range n.box.classes.keys() {
+			for _, span := range n.box.classes.get(k).full {
 				chunks += len(span)
-				bytes += uint64(len(span)) * uint64(csz)
+				bytes += uint64(len(span)) * uint64(slotClass(k))
 			}
 		}
 	}
@@ -694,8 +708,8 @@ func (s *Service) check(seen map[uint64]bool, owns func(tcEntry) error) error {
 				return err
 			}
 		}
-		for _, csz := range sortedKeys(n.box.full) {
-			for _, span := range n.box.full[csz] {
+		for _, k := range n.box.classes.keys() {
+			for _, span := range n.box.classes.get(k).full {
 				if err := verify(span); err != nil {
 					return err
 				}

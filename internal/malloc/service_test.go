@@ -269,3 +269,187 @@ func TestServiceSingleCascadeDriver(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestServiceWorkingSetAging pins the mailbox's working-set clock through
+// Stats alone. On one node SvcEpochs counts the service thread's epochs, and
+// an epoch never yields, so a poll between epochs sees each one whole.
+func TestServiceWorkingSetAging(t *testing.T) {
+	const interval = 100_000
+	// run builds a one-node threadcache-svc allocator, calls before (when
+	// set) while the service is still stopped, starts it and calls each
+	// after every epoch until it returns false.
+	run := func(t *testing.T, seed uint64, before func(main *sim.Thread, al *ThreadCache) bool,
+		each func(main *sim.Thread, al *ThreadCache, st Stats) bool) {
+		m, as := newWorld(2, seed)
+		err := m.Run(func(main *sim.Thread) {
+			al := newSvc(t, main, as, svcCosts(), interval)
+			if al == nil || before != nil && !before(main, al) {
+				return
+			}
+			al.Service().Start(main)
+			for polls, epochs := 0, uint64(0); ; polls++ {
+				if polls == 400 {
+					t.Errorf("only %d epochs in 100 intervals", epochs)
+					break
+				}
+				main.Sleep(interval / 4)
+				st := al.Stats()
+				if st.SvcEpochs == epochs {
+					continue
+				}
+				epochs = st.SvcEpochs
+				if !each(main, al, st) {
+					break
+				}
+			}
+			al.Service().Stop(main)
+			if err := al.Check(); err != nil {
+				t.Errorf("Check after Stop: %v", err)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// alloc mallocs n chunks of size and keeps them live; false (with the
+	// test failed) when one fails.
+	alloc := func(t *testing.T, main *sim.Thread, al *ThreadCache, size uint32, n int) bool {
+		for i := 0; i < n; i++ {
+			if _, err := al.Malloc(main, size); err != nil {
+				t.Errorf("Malloc(%d): %v", size, err)
+				return false
+			}
+		}
+		return true
+	}
+
+	// With no demand, the seeded shelves stay parked while SvcEpochs <
+	// svcIdleLimit and all go at epoch svcIdleLimit; nothing restocks them.
+	t.Run("idle", func(t *testing.T) {
+		var prefetched uint64
+		run(t, 47, nil, func(_ *sim.Thread, _ *ThreadCache, st Stats) bool {
+			switch {
+			case st.SvcEpochs == 1:
+				prefetched = st.SvcPrefetches
+				if prefetched == 0 || st.SvcParkedBytes == 0 {
+					t.Errorf("epoch 1: %d prefetches, %d bytes parked; want the seeded shelves stocked",
+						st.SvcPrefetches, st.SvcParkedBytes)
+				}
+			case st.SvcEpochs < svcIdleLimit:
+				if st.SvcParkedBytes == 0 {
+					t.Errorf("epoch %d: shelves released before %d idle epochs", st.SvcEpochs, svcIdleLimit)
+				}
+			default:
+				if st.SvcParkedBytes != 0 {
+					t.Errorf("epoch %d: %d bytes still parked after %d idle epochs",
+						st.SvcEpochs, st.SvcParkedBytes, svcIdleLimit)
+				}
+			}
+			if st.SvcPrefetches != prefetched {
+				t.Errorf("epoch %d: prefetches %d -> %d with no demand", st.SvcEpochs, prefetched, st.SvcPrefetches)
+			}
+			return st.SvcEpochs < 2*svcIdleLimit
+		})
+	})
+
+	// A class hit every epoch never goes: one magazine refill per window
+	// (batch chunks, all kept live) takes one shelved span, the epoch tops
+	// the shelf back up to the watermark, and once the idle seeded classes
+	// have gone that shelf is exactly what stays parked.
+	t.Run("hot", func(t *testing.T) {
+		run(t, 53, nil, func(main *sim.Thread, al *ThreadCache, st Stats) bool {
+			if st.SvcRefillMisses != 0 {
+				t.Errorf("epoch %d: %d refill misses on a stocked class", st.SvcEpochs, st.SvcRefillMisses)
+			}
+			if st.SvcEpochs >= svcIdleLimit {
+				want := uint64(al.svc.watermark*al.batch) * uint64(al.params.Request2Size(64))
+				if st.SvcParkedBytes != want {
+					t.Errorf("epoch %d: %d bytes parked, want the hot class's full shelf (%d)",
+						st.SvcEpochs, st.SvcParkedBytes, want)
+				}
+			}
+			if st.SvcEpochs > 1 && st.SvcRefillHits != st.SvcEpochs-1 {
+				t.Errorf("epoch %d: %d refill hits, want one per window", st.SvcEpochs, st.SvcRefillHits)
+			}
+			return alloc(t, main, al, 64, al.batch) && st.SvcEpochs < 3*svcIdleLimit
+		})
+	})
+
+	// A class whose last shelved span a hit took is restocked at the next
+	// epoch: the next refill is a hit again, not a miss.
+	t.Run("emptied", func(t *testing.T) {
+		var hits, prefetched uint64
+		run(t, 59, nil, func(main *sim.Thread, al *ThreadCache, st Stats) bool {
+			switch st.SvcEpochs {
+			case 1:
+				// Take every shelved span of the class, one refill per span.
+				if !alloc(t, main, al, 128, al.svc.watermark*al.batch) {
+					return false
+				}
+				after := al.Stats()
+				if got := after.SvcRefillHits; got != uint64(al.svc.watermark) || after.SvcRefillMisses != 0 {
+					t.Errorf("emptying the shelf: %d hits, %d misses; want %d hits",
+						got, after.SvcRefillMisses, al.svc.watermark)
+				}
+				hits, prefetched = after.SvcRefillHits, after.SvcPrefetches
+				return true
+			default:
+				if got := st.SvcPrefetches - prefetched; got != uint64(al.svc.watermark) {
+					t.Errorf("epoch 2 restocked %d spans, want %d", got, al.svc.watermark)
+				}
+				if !alloc(t, main, al, 128, 1) {
+					return false
+				}
+				after := al.Stats()
+				if after.SvcRefillHits != hits+1 || after.SvcRefillMisses != 0 {
+					t.Errorf("refill after the restock: hits %d -> %d, %d misses; want a hit",
+						hits, after.SvcRefillHits, after.SvcRefillMisses)
+				}
+				return false
+			}
+		})
+	})
+
+	// A class outside the working set that holds shelved spans ages on the
+	// same clock: chunks of a class above the seeded band, allocated while
+	// the service was stopped (so no refill recorded demand) and freed after
+	// epoch 1, recycle onto the shelf and leave svcIdleLimit epochs later,
+	// one epoch after the seeded shelves.
+	t.Run("drained", func(t *testing.T) {
+		const size = 2 * svcSeedMax
+		var ps []uint64
+		run(t, 61, func(main *sim.Thread, al *ThreadCache) bool {
+			for i := 0; i < 40*al.batch; i++ {
+				p, err := al.Malloc(main, size)
+				if err != nil {
+					t.Errorf("Malloc(%d): %v", size, err)
+					return false
+				}
+				ps = append(ps, p)
+			}
+			return true
+		}, func(main *sim.Thread, al *ThreadCache, st Stats) bool {
+			switch {
+			case st.SvcEpochs == 1:
+				for _, p := range ps {
+					if err := al.Free(main, p); err != nil {
+						t.Errorf("Free: %v", err)
+						return false
+					}
+				}
+			case st.SvcEpochs <= svcIdleLimit:
+				if st.SvcParkedBytes == 0 {
+					t.Errorf("epoch %d: the drained shelf left before %d idle epochs", st.SvcEpochs, svcIdleLimit)
+				}
+			default:
+				if st.SvcParkedBytes != 0 {
+					t.Errorf("epoch %d: %d bytes still parked", st.SvcEpochs, st.SvcParkedBytes)
+				}
+			}
+			if st.SvcRefillHits+st.SvcRefillMisses != 0 {
+				t.Errorf("epoch %d: %d refills reached the mailbox, want none", st.SvcEpochs, st.SvcRefillHits+st.SvcRefillMisses)
+			}
+			return st.SvcEpochs < 2*svcIdleLimit
+		})
+	})
+}

@@ -70,7 +70,6 @@ type Stats struct {
 // bytes it released. Implementations must iterate their state in a
 // deterministic order (sorted keys, never raw map order).
 type Source interface {
-	Name() string
 	Scavenge(t *sim.Thread, cutoff sim.Time, decayPercent int) uint64
 }
 

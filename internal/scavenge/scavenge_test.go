@@ -8,14 +8,11 @@ import (
 
 // fakeSource records the sweeps it receives and releases a fixed amount.
 type fakeSource struct {
-	name     string
 	releases uint64
 	calls    int
 	cutoffs  []sim.Time
 	decays   []int
 }
-
-func (f *fakeSource) Name() string { return f.name }
 
 func (f *fakeSource) Scavenge(t *sim.Thread, cutoff sim.Time, decay int) uint64 {
 	f.calls++
@@ -27,7 +24,7 @@ func (f *fakeSource) Scavenge(t *sim.Thread, cutoff sim.Time, decay int) uint64 
 func TestTickFiresOnEpochBoundary(t *testing.T) {
 	m := sim.NewMachine(sim.Config{CPUs: 1, ClockMHz: 100, Seed: 1})
 	err := m.Run(func(th *sim.Thread) {
-		src := &fakeSource{name: "fake", releases: 100}
+		src := &fakeSource{releases: 100}
 		s := New(Policy{Interval: 1000, DecayPercent: 50, Work: 7})
 		s.Register(src)
 		if s.Tick(th) {
@@ -76,7 +73,7 @@ func TestSourcesSweptInRegistrationOrder(t *testing.T) {
 	err := m.Run(func(th *sim.Thread) {
 		var order []string
 		mk := func(name string) Source {
-			return sourceFunc{name, func() { order = append(order, name) }}
+			return sourceFunc{func() { order = append(order, name) }}
 		}
 		s := New(Policy{Interval: 10, DecayPercent: 100})
 		s.Register(mk("magazines"))
@@ -95,12 +92,8 @@ func TestSourcesSweptInRegistrationOrder(t *testing.T) {
 	}
 }
 
-type sourceFunc struct {
-	name string
-	fn   func()
-}
+type sourceFunc struct{ fn func() }
 
-func (s sourceFunc) Name() string { return s.name }
 func (s sourceFunc) Scavenge(t *sim.Thread, cutoff sim.Time, decay int) uint64 {
 	s.fn()
 	return 0
@@ -121,7 +114,7 @@ func TestDecayPercentClamped(t *testing.T) {
 func TestBackgroundRunsPassesWhileThreadsIdle(t *testing.T) {
 	m := sim.NewMachine(sim.Config{CPUs: 1, ClockMHz: 100, Seed: 1})
 	err := m.Run(func(th *sim.Thread) {
-		src := &fakeSource{name: "fake", releases: 1}
+		src := &fakeSource{releases: 1}
 		s := New(Policy{Interval: 1000, DecayPercent: 50})
 		s.Register(src)
 		stop := false
@@ -151,7 +144,7 @@ func TestBackgroundRunsPassesWhileThreadsIdle(t *testing.T) {
 func TestSingleDriverPreventsDoubleDecay(t *testing.T) {
 	m := sim.NewMachine(sim.Config{CPUs: 2, ClockMHz: 100, Seed: 1})
 	err := m.Run(func(th *sim.Thread) {
-		src := &fakeSource{name: "fake", releases: 1}
+		src := &fakeSource{releases: 1}
 		s := New(Policy{Interval: 1000, DecayPercent: 50})
 		s.Register(src)
 		driver := th.Spawn("driver", func(w *sim.Thread) {

@@ -10,7 +10,7 @@ func TestCASUncontended(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			th.CAS(p)
 		}
-		if got, want := th.Now()-before, 100*m.Config().Costs.CAS; got != want {
+		if got, want := th.Now()-before, 100*m.Config().Costs.MutexAtomic; got != want {
 			t.Errorf("uncontended CAS cycles = %d, want %d", got, want)
 		}
 	})
@@ -64,11 +64,11 @@ func TestCASContendedChargesRetries(t *testing.T) {
 func TestCASRetriesCapped(t *testing.T) {
 	cfg := testConfig(8)
 	cfg.Costs = DefaultCosts()
-	cfg.Costs.CASMaxRetries = 2
 	// Cheap spawns so the short workers actually overlap in time.
 	cfg.Costs.ThreadSpawn = 100
 	cfg.Costs.SpawnJitter = 10
 	m := NewMachine(cfg)
+	m.casMaxRetries = 2
 	p := m.NewCASPoint("head")
 	err := m.Run(func(main *Thread) {
 		var kids []*Thread

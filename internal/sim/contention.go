@@ -15,10 +15,11 @@ package sim
 //     compare-and-swap attempts, each one a cache-line transfer plus a
 //     reread. The price is keyed on a concurrent-writer estimate: the number
 //     of other threads that committed an update to this point within
-//     Costs.CASHotWindow cycles of the caller's clock. Among w+1 writers
-//     racing for one word, a successful CAS loses on average about half the
-//     races in flight, so the caller is charged ceil(w/2) failed attempts of
-//     Costs.CASFail each (capped at Costs.CASMaxRetries).
+//     casHotWindow cycles of the caller's clock. Among w+1 writers racing
+//     for one word, a successful CAS loses on average about half the races
+//     in flight, so the caller is charged ceil(w/2) failed attempts of
+//     4*Costs.MutexAtomic each (at most defaultCASMaxRetries) on top of
+//     the successful one's Costs.MutexAtomic.
 //
 // Both primitives implement ContentionPoint, so harnesses can enumerate a
 // machine's synchronization points and read one stats shape regardless of
@@ -44,11 +45,22 @@ type PointStats struct {
 // ContentionPoint is one synchronization hot spot priced by the machine's
 // contention model — a Mutex or a CASPoint.
 type ContentionPoint interface {
-	// PointName returns the point's diagnostic name.
-	PointName() string
 	// PointStats returns the point's counters in the common shape.
 	PointStats() PointStats
 }
+
+// The CAS model's constants. A CAS costs Costs.MutexAtomic and a failed
+// attempt 4*Costs.MutexAtomic — a cache-line transfer plus the reread and
+// recompute before retrying, the hardware half of MutexHandoff without any
+// scheduler involvement. casHotWindow bounds the concurrent-writer
+// estimate: a thread whose last committed update lies within this many
+// cycles of the caller's clock (either side — committed batches skew clocks
+// both ways) counts as racing, a few critical sections.
+// defaultCASMaxRetries caps the retries charged to one successful CAS.
+const (
+	casHotWindow         Time = 4000
+	defaultCASMaxRetries      = 8
+)
 
 // CASPoint is a word updated by an optimistic compare-and-swap loop: a
 // Treiber stack head, a buddy-bitmap word, an atomic round-robin cursor.
@@ -62,7 +74,7 @@ type CASPoint struct {
 
 	// writers records, per thread ID, the clock at which that thread last
 	// committed an update here. The concurrent-writer estimate counts other
-	// threads whose entry lies within CASHotWindow of the caller's clock
+	// threads whose entry lies within casHotWindow of the caller's clock
 	// (two-sided: committed batches put other threads' clocks both ahead of
 	// and behind the caller's).
 	writers map[int]Time
@@ -84,9 +96,6 @@ func (m *Machine) NewCASPoint(name string) *CASPoint {
 	return p
 }
 
-// PointName implements ContentionPoint.
-func (p *CASPoint) PointName() string { return p.Name }
-
 // PointStats implements ContentionPoint.
 func (p *CASPoint) PointStats() PointStats {
 	return PointStats{
@@ -100,10 +109,9 @@ func (p *CASPoint) PointStats() PointStats {
 
 // concurrentWriters estimates how many other threads are racing updates on
 // this point right now: the count of other threads whose last committed
-// update lies within CASHotWindow cycles of the caller's clock. The loop
+// update lies within casHotWindow cycles of the caller's clock. The loop
 // only counts — map order cannot leak into the simulation.
 func (p *CASPoint) concurrentWriters(t *Thread) int {
-	win := p.machine.cfg.Costs.CASHotWindow
 	n := 0
 	for id, at := range p.writers {
 		if id == t.id {
@@ -113,7 +121,7 @@ func (p *CASPoint) concurrentWriters(t *Thread) int {
 		if d < 0 {
 			d = -d
 		}
-		if d <= win {
+		if d <= casHotWindow {
 			n++
 		}
 	}
@@ -124,34 +132,22 @@ func (p *CASPoint) concurrentWriters(t *Thread) int {
 // retry loop from an unconditional read-modify-write (fetch-add), which
 // cannot fail but still pays one line transfer when the word is contended.
 func (p *CASPoint) update(t *Thread, canFail bool) {
-	c := &p.machine.cfg.Costs
-	t.Charge(c.CAS)
+	atomic := p.machine.cfg.Costs.MutexAtomic
+	t.Charge(atomic)
 	p.Updates++
 	p.Attempts++
 	w := p.concurrentWriters(t)
 	if w > 0 {
 		retries := 1
 		if canFail {
-			retries = (w + 1) / 2
-			if c.CASMaxRetries > 0 && retries > c.CASMaxRetries {
-				retries = c.CASMaxRetries
-			}
+			retries = min((w+1)/2, p.machine.casMaxRetries)
 			p.Attempts += uint64(retries)
 			p.Fails += uint64(retries)
 		}
-		pen := Time(retries) * c.CASFail
+		pen := Time(retries) * 4 * atomic
 		t.Charge(pen)
 		p.RetryCycles += pen
 		p.ContendedOps++
 	}
 	p.writers[t.id] = t.clock
-}
-
-// ContentionRate returns the fraction of operations that paid at least one
-// retry or transfer penalty.
-func (p *CASPoint) ContentionRate() float64 {
-	if p.Updates == 0 {
-		return 0
-	}
-	return float64(p.ContendedOps) / float64(p.Updates)
 }

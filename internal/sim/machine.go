@@ -42,36 +42,6 @@ type Costs struct {
 	// it lives here because it is a property of the machine, not of one
 	// address space.
 	RemoteAccess float64
-
-	// CAS is the cost of one uncontended compare-and-swap (or fetch-add) on
-	// a CASPoint; zero means "same as MutexAtomic".
-	CAS Time
-	// CASFail is the cost of one failed CAS attempt: a cache-line transfer
-	// plus the reread and recompute before retrying. Zero means
-	// 4*MutexAtomic — a failed CAS is the hardware half of MutexHandoff,
-	// without any scheduler involvement.
-	CASFail Time
-	// CASHotWindow bounds the concurrent-writer estimate on a CASPoint: a
-	// thread whose last committed update lies within this many cycles of the
-	// caller's clock (either side — committed batches skew clocks both ways)
-	// counts as racing. Zero means 4000 cycles, a few critical sections.
-	CASHotWindow Time
-	// CASMaxRetries caps the retries charged to one successful CAS; zero
-	// means 8. Negative disables the cap.
-	CASMaxRetries int
-
-	// MailboxPost is the cost of publishing or claiming one message on a
-	// service-thread mailbox: an atomic slot reservation plus the store that
-	// makes the payload visible. Zero means 2*MutexAtomic. The cache-line
-	// transfers for the payload itself are priced separately from the cache
-	// model by the caller.
-	MailboxPost Time
-	// MailboxWake is the cost a service thread pays when its epoch poll
-	// finds posted work: pulling the mailbox lines onto its core and coming
-	// off the timer sleep (cheaper than a full context switch — posters
-	// never signal anything in the polling design). Zero means
-	// ContextSwitch/4.
-	MailboxWake Time
 }
 
 // DefaultCosts returns a reasonable late-1990s SMP cost model. Profiles in
@@ -105,17 +75,22 @@ type Config struct {
 	// NodeOfCPU and Costs.RemoteAccess.
 	Nodes int
 
-	// BatchOps and BatchCycles bound how much work a thread does between
-	// yields; they set the engine's interleaving granularity.
-	BatchOps    int
-	BatchCycles Time
-
-	// Quantum is the involuntary-preemption period per CPU. Once per quantum
-	// of busy time, the engine draws whether the preempted thread was inside
-	// a critical section (probability = its recent lock-hold fraction) and,
-	// if so, marks that mutex held until the thread runs again.
-	Quantum Time
+	// BatchOps bounds how many operations a thread does between yields
+	// (batchCycles bounds its cycles); together they set the engine's
+	// interleaving granularity.
+	BatchOps int
 }
+
+// batchCycles is the other yield bound: a thread that has run this many
+// cycles since its last yield yields at its next operation boundary.
+const batchCycles Time = 250000
+
+// defaultQuantum is the involuntary-preemption period per CPU, about 20 ms
+// at 500 MHz (Linux 2.2-era timeslices were tens of ms). Once per quantum of
+// busy time, the engine draws whether the preempted thread was inside a
+// critical section (probability = its recent lock-hold fraction) and, if
+// so, marks that mutex held until the thread runs again.
+const defaultQuantum Time = 10000000
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
@@ -128,37 +103,8 @@ func (c Config) withDefaults() Config {
 	if c.Costs == (Costs{}) {
 		c.Costs = DefaultCosts()
 	}
-	// CAS-model defaults are derived per field so that profile Costs built
-	// before the CAS model existed keep working unchanged.
-	if c.Costs.CAS == 0 {
-		c.Costs.CAS = c.Costs.MutexAtomic
-	}
-	if c.Costs.CASFail == 0 {
-		c.Costs.CASFail = 4 * c.Costs.MutexAtomic
-	}
-	if c.Costs.CASHotWindow == 0 {
-		c.Costs.CASHotWindow = 4000
-	}
-	if c.Costs.CASMaxRetries == 0 {
-		c.Costs.CASMaxRetries = 8
-	}
-	// Mailbox defaults are likewise per field so pre-existing profile Costs
-	// pick them up unchanged.
-	if c.Costs.MailboxPost == 0 {
-		c.Costs.MailboxPost = 2 * c.Costs.MutexAtomic
-	}
-	if c.Costs.MailboxWake == 0 {
-		c.Costs.MailboxWake = c.Costs.ContextSwitch / 4
-	}
 	if c.BatchOps == 0 {
 		c.BatchOps = 256
-	}
-	if c.BatchCycles == 0 {
-		c.BatchCycles = 250000
-	}
-	if c.Quantum == 0 {
-		// ~20ms at 500MHz; Linux 2.2-era timeslices were tens of ms.
-		c.Quantum = 10000000
 	}
 	if c.Nodes < 1 {
 		c.Nodes = 1
@@ -199,6 +145,12 @@ type Machine struct {
 	// machine, in creation order, for harness-level enumeration.
 	points []ContentionPoint
 
+	// quantum and casMaxRetries are defaultQuantum and
+	// defaultCASMaxRetries, except where a same-package test narrows them
+	// before Run.
+	quantum       Time
+	casMaxRetries int
+
 	liveThreads int
 	ran         bool
 	aborting    bool
@@ -222,14 +174,15 @@ type Machine struct {
 func NewMachine(cfg Config) *Machine {
 	cfg = cfg.withDefaults()
 	m := &Machine{
-		cfg:      cfg,
-		cpus:     make([]cpuState, cfg.CPUs),
-		rng:      xrand.New(cfg.Seed, 0x4D414348), // "MACH"
-		engineCh: make(chan *Thread),
+		cfg:           cfg,
+		cpus:          make([]cpuState, cfg.CPUs),
+		rng:           xrand.New(cfg.Seed, 0x4D414348), // "MACH"
+		engineCh:      make(chan *Thread),
+		quantum:       defaultQuantum,
+		casMaxRetries: defaultCASMaxRetries,
 	}
 	for i := range m.cpus {
 		m.cpus[i].lastThread = -1
-		m.cpus[i].nextPreemptCheck = cfg.Quantum
 	}
 	m.nodeOf = make([]int, cfg.CPUs)
 	per := (cfg.CPUs + cfg.Nodes - 1) / cfg.Nodes
@@ -282,6 +235,9 @@ func (m *Machine) Run(main func(*Thread)) error {
 		return errors.New("sim: machine already ran")
 	}
 	m.ran = true
+	for i := range m.cpus {
+		m.cpus[i].nextPreemptCheck = m.quantum
+	}
 	root := m.newThread(nil, "main", main)
 	root.state = stateRunnable
 	m.runnable = append(m.runnable, root)
@@ -426,7 +382,7 @@ func (m *Machine) preemptDrawOnSwitch(cs *cpuState, prev *Thread, now Time) {
 	if now < cs.nextPreemptCheck {
 		return
 	}
-	cs.nextPreemptCheck = now + m.cfg.Quantum
+	cs.nextPreemptCheck = now + m.quantum
 	if prev.state != stateRunnable {
 		return
 	}

@@ -61,9 +61,6 @@ func (m *Machine) NewMutex(name string) *Mutex {
 	return mu
 }
 
-// PointName implements ContentionPoint.
-func (mu *Mutex) PointName() string { return mu.Name }
-
 // PointStats implements ContentionPoint.
 func (mu *Mutex) PointStats() PointStats {
 	return PointStats{
@@ -208,16 +205,4 @@ func (mu *Mutex) clearDescheduled() {
 		}
 	}
 	mu.heldBy = nil
-}
-
-// Held reports whether the mutex is inside a critical section right now
-// (only meaningful during a thread's turn; used by invariant checks).
-func (mu *Mutex) Held() bool { return mu.holder != nil }
-
-// ContentionRate returns the fraction of acquisitions that waited.
-func (mu *Mutex) ContentionRate() float64 {
-	if mu.Acquisitions == 0 {
-		return 0
-	}
-	return float64(mu.Contended) / float64(mu.Acquisitions)
 }

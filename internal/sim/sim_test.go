@@ -444,8 +444,8 @@ func TestDescheduledHolderBlocksTryLock(t *testing.T) {
 
 func TestQuantumPreemptionDrawsHappen(t *testing.T) {
 	cfg := testConfig(1)
-	cfg.Quantum = 100000 // frequent draws
 	m := NewMachine(cfg)
+	m.quantum = 100000 // frequent draws
 	mu := m.NewMutex("arena")
 	err := m.Run(func(main *Thread) {
 		var kids []*Thread

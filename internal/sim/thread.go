@@ -110,9 +110,6 @@ func (t *Thread) Pin(cpu int) {
 	t.pin = cpu
 }
 
-// PinnedCPU returns the CPU the thread is pinned to, -1 when unpinned.
-func (t *Thread) PinnedCPU() int { return t.pin }
-
 // Charge advances the thread's clock by the given number of cycles,
 // representing CPU work. Negative charges are a programming error.
 func (t *Thread) Charge(c Time) {
@@ -144,13 +141,13 @@ func (t *Thread) AtomicAdd(p *CASPoint) { p.update(t, false) }
 
 // MaybeYield marks an operation boundary. Thread bodies (and the allocator
 // entry points) call it once per logical operation; every BatchOps
-// operations or BatchCycles simulated cycles the thread yields to the engine
+// operations or batchCycles simulated cycles the thread yields to the engine
 // so other threads can interleave. Must not be called while holding a Mutex.
 func (t *Thread) MaybeYield() {
 	t.Ops++
 	t.opsSinceYield++
 	cfg := &t.machine.cfg
-	if t.opsSinceYield >= cfg.BatchOps || t.clock-t.batchStart >= cfg.BatchCycles {
+	if t.opsSinceYield >= cfg.BatchOps || t.clock-t.batchStart >= batchCycles {
 		t.Yield()
 	}
 }
@@ -237,9 +234,6 @@ func (t *Thread) Elapsed() Time {
 func (t *Thread) ElapsedSeconds() float64 {
 	return t.machine.Seconds(t.Elapsed())
 }
-
-// Finished reports whether the thread body has returned.
-func (t *Thread) Finished() bool { return t.state == stateDone }
 
 // run is the goroutine wrapper around the thread body.
 func (t *Thread) run() {

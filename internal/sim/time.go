@@ -35,10 +35,10 @@
 // analytically on the busy-timeline: acquisitions, handoff charges, waits,
 // trylock failures. CAS points (NewCASPoint, Thread.CAS/AtomicAdd) price
 // lock-free retry loops instead: a CAS estimates how many other threads
-// updated the word within the recent hot window (Costs.CASHotWindow) and
-// charges that many failed attempts (Costs.CASFail each, capped at
-// Costs.CASMaxRetries) before the successful one (Costs.CAS); AtomicAdd is
-// the fetch-and-add variant that contends but cannot fail. Both register in
+// updated the word within a recent hot window of 4000 cycles and charges
+// about half that many failed attempts (4*Costs.MutexAtomic each, at most
+// eight) before the successful one (Costs.MutexAtomic); AtomicAdd is the
+// fetch-and-add variant that contends but cannot fail. Both register in
 // the machine's point registry (Machine.Points) and report through the same
 // PointStats, so a mutex design and a lock-free design are directly
 // comparable: lock acquisitions and wait cycles on one side, CAS attempts,
@@ -56,14 +56,6 @@ const Infinity Time = 1<<62 - 1
 // maxTime returns the later of two times.
 func maxTime(a, b Time) Time {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-// minTime returns the earlier of two times.
-func minTime(a, b Time) Time {
-	if a < b {
 		return a
 	}
 	return b

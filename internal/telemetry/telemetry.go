@@ -77,32 +77,21 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("op(%d)", int(k))
 }
 
-// Config tunes a Recorder. The zero value is usable: NewRecorder fills in
-// defaults.
+// Config tunes a Recorder. The zero value is usable: NewRecorder defaults
+// the clock.
 type Config struct {
 	// ClockMHz converts virtual cycles to trace-event microseconds
 	// (cycles per microsecond == MHz). Defaults to 500.
 	ClockMHz float64
-	// SampleInterval is the virtual-cycle cadence of the time-series
-	// sampler. Defaults to 100_000 cycles.
-	SampleInterval sim.Time
-	// OpSpanEvery emits every Nth timed op as a trace span (0 disables op
-	// spans; histograms still record every op). Defaults to 64.
-	OpSpanEvery uint64
 }
 
-func (c Config) withDefaults() Config {
-	if c.ClockMHz <= 0 {
-		c.ClockMHz = 500
-	}
-	if c.SampleInterval <= 0 {
-		c.SampleInterval = 100_000
-	}
-	if c.OpSpanEvery == 0 {
-		c.OpSpanEvery = 64
-	}
-	return c
-}
+// The recorder's cadences: the time-series sampler fires every
+// sampleInterval virtual cycles, and every opSpanEvery-th timed op also
+// becomes a trace span (histograms still record every op).
+const (
+	sampleInterval sim.Time = 100_000
+	opSpanEvery             = 64
+)
 
 // Sample is one point of the time series. The sample source fills every
 // field except Time, which the Recorder stamps from the sampling thread's
@@ -137,8 +126,12 @@ type opClass struct {
 // safe for host-level concurrency, which is fine: simulated threads run
 // one at a time under the engine.
 type Recorder struct {
-	cfg   Config
-	hists map[opClass]*stats.LogHistogram
+	cfg Config
+	// sampleEvery and spanEvery are sampleInterval and opSpanEvery, except
+	// where a same-package test narrows them.
+	sampleEvery sim.Time
+	spanEvery   uint64
+	hists       map[opClass]*stats.LogHistogram
 
 	tierCycles [numOps][numTiers]uint64
 	tierOps    [numOps][numTiers]uint64
@@ -154,15 +147,20 @@ type Recorder struct {
 
 // NewRecorder returns a Recorder with cfg's zero fields defaulted.
 func NewRecorder(cfg Config) *Recorder {
+	if cfg.ClockMHz <= 0 {
+		cfg.ClockMHz = 500
+	}
 	return &Recorder{
-		cfg:   cfg.withDefaults(),
-		hists: make(map[opClass]*stats.LogHistogram),
+		cfg:         cfg,
+		sampleEvery: sampleInterval,
+		spanEvery:   opSpanEvery,
+		hists:       make(map[opClass]*stats.LogHistogram),
 	}
 }
 
 // Op records one completed malloc/free: cycles = t.Now() - start go into
 // the (kind, class) histogram and are attributed wholly to tier. Every
-// cfg.OpSpanEvery-th op also becomes a trace span on the thread's track.
+// opSpanEvery-th op also becomes a trace span on the thread's track.
 func (r *Recorder) Op(t *sim.Thread, kind OpKind, class uint32, tier Tier, start sim.Time) {
 	if r == nil {
 		return
@@ -178,7 +176,7 @@ func (r *Recorder) Op(t *sim.Thread, kind OpKind, class uint32, tier Tier, start
 	r.tierCycles[kind][tier] += cycles
 	r.tierOps[kind][tier]++
 	r.opCount++
-	if r.opCount%r.cfg.OpSpanEvery == 0 {
+	if r.opCount%r.spanEvery == 0 {
 		r.events = append(r.events, traceEvent{
 			Name: fmt.Sprintf("%s sz%d [%s]", kind, class, tier),
 			Ph:   "X", Ts: r.usec(start), Dur: r.usec(sim.Time(cycles)),
@@ -231,7 +229,7 @@ func (r *Recorder) MaybeSample(t *sim.Thread) {
 	now := t.Now()
 	if !r.sampleArmed {
 		r.sampleArmed = true
-		r.nextSample = now + r.cfg.SampleInterval
+		r.nextSample = now + r.sampleEvery
 		return
 	}
 	if now < r.nextSample {
@@ -241,7 +239,7 @@ func (r *Recorder) MaybeSample(t *sim.Thread) {
 	s.Time = now
 	r.samples = append(r.samples, s)
 	for r.nextSample <= now {
-		r.nextSample += r.cfg.SampleInterval
+		r.nextSample += r.sampleEvery
 	}
 }
 

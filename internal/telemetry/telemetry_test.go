@@ -18,7 +18,8 @@ func runOne(t *testing.T, body func(th *sim.Thread)) {
 }
 
 func TestRecorderOpAttribution(t *testing.T) {
-	rec := NewRecorder(Config{OpSpanEvery: 2})
+	rec := NewRecorder(Config{})
+	rec.spanEvery = 2
 	runOne(t, func(th *sim.Thread) {
 		for i := 0; i < 10; i++ {
 			start := th.Now()
@@ -59,14 +60,15 @@ func TestRecorderOpAttribution(t *testing.T) {
 	if p50, p999 := h.Quantile(0.5), h.Quantile(0.999); p50 > p999 {
 		t.Fatalf("p50 %d > p999 %d", p50, p999)
 	}
-	// OpSpanEvery=2 over 12 ops -> 6 op spans.
+	// spanEvery=2 over 12 ops -> 6 op spans.
 	if rec.EventCount() != 6 {
 		t.Fatalf("event count = %d, want 6", rec.EventCount())
 	}
 }
 
 func TestRecorderSampler(t *testing.T) {
-	rec := NewRecorder(Config{SampleInterval: 1000})
+	rec := NewRecorder(Config{})
+	rec.sampleEvery = 1000
 	calls := 0
 	rec.SetSampleSource(func() Sample {
 		calls++
@@ -129,7 +131,8 @@ func TestRecorderTraceJSON(t *testing.T) {
 
 func TestRecorderDeterministicOutput(t *testing.T) {
 	run := func() ([]byte, []byte) {
-		rec := NewRecorder(Config{OpSpanEvery: 3, SampleInterval: 500})
+		rec := NewRecorder(Config{})
+		rec.spanEvery, rec.sampleEvery = 3, 500
 		rec.SetSampleSource(func() Sample { return Sample{ResidentBytes: 1} })
 		runOne(t, func(th *sim.Thread) {
 			for i := 0; i < 40; i++ {

@@ -43,10 +43,10 @@
 //
 // The reclamation subsystem adds a weaker form of giving memory back:
 // ReleasePages (madvise(MADV_DONTNEED) semantics) keeps a region mapped but
-// drops its resident pages, which read as zero — at the Refault cost — when
-// next touched. Residency is observable through Stats (PagesPresent,
-// ResidentBytes, PagesReleased, Refaults), which is what experiment D3's
-// footprint time series plots.
+// drops its resident pages, which read as zero when next touched — at the
+// page-fault cost, but without the fault path's exclusive lock. Residency is
+// observable through Stats (PagesPresent, ResidentBytes, PagesReleased,
+// Refaults), which is what experiment D3's footprint time series plots.
 //
 // # The locality model
 //
@@ -153,17 +153,12 @@ type VMA struct {
 type Costs struct {
 	Syscall    int64 // entering/leaving the kernel for sbrk/mmap/munmap
 	KernelHold int64 // cycles the kernel lock is held per VM syscall
-	PageFault  int64 // servicing one minor fault
-	// Refault is the cost of touching a page that ReleasePages gave back to
-	// the kernel (madvise(DONTNEED) semantics): still a minor fault, but the
-	// kernel must also hand out and zero a fresh frame. Zero falls back to
-	// PageFault.
-	Refault int64
+	PageFault  int64 // servicing one minor fault, refaults included
 }
 
 // DefaultCosts returns constants for a late-1990s x86 kernel.
 func DefaultCosts() Costs {
-	return Costs{Syscall: 700, KernelHold: 900, PageFault: 1500, Refault: 1700}
+	return Costs{Syscall: 700, KernelHold: 900, PageFault: 1500}
 }
 
 // Stats counts VM events for one address space.
@@ -308,6 +303,9 @@ type AddressSpace struct {
 	mach  *sim.Machine
 	cache *cache.Model
 	costs Costs
+	// refault, when positive, prices touching a page ReleasePages gave back
+	// instead of costs.PageFault; only same-package tests set it.
+	refault int64
 
 	vmas []VMA // sorted by Start, non-overlapping
 	brk  uint64
@@ -622,12 +620,6 @@ func (as *AddressSpace) chargeRemote(t *sim.Thread, base int64, fault bool) {
 	if fault {
 		as.stats.RemoteFaults++
 	}
-}
-
-// SetRefaultCost overrides the cost charged when a released page is touched
-// again (allocator-level experiments tune it without a whole new profile).
-func (as *AddressSpace) SetRefaultCost(c int64) {
-	as.costs.Refault = c
 }
 
 // SetMmapReuse enables the mmap-region reuse cache with the given byte cap
@@ -1096,7 +1088,7 @@ func (as *AddressSpace) EvictReuseBefore(t *sim.Thread, cutoff sim.Time) (region
 // ReleasePages hands the resident pages of [addr, addr+length) back to the
 // kernel without unmapping them — madvise(MADV_DONTNEED) semantics. The
 // region stays mapped; its pages become non-resident and read as zero when
-// next touched, at which point the toucher pays the Refault cost. Partial
+// next touched, at which point the toucher pays a refault. Partial
 // pages at either end are left alone (only whole pages inside the range are
 // released), so callers may pass unaligned chunk bounds. Returns the number
 // of bytes released.
@@ -1187,19 +1179,19 @@ func (as *AddressSpace) page(t *sim.Thread, addr uint64, op string) *page {
 		}
 		// Minor fault: serialize on the address-space lock, charge service
 		// time, and install a zero page — an empty record, whose untouched
-		// granules read as zero. A page ReleasePages gave back costs the
-		// (usually higher) refault rate and is counted separately, but it
-		// is still a minor fault. Refaults are serviced without the
-		// exclusive lock: the VMA tree is unchanged (do_anonymous_page runs
-		// with mmap_sem held shared, and the fresh frame is zeroed outside
-		// the page-table lock), so concurrent threads refaulting a released
-		// range after an idle phase do not queue behind one another the way
-		// the first-touch path — whose costs the paper's benchmarks
-		// calibrate and which is deliberately left on the exclusive-lock
-		// simplification for reproduction stability — models. The asymmetry
-		// is intentional and applies even when Refault falls back to the
-		// PageFault cost: what distinguishes the paths is release history,
-		// which only reclamation-enabled configurations ever create.
+		// granules read as zero. A page ReleasePages gave back is counted
+		// separately as a refault, but it is still a minor fault. Refaults
+		// are serviced without the exclusive lock: the VMA tree is unchanged
+		// (do_anonymous_page runs with mmap_sem held shared, and the fresh
+		// frame is zeroed outside the page-table lock), so concurrent
+		// threads refaulting a released range after an idle phase do not
+		// queue behind one another the way the first-touch path — whose
+		// costs the paper's benchmarks calibrate and which is deliberately
+		// left on the exclusive-lock simplification for reproduction
+		// stability — models. The asymmetry
+		// is intentional and applies even though both paths charge the
+		// PageFault cost: what distinguishes them is release history, which
+		// only reclamation-enabled configurations ever create.
 		// The page's home node: the VMA binding when there is one, else the
 		// faulting thread's node — Linux's first-touch placement. A fault a
 		// binding forces onto another node pays the remote rate: the frame is
@@ -1219,9 +1211,9 @@ func (as *AddressSpace) page(t *sim.Thread, addr uint64, op string) *page {
 				panic(OOMFault{Space: as.ID, Addr: addr, Limit: as.memLimit})
 			}
 			as.commitCharge(PageSize)
-			cost := as.costs.Refault
-			if cost <= 0 {
-				cost = as.costs.PageFault
+			cost := as.costs.PageFault
+			if as.refault > 0 {
+				cost = as.refault
 			}
 			delete(as.released, idx)
 			as.stats.Refaults++
@@ -1388,13 +1380,6 @@ func (as *AddressSpace) Peek8(addr uint64) byte {
 // beyond one read; used to model program startup touching its image.
 func (as *AddressSpace) Touch(t *sim.Thread, addr uint64) {
 	as.Read8(t, addr)
-}
-
-// TouchRange faults in every page of [addr, addr+length).
-func (as *AddressSpace) TouchRange(t *sim.Thread, addr, length uint64) {
-	for a := pageFloor(addr); a < addr+length; a += PageSize {
-		as.Touch(t, a)
-	}
 }
 
 func pageFloor(a uint64) uint64 { return a &^ (PageSize - 1) }

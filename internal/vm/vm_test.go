@@ -613,7 +613,8 @@ func TestReleasePagesAndRefault(t *testing.T) {
 
 func TestReleasePagesChargesRefaultCost(t *testing.T) {
 	m, c := testSetup(1)
-	as := New(1, m, c, WithCosts(Costs{Syscall: 100, KernelHold: 100, PageFault: 1000, Refault: 5000}))
+	as := New(1, m, c, WithCosts(Costs{Syscall: 100, KernelHold: 100, PageFault: 1000}))
+	as.refault = 5000
 	err := m.Run(func(th *sim.Thread) {
 		base, err := as.Mmap(th, 2*PageSize, "scratch")
 		if err != nil {
