@@ -8,6 +8,7 @@
 //	mallocbench -bench 2 -profile k6-400 -threads 3 -rounds 8 -runs 5
 //	mallocbench -bench 3 -profile quad-xeon-500 -threads 4 -size 24 -aligned
 //	mallocbench -bench larson -threads 4 -allocator perthread
+//	mallocbench -bench d1 -scale 0.01 -json BENCH_D1.json
 //	mallocbench -bench d2 -scale 0.01 -json BENCH_D2.json
 //	mallocbench -bench d3 -scale 1 -json BENCH_D3.json
 //	mallocbench -bench d4 -scale 1 -json BENCH_D4.json
@@ -30,7 +31,7 @@ import (
 )
 
 func main() {
-	which := flag.String("bench", "1", "benchmark: 1, 2, 3, larson, or an experiment ID of cmd/repro's registry: d2 (mid-tier ablation), d3 (footprint phase-shift), d4 (NUMA locality), d5 (contention scaling), d6 (memory-pressure degradation), d9 (line-aware placement), d10 (service-thread offload), ...")
+	which := flag.String("bench", "1", "benchmark: 1, 2, 3, larson, or an experiment ID of cmd/repro's registry: d1 (design comparison), d2 (mid-tier ablation), d3 (footprint phase-shift), d4 (NUMA locality), d5 (contention scaling), d6 (memory-pressure degradation), d9 (line-aware placement), d10 (service-thread offload), ...")
 	profileName := flag.String("profile", "quad-xeon-500", "machine profile")
 	threads := flag.Int("threads", 2, "worker threads")
 	processes := flag.Bool("processes", false, "benchmark 1: one process per worker")
@@ -78,7 +79,7 @@ func main() {
 	case "2":
 		res, err := bench.RunBench2(bench.B2Config{
 			Profile: prof, Threads: *threads, Rounds: *rounds, Objects: *objects,
-			Size: uint32(*size), Replace: 0.5, Runs: *runs, Seed: *seed, Allocator: kind,
+			Size: uint32(*size), Runs: *runs, Seed: *seed, Allocator: kind,
 		})
 		if err != nil {
 			fatal(err)
@@ -109,9 +110,7 @@ func main() {
 		cfg.Runs = *runs
 		cfg.Seed = *seed
 		cfg.Allocator = kind
-		if *telemetryPath != "" {
-			cfg.Telemetry = &telemetry.Config{}
-		}
+		cfg.Telemetry = *telemetryPath != ""
 		res, err := bench.RunLarson(cfg)
 		if err != nil {
 			fatal(err)
@@ -137,7 +136,7 @@ func main() {
 		}
 	default:
 		// Every other name is an experiment of the registry cmd/repro runs
-		// (d2 ... d10 are the extensions whose records are checked in).
+		// (d1 ... d10 are the extensions whose records are checked in).
 		e, err := bench.ByID(strings.ToUpper(*which))
 		if err != nil {
 			fatal(fmt.Errorf("unknown -bench %q (want 1, 2, 3, larson or an experiment ID such as d2)", *which))

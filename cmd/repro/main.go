@@ -94,11 +94,11 @@ func indent(s, pad string) string {
 	return strings.Join(lines, "\n")
 }
 
-const preamble = `All numbers come from the deterministic simulation described in DESIGN.md:
-the machines are discrete-event models calibrated only against the paper's
-single-thread scalars; every multithreaded number is a prediction. "delta"
-compares against the paper's published value (tables) or a value read off
-the published plot (figures, approximate by nature). Shapes — who wins, by
-what factor, where the knees are — are the reproduction target, not absolute
-equality.
+const preamble = `All numbers come from the deterministic simulation described in
+ARCHITECTURE.md: the machines are discrete-event models calibrated only
+against the paper's single-thread scalars; every multithreaded number is a
+prediction. "delta" compares against the paper's published value (tables)
+or a value read off the published plot (figures, approximate by nature).
+Shapes — who wins, by what factor, where the knees are — are the
+reproduction target, not absolute equality.
 `

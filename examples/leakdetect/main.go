@@ -23,7 +23,7 @@ func main() {
 
 	res, err := mtmalloc.RunBench2(mtmalloc.B2Config{
 		Profile: prof, Threads: threads, Rounds: rounds,
-		Objects: 10000, Size: 40, Replace: 0.5, Runs: 5, Seed: 1,
+		Objects: 10000, Size: 40, Runs: 5, Seed: 1,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -73,14 +73,7 @@ func RunBench1(cfg B1Config) (B1Result, error) {
 }
 
 func runBench1Once(cfg B1Config, seed uint64) (B1Run, error) {
-	var opts []WorldOption
-	if cfg.Allocator != "" {
-		opts = append(opts, WithAllocator(cfg.Allocator))
-	}
-	if cfg.Costs != nil {
-		opts = append(opts, WithAllocCosts(*cfg.Costs))
-	}
-	w := NewWorld(cfg.Profile, seed, opts...)
+	w := NewWorld(cfg.Profile.withAlloc(cfg.Allocator, cfg.Costs), seed)
 	out := B1Run{PerThread: make([]float64, cfg.Threads)}
 	err := w.Run(func(main *sim.Thread) {
 		// Build instances: one shared, or one per worker.

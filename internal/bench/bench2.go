@@ -10,16 +10,16 @@ import (
 
 // B2Config parameterizes benchmark 2, the heap-leak test: Threads chains of
 // worker threads each inherit an array of Objects pointers to Size-byte
-// objects, replace a random subset one at a time (free then malloc), then
-// spawn their successor ("round") and exit. The metric is the process's
-// minor page fault count, compared against a lower-bound predictor.
+// objects, replace a random half (b2Replace) one at a time (free then
+// malloc), then spawn their successor ("round") and exit. The metric is the
+// process's minor page fault count, compared against a lower-bound
+// predictor.
 type B2Config struct {
 	Profile Profile
 	Threads int
 	Rounds  int
-	Objects int     // objects per chain; the paper uses 10,000
-	Size    uint32  // request size; the paper uses 40 bytes
-	Replace float64 // fraction of objects each round replaces
+	Objects int    // objects per chain; the paper uses 10,000
+	Size    uint32 // request size; the paper uses 40 bytes
 	// BatchReplace > 1 makes each round free that many objects in a burst
 	// before re-allocating them, instead of the paper's free-then-malloc
 	// per object. Bursts are what push a magazine past its high-water mark,
@@ -47,9 +47,13 @@ type B2Config struct {
 	Costs *malloc.CostParams
 }
 
+// b2Replace is the fraction of its objects each benchmark-2 round
+// replaces, the paper's half.
+const b2Replace = 0.5
+
 // DefaultB2 fills the paper's constants.
 func DefaultB2(p Profile) B2Config {
-	return B2Config{Profile: p, Threads: 1, Rounds: 1, Objects: 10000, Size: 40, Replace: 0.5, Runs: 5, Seed: 1}
+	return B2Config{Profile: p, Threads: 1, Rounds: 1, Objects: 10000, Size: 40, Runs: 5, Seed: 1}
 }
 
 // B2Run is one execution's observables.
@@ -98,14 +102,7 @@ func RunBench2(cfg B2Config) (B2Result, error) {
 }
 
 func runBench2Once(cfg B2Config, seed uint64) (B2Run, error) {
-	var opts []WorldOption
-	if cfg.Allocator != "" {
-		opts = append(opts, WithAllocator(cfg.Allocator))
-	}
-	if cfg.Costs != nil {
-		opts = append(opts, WithAllocCosts(*cfg.Costs))
-	}
-	w := NewWorld(cfg.Profile, seed, opts...)
+	w := NewWorld(cfg.Profile.withAlloc(cfg.Allocator, cfg.Costs), seed)
 	var out B2Run
 	err := w.Run(func(main *sim.Thread) {
 		inst, err := w.AddInstance(main)
@@ -171,7 +168,7 @@ func runBench2Once(cfg B2Config, seed uint64) (B2Run, error) {
 					pending = pending[:0]
 				}
 				for i := 0; i < cfg.Objects; i++ {
-					if rng.Float64() >= cfg.Replace {
+					if rng.Float64() >= b2Replace {
 						continue
 					}
 					pending = append(pending, i)

@@ -76,14 +76,7 @@ func runBench3Once(cfg B3Config, seed uint64) (B3Run, error) {
 	if cfg.Aligned {
 		prof.HeapParams.Align = uint32(1) << prof.LineShift
 	}
-	var opts []WorldOption
-	if cfg.Allocator != "" {
-		opts = append(opts, WithAllocator(cfg.Allocator))
-	}
-	if cfg.Costs != nil {
-		opts = append(opts, WithAllocCosts(*cfg.Costs))
-	}
-	w := NewWorld(prof, seed, opts...)
+	w := NewWorld(prof.withAlloc(cfg.Allocator, cfg.Costs), seed)
 	var out B3Run
 	err := w.Run(func(main *sim.Thread) {
 		inst, err := w.AddInstance(main)

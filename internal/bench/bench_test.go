@@ -618,6 +618,46 @@ func TestLarsonPhaseSchedule(t *testing.T) {
 	}
 }
 
+// TestLarsonShapesHonourMemLimit: every Larson shape — flat, phased,
+// Rotate and Producers — runs to completion under a commit limit just below
+// its own unlimited peak, skipping the slot refills the emergency cascade
+// cannot serve instead of aborting on the first one.
+func TestLarsonShapesHonourMemLimit(t *testing.T) {
+	shapes := []struct {
+		name  string
+		shape func(*LarsonConfig)
+	}{
+		{"flat", func(*LarsonConfig) {}},
+		{"phased", func(c *LarsonConfig) { c.Phases = []Phase{{Ops: 2000, IdleSeconds: 0.01}, {Ops: 2000}} }},
+		{"rotate", func(c *LarsonConfig) { c.Rotate = true }},
+		{"producers", func(c *LarsonConfig) { c.Producers = 2 }},
+	}
+	for _, sh := range shapes {
+		sh := sh
+		t.Run(sh.name, func(t *testing.T) {
+			cfg := LarsonConfig{Profile: QuadXeon500(), Threads: 4, Slots: 500, MinSize: 10, MaxSize: 400,
+				Ops: 4000, Runs: 1, Seed: 1, Allocator: malloc.KindSerial}
+			sh.shape(&cfg)
+			base, err := RunLarson(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.MemLimit = uint64(0.98 * float64(base.Runs[0].AllocStats.PeakCommitted))
+			res, err := RunLarson(cfg)
+			if err != nil {
+				t.Fatalf("under a commit limit at 0.98x peak: %v", err)
+			}
+			r := res.Runs[0]
+			if r.OOMSkips == 0 {
+				t.Error("the commit limit never failed a refill: the run proved nothing")
+			}
+			if r.OOMSkips != r.AllocStats.OOMFails {
+				t.Errorf("%d skipped refills but %d allocations the cascade gave up on", r.OOMSkips, r.AllocStats.OOMFails)
+			}
+		})
+	}
+}
+
 // TestBench2RoundIdle: idle between rounds must not change the fault story,
 // only stretch the timeline.
 func TestBench2RoundIdle(t *testing.T) {

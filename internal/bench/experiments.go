@@ -21,16 +21,16 @@ type Options struct {
 // FullPairs is the paper's benchmark 1 iteration count.
 const FullPairs = 10_000_000
 
-func (o Options) pairs() int {
+// scaled shrinks a workload count n by Scale when 0 < Scale < 1, but not
+// below floor; any other Scale leaves n whole.
+func (o Options) scaled(n, floor int) int {
 	if o.Scale <= 0 || o.Scale >= 1 {
-		return FullPairs
+		return n
 	}
-	p := int(float64(FullPairs) * o.Scale)
-	if p < 20000 {
-		p = 20000
-	}
-	return p
+	return max(int(float64(n)*o.Scale), floor)
 }
+
+func (o Options) pairs() int { return o.scaled(FullPairs, 20000) }
 
 func (o Options) seed() uint64 {
 	if o.Seed == 0 {

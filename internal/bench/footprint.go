@@ -90,14 +90,7 @@ func RunFootprint(cfg FootprintConfig) (FootprintRun, error) {
 	if cfg.Threads < 1 || cfg.Slots < 1 || len(cfg.Phases) == 0 || cfg.SamplePeriodSeconds <= 0 {
 		return FootprintRun{}, fmt.Errorf("footprint: bad config %+v", cfg)
 	}
-	var opts []WorldOption
-	if cfg.Allocator != "" {
-		opts = append(opts, WithAllocator(cfg.Allocator))
-	}
-	if cfg.Costs != nil {
-		opts = append(opts, WithAllocCosts(*cfg.Costs))
-	}
-	w := NewWorld(cfg.Profile, cfg.Seed, opts...)
+	w := NewWorld(cfg.Profile.withAlloc(cfg.Allocator, cfg.Costs), cfg.Seed)
 	var out FootprintRun
 	err := w.Run(func(main *sim.Thread) {
 		inst, err := w.AddInstance(main)
@@ -283,13 +276,7 @@ func RunFootprint(cfg FootprintConfig) (FootprintRun, error) {
 // criteria read.
 func ExpFootprint(o Options) (*Table, error) {
 	prof := QuadXeon500()
-	ops := 40000
-	if o.Scale > 0 && o.Scale < 1 {
-		ops = int(float64(ops) * o.Scale)
-		if ops < 4000 {
-			ops = 4000
-		}
-	}
+	ops := o.scaled(40000, 4000)
 	scavCosts := prof.ScavengeCosts() // the host's own tuning: 2ms epochs at 500 MHz, 50%/epoch
 	binCosts := scavCosts
 	binCosts.ScavengeMinBinBytes = 4096 // release any binned chunk with a whole idle page

@@ -54,7 +54,7 @@ type LarsonConfig struct {
 	// cross-thread (at NUMA scale mostly cross-node) frees, the sustained
 	// remote-free and refill traffic a server's allocator actually sees.
 	// A full barrier separates rounds so two threads never work one array.
-	// Mutually exclusive with Producers, Phases and TolerateOOM.
+	// Mutually exclusive with Producers and Phases.
 	Rotate bool
 	Runs   int
 	Seed   uint64
@@ -65,20 +65,17 @@ type LarsonConfig struct {
 	Costs *malloc.CostParams
 	// MemLimit, when > 0, caps the instance's committed bytes
 	// (vm.SetMemLimit) before the workload starts: growth past it fails
-	// with vm.ErrNoMem and the allocator's emergency cascade takes over.
+	// with vm.ErrNoMem and the allocator's emergency cascade takes over. A
+	// slot refill that still runs out of memory is a skipped operation —
+	// the slot stays empty and is skipped on its next turn — counted in
+	// LarsonRun.OOMSkips; any other failure still aborts the run.
 	MemLimit uint64
-	// TolerateOOM makes workers treat an out-of-memory slot refill as a
-	// skipped operation (the slot stays empty and is skipped on its next
-	// turn) instead of a fatal error; skips are counted in
-	// LarsonRun.OOMSkips. Any other failure still aborts the run.
-	TolerateOOM bool
-	// Telemetry, when non-nil, attaches a telemetry recorder to each run's
-	// allocator (per-op latency histograms, tier attribution, time series,
-	// trace events; see internal/telemetry). A zero ClockMHz is filled from
-	// the profile. The recorder of run i lands in Runs[i].Telemetry.
-	// Recording charges no cycles, so enabling it leaves every observable
-	// bit-identical.
-	Telemetry *telemetry.Config
+	// Telemetry attaches a telemetry recorder, clocked at the profile's
+	// ClockMHz, to each run's allocator (per-op latency histograms, tier
+	// attribution, time series, trace events; see internal/telemetry). The
+	// recorder of run i lands in Runs[i].Telemetry. Recording charges no
+	// cycles, so enabling it leaves every observable bit-identical.
+	Telemetry bool
 }
 
 // larsonRotateRounds is the number of handoff rounds of a Rotate run,
@@ -97,14 +94,14 @@ type LarsonRun struct {
 	MinorFaults uint64
 	ArenaCount  int
 	// OOMSkips counts slot refills abandoned because even the emergency
-	// cascade could not free enough memory (TolerateOOM runs only).
+	// cascade could not free enough memory (MemLimit runs only).
 	OOMSkips uint64
 	// VMStats and AllocStats expose the run's syscall, fault and reuse
 	// counters for the above-threshold (mmap-path) variants.
 	VMStats    vm.Stats
 	AllocStats malloc.Stats
-	// Telemetry holds the run's recorder when LarsonConfig.Telemetry asked
-	// for one; nil otherwise.
+	// Telemetry holds the run's recorder when LarsonConfig.Telemetry is
+	// set; nil otherwise.
 	Telemetry *telemetry.Recorder
 }
 
@@ -129,8 +126,8 @@ func RunLarson(cfg LarsonConfig) (LarsonResult, error) {
 	if cfg.Producers > 0 && len(cfg.Phases) > 0 {
 		return LarsonResult{}, fmt.Errorf("larson: Producers and Phases are mutually exclusive")
 	}
-	if cfg.Rotate && (cfg.Producers > 0 || len(cfg.Phases) > 0 || cfg.TolerateOOM) {
-		return LarsonResult{}, fmt.Errorf("larson: Rotate excludes Producers, Phases and TolerateOOM")
+	if cfg.Rotate && (cfg.Producers > 0 || len(cfg.Phases) > 0) {
+		return LarsonResult{}, fmt.Errorf("larson: Rotate excludes Producers and Phases")
 	}
 	res := LarsonResult{Config: cfg}
 	for run := 0; run < cfg.Runs; run++ {
@@ -148,15 +145,14 @@ func RunLarson(cfg LarsonConfig) (LarsonResult, error) {
 	return res, nil
 }
 
+// runLarsonOnce runs every shape through one worker: the slot fill, then
+// one replace loop per round of the shape's plan. A flat run is one round of
+// Ops, a phased run one round per Phase (each followed by its idle sleep),
+// a Rotate run larsonRotateRounds rounds where round r works the slot array
+// r workers ahead behind a barrier. Producers run the same loop, dealing
+// each displaced object to a consumer's box instead of freeing it.
 func runLarsonOnce(cfg LarsonConfig, seed uint64) (LarsonRun, error) {
-	var opts []WorldOption
-	if cfg.Allocator != "" {
-		opts = append(opts, WithAllocator(cfg.Allocator))
-	}
-	if cfg.Costs != nil {
-		opts = append(opts, WithAllocCosts(*cfg.Costs))
-	}
-	w := NewWorld(cfg.Profile, seed, opts...)
+	w := NewWorld(cfg.Profile.withAlloc(cfg.Allocator, cfg.Costs), seed)
 	var out LarsonRun
 	err := w.Run(func(main *sim.Thread) {
 		inst, err := w.AddInstance(main)
@@ -167,15 +163,9 @@ func runLarsonOnce(cfg LarsonConfig, seed uint64) (LarsonRun, error) {
 		if cfg.MemLimit > 0 {
 			as.SetMemLimit(cfg.MemLimit)
 		}
-		var rec *telemetry.Recorder
-		if cfg.Telemetry != nil {
-			tcfg := *cfg.Telemetry
-			if tcfg.ClockMHz <= 0 {
-				tcfg.ClockMHz = cfg.Profile.ClockMHz
-			}
-			rec = telemetry.NewRecorder(tcfg)
-			malloc.AttachTelemetry(al, rec)
-			out.Telemetry = rec
+		if cfg.Telemetry {
+			out.Telemetry = telemetry.NewRecorder(telemetry.Config{ClockMHz: cfg.Profile.ClockMHz})
+			malloc.AttachTelemetry(al, out.Telemetry)
 		}
 		// Offloaded designs spawn their per-node service threads before the
 		// clock starts and stop them after the last worker joins but outside
@@ -183,108 +173,167 @@ func runLarsonOnce(cfg LarsonConfig, seed uint64) (LarsonRun, error) {
 		svc := malloc.ServiceOf(al)
 		svc.Start(main)
 		start := main.Now()
-		if cfg.Producers > 0 || cfg.Rotate {
-			if cfg.Producers > 0 {
-				runLarsonImbalanced(cfg, w, main, inst)
-			} else {
-				runLarsonRotate(cfg, w, main, inst)
-			}
-			wall := w.Seconds(main.Now() - start)
-			svc.Stop(main)
-			workers := cfg.Threads
-			if cfg.Producers > 0 {
-				workers = cfg.Producers
-			}
-			out.WallSeconds = wall
-			out.Throughput = float64(cfg.Ops*workers) / wall
-			out.VMStats = as.Stats()
-			out.MinorFaults = out.VMStats.MinorFaults
-			out.ArenaCount = len(al.Arenas())
-			out.AllocStats = al.Stats()
-			return
+
+		// plan is every worker's round schedule; round r works the slot
+		// array hop*r workers ahead.
+		plan, hop := cfg.Phases, 0
+		if len(plan) == 0 {
+			plan = []Phase{{Ops: cfg.Ops}}
 		}
+		if cfg.Rotate {
+			rounds := min(larsonRotateRounds, cfg.Ops)
+			plan, hop = make([]Phase, rounds), 1
+			for r := range plan {
+				plan[r].Ops = cfg.Ops / rounds
+			}
+			plan[rounds-1].Ops += cfg.Ops % rounds
+		}
+		// The slot arrays, the Rotate barrier and the consumer boxes are
+		// host-side plumbing: the engine resumes one simulated thread at a
+		// time, so plain slices and counters are safe.
+		arrs := make([]uint64, cfg.Threads)
+		arrived := 0 // Rotate: cumulative (worker, round) completions
 		var oomSkips uint64
-		workers := make([]*sim.Thread, cfg.Threads)
-		for i := 0; i < cfg.Threads; i++ {
-			workers[i] = main.Spawn(fmt.Sprintf("larson-%d", i), func(t *sim.Thread) {
+		free := func(t *sim.Thread, p uint64) {
+			if cfg.TouchObjects {
+				as.Read8(t, p)
+			}
+			if err := al.Free(t, p); err != nil {
+				panic(fmt.Sprintf("larson: free: %v", err))
+			}
+		}
+		// work fills worker i's slot array (which lives in simulated memory
+		// like the real benchmark's does) and runs the plan, handing every
+		// object a replace displaces to dispose. It returns the array.
+		work := func(t *sim.Thread, i int, dispose func(old uint64)) uint64 {
+			rng := t.RNG()
+			refill := func(arr uint64, s, op int, touch bool) {
+				sz := cfg.MinSize + uint32(rng.Intn(int(cfg.MaxSize-cfg.MinSize)+1))
+				p, err := al.Malloc(t, sz)
+				if err != nil {
+					if cfg.MemLimit == 0 || !malloc.IsNoMem(err) {
+						panic(fmt.Sprintf("larson: alloc: %v", err))
+					}
+					oomSkips++
+					p = 0
+				} else if touch {
+					for off := uint64(0); off < uint64(sz); off += vm.PageSize {
+						as.Write8(t, p+off, byte(op))
+					}
+				}
+				as.Write32(t, arr+uint64(4*s), uint32(p))
+			}
+			arr, err := al.Malloc(t, uint32(4*cfg.Slots))
+			if err != nil {
+				panic(fmt.Sprintf("larson: slot array: %v", err))
+			}
+			for s := 0; s < cfg.Slots; s++ {
+				refill(arr, s, 0, false)
+			}
+			arrs[i] = arr
+			for r, ph := range plan {
+				phStart := t.Now()
+				cur := arrs[(i+hop*r)%cfg.Threads]
+				for op := 0; op < ph.Ops; op++ {
+					s := rng.Intn(cfg.Slots)
+					// A zero slot is one an out-of-memory refill left
+					// empty; there is nothing to hand over.
+					if old := uint64(as.Read32(t, cur+uint64(4*s))); old != 0 {
+						dispose(old)
+					}
+					refill(cur, s, op, cfg.TouchObjects)
+				}
+				if cfg.Rotate {
+					// The next round works another worker's array: wait
+					// until no worker is still on this one.
+					arrived++
+					for arrived < (r+1)*cfg.Threads {
+						t.Sleep(2000)
+					}
+				}
+				if len(cfg.Phases) > 0 {
+					out.Telemetry.Span(t, fmt.Sprintf("phase %d burst", r), "bench", phStart)
+				}
+				if ph.IdleSeconds > 0 {
+					idleStart := t.Now()
+					t.Sleep(w.M.Cycles(ph.IdleSeconds))
+					out.Telemetry.Span(t, fmt.Sprintf("phase %d idle", r), "bench", idleStart)
+				}
+			}
+			return arr
+		}
+
+		var threads []*sim.Thread
+		spawn := func(name string, body func(t *sim.Thread)) {
+			threads = append(threads, main.Spawn(name, func(t *sim.Thread) {
 				al.AttachThread(t)
 				defer al.DetachThread(t)
-				rng := t.RNG()
-				randSize := func() uint32 {
-					return cfg.MinSize + uint32(rng.Intn(int(cfg.MaxSize-cfg.MinSize)+1))
-				}
-				// Slot array lives in simulated memory like the real
-				// benchmark's does.
-				arr, err := al.Malloc(t, uint32(4*cfg.Slots))
-				if err != nil {
-					panic(fmt.Sprintf("larson: slot array: %v", err))
-				}
-				for s := 0; s < cfg.Slots; s++ {
-					p, err := al.Malloc(t, randSize())
-					if err != nil {
-						if !cfg.TolerateOOM || !malloc.IsNoMem(err) {
-							panic(fmt.Sprintf("larson: prefill: %v", err))
-						}
-						oomSkips++
-						p = 0
+				body(t)
+			}))
+		}
+		if cfg.Producers == 0 {
+			for i := 0; i < cfg.Threads; i++ {
+				i := i
+				spawn(fmt.Sprintf("larson-%d", i), func(t *sim.Thread) {
+					work(t, i, func(old uint64) { free(t, old) })
+				})
+			}
+		} else {
+			// Producers spawn first, so the scheduler packs them onto the
+			// lowest-numbered CPUs (one node when they fit in it),
+			// concentrating allocation there while the consumers free from
+			// every other node.
+			consumers := cfg.Threads - cfg.Producers
+			boxes := make([][]uint64, consumers)
+			producersDone := 0
+			for i := 0; i < cfg.Producers; i++ {
+				i := i
+				spawn(fmt.Sprintf("larson-prod-%d", i), func(t *sim.Thread) {
+					box := 0
+					deal := func(p uint64) {
+						boxes[box] = append(boxes[box], p)
+						box = (box + 1) % consumers
 					}
-					as.Write32(t, arr+uint64(4*s), uint32(p))
-				}
-				replace := func(n int) {
-					for op := 0; op < n; op++ {
-						s := rng.Intn(cfg.Slots)
-						// A zero slot is one an earlier tolerated OOM left
-						// empty; there is nothing to free or touch.
-						old := uint64(as.Read32(t, arr+uint64(4*s)))
-						if old != 0 {
-							if cfg.TouchObjects {
-								as.Read8(t, old)
-							}
-							if err := al.Free(t, old); err != nil {
-								panic(fmt.Sprintf("larson: free: %v", err))
-							}
+					arr := work(t, i, deal)
+					// Hand the surviving slot objects over too, then retire.
+					for s := 0; s < cfg.Slots; s++ {
+						if p := uint64(as.Read32(t, arr+uint64(4*s))); p != 0 {
+							deal(p)
 						}
-						sz := randSize()
-						p, err := al.Malloc(t, sz)
-						if err != nil {
-							if !cfg.TolerateOOM || !malloc.IsNoMem(err) {
-								panic(fmt.Sprintf("larson: alloc: %v", err))
-							}
-							oomSkips++
-							as.Write32(t, arr+uint64(4*s), 0)
+					}
+					if err := al.Free(t, arr); err != nil {
+						panic(fmt.Sprintf("larson: free slot array: %v", err))
+					}
+					producersDone++
+				})
+			}
+			for j := 0; j < consumers; j++ {
+				j := j
+				spawn(fmt.Sprintf("larson-cons-%d", j), func(t *sim.Thread) {
+					for len(boxes[j]) > 0 || producersDone < cfg.Producers {
+						if len(boxes[j]) == 0 {
+							t.Sleep(5000) // poll the mailbox like a condvar wait
 							continue
 						}
-						if cfg.TouchObjects {
-							for off := uint64(0); off < uint64(sz); off += vm.PageSize {
-								as.Write8(t, p+off, byte(op))
-							}
-						}
-						as.Write32(t, arr+uint64(4*s), uint32(p))
+						p := boxes[j][len(boxes[j])-1]
+						boxes[j] = boxes[j][:len(boxes[j])-1]
+						free(t, p)
+						t.MaybeYield()
 					}
-				}
-				if len(cfg.Phases) == 0 {
-					replace(cfg.Ops)
-					return
-				}
-				for pi, ph := range cfg.Phases {
-					phStart := t.Now()
-					replace(ph.Ops)
-					rec.Span(t, fmt.Sprintf("phase %d burst", pi), "bench", phStart)
-					if ph.IdleSeconds > 0 {
-						idleStart := t.Now()
-						t.Sleep(w.M.Cycles(ph.IdleSeconds))
-						rec.Span(t, fmt.Sprintf("phase %d idle", pi), "bench", idleStart)
-					}
-				}
-			})
+				})
+			}
 		}
-		for _, wk := range workers {
-			main.Join(wk)
+		for _, th := range threads {
+			main.Join(th)
 		}
 		wall := w.Seconds(main.Now() - start)
 		svc.Stop(main)
+		workers := cfg.Threads
+		if cfg.Producers > 0 {
+			workers = cfg.Producers
+		}
 		out.WallSeconds = wall
-		out.Throughput = float64(cfg.Ops*cfg.Threads) / wall
+		out.Throughput = float64(cfg.Ops*workers) / wall
 		out.VMStats = as.Stats()
 		out.MinorFaults = out.VMStats.MinorFaults
 		out.ArenaCount = len(al.Arenas())
@@ -292,170 +341,4 @@ func runLarsonOnce(cfg LarsonConfig, seed uint64) (LarsonRun, error) {
 		out.OOMSkips = oomSkips
 	})
 	return out, err
-}
-
-// runLarsonRotate is the Rotate variant: the classic Larson "bleeding"
-// structure where each round a thread replaces slots in the array the
-// previous round's holder filled. The arrays and the round barrier are
-// host-side plumbing (the engine resumes one simulated thread at a time, so
-// plain slices and counters are safe); the barrier is the polling kind the
-// imbalanced variant's consumers already use.
-func runLarsonRotate(cfg LarsonConfig, w *World, main *sim.Thread, inst *Instance) {
-	al, as := inst.Alloc, inst.AS
-	rounds := min(larsonRotateRounds, cfg.Ops)
-	arrs := make([]uint64, cfg.Threads)
-	arrived := 0 // cumulative count of (worker, round) completions
-	workers := make([]*sim.Thread, cfg.Threads)
-	for i := 0; i < cfg.Threads; i++ {
-		i := i
-		workers[i] = main.Spawn(fmt.Sprintf("larson-%d", i), func(t *sim.Thread) {
-			al.AttachThread(t)
-			defer al.DetachThread(t)
-			rng := t.RNG()
-			randSize := func() uint32 {
-				return cfg.MinSize + uint32(rng.Intn(int(cfg.MaxSize-cfg.MinSize)+1))
-			}
-			arr, err := al.Malloc(t, uint32(4*cfg.Slots))
-			if err != nil {
-				panic(fmt.Sprintf("larson: slot array: %v", err))
-			}
-			for s := 0; s < cfg.Slots; s++ {
-				p, err := al.Malloc(t, randSize())
-				if err != nil {
-					panic(fmt.Sprintf("larson: prefill: %v", err))
-				}
-				as.Write32(t, arr+uint64(4*s), uint32(p))
-			}
-			arrs[i] = arr
-			done := 0
-			for r := 0; r < rounds; r++ {
-				n := cfg.Ops / rounds
-				if r == rounds-1 {
-					n = cfg.Ops - done
-				}
-				done += n
-				// Round r works the array r hops ahead: every object freed
-				// was allocated (or last replaced) by another thread.
-				cur := arrs[(i+r)%cfg.Threads]
-				for op := 0; op < n; op++ {
-					s := rng.Intn(cfg.Slots)
-					old := uint64(as.Read32(t, cur+uint64(4*s)))
-					if cfg.TouchObjects {
-						as.Read8(t, old)
-					}
-					if err := al.Free(t, old); err != nil {
-						panic(fmt.Sprintf("larson: free: %v", err))
-					}
-					sz := randSize()
-					p, err := al.Malloc(t, sz)
-					if err != nil {
-						panic(fmt.Sprintf("larson: alloc: %v", err))
-					}
-					if cfg.TouchObjects {
-						for off := uint64(0); off < uint64(sz); off += vm.PageSize {
-							as.Write8(t, p+off, byte(op))
-						}
-					}
-					as.Write32(t, cur+uint64(4*s), uint32(p))
-				}
-				arrived++
-				for arrived < (r+1)*cfg.Threads {
-					t.Sleep(2000)
-				}
-			}
-		})
-	}
-	for _, wk := range workers {
-		main.Join(wk)
-	}
-}
-
-// runLarsonImbalanced is the Producers > 0 variant: producers run the usual
-// slot-replace loop but never free — each displaced object goes to a consumer
-// mailbox — and consumers do nothing but free. Producers spawn first, so the
-// scheduler packs them onto the lowest-numbered CPUs (one node when they fit
-// in it), concentrating allocation on that node while frees arrive from every
-// other node. The mailboxes are host-side plumbing, not simulated memory: the
-// engine resumes one thread at a time, so plain slices are safe.
-func runLarsonImbalanced(cfg LarsonConfig, w *World, main *sim.Thread, inst *Instance) {
-	al, as := inst.Alloc, inst.AS
-	consumers := cfg.Threads - cfg.Producers
-	boxes := make([][]uint64, consumers)
-	producersDone := 0
-	threads := make([]*sim.Thread, 0, cfg.Threads)
-	for i := 0; i < cfg.Producers; i++ {
-		threads = append(threads, main.Spawn(fmt.Sprintf("larson-prod-%d", i), func(t *sim.Thread) {
-			al.AttachThread(t)
-			defer al.DetachThread(t)
-			rng := t.RNG()
-			randSize := func() uint32 {
-				return cfg.MinSize + uint32(rng.Intn(int(cfg.MaxSize-cfg.MinSize)+1))
-			}
-			arr, err := al.Malloc(t, uint32(4*cfg.Slots))
-			if err != nil {
-				panic(fmt.Sprintf("larson: slot array: %v", err))
-			}
-			for s := 0; s < cfg.Slots; s++ {
-				p, err := al.Malloc(t, randSize())
-				if err != nil {
-					panic(fmt.Sprintf("larson: prefill: %v", err))
-				}
-				as.Write32(t, arr+uint64(4*s), uint32(p))
-			}
-			box := 0
-			for op := 0; op < cfg.Ops; op++ {
-				s := rng.Intn(cfg.Slots)
-				boxes[box] = append(boxes[box], uint64(as.Read32(t, arr+uint64(4*s))))
-				box = (box + 1) % consumers
-				sz := randSize()
-				p, err := al.Malloc(t, sz)
-				if err != nil {
-					panic(fmt.Sprintf("larson: alloc: %v", err))
-				}
-				if cfg.TouchObjects {
-					for off := uint64(0); off < uint64(sz); off += vm.PageSize {
-						as.Write8(t, p+off, byte(op))
-					}
-				}
-				as.Write32(t, arr+uint64(4*s), uint32(p))
-			}
-			// Hand the surviving slot objects over too, then retire.
-			for s := 0; s < cfg.Slots; s++ {
-				boxes[box] = append(boxes[box], uint64(as.Read32(t, arr+uint64(4*s))))
-				box = (box + 1) % consumers
-			}
-			if err := al.Free(t, arr); err != nil {
-				panic(fmt.Sprintf("larson: free slot array: %v", err))
-			}
-			producersDone++
-		}))
-	}
-	for j := 0; j < consumers; j++ {
-		j := j
-		threads = append(threads, main.Spawn(fmt.Sprintf("larson-cons-%d", j), func(t *sim.Thread) {
-			al.AttachThread(t)
-			defer al.DetachThread(t)
-			for {
-				if len(boxes[j]) == 0 {
-					if producersDone == cfg.Producers {
-						return
-					}
-					t.Sleep(5000) // poll the mailbox like a condvar wait
-					continue
-				}
-				p := boxes[j][len(boxes[j])-1]
-				boxes[j] = boxes[j][:len(boxes[j])-1]
-				if cfg.TouchObjects {
-					as.Read8(t, p)
-				}
-				if err := al.Free(t, p); err != nil {
-					panic(fmt.Sprintf("larson: consumer free: %v", err))
-				}
-				t.MaybeYield()
-			}
-		}))
-	}
-	for _, th := range threads {
-		main.Join(th)
-	}
 }

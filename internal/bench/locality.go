@@ -38,16 +38,8 @@ func d4LarsonCosts(p Profile, blind bool) *malloc.CostParams {
 // routinely cross threads — and, when placement is blind, nodes — and every
 // page of a remotely-homed buffer bills the interconnect.
 func ExpLocality(o Options) (*Table, error) {
-	b2Objects := 2000
-	larOps := 1200
-	if o.Scale > 0 && o.Scale < 1 {
-		if b2Objects = int(float64(b2Objects) * o.Scale); b2Objects < 200 {
-			b2Objects = 200
-		}
-		if larOps = int(float64(larOps) * o.Scale); larOps < 100 {
-			larOps = 100
-		}
-	}
+	b2Objects := o.scaled(2000, 200)
+	larOps := o.scaled(1200, 100)
 	t := &Table{ID: "D4", Title: "NUMA locality: node-blind vs node-sharded placement, 8-CPU 500MHz hosts at 1/2/4 nodes",
 		Columns: []string{"profile", "config", "threads", "b2 remote acc", "b2 remote frees", "b2 faults", "lar remote acc", "lar rem cycles(k)", "lar rem hands", "lar ops/s"}}
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mtmalloc/internal/malloc"
-	"mtmalloc/internal/telemetry"
 )
 
 // TestOffloadedLarsonDeterministic: two identical fixed-seed Larson runs
@@ -23,7 +22,7 @@ func TestOffloadedLarsonDeterministic(t *testing.T) {
 				cfg := LarsonConfig{
 					Profile: NUMAServerScale(2, 8), Threads: 8, Slots: 50,
 					MinSize: 10, MaxSize: 100, Ops: 300, Runs: 1, Seed: 7,
-					Rotate: true, Allocator: kind, Telemetry: &telemetry.Config{},
+					Rotate: true, Allocator: kind, Telemetry: true,
 				}
 				res, err := RunLarson(cfg)
 				if err != nil {
@@ -74,7 +73,7 @@ func TestHarnessesRunTheService(t *testing.T) {
 		}
 	}
 	b2, err := RunBench2(B2Config{Profile: QuadXeon500(), Threads: 2, Rounds: 2, Objects: 500,
-		Size: 40, Replace: 0.5, Runs: 1, Seed: 1, Allocator: svc})
+		Size: 40, Runs: 1, Seed: 1, Allocator: svc})
 	if err != nil {
 		t.Fatalf("RunBench2: %v", err)
 	}

@@ -117,14 +117,7 @@ func RunPlacement(cfg PlacementConfig) (PlacementRun, error) {
 	if len(cfg.Sizes) == 0 || cfg.ObjsPerConsumer < 1 || cfg.WorkingSet < 1 || cfg.QueueDepth < 1 {
 		return PlacementRun{}, fmt.Errorf("placement: bad config %+v", cfg)
 	}
-	var opts []WorldOption
-	if cfg.Allocator != "" {
-		opts = append(opts, WithAllocator(cfg.Allocator))
-	}
-	if cfg.Costs != nil {
-		opts = append(opts, WithAllocCosts(*cfg.Costs))
-	}
-	w := NewWorld(cfg.Profile, cfg.Seed, opts...)
+	w := NewWorld(cfg.Profile.withAlloc(cfg.Allocator, cfg.Costs), cfg.Seed)
 	var out PlacementRun
 	err := w.Run(func(main *sim.Thread) {
 		inst, err := w.AddInstance(main)
@@ -253,12 +246,7 @@ func RunPlacement(cfg PlacementConfig) (PlacementRun, error) {
 // supplied dirty from another CPU's cache) and the counter-metric is the
 // resident-byte cost of quantization and coloring.
 func ExpPlacement(o Options) (*Table, error) {
-	objs := 300
-	if o.Scale > 0 && o.Scale < 1 {
-		if objs = int(float64(objs) * o.Scale); objs < 40 {
-			objs = 40
-		}
-	}
+	objs := o.scaled(300, 40)
 	prof := NUMAServerScale(2, 16)
 	t := &Table{ID: "D9", Title: "cache-line-aware placement, 16-CPU 2-node 500MHz host: blind vs line-aware carving, producer-consumer handoff at 2-16 threads",
 		Columns: []string{"allocator", "mode", "threads", "objs/s", "C2C fills", "C2C cycles", "mem fills", "resident KB", "quant B", "color B", "shared mag lines"}}

@@ -26,13 +26,7 @@ var PressureRatios = []float64{1.50, 1.25, 1.10, 1.00, 0.95, 0.90, 0.85, 0.80, 0
 // shape — against the ratcheting commit limit for all five designs.
 func ExpPressure(o Options) (*Table, error) {
 	prof := QuadXeon500()
-	ops := 20000
-	if o.Scale > 0 && o.Scale < 1 {
-		ops = int(float64(ops) * o.Scale)
-		if ops < 2000 {
-			ops = 2000
-		}
-	}
+	ops := o.scaled(20000, 2000)
 	t := &Table{ID: "D6", Title: "graceful degradation under memory pressure: Larson 4 threads, commit limit ratcheting toward peak live bytes",
 		Columns: []string{"allocator", "workload", "limit/peak", "limit(KB)", "tput(ops/s)", "tput ratio", "emerg passes", "oom retries", "oom fails", "skips"}}
 	for _, kind := range malloc.Kinds() {
@@ -54,7 +48,6 @@ func ExpPressure(o Options) (*Table, error) {
 			for _, ratio := range PressureRatios {
 				lcfg := cfg
 				lcfg.MemLimit = uint64(ratio * float64(peak))
-				lcfg.TolerateOOM = true
 				res, rerr := RunLarson(lcfg)
 				if rerr != nil {
 					// The run died outside the tolerated slot-refill path

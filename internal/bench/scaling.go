@@ -24,12 +24,7 @@ import (
 // producers packed on one node allocate everything and 24 consumers
 // elsewhere only free — aiming every free at one node's depot and buddy.
 func ExpScaling(o Options) (*Table, error) {
-	ops := 4000
-	if o.Scale > 0 && o.Scale < 1 {
-		if ops = int(float64(ops) * o.Scale); ops < 200 {
-			ops = 200
-		}
-	}
+	ops := o.scaled(4000, 200)
 	t := &Table{ID: "D5", Title: "contention scaling, 64-CPU 4-node 500MHz host: Larson at 8-64 threads, five designs",
 		Columns: []string{"profile", "workload", "allocator", "threads", "ops/s", "arena locks", "depot locks", "trylock fails", "cas attempts", "cas fails", "cas retry(k)"}}
 

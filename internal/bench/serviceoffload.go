@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mtmalloc/internal/malloc"
-	"mtmalloc/internal/telemetry"
 )
 
 // This file is experiment D10, the service-thread offload study. The
@@ -30,12 +29,7 @@ import (
 // background actor per node (epoch-driven cascade instead of a dedicated
 // scavenger thread).
 func ExpServiceOffload(o Options) (*Table, error) {
-	ops := 4000
-	if o.Scale > 0 && o.Scale < 1 {
-		if ops = int(float64(ops) * o.Scale); ops < 200 {
-			ops = 200
-		}
-	}
+	ops := o.scaled(4000, 200)
 	prof := NUMAServerScale(4, 64)
 	t := &Table{ID: "D10", Title: "service-thread offload, 64-CPU 4-node 500MHz host: inline vs offloaded magazine designs, Larson at 8-64 threads",
 		Columns: []string{"allocator", "threads", "ops/s", "app cycles in malloc", "cycles/op", "svc cycles", "refill hit", "prefetch", "drains", "fallbacks", "epochs"}}
@@ -56,7 +50,7 @@ func ExpServiceOffload(o Options) (*Table, error) {
 		for _, n := range threadCounts {
 			lcfg := LarsonConfig{Profile: prof, Threads: n, Slots: 200,
 				MinSize: 10, MaxSize: 100, Ops: ops, Runs: 1, Seed: o.seed(),
-				Rotate: true, Allocator: kind, Telemetry: &telemetry.Config{}}
+				Rotate: true, Allocator: kind, Telemetry: true}
 			lar, err := RunLarson(lcfg)
 			if err != nil {
 				return nil, fmt.Errorf("D10 %s larson %dt: %w", kind, n, err)
@@ -114,12 +108,7 @@ func ExpServiceOffload(o Options) (*Table, error) {
 	// scavenging on, inline (dedicated background scavenger thread) vs
 	// offloaded (the per-node service threads drive the cascade from their
 	// epoch loops — one background actor per node, no separate scavenger).
-	fpOps := 40000
-	if o.Scale > 0 && o.Scale < 1 {
-		if fpOps = int(float64(fpOps) * o.Scale); fpOps < 4000 {
-			fpOps = 4000
-		}
-	}
+	fpOps := o.scaled(40000, 4000)
 	scavCosts := prof.ScavengeCosts()
 	fpConfigs := []struct {
 		name string

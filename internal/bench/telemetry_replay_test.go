@@ -29,7 +29,7 @@ func telemetryLarsonConfig() LarsonConfig {
 	cfg.Runs = 1
 	cfg.Seed = 1
 	cfg.Allocator = malloc.KindThreadCache
-	cfg.Telemetry = &telemetry.Config{}
+	cfg.Telemetry = true
 	return cfg
 }
 
@@ -109,7 +109,7 @@ func TestTelemetryLeavesScavengeGoldenIdentical(t *testing.T) {
 	cfg.Allocator = malloc.KindThreadCache
 	cfg.Costs = &costs
 	cfg.Phases = []Phase{{Ops: 1500, IdleSeconds: 0.05}, {Ops: 1000}}
-	cfg.Telemetry = &telemetry.Config{}
+	cfg.Telemetry = true
 	res, err := RunLarson(cfg)
 	if err != nil {
 		t.Fatal(err)

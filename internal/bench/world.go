@@ -31,11 +31,6 @@ type World struct {
 	// charge stack faults to the right address space.
 	threadInst map[int]*Instance
 
-	// allocKind may override the profile's default allocator (ablations).
-	allocKind malloc.Kind
-	// allocCosts, when non-nil, overrides the profile's allocator cost
-	// params (mid-tier ablations: depot, mmap reuse, adaptive marks).
-	allocCosts *malloc.CostParams
 	// sharedKernel, when set, makes every instance contend on one kernel
 	// lock for VM syscalls (the pre-2.3.x kernel the authors patched).
 	sharedKernel *sim.Mutex
@@ -46,14 +41,26 @@ type WorldOption func(*World)
 
 // WithAllocator overrides the profile's allocator kind.
 func WithAllocator(kind malloc.Kind) WorldOption {
-	return func(w *World) { w.allocKind = kind }
+	return func(w *World) { w.Profile.Allocator = kind }
 }
 
 // WithAllocCosts overrides the profile's allocator cost parameters, so
 // experiments can ablate individual tiers (transfer cache, mmap reuse,
 // adaptive marks) without defining a whole new profile.
 func WithAllocCosts(costs malloc.CostParams) WorldOption {
-	return func(w *World) { w.allocCosts = &costs }
+	return func(w *World) { w.Profile.AllocCosts = costs }
+}
+
+// withAlloc applies a harness config's Allocator and Costs overrides to p:
+// a non-empty kind and non-nil costs replace the profile's own.
+func (p Profile) withAlloc(kind malloc.Kind, costs *malloc.CostParams) Profile {
+	if kind != "" {
+		p.Allocator = kind
+	}
+	if costs != nil {
+		p.AllocCosts = *costs
+	}
+	return p
 }
 
 // WithGlobalKernelLock serializes all instances' VM syscalls on one kernel
@@ -79,7 +86,6 @@ func NewWorld(p Profile, seed uint64, opts ...WorldOption) *World {
 		M:          m,
 		Cache:      cache.NewModel(p.CPUs, p.LineShift, p.CacheCosts),
 		threadInst: make(map[int]*Instance),
-		allocKind:  p.Allocator,
 	}
 	for _, o := range opts {
 		o(w)
@@ -121,11 +127,7 @@ func (w *World) AddInstance(t *sim.Thread) (*Instance, error) {
 	for i := 0; i < w.Profile.BootstrapPages; i++ {
 		as.Touch(t, vm.TextBase+uint64(i)*vm.PageSize)
 	}
-	costs := w.Profile.AllocCosts
-	if w.allocCosts != nil {
-		costs = *w.allocCosts
-	}
-	al, err := malloc.New(t, w.allocKind, as, w.Profile.HeapParams, costs)
+	al, err := malloc.New(t, w.Profile.Allocator, as, w.Profile.HeapParams, w.Profile.AllocCosts)
 	if err != nil {
 		return nil, fmt.Errorf("bench: creating allocator: %w", err)
 	}
