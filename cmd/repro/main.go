@@ -8,6 +8,10 @@
 //
 // -scale multiplies benchmark 1's 10-million-pair loops (results are
 // rescaled and annotated); benchmarks 2 and 3 always run at full size.
+//
+// The experiments run concurrently on up to GOMAXPROCS goroutines and print
+// in list order; everything but the "(N s wall)" lines is what a
+// sequential run prints.
 package main
 
 import (
@@ -15,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"mtmalloc/internal/bench"
 )
@@ -57,22 +60,20 @@ func main() {
 	md.WriteString("\n")
 
 	failures := 0
-	for _, e := range list {
-		t0 := time.Now()
+	bench.RunExperiments(list, opts, func(e bench.Experiment, out bench.Outcome) {
 		fmt.Printf("== %s: %s\n   paper: %s\n", e.ID, e.Title, e.PaperClaim)
-		tab, err := e.Run(opts)
-		if err != nil {
+		if out.Err != nil {
 			failures++
-			fmt.Printf("   ERROR: %v\n\n", err)
-			fmt.Fprintf(&md, "### %s — FAILED: %v\n\n", e.ID, err)
-			continue
+			fmt.Printf("   ERROR: %v\n\n", out.Err)
+			fmt.Fprintf(&md, "### %s — FAILED: %v\n\n", e.ID, out.Err)
+			return
 		}
-		fmt.Println(indent(tab.Text(), "   "))
-		fmt.Printf("   (%.1fs wall)\n\n", time.Since(t0).Seconds())
+		fmt.Println(indent(out.Table.Text(), "   "))
+		fmt.Printf("   (%.1fs wall)\n\n", out.Wall.Seconds())
 		fmt.Fprintf(&md, "**Paper claim:** %s\n\n", e.PaperClaim)
-		md.WriteString(tab.Markdown())
+		md.WriteString(out.Table.Markdown())
 		md.WriteString("\n")
-	}
+	})
 
 	if *mdPath != "" {
 		if err := os.WriteFile(*mdPath, []byte(md.String()), 0o644); err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"time"
 
 	"mtmalloc/internal/malloc"
 	"mtmalloc/internal/stats"
@@ -232,6 +233,42 @@ func sweepRows[R any](n int, row func(i int) (R, error)) ([]R, error) {
 		}
 	}
 	return out, nil
+}
+
+// Outcome is one experiment's run: its table or its error, and the host
+// wall time it took.
+type Outcome struct {
+	Table *Table
+	Err   error
+	Wall  time.Duration
+}
+
+// RunExperiments runs every experiment of list on up to GOMAXPROCS
+// goroutines, as sweepRows runs rows, and hands each outcome to emit in
+// list order, as soon as it and every experiment before it have finished.
+// Every experiment builds its own machines, so each table is the one a
+// sequential run prints; only the wall times overlap.
+func RunExperiments(list []Experiment, o Options, emit func(Experiment, Outcome)) {
+	done := make([]chan Outcome, len(list))
+	for i := range done {
+		done[i] = make(chan Outcome, 1)
+	}
+	swept := make(chan struct{})
+	go func() {
+		defer close(swept)
+		// Each experiment's error travels in its outcome, so the sweep
+		// itself never fails.
+		_, _ = sweepRows(len(list), func(i int) (struct{}, error) {
+			t0 := time.Now()
+			tab, err := list[i].Run(o)
+			done[i] <- Outcome{Table: tab, Err: err, Wall: time.Since(t0)}
+			return struct{}{}, nil
+		})
+	}()
+	for i, e := range list {
+		emit(e, <-done[i])
+	}
+	<-swept
 }
 
 // --- scalability figures ---

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 )
 
 // TestSweepRowsByIndex: concurrent rows come back in index order whatever
@@ -58,5 +59,33 @@ func TestRoundsSweepMatchesSequential(t *testing.T) {
 	}
 	if !reflect.DeepEqual(tab.Rows, want.Rows) {
 		t.Fatalf("sweep rows %v, sequential rows %v", tab.Rows, want.Rows)
+	}
+}
+
+// TestRunExperimentsInListOrder: experiments that finish in reverse order
+// are emitted in list order, each with its own table or error.
+func TestRunExperimentsInListOrder(t *testing.T) {
+	var list []Experiment
+	for i := 0; i < 6; i++ {
+		i := i
+		list = append(list, Experiment{ID: fmt.Sprint(i), Run: func(Options) (*Table, error) {
+			time.Sleep(time.Duration(6-i) * time.Millisecond)
+			if i%3 == 1 {
+				return nil, fmt.Errorf("experiment %d failed", i)
+			}
+			return &Table{ID: fmt.Sprint(i)}, nil
+		}})
+	}
+	var got []string
+	RunExperiments(list, Options{}, func(e Experiment, out Outcome) {
+		if out.Err != nil {
+			got = append(got, e.ID+": "+out.Err.Error())
+		} else {
+			got = append(got, e.ID+": table "+out.Table.ID)
+		}
+	})
+	want := []string{"0: table 0", "1: experiment 1 failed", "2: table 2", "3: table 3", "4: experiment 4 failed", "5: table 5"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("emitted %q, want %q", got, want)
 	}
 }

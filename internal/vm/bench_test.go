@@ -68,8 +68,9 @@ func pingPong(b *testing.B, nodes int) {
 }
 
 // BenchmarkMapTouchUnmap: one 160 KB mmap, a write to every page, and the
-// munmap that drops the pages with their cache lines. B/op is the host
-// memory the 40 faults allocate.
+// munmap that drops the pages with their cache lines. The 40 faults draw
+// their page records and granules from the pool the previous munmap filled,
+// so B/op and allocs/op are 0 (TestWarmCycleAllocatesNothing pins it).
 func BenchmarkMapTouchUnmap(b *testing.B) {
 	const region = 160 << 10
 	b.ReportAllocs()

@@ -206,3 +206,98 @@ func TestSameLine(t *testing.T) {
 		})
 	}
 }
+
+// TestRecycledGranuleStartsUntouched: a granule an eviction returns to the
+// pool comes back from the next fault as if never touched. CPU 0 writes a
+// word on a page, the page is unmapped or released, and a fault on a fresh
+// mapping draws the same granule. CPU 0's first read there returns 0 and is
+// billed a cold miss served from memory, not a hit on the line it held
+// dirty.
+func TestRecycledGranuleStartsUntouched(t *testing.T) {
+	evictions := map[string]func(th *sim.Thread, as *AddressSpace, addr uint64){
+		"munmap": func(th *sim.Thread, as *AddressSpace, addr uint64) {
+			if err := as.Munmap(th, addr, PageSize); err != nil {
+				panic(err)
+			}
+		},
+		"release": func(th *sim.Thread, as *AddressSpace, addr uint64) {
+			if as.ReleasePages(th, addr, PageSize) != PageSize {
+				panic("page not released")
+			}
+		},
+	}
+	for _, name := range []string{"munmap", "release"} {
+		t.Run(name, func(t *testing.T) {
+			m, c := testSetup(2)
+			as := New(1, m, c)
+			err := m.Run(func(th *sim.Thread) {
+				moveTo(th, 0)
+				old, _ := as.Mmap(th, PageSize, "old")
+				as.Write32(th, old+3*32, 0xdeadbeef) // CPU 0 owns the line dirty
+				gran := as.lookup(old / PageSize).grans[0]
+				evictions[name](th, as, old)
+				fresh, _ := as.Mmap(th, PageSize, "fresh")
+				cpu, vs := c.Stats()[0], as.Stats()
+				if got := as.Read32(th, fresh+5*32); got != 0 {
+					t.Errorf("recycled granule reads %#x, want 0", got)
+				}
+				if p := as.lookup(fresh / PageSize); p == nil || p.grans[0] != gran {
+					t.Errorf("the fault did not draw the evicted page's granule %d", gran)
+					return
+				}
+				cpu2, vs2 := c.Stats()[0], as.Stats()
+				if cpu2.ColdMisses != cpu.ColdMisses+1 || cpu2.Hits != cpu.Hits {
+					t.Errorf("recycled line billed %d cold misses and %d hits, want 1 and 0",
+						cpu2.ColdMisses-cpu.ColdMisses, cpu2.Hits-cpu.Hits)
+				}
+				if vs2.FillRemote != vs.FillRemote+1 || vs2.FillLocal != vs.FillLocal {
+					t.Errorf("recycled line billed %d memory fills and %d local fills, want 1 and 0",
+						vs2.FillRemote-vs.FillRemote, vs2.FillLocal-vs.FillLocal)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestWarmCycleAllocatesNothing: once one cycle has filled the pool, a
+// cycle of mmap 160 KB, a write to every page, ReleasePages on half of
+// them, their refaults and the munmap allocates no host memory.
+func TestWarmCycleAllocatesNothing(t *testing.T) {
+	const region = 160 << 10
+	m, c := testSetup(1)
+	as := New(1, m, c)
+	err := m.Run(func(th *sim.Thread) {
+		cycle := func() {
+			addr, err := as.Mmap(th, region, "cycle")
+			if err != nil {
+				panic(err)
+			}
+			for a := addr; a < addr+region; a += PageSize {
+				as.Write32(th, a, 1)
+			}
+			if as.ReleasePages(th, addr, region/2) != region/2 {
+				panic("half the region not released")
+			}
+			refaults := as.Stats().Refaults
+			for a := addr; a < addr+region/2; a += PageSize {
+				as.Write32(th, a, 2)
+			}
+			if got := as.Stats().Refaults - refaults; got != region/2/PageSize {
+				panic(fmt.Sprintf("%d refaults, want %d", got, region/2/PageSize))
+			}
+			if err := as.Munmap(th, addr, region); err != nil {
+				panic(err)
+			}
+		}
+		cycle()
+		if n := testing.AllocsPerRun(10, cycle); n != 0 {
+			t.Errorf("a warm cycle allocates %v times, want 0", n)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

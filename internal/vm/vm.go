@@ -18,20 +18,28 @@
 // 1024-entry directory of 1024-entry leaves, each leaf allocated on first
 // use — maps a page number to its record. The record holds everything the
 // access path needs: the page's home node and its touched 32-byte
-// granules, packed in a slice and found through a one-byte-per-granule
-// slot index. A granule holds its bytes and, when it starts a cache line,
-// that line's coherence directory entry (cache.Line). So one page walk —
-// usually answered by the one-entry cache of the last page touched — and
-// one slot load yield both the data and the line to charge; a hit is then
-// settled by cache.Model.Hit without entering the full protocol.
+// granules, found through a one-byte-per-granule slot index. A granule
+// holds its bytes and, when it starts a cache line, that line's coherence
+// directory entry (cache.Line). So one page walk — usually answered by the
+// one-entry cache of the last page touched — and one slot load yield both
+// the data and the line to charge; a hit is then settled by
+// cache.Model.Hit without entering the full protocol. A repeat word access
+// to the granule the last access resolved skips even that walk.
 //
 // Only touched granules are stored: a granule never touched reads as zero,
-// so a fault allocates the small record and zeroes nothing, and a resident
-// page costs the host memory of what the program wrote or charged on it,
-// not 4 KB. This is demand paging one level down — most simulated pages
-// are touched in a few lines (chunk headers, a thread's stack top). A
-// 32-bit access may straddle two granules; like every load or store it is
-// billed as one access, to the line of its address.
+// so a resident page costs the host memory of what the program wrote or
+// charged on it, not 4 KB. This is demand paging one level down — most
+// simulated pages are touched in a few lines (chunk headers, a thread's
+// stack top). A 32-bit access may straddle two granules; like every load
+// or store it is billed as one access, to the line of its address.
+//
+// Granules and page records come from per-address-space slabs and never
+// move: a page names each of its granules by a 4-byte pool number, and
+// evicting a page (munmap, sbrk shrink, ReleasePages) returns its record
+// and granules to free lists that the next fault draws from, zeroed — data
+// zero, line invalid in every cache. A warm fault allocates no host memory.
+// A page ReleasePages gave back keeps a marker in its page-table entry, so
+// its next touch is counted as a refault.
 //
 // A line's entry lives and dies with its page record. That drops exactly
 // the lines of every unmapped or released range, because a line is only
@@ -83,6 +91,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"mtmalloc/internal/cache"
 	"mtmalloc/internal/sim"
@@ -311,14 +320,12 @@ type AddressSpace struct {
 	brk  uint64
 
 	// dir is the page table (see the package comment); resident counts
-	// the records in it.
+	// the records in it, and pool recycles them and their granules.
 	dir      [dirSize]*pageLeaf
 	resident uint64
+	pool     pool
 	// lineShift is log2 of the cache model's line size.
 	lineShift uint
-	// released marks pages ReleasePages handed back to the kernel while their
-	// VMA stayed mapped: the next touch is a refault, not a first touch.
-	released map[uint64]bool
 	// numaOn caches whether the machine has more than one node (events are
 	// counted whenever they cross nodes); remoteMult caches the cross-node
 	// multiplier that prices them (1 = free interconnect, nothing extra
@@ -331,6 +338,14 @@ type AddressSpace struct {
 	// one-entry page lookup cache: allocator loops touch few pages.
 	lastIdx  uint64
 	lastPage *page
+	// lastGran is the granule the last access resolved, and lastGranIdx its
+	// address / granuleSize (noGranule when there is none); set only when
+	// lines are granule-sized, so the granule holds its own line. Read32 and
+	// Write32 settle a repeat hit on it without walking the page table.
+	// Every eviction clears it: the granule may be recycled into another
+	// page.
+	lastGranIdx uint64
+	lastGran    *granule
 
 	// mmLock serializes faults and mapping changes among threads of this
 	// address space (mmap_sem). kernelLock models the kernel-side lock for
@@ -376,15 +391,24 @@ const (
 
 // Granule geometry: a page is stored as the granules touched on it. A
 // granule is the narrowest line the cache model accepts, so every line
-// starts on a granule boundary.
+// starts on a granule boundary. noGranule is a granule number no address
+// has.
 const (
 	granuleShift = cache.MinLineShift
 	granuleSize  = 1 << granuleShift
 	pageGranules = PageSize >> granuleShift
+	noGranule    = ^uint64(0)
 )
 
-// pageLeaf is one second-level node of the page table.
+// pageLeaf is one second-level node of the page table. An entry is nil for
+// a page never touched (or unmapped), released for a page ReleasePages
+// handed back while its mapping stayed, and the page's record otherwise.
 type pageLeaf [leafSize]*page
+
+// released is the page-table entry of a released page: not resident, and
+// its next touch is a refault. It is a marker only; nothing reads or writes
+// the record it points to.
+var released = new(page)
 
 // page is one resident page's record.
 type page struct {
@@ -393,9 +417,10 @@ type page struct {
 	node int8
 	// slot maps a granule's index within the page to 1 + its position in
 	// grans, 0 for a granule never touched. A page has 128 granules, so a
-	// slot fits in a byte.
+	// slot fits in a byte. grans holds the pool numbers of the touched
+	// granules in touch order; a granule never moves once drawn.
 	slot  [pageGranules]uint8
-	grans []granule
+	grans []uint32
 }
 
 // granule is 32 touched bytes of a page, plus the directory entry of the
@@ -406,54 +431,60 @@ type granule struct {
 	line cache.Line
 }
 
-// granule returns granule i of the page, materializing a zero one on
-// first touch. Materializing may move the others: a pointer from an
-// earlier call is stale after a call that added a granule.
-func (p *page) granule(i uint64) *granule {
-	if g := p.peek(i); g != nil {
+// granule returns granule i of page p, drawing a zero one from the pool
+// on first touch.
+func (as *AddressSpace) granule(p *page, i uint64) *granule {
+	if g := as.peek(p, i); g != nil {
 		return g
 	}
-	p.grans = append(p.grans, granule{})
-	p.slot[i] = uint8(len(p.grans))
-	return &p.grans[len(p.grans)-1]
+	return as.touch(p, i)
 }
 
-// peek returns granule i of the page, or nil when it was never touched.
-func (p *page) peek(i uint64) *granule {
+// touch adds a zero granule i to page p, which has none, and returns it.
+func (as *AddressSpace) touch(p *page, i uint64) *granule {
+	r := as.pool.granule()
+	p.grans = append(p.grans, r)
+	p.slot[i] = uint8(len(p.grans))
+	return as.pool.at(r)
+}
+
+// peek returns granule i of page p, or nil when it was never touched.
+func (as *AddressSpace) peek(p *page, i uint64) *granule {
 	if s := p.slot[i]; s != 0 {
-		return &p.grans[s-1]
+		return as.pool.at(p.grans[s-1])
 	}
 	return nil
 }
 
-// load32 reads the little-endian word at byte offset o of the page (o+4 <=
+// load32 reads the little-endian word at byte offset o of page p (o+4 <=
 // PageSize), which may straddle two granules. Untouched bytes read as zero.
-func (p *page) load32(o uint64) uint32 {
+func (as *AddressSpace) load32(p *page, o uint64) uint32 {
 	if o%granuleSize <= granuleSize-4 {
-		if g := p.peek(o >> granuleShift); g != nil {
+		if g := as.peek(p, o>>granuleShift); g != nil {
 			return binary.LittleEndian.Uint32(g.data[o%granuleSize:])
 		}
 		return 0
 	}
 	var v uint32
 	for i := uint64(0); i < 4; i++ {
-		if g := p.peek((o + i) >> granuleShift); g != nil {
+		if g := as.peek(p, (o+i)>>granuleShift); g != nil {
 			v |= uint32(g.data[(o+i)%granuleSize]) << (8 * i)
 		}
 	}
 	return v
 }
 
-// store32 writes the little-endian word at byte offset o of the page (o+4
+// store32 writes the little-endian word at byte offset o of page p (o+4
 // <= PageSize) when it straddles two granules, materializing both.
-func (p *page) store32(o uint64, v uint32) {
+func (as *AddressSpace) store32(p *page, o uint64, v uint32) {
 	for i := uint64(0); i < 4; i++ {
-		p.granule((o + i) >> granuleShift).data[(o+i)%granuleSize] = byte(v >> (8 * i))
+		as.granule(p, (o+i)>>granuleShift).data[(o+i)%granuleSize] = byte(v >> (8 * i))
 	}
 }
 
-// lookup returns the resident record of page number idx, or nil.
-func (as *AddressSpace) lookup(idx uint64) *page {
+// entry returns page number idx's page-table entry: nil, released, or a
+// resident record.
+func (as *AddressSpace) entry(idx uint64) *page {
 	if idx >= dirSize*leafSize {
 		return nil
 	}
@@ -462,6 +493,14 @@ func (as *AddressSpace) lookup(idx uint64) *page {
 		return nil
 	}
 	return leaf[idx&(leafSize-1)]
+}
+
+// lookup returns the resident record of page number idx, or nil.
+func (as *AddressSpace) lookup(idx uint64) *page {
+	if p := as.entry(idx); p != released {
+		return p
+	}
+	return nil
 }
 
 // install makes p the record of page number idx, allocating the leaf on
@@ -477,17 +516,30 @@ func (as *AddressSpace) install(idx uint64, p *page) {
 }
 
 // evict drops page number idx's record — granules, home node and cache
-// lines together — and reports whether the page was resident.
-func (as *AddressSpace) evict(idx uint64) bool {
+// lines together — to the pool, leaves mark (nil or released) in its
+// entry, and reports whether the page was resident. A page that was not
+// resident keeps a released entry only when mark is released too.
+func (as *AddressSpace) evict(idx uint64, mark *page) bool {
 	if idx >= dirSize*leafSize {
 		return false
 	}
 	leaf := as.dir[idx>>leafBits]
-	if leaf == nil || leaf[idx&(leafSize-1)] == nil {
+	if leaf == nil {
 		return false
 	}
-	leaf[idx&(leafSize-1)] = nil
+	e := &leaf[idx&(leafSize-1)]
+	p := *e
+	if p == nil || p == released {
+		if mark == nil {
+			*e = nil
+		}
+		return false
+	}
+	*e = mark
 	as.resident--
+	as.pool.put(p)
+	as.lastPage = nil
+	as.lastGranIdx, as.lastGran = noGranule, nil
 	return true
 }
 
@@ -523,7 +575,7 @@ func New(id uint32, m *sim.Machine, model *cache.Model, opts ...Option) *Address
 		costs:        DefaultCosts(),
 		brk:          DataBase,
 		lineShift:    model.LineShift(),
-		released:     make(map[uint64]bool),
+		lastGranIdx:  noGranule,
 		numaOn:       m.Nodes() > 1,
 		remoteMult:   m.RemoteMultiplier(),
 		mmapHint:     MmapBase,
@@ -585,7 +637,7 @@ func (as *AddressSpace) Stats() Stats {
 				continue
 			}
 			for _, p := range leaf {
-				if p != nil {
+				if p != nil && p != released {
 					s.NodeResidentBytes[p.node] += PageSize
 				}
 			}
@@ -704,7 +756,7 @@ func (as *AddressSpace) commitCredit(delta uint64) {
 func (as *AddressSpace) releasedBytesIn(lo, hi uint64) uint64 {
 	n := uint64(0)
 	for p := pageFloor(lo); p < hi; p += PageSize {
-		if as.released[p/PageSize] {
+		if as.entry(p/PageSize) == released {
 			n += PageSize
 		}
 	}
@@ -899,27 +951,31 @@ func (as *AddressSpace) Munmap(t *sim.Thread, addr, length uint64) error {
 	as.stats.MunmapCalls++
 	length = pageCeil(length)
 	end := addr + length
-	var out []VMA
 	removed := uint64(0)
-	for _, v := range as.vmas {
+	// Edit the list in place, keeping the pieces outside [addr, end).
+	for i := 0; i < len(as.vmas); i++ {
+		v := as.vmas[i]
 		if v.End <= addr || v.Start >= end || (v.Kind != KindAnon && v.Kind != KindStack) {
-			out = append(out, v)
 			continue
 		}
-		// Keep the pieces outside [addr, end).
-		if v.Start < addr {
-			out = append(out, VMA{Start: v.Start, End: addr, Kind: v.Kind, Name: v.Name, Node: v.Node})
+		removed += minU64(v.End, end) - maxU64(v.Start, addr)
+		switch {
+		case v.Start < addr && v.End > end:
+			as.vmas = slices.Insert(as.vmas, i+1, VMA{Start: end, End: v.End, Kind: v.Kind, Name: v.Name, Node: v.Node})
+			as.vmas[i].End = addr
+			i++
+		case v.Start < addr:
+			as.vmas[i].End = addr
+		case v.End > end:
+			as.vmas[i].Start = end
+		default:
+			as.vmas = slices.Delete(as.vmas, i, i+1)
+			i--
 		}
-		if v.End > end {
-			out = append(out, VMA{Start: end, End: v.End, Kind: v.Kind, Name: v.Name, Node: v.Node})
-		}
-		lo, hi := maxU64(v.Start, addr), minU64(v.End, end)
-		removed += hi - lo
 	}
 	if removed == 0 {
 		return fmt.Errorf("vm: munmap(0x%x, %d): no mapping there", addr, length)
 	}
-	as.vmas = out
 	// Released pages in the range were credited by ReleasePages already.
 	as.commitCredit(removed - as.releasedBytesIn(addr, end))
 	as.dropPages(addr, end)
@@ -1118,35 +1174,31 @@ func (as *AddressSpace) ReleasePages(t *sim.Thread, addr, length uint64) uint64 
 	}
 	as.vmSyscall(t)
 	as.stats.MadviseCalls++
-	released := uint64(0)
+	n := uint64(0)
 	for p := lo; p < hi; p += PageSize {
-		idx := p / PageSize
 		// The frame goes with its home node and cache lines: a refault
-		// re-homes it and starts every line cold.
-		if !as.evict(idx) {
-			continue // never touched or already released: nothing resident
+		// re-homes it and starts every line cold. A page never touched or
+		// already released has nothing resident.
+		if as.evict(p/PageSize, released) {
+			n += PageSize
 		}
-		as.released[idx] = true
-		released += PageSize
 	}
-	as.lastPage = nil
-	as.stats.PagesReleased += released / PageSize
+	as.stats.PagesReleased += n / PageSize
 	// The kernel may hand the frames to someone else: they stop counting
 	// against the commit limit until a touch re-commits them.
-	as.commitCredit(released)
-	return released
+	as.commitCredit(n)
+	return n
 }
 
-// dropPages discards backing pages and cache lines for [lo, hi).
+// dropPages discards backing pages and cache lines for [lo, hi), and
+// forgets which of its pages were released.
 func (as *AddressSpace) dropPages(lo, hi uint64) {
 	if hi <= lo {
 		return
 	}
 	for p := pageFloor(lo); p < hi; p += PageSize {
-		as.evict(p / PageSize)
-		delete(as.released, p/PageSize)
+		as.evict(p/PageSize, nil)
 	}
-	as.lastPage = nil
 }
 
 // AllocStack reserves a stack VMA for a new thread and touches its top
@@ -1172,15 +1224,16 @@ func (as *AddressSpace) AllocStack(t *sim.Thread, name string) (uint64, error) {
 // cache before calling it.
 func (as *AddressSpace) page(t *sim.Thread, addr uint64, op string) *page {
 	idx := addr / PageSize
-	p := as.lookup(idx)
-	if p == nil {
+	p := as.entry(idx)
+	if p == nil || p == released {
 		if !as.mapped(addr) {
 			panic(Fault{Space: as.ID, Addr: addr, Op: op})
 		}
 		// Minor fault: serialize on the address-space lock, charge service
-		// time, and install a zero page — an empty record, whose untouched
-		// granules read as zero. A page ReleasePages gave back is counted
-		// separately as a refault, but it is still a minor fault. Refaults
+		// time, and install a zero page — an empty record from the pool,
+		// whose untouched granules read as zero. A page ReleasePages gave
+		// back (a released entry) is counted separately as a refault, but
+		// it is still a minor fault. Refaults
 		// are serviced without the exclusive lock: the VMA tree is unchanged
 		// (do_anonymous_page runs with mmap_sem held shared, and the fresh
 		// frame is zeroed outside the page-table lock), so concurrent
@@ -1203,7 +1256,7 @@ func (as *AddressSpace) page(t *sim.Thread, addr uint64, op string) *page {
 				home = as.vmas[i].Node
 			}
 		}
-		if as.released[idx] {
+		if p == released {
 			// Re-committing the frame is the one fault the limit can refuse;
 			// never-touched pages were committed when their mapping grew.
 			if as.memLimit > 0 && as.committed+PageSize > as.memLimit {
@@ -1215,7 +1268,6 @@ func (as *AddressSpace) page(t *sim.Thread, addr uint64, op string) *page {
 			if as.refault > 0 {
 				cost = as.refault
 			}
-			delete(as.released, idx)
 			as.stats.Refaults++
 			t.Charge(sim.Time(cost))
 			if as.numa() && home != t.Node() {
@@ -1230,7 +1282,7 @@ func (as *AddressSpace) page(t *sim.Thread, addr uint64, op string) *page {
 			t.Unlock(as.mmLock)
 		}
 		as.stats.MinorFaults++
-		p = &page{node: int8(home)}
+		p = as.pool.page(int8(home))
 		as.install(idx, p)
 	}
 	as.lastIdx, as.lastPage = idx, p
@@ -1248,23 +1300,34 @@ func (as *AddressSpace) access(t *sim.Thread, addr uint64, write bool, op string
 		p = as.page(t, addr, op)
 	}
 	off := addr % PageSize
-	g := p.granule(off >> granuleShift)
+	g := as.peek(p, off>>granuleShift)
+	if g == nil {
+		g = as.touch(p, off>>granuleShift)
+	}
 	l := &g.line
-	if as.lineShift != granuleShift {
+	if as.lineShift == granuleShift {
+		as.lastGranIdx, as.lastGran = addr>>granuleShift, g
+	} else {
 		// A wider line keeps its entry in the granule it starts at.
-		l = &p.granule(off >> as.lineShift << (as.lineShift - granuleShift)).line
-		g = p.granule(off >> granuleShift) // re-resolved: the line's granule may have moved it
+		l = &as.granule(p, off>>as.lineShift<<(as.lineShift-granuleShift)).line
 	}
 	c, local := as.cache.Hit(t.CPU(), l, write)
 	if !local {
 		c, local = as.miss(t, p, l, write)
 	}
 	if local {
-		as.stats.FillLocal++
-		as.stats.FillLocalCycles += uint64(c)
+		as.chargeLocal(t, c)
+	} else {
+		t.Charge(sim.Time(c))
 	}
-	t.Charge(sim.Time(c))
 	return p, g
+}
+
+// chargeLocal bills an access that moved no data: a hit or an upgrade.
+func (as *AddressSpace) chargeLocal(t *sim.Thread, c int64) {
+	as.stats.FillLocal++
+	as.stats.FillLocalCycles += uint64(c)
+	t.Charge(sim.Time(c))
 }
 
 // miss settles an access to line l of page p that Hit declined and returns
@@ -1296,8 +1359,18 @@ func (as *AddressSpace) miss(t *sim.Thread, p *page, l *cache.Line, write bool) 
 // line-aware allocator placement (malloc.CostParams.LineAware) rounds to.
 func (as *AddressSpace) LineSize() uint64 { return as.cache.LineSize() }
 
-// Read32 loads a little-endian uint32.
+// Read32 loads a little-endian uint32. A word inside the last granule
+// access resolved, on a line the CPU holds, is settled here with the
+// charges of access's hit branch; anything else goes to access, nothing
+// updated.
 func (as *AddressSpace) Read32(t *sim.Thread, addr uint64) uint32 {
+	if as.lastGranIdx == addr>>granuleShift && addr%granuleSize <= granuleSize-4 {
+		g := as.lastGran
+		if c, ok := as.cache.Hit(t.CPU(), &g.line, false); ok {
+			as.chargeLocal(t, c)
+			return binary.LittleEndian.Uint32(g.data[addr%granuleSize:])
+		}
+	}
 	p, g := as.access(t, addr, false, "read32")
 	if o := addr % granuleSize; o <= granuleSize-4 {
 		return binary.LittleEndian.Uint32(g.data[o:])
@@ -1306,11 +1379,20 @@ func (as *AddressSpace) Read32(t *sim.Thread, addr uint64) uint32 {
 	if o+4 > PageSize {
 		panic(Fault{Space: as.ID, Addr: addr, Op: "read32-split"})
 	}
-	return p.load32(o)
+	return as.load32(p, o)
 }
 
-// Write32 stores a little-endian uint32.
+// Write32 stores a little-endian uint32, settling a repeat hit as Read32
+// does.
 func (as *AddressSpace) Write32(t *sim.Thread, addr uint64, v uint32) {
+	if as.lastGranIdx == addr>>granuleShift && addr%granuleSize <= granuleSize-4 {
+		g := as.lastGran
+		if c, ok := as.cache.Hit(t.CPU(), &g.line, true); ok {
+			as.chargeLocal(t, c)
+			binary.LittleEndian.PutUint32(g.data[addr%granuleSize:], v)
+			return
+		}
+	}
 	p, g := as.access(t, addr, true, "write32")
 	if o := addr % granuleSize; o <= granuleSize-4 {
 		binary.LittleEndian.PutUint32(g.data[o:], v)
@@ -1320,7 +1402,7 @@ func (as *AddressSpace) Write32(t *sim.Thread, addr uint64, v uint32) {
 	if o+4 > PageSize {
 		panic(Fault{Space: as.ID, Addr: addr, Op: "write32-split"})
 	}
-	p.store32(o, v)
+	as.store32(p, o, v)
 }
 
 // Read64 loads a little-endian uint64.
@@ -1360,7 +1442,7 @@ func (as *AddressSpace) Peek32(addr uint64) uint32 {
 	if o+4 > PageSize {
 		return 0
 	}
-	return p.load32(o)
+	return as.load32(p, o)
 }
 
 // Peek8 reads one byte without charges or faults.
@@ -1369,7 +1451,7 @@ func (as *AddressSpace) Peek8(addr uint64) byte {
 	if p == nil {
 		return 0
 	}
-	g := p.peek(addr % PageSize >> granuleShift)
+	g := as.peek(p, addr%PageSize>>granuleShift)
 	if g == nil {
 		return 0
 	}
