@@ -24,7 +24,6 @@ import (
 	"mtmalloc/internal/malloc"
 	"mtmalloc/internal/sim"
 	"mtmalloc/internal/telemetry"
-	"mtmalloc/internal/vm"
 	"mtmalloc/internal/xrand"
 )
 
@@ -175,9 +174,7 @@ func torture(cfg tortureConfig) (tortureResult, error) {
 		}
 		svc := malloc.ServiceOf(al)
 		svc.Start(main)
-		if cfg.faultRate > 0 {
-			as.SetFaultInjection(vm.InjectPolicy{Prob: cfg.faultRate, Seed: cfg.seed})
-		}
+		as.SetFaultInjection(cfg.faultRate, cfg.seed)
 		type obj struct {
 			p     uint64
 			n     uint32

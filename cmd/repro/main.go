@@ -1,13 +1,17 @@
 // Command repro regenerates every table and figure of Lever & Boreham,
 // "malloc() Performance in a Multithreaded Linux Environment" (USENIX 2000),
-// on the simulated machines, and optionally rewrites EXPERIMENTS.md.
+// on the simulated machines and prints each result table beside the paper's
+// claim.
 //
 // Usage:
 //
-//	repro [-scale 0.05] [-seed 1] [-experiment T1] [-ablations] [-md EXPERIMENTS.md]
+//	repro [-scale 0.05] [-seed 1] [-experiment T1] [-ablations] [-md results.md]
 //
 // -scale multiplies benchmark 1's 10-million-pair loops (results are
-// rescaled and annotated); benchmarks 2 and 3 always run at full size.
+// rescaled and annotated); benchmarks 2 and 3 always run at full size. -md
+// also writes the run as one markdown report to the named file: the command
+// line that generated it, a preamble on how to read the numbers, and each
+// experiment's paper claim and result table.
 //
 // The experiments run concurrently on up to GOMAXPROCS goroutines and print
 // in list order; everything but the "(N s wall)" lines is what a
@@ -28,7 +32,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "base random seed")
 	exp := flag.String("experiment", "", "run a single experiment by ID (e.g. T1, F9); empty = all")
 	ablations := flag.Bool("ablations", false, "also run the ablation studies A1-A6")
-	mdPath := flag.String("md", "", "write results as markdown to this file (e.g. EXPERIMENTS.md)")
+	mdPath := flag.String("md", "", "also write the results as a markdown report to this file")
 	flag.Parse()
 
 	opts := bench.Options{Scale: *scale, Seed: *seed}

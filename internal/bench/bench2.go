@@ -26,10 +26,6 @@ type B2Config struct {
 	// so the mid-tier ablation (D2) uses them; 0 or 1 keeps the paper's
 	// exact pattern.
 	BatchReplace int
-	// RoundIdleSeconds inserts simulated idleness between a round's replace
-	// work and spawning its successor, turning the chain into a bursty
-	// phase schedule (0 keeps the paper's back-to-back rounds).
-	RoundIdleSeconds float64
 	// TouchObjects makes each replace read the old object's first byte
 	// before freeing it and write the new object's after allocating —
 	// the application touching what it allocates, which the paper's fault
@@ -178,9 +174,6 @@ func runBench2Once(cfg B2Config, seed uint64) (B2Run, error) {
 				}
 				replaceBatch()
 				al.DetachThread(t)
-				if cfg.RoundIdleSeconds > 0 {
-					t.Sleep(w.M.Cycles(cfg.RoundIdleSeconds))
-				}
 				if r+1 < cfg.Rounds {
 					succ := t.Spawn(fmt.Sprintf("chain%d-r%d", chain, r+1), round(chain, r+1))
 					t.Join(succ)

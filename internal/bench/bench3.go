@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"mtmalloc/internal/cache"
 	"mtmalloc/internal/malloc"
 	"mtmalloc/internal/sim"
 	"mtmalloc/internal/stats"
@@ -74,7 +75,7 @@ func RunBench3(cfg B3Config) (B3Result, error) {
 func runBench3Once(cfg B3Config, seed uint64) (B3Run, error) {
 	prof := cfg.Profile
 	if cfg.Aligned {
-		prof.HeapParams.Align = uint32(1) << prof.LineShift
+		prof.HeapParams.Align = cache.LineSize
 	}
 	w := NewWorld(prof.withAlloc(cfg.Allocator, cfg.Costs), seed)
 	var out B3Run
@@ -111,7 +112,7 @@ func runBench3Once(cfg B3Config, seed uint64) (B3Run, error) {
 
 		// Line-sharing topology: how many threads write each touched line.
 		writers := make(map[uint64]int)
-		countLine := func(addr uint64) uint64 { return addr >> prof.LineShift }
+		countLine := func(addr uint64) uint64 { return addr >> cache.LineShift }
 		for i := range objs {
 			front := countLine(objs[i])
 			back := countLine(objs[i] + uint64(cfg.Size) - 1)

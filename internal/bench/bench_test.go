@@ -657,23 +657,3 @@ func TestLarsonShapesHonourMemLimit(t *testing.T) {
 		})
 	}
 }
-
-// TestBench2RoundIdle: idle between rounds must not change the fault story,
-// only stretch the timeline.
-func TestBench2RoundIdle(t *testing.T) {
-	cfg := DefaultB2(K6_400())
-	cfg.Rounds = 3
-	cfg.Runs = 1
-	base, err := RunBench2(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.RoundIdleSeconds = 0.01
-	idle, err := RunBench2(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idle.Runs[0].MinorFaults != base.Runs[0].MinorFaults {
-		t.Errorf("round idle changed faults: %d vs %d", idle.Runs[0].MinorFaults, base.Runs[0].MinorFaults)
-	}
-}

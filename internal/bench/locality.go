@@ -34,7 +34,7 @@ func d4LarsonCosts(p Profile, blind bool) *malloc.CostParams {
 // predecessor's chunks, the cross-node free generator) and a Larson variant
 // whose objects are all above the mmap threshold with randomized sizes
 // (132-148KB) and are written page by page after every allocation, so
-// replacements cycle through the reuse cache's size buckets, hand-outs
+// replacements cycle through the reuse cache's page-rounded lengths, hand-outs
 // routinely cross threads — and, when placement is blind, nodes — and every
 // page of a remotely-homed buffer bills the interconnect.
 func ExpLocality(o Options) (*Table, error) {

@@ -4,8 +4,7 @@ package bench
 // operations per thread followed by IdleSeconds of simulated idleness.
 // Schedules let a benchmark shift between load levels inside one run — the
 // burst/idle/burst shape experiment D3 uses to measure footprint decay, and
-// a reusable knob for bursty Larson (LarsonConfig.Phases) and benchmark 2
-// (B2Config.RoundIdleSeconds) scenarios.
+// the bursty Larson shape (LarsonConfig.Phases).
 type Phase struct {
 	Ops         int     // operations per thread in the burst
 	IdleSeconds float64 // simulated idle time after the burst (0 = none)

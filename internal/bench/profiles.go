@@ -13,11 +13,12 @@ import (
 	"mtmalloc/internal/vm"
 )
 
-// Profile describes one of the paper's benchmark hosts: CPU count and
-// clock, cache geometry, and the calibrated cost constants. The calibration
-// targets are the paper's own single-thread scalars (see
-// TestCalibration* in internal/bench/bench_test.go); everything multithreaded is then
-// a prediction of the model.
+// Profile describes one of the paper's benchmark hosts: CPU count, clock
+// and NUMA layout, and the calibrated cost constants. Every host has 32-byte
+// cache lines (cache.LineSize). The calibration targets are the paper's own
+// single-thread scalars (see TestCalibration* in
+// internal/bench/bench_test.go); everything multithreaded is then a
+// prediction of the model.
 type Profile struct {
 	Name     string
 	CPUs     int
@@ -26,9 +27,6 @@ type Profile struct {
 	// the paper's hosts). Multi-node profiles also set
 	// SimCosts.RemoteAccess, the cross-node touch multiplier.
 	Nodes int
-	// LineShift: log2 of the cache line size (5 = 32 bytes, the L1 line of
-	// the P6 and UltraSPARC-II era).
-	LineShift uint
 
 	SimCosts   sim.Costs
 	CacheCosts cache.Costs
@@ -53,23 +51,15 @@ type Profile struct {
 	// Bench3LoopWork is the non-memory work per write-loop iteration of
 	// benchmark 3 (loop control and address arithmetic).
 	Bench3LoopWork int64
-
-	// BootstrapPages models program + C library startup faults (the
-	// constant term of benchmark 2's fault predictor).
-	BootstrapPages int
 }
 
 // ScavengeCosts returns the profile's allocator costs with the reclamation
-// subsystem switched on at the machine's own tuning (falling back to a 2ms
-// epoch at the machine's clock when the profile predates the per-machine
-// fields). Experiments that study reclamation (D3, D4) use this instead of
-// one hardcoded policy for every host.
+// subsystem switched on at the machine's own tuning. Experiments that study
+// reclamation (D3, D4) use this instead of one hardcoded policy for every
+// host.
 func (p Profile) ScavengeCosts() malloc.CostParams {
 	c := p.AllocCosts
 	c.ScavengeInterval = p.ScavengeInterval
-	if c.ScavengeInterval <= 0 {
-		c.ScavengeInterval = int64(0.002 * p.ClockMHz * 1e6)
-	}
 	c.ScavengeDecay = p.ScavengeDecay
 	c.ScavengeBinPad = p.ScavengeBinPad
 	return c
@@ -80,22 +70,19 @@ func (p Profile) ScavengeCosts() malloc.CostParams {
 // malloc/free pairs of 512 bytes in 23.28 s single-threaded.
 func DualPPro200() Profile {
 	p := Profile{
-		Name:      "dual-ppro-200",
-		CPUs:      2,
-		ClockMHz:  200,
-		LineShift: 5,
+		Name:     "dual-ppro-200",
+		CPUs:     2,
+		ClockMHz: 200,
 		SimCosts: sim.Costs{
 			ContextSwitch:   3000,
 			ThreadSpawn:     50000,
-			JoinCost:        2000,
 			MutexAtomic:     18,
 			MutexHandoff:    500,
 			MutexHotWindow:  200000,
-			MutexMaxWait:    4000,
 			DeschedResidual: 2500,
 			SpawnJitter:     4000,
 		},
-		CacheCosts: cache.Costs{Hit: 2, MissMemory: 35, MissRemote: 55, Upgrade: 10},
+		CacheCosts: cache.Costs{MissMemory: 35, MissRemote: 55, Upgrade: 10},
 		VMCosts:    vm.Costs{Syscall: 600, KernelHold: 800, PageFault: 1400},
 		AllocCosts: malloc.CostParams{
 			WorkMalloc: 190,
@@ -109,7 +96,6 @@ func DualPPro200() Profile {
 		Allocator:      malloc.KindPTMalloc,
 		HeapParams:     heap.DefaultParams(),
 		Bench3LoopWork: 6,
-		BootstrapPages: 10,
 		// 4ms epochs at 200 MHz: scavenge work is a bigger slice of this
 		// machine, so reclamation runs at half the cadence of the Xeon; the
 		// bin pad halves with the era's memory sizes.
@@ -126,22 +112,19 @@ func DualPPro200() Profile {
 // writes.
 func QuadXeon500() Profile {
 	p := Profile{
-		Name:      "quad-xeon-500",
-		CPUs:      4,
-		ClockMHz:  500,
-		LineShift: 5,
+		Name:     "quad-xeon-500",
+		CPUs:     4,
+		ClockMHz: 500,
 		SimCosts: sim.Costs{
 			ContextSwitch:   4000,
 			ThreadSpawn:     60000,
-			JoinCost:        2000,
 			MutexAtomic:     20,
 			MutexHandoff:    600,
 			MutexHotWindow:  250000,
-			MutexMaxWait:    4000,
 			DeschedResidual: 3000,
 			SpawnJitter:     5000,
 		},
-		CacheCosts: cache.Costs{Hit: 2, MissMemory: 45, MissRemote: 70, Upgrade: 12},
+		CacheCosts: cache.Costs{MissMemory: 45, MissRemote: 70, Upgrade: 12},
 		VMCosts:    vm.Costs{Syscall: 700, KernelHold: 900, PageFault: 1600},
 		AllocCosts: malloc.CostParams{
 			WorkMalloc: 208,
@@ -156,7 +139,6 @@ func QuadXeon500() Profile {
 		Allocator:      malloc.KindPTMalloc,
 		HeapParams:     heap.DefaultParams(),
 		Bench3LoopWork: 7,
-		BootstrapPages: 10,
 		// The D3 tuning this host always ran: 2ms epochs at 500 MHz, 50%
 		// decay, default bin pad (0 = the allocator's 256KB).
 		ScavengeInterval: 1_000_000,
@@ -171,22 +153,19 @@ func QuadXeon500() Profile {
 // lock convoy model.
 func SunUltra2x400() Profile {
 	p := Profile{
-		Name:      "sun-ultra-2x400",
-		CPUs:      2,
-		ClockMHz:  400,
-		LineShift: 5,
+		Name:     "sun-ultra-2x400",
+		CPUs:     2,
+		ClockMHz: 400,
 		SimCosts: sim.Costs{
 			ContextSwitch:   4000,
 			ThreadSpawn:     60000,
-			JoinCost:        2000,
 			MutexAtomic:     16,
 			MutexHandoff:    530, // wakeup + allocator metadata sloshing per handoff
 			MutexHotWindow:  400000,
-			MutexMaxWait:    4000,
 			DeschedResidual: 3000,
 			SpawnJitter:     5000,
 		},
-		CacheCosts: cache.Costs{Hit: 2, MissMemory: 40, MissRemote: 65, Upgrade: 10},
+		CacheCosts: cache.Costs{MissMemory: 40, MissRemote: 65, Upgrade: 10},
 		VMCosts:    vm.Costs{Syscall: 650, KernelHold: 850, PageFault: 1500},
 		AllocCosts: malloc.CostParams{
 			// The Solaris allocator is the fastest single-thread allocator
@@ -199,7 +178,6 @@ func SunUltra2x400() Profile {
 		Allocator:      malloc.KindSerial,
 		HeapParams:     heap.DefaultParams(),
 		Bench3LoopWork: 5,
-		BootstrapPages: 10,
 		// 2ms at 400 MHz; the single-lock libc has no parking tiers, so this
 		// only matters when a threadcache run borrows the host.
 		ScavengeInterval: 800_000,
@@ -214,22 +192,19 @@ func SunUltra2x400() Profile {
 // comes from preemption inside allocator critical sections.
 func K6_400() Profile {
 	p := Profile{
-		Name:      "k6-400",
-		CPUs:      1,
-		ClockMHz:  400,
-		LineShift: 5,
+		Name:     "k6-400",
+		CPUs:     1,
+		ClockMHz: 400,
 		SimCosts: sim.Costs{
 			ContextSwitch:   3500,
 			ThreadSpawn:     55000,
-			JoinCost:        2000,
 			MutexAtomic:     18,
 			MutexHandoff:    500,
 			MutexHotWindow:  200000,
-			MutexMaxWait:    4000,
 			DeschedResidual: 2500,
 			SpawnJitter:     4000,
 		},
-		CacheCosts: cache.Costs{Hit: 2, MissMemory: 40, MissRemote: 60, Upgrade: 10},
+		CacheCosts: cache.Costs{MissMemory: 40, MissRemote: 60, Upgrade: 10},
 		VMCosts:    vm.Costs{Syscall: 650, KernelHold: 850, PageFault: 1500},
 		AllocCosts: malloc.CostParams{
 			WorkMalloc: 170,
@@ -239,7 +214,6 @@ func K6_400() Profile {
 		Allocator:      malloc.KindPTMalloc,
 		HeapParams:     heap.DefaultParams(),
 		Bench3LoopWork: 6,
-		BootstrapPages: 10,
 		// A uniprocessor pays every inline scavenge pass out of its only
 		// CPU: long 4ms epochs and a gentle 25%/epoch decay, with the
 		// smallest bin pad (64MB-class machine).

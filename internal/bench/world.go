@@ -84,7 +84,7 @@ func NewWorld(p Profile, seed uint64, opts ...WorldOption) *World {
 	w := &World{
 		Profile:    p,
 		M:          m,
-		Cache:      cache.NewModel(p.CPUs, p.LineShift, p.CacheCosts),
+		Cache:      cache.NewModel(p.CPUs, p.CacheCosts),
 		threadInst: make(map[int]*Instance),
 	}
 	for _, o := range opts {
@@ -113,6 +113,10 @@ func (w *World) Run(body func(main *sim.Thread)) error {
 	return w.M.Run(body)
 }
 
+// bootstrapPages is how many text pages program and C library startup touch
+// in each instance: the constant term of benchmark 2's fault predictor.
+const bootstrapPages = 10
+
 // AddInstance creates one process image: address space, startup page
 // faults, allocator. Must be called from a simulated thread (normally
 // main). The creating thread is bound to the new instance.
@@ -124,7 +128,7 @@ func (w *World) AddInstance(t *sim.Thread) (*Instance, error) {
 	}
 	as := vm.New(id, w.M, w.Cache, vmOpts...)
 	// Program + C library startup: touch the text image.
-	for i := 0; i < w.Profile.BootstrapPages; i++ {
+	for i := 0; i < bootstrapPages; i++ {
 		as.Touch(t, vm.TextBase+uint64(i)*vm.PageSize)
 	}
 	al, err := malloc.New(t, w.Profile.Allocator, as, w.Profile.HeapParams, w.Profile.AllocCosts)

@@ -10,6 +10,9 @@
 // exact for the false-sharing experiment (benchmark 3) and a good
 // approximation for allocator-metadata "cache sloshing".
 //
+// Every line is LineSize (32) bytes, the L1 line of every machine the paper
+// measured, so the width is a constant rather than a parameter.
+//
 // The model holds the protocol and the per-CPU counters but stores no
 // lines. Each directory entry (Line) lives with the page it describes: the
 // vm layer keeps one beside the bytes of each touched line in its page
@@ -23,19 +26,31 @@ package cache
 
 import "math/bits"
 
-// Costs is the per-access cycle cost model.
+// LineShift is log2 of LineSize, the modelled cache line size in bytes: the
+// 32-byte L1 line of the P6 and UltraSPARC-II era.
+const (
+	LineShift = 5
+	LineSize  = 1 << LineShift
+)
+
+// hitCost is the cycles of an access to a line present in this CPU's cache
+// in a usable state: an L1 hit, the same couple of cycles on every machine
+// the paper measured.
+const hitCost = 2
+
+// Costs is the per-access cycle cost model of the misses; a hit costs
+// hitCost.
 type Costs struct {
-	Hit        int64 // line present in this CPU's cache in a usable state
 	MissMemory int64 // cold miss or clean miss served from memory
 	MissRemote int64 // miss served by another CPU's dirty copy (cache-to-cache)
 	Upgrade    int64 // write to a line held shared: invalidate others, no data transfer
 }
 
 // DefaultCosts returns constants in the right ratios for a late-1990s
-// Intel SMP (L1 hit a couple of cycles, memory tens of cycles, dirty remote
-// transfers slightly worse than memory).
+// Intel SMP (memory tens of cycles, dirty remote transfers slightly worse
+// than memory).
 func DefaultCosts() Costs {
-	return Costs{Hit: 2, MissMemory: 40, MissRemote: 60, Upgrade: 12}
+	return Costs{MissMemory: 40, MissRemote: 60, Upgrade: 12}
 }
 
 // Line is the directory entry for one cache line. The caller owns it and
@@ -58,7 +73,6 @@ type CPUStats struct {
 // machine.
 type Model struct {
 	numCPUs int
-	shift   uint
 	costs   Costs
 	stats   []CPUStats
 
@@ -67,31 +81,17 @@ type Model struct {
 	OwnerFlips uint64
 }
 
-// MinLineShift is log2 of the narrowest line NewModel accepts: 32 bytes, so
-// a 4 KB page holds at most 128 lines.
-const MinLineShift = 5
-
-// NewModel creates a directory for numCPUs CPUs and 2^lineShift-byte lines.
-func NewModel(numCPUs int, lineShift uint, costs Costs) *Model {
+// NewModel creates a directory for numCPUs CPUs.
+func NewModel(numCPUs int, costs Costs) *Model {
 	if numCPUs < 1 || numCPUs > 64 {
 		panic("cache: unsupported CPU count")
 	}
-	if lineShift < MinLineShift || lineShift > 12 {
-		panic("cache: unreasonable line size")
-	}
 	return &Model{
 		numCPUs: numCPUs,
-		shift:   lineShift,
 		costs:   costs,
 		stats:   make([]CPUStats, numCPUs),
 	}
 }
-
-// LineSize returns the modelled cache line size in bytes.
-func (m *Model) LineSize() uint64 { return 1 << m.shift }
-
-// LineShift returns log2 of the line size.
-func (m *Model) LineShift() uint { return m.shift }
 
 // Costs returns the cost model.
 func (m *Model) Costs() Costs { return m.costs }
@@ -114,7 +114,7 @@ const (
 func (m *Model) Hit(cpu int, l *Line, write bool) (int64, bool) {
 	if l.owner == uint8(cpu+1) || !write && l.owner == 0 && l.sharers&(1<<uint(cpu)) != 0 {
 		m.stats[cpu].Hits++
-		return m.costs.Hit, true
+		return hitCost, true
 	}
 	return 0, false
 }
@@ -212,10 +212,10 @@ func (m *Model) Stats() []CPUStats {
 // constant.
 func (m *Model) SteadyWriteCost(writers int) int64 {
 	if writers <= 1 {
-		return m.costs.Hit
+		return hitCost
 	}
 	// Each write is preceded (w-1)/w of the time by another CPU's write in
 	// a fair interleaving; charge the remote transfer proportionally.
 	frac := float64(writers-1) / float64(writers)
-	return m.costs.Hit + int64(frac*float64(m.costs.MissRemote)+0.5)
+	return hitCost + int64(frac*float64(m.costs.MissRemote)+0.5)
 }

@@ -7,7 +7,7 @@ import (
 	"mtmalloc/internal/xrand"
 )
 
-func newTest() *Model { return NewModel(4, 5, DefaultCosts()) }
+func newTest() *Model { return NewModel(4, DefaultCosts()) }
 
 // cost is Access without the fill classification.
 func cost(m *Model, cpu int, l *Line, write bool) int64 {
@@ -21,7 +21,7 @@ func TestColdReadThenHit(t *testing.T) {
 	if c := cost(m, 0, &l, false); c != m.costs.MissMemory {
 		t.Fatalf("cold read cost %d, want %d", c, m.costs.MissMemory)
 	}
-	if c := cost(m, 0, &l, false); c != m.costs.Hit {
+	if c := cost(m, 0, &l, false); c != hitCost {
 		t.Fatalf("second read cost %d, want hit", c)
 	}
 	st := m.Stats()[0]
@@ -34,7 +34,7 @@ func TestWriteThenWriteHit(t *testing.T) {
 	m := newTest()
 	var l Line
 	m.Access(1, &l, true)
-	if c := cost(m, 1, &l, true); c != m.costs.Hit {
+	if c := cost(m, 1, &l, true); c != hitCost {
 		t.Fatalf("owned write cost %d, want hit", c)
 	}
 }
@@ -56,10 +56,10 @@ func TestRemoteDirtyReadTransfers(t *testing.T) {
 		t.Fatalf("remote read cost %d, want %d", c, m.costs.MissRemote)
 	}
 	// Both now share it clean: reads hit on both.
-	if c := cost(m, 0, &l, false); c != m.costs.Hit {
+	if c := cost(m, 0, &l, false); c != hitCost {
 		t.Fatalf("previous owner read cost %d, want hit", c)
 	}
-	if c := cost(m, 1, &l, false); c != m.costs.Hit {
+	if c := cost(m, 1, &l, false); c != hitCost {
 		t.Fatalf("new sharer read cost %d, want hit", c)
 	}
 }
@@ -75,7 +75,7 @@ func TestPingPongWrites(t *testing.T) {
 		if i == 0 && cpu == 0 {
 			continue
 		}
-		if c != m.costs.MissRemote && c != m.costs.Hit {
+		if c != m.costs.MissRemote && c != hitCost {
 			t.Fatalf("iteration %d cost %d", i, c)
 		}
 	}
@@ -96,25 +96,25 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 		t.Fatalf("invalidations not charged: %+v", st)
 	}
 	// After the write, a read by 0 misses again.
-	if c := cost(m, 0, &l, false); c == m.costs.Hit {
+	if c := cost(m, 0, &l, false); c == hitCost {
 		t.Fatal("stale sharer still hit after invalidation")
 	}
 }
 
 func TestSteadyWriteCost(t *testing.T) {
 	m := newTest()
-	if m.SteadyWriteCost(0) != m.costs.Hit || m.SteadyWriteCost(1) != m.costs.Hit {
+	if m.SteadyWriteCost(0) != hitCost || m.SteadyWriteCost(1) != hitCost {
 		t.Fatal("solo writer must pay hit cost")
 	}
 	two := m.SteadyWriteCost(2)
 	four := m.SteadyWriteCost(4)
-	if two <= m.costs.Hit {
+	if two <= hitCost {
 		t.Fatal("two writers must cost more than a hit")
 	}
 	if four <= two {
 		t.Fatal("more writers must not get cheaper")
 	}
-	if four > m.costs.Hit+m.costs.MissRemote {
+	if four > hitCost+m.costs.MissRemote {
 		t.Fatal("steady cost exceeds one remote transfer per write")
 	}
 }
@@ -148,7 +148,7 @@ func TestCostsAreFromModel(t *testing.T) {
 	m := newTest()
 	r := xrand.New(7, 7)
 	valid := map[int64]bool{
-		m.costs.Hit: true, m.costs.MissMemory: true,
+		hitCost: true, m.costs.MissMemory: true,
 		m.costs.MissRemote: true, m.costs.Upgrade: true,
 	}
 	lines := make([]Line, 8)

@@ -10,7 +10,6 @@ import (
 // combining an address-space ID with the line number. It is the reference
 // the caller-held Line protocol must reproduce access for access.
 type refModel struct {
-	shift      uint
 	costs      Costs
 	lines      map[uint64]refLine
 	stats      []CPUStats
@@ -22,12 +21,12 @@ type refLine struct {
 	sharers uint64
 }
 
-func newRef(numCPUs int, shift uint, costs Costs) *refModel {
-	return &refModel{shift: shift, costs: costs, lines: map[uint64]refLine{}, stats: make([]CPUStats, numCPUs)}
+func newRef(numCPUs int, costs Costs) *refModel {
+	return &refModel{costs: costs, lines: map[uint64]refLine{}, stats: make([]CPUStats, numCPUs)}
 }
 
 func (m *refModel) key(space uint32, addr uint64) uint64 {
-	return uint64(space)<<44 | addr>>m.shift
+	return uint64(space)<<44 | addr>>LineShift
 }
 
 func (m *refModel) load(key uint64) refLine {
@@ -54,7 +53,7 @@ func (m *refModel) access(cpu int, key uint64, write bool) (int64, Fill, int) {
 		switch {
 		case l.owner == int8(cpu):
 			st.Hits++
-			return m.costs.Hit, FillNone, -1
+			return hitCost, FillNone, -1
 		case l.owner >= 0:
 			st.RemoteMisses++
 			m.stats[l.owner].Invalidated++
@@ -84,7 +83,7 @@ func (m *refModel) access(cpu int, key uint64, write bool) (int64, Fill, int) {
 	switch {
 	case l.owner == int8(cpu), l.owner < 0 && l.sharers&bit != 0:
 		st.Hits++
-		return m.costs.Hit, FillNone, -1
+		return hitCost, FillNone, -1
 	case l.owner >= 0:
 		st.RemoteMisses++
 		m.ownerFlips++
@@ -110,8 +109,8 @@ func (m *refModel) access(cpu int, key uint64, write bool) (int64, Fill, int) {
 func TestAccessMatchesKeyedReference(t *testing.T) {
 	for _, cpus := range []int{4, 64} {
 		for seed := uint64(1); seed <= 4; seed++ {
-			m := NewModel(cpus, 5, DefaultCosts())
-			ref := newRef(cpus, 5, DefaultCosts())
+			m := NewModel(cpus, DefaultCosts())
+			ref := newRef(cpus, DefaultCosts())
 			const spaces, perSpace = 2, 12
 			lines := make([]Line, spaces*perSpace)
 			snap := make([]CPUStats, cpus)

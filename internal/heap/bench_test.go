@@ -19,7 +19,7 @@ import (
 func BenchmarkArenaChurn(b *testing.B) {
 	const slots = 1000
 	m := sim.NewMachine(sim.Config{CPUs: 1, ClockMHz: 100, Seed: 1})
-	as := vm.New(1, m, cache.NewModel(1, 5, cache.DefaultCosts()))
+	as := vm.New(1, m, cache.NewModel(1, cache.DefaultCosts()))
 	params := DefaultParams()
 	err := m.Run(func(th *sim.Thread) {
 		a, err := NewMain(th, as, &params)

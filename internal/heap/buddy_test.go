@@ -11,7 +11,7 @@ import (
 func withBuddy(t *testing.T, cpus, zonePages int, body func(th *sim.Thread, b *Buddy)) {
 	t.Helper()
 	m := sim.NewMachine(sim.Config{CPUs: cpus, ClockMHz: 100, Seed: 1})
-	c := cache.NewModel(cpus, 5, cache.DefaultCosts())
+	c := cache.NewModel(cpus, cache.DefaultCosts())
 	as := vm.New(1, m, c)
 	b := NewBuddy(as, "buddy", zonePages, -1)
 	if err := m.Run(func(th *sim.Thread) { body(th, b) }); err != nil {
@@ -158,7 +158,7 @@ func TestBuddyDeterministicLowestFirst(t *testing.T) {
 // accounting afterwards.
 func TestBuddyTorture(t *testing.T) {
 	m := sim.NewMachine(sim.Config{CPUs: 4, ClockMHz: 100, Seed: 7})
-	c := cache.NewModel(4, 5, cache.DefaultCosts())
+	c := cache.NewModel(4, cache.DefaultCosts())
 	as := vm.New(1, m, c)
 	b := NewBuddy(as, "buddy", 256, -1)
 	err := m.Run(func(main *sim.Thread) {

@@ -14,7 +14,7 @@ import (
 func withArena(t *testing.T, params Params, body func(th *sim.Thread, a *Arena)) {
 	t.Helper()
 	m := sim.NewMachine(sim.Config{CPUs: 1, ClockMHz: 100, Seed: 1})
-	c := cache.NewModel(1, 5, cache.DefaultCosts())
+	c := cache.NewModel(1, cache.DefaultCosts())
 	as := vm.New(1, m, c)
 	err := m.Run(func(th *sim.Thread) {
 		a, err := NewMain(th, as, &params)
@@ -287,7 +287,7 @@ func TestMmapChunk(t *testing.T) {
 
 func TestSubArenaAllocatesAndFills(t *testing.T) {
 	m := sim.NewMachine(sim.Config{CPUs: 1, ClockMHz: 100, Seed: 1})
-	c := cache.NewModel(1, 5, cache.DefaultCosts())
+	c := cache.NewModel(1, cache.DefaultCosts())
 	as := vm.New(1, m, c)
 	params := DefaultParams()
 	err := m.Run(func(th *sim.Thread) {
@@ -345,7 +345,7 @@ func TestSbrkBlockedFallsBackToMmap(t *testing.T) {
 	// Exhaust the brk range so sbrk collides with the library mapping,
 	// then verify the arena keeps serving from a new mmapped segment.
 	m := sim.NewMachine(sim.Config{CPUs: 1, ClockMHz: 100, Seed: 1})
-	c := cache.NewModel(1, 5, cache.DefaultCosts())
+	c := cache.NewModel(1, cache.DefaultCosts())
 	as := vm.New(1, m, c)
 	params := DefaultParams()
 	err := m.Run(func(th *sim.Thread) {
@@ -383,7 +383,7 @@ func TestSbrkBlockedFallsBackToMmap(t *testing.T) {
 
 func TestSbrkBlockedNoRetryFails(t *testing.T) {
 	m := sim.NewMachine(sim.Config{CPUs: 1, ClockMHz: 100, Seed: 1})
-	c := cache.NewModel(1, 5, cache.DefaultCosts())
+	c := cache.NewModel(1, cache.DefaultCosts())
 	as := vm.New(1, m, c)
 	params := DefaultParams()
 	params.RetrySbrkWithMmap = false
@@ -607,7 +607,7 @@ func TestStatsAccounting(t *testing.T) {
 // never touch — while the heap stays structurally intact and usable.
 func TestTrimTopReleasesSubArenaTail(t *testing.T) {
 	m := sim.NewMachine(sim.Config{CPUs: 1, ClockMHz: 100, Seed: 1})
-	c := cache.NewModel(1, 5, cache.DefaultCosts())
+	c := cache.NewModel(1, cache.DefaultCosts())
 	as := vm.New(1, m, c)
 	params := DefaultParams()
 	err := m.Run(func(th *sim.Thread) {

@@ -15,7 +15,7 @@ import (
 func withLimitedArena(t *testing.T, params Params, headroom uint64, body func(th *sim.Thread, as *vm.AddressSpace, a *Arena)) {
 	t.Helper()
 	m := sim.NewMachine(sim.Config{CPUs: 1, ClockMHz: 100, Seed: 1})
-	c := cache.NewModel(1, 5, cache.DefaultCosts())
+	c := cache.NewModel(1, cache.DefaultCosts())
 	as := vm.New(1, m, c)
 	err := m.Run(func(th *sim.Thread) {
 		a, err := NewMain(th, as, &params)

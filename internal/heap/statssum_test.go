@@ -41,7 +41,7 @@ func TestNewSubOnNodeBindsArena(t *testing.T) {
 	costs := sim.DefaultCosts()
 	costs.RemoteAccess = 2.0
 	m := sim.NewMachine(sim.Config{CPUs: 2, Nodes: 2, ClockMHz: 100, Costs: costs, Seed: 1})
-	c := cache.NewModel(2, 5, cache.DefaultCosts())
+	c := cache.NewModel(2, cache.DefaultCosts())
 	as := vm.New(1, m, c)
 	err := m.Run(func(th *sim.Thread) {
 		params := DefaultParams()

@@ -3,6 +3,7 @@ package malloc
 import (
 	"fmt"
 
+	"mtmalloc/internal/cache"
 	"mtmalloc/internal/heap"
 	"mtmalloc/internal/sim"
 	"mtmalloc/internal/vm"
@@ -32,7 +33,6 @@ type lfBackend struct {
 	// strides; colorSeq is the per-thread position on the wheel, keyed by
 	// thread ID.
 	lineAware bool
-	lineSize  uint64
 	colorSeq  denseTable[int]
 
 	stats *Stats
@@ -85,7 +85,7 @@ const (
 
 // lfSpanColors is the color wheel size: head offsets cycle through this many
 // line-size strides. Eight lines covers a 256B-aligned index spread at the
-// profiles' 32B lines while bounding the per-span waste to 7 lines.
+// model's 32B lines while bounding the per-span waste to 7 lines.
 const lfSpanColors = 8
 
 func (sp *lfSpan) avail() int { return len(sp.freeList) + (sp.chunks - sp.carved) }
@@ -94,7 +94,6 @@ func newLFBackend(name string, as *vm.AddressSpace, shards []*poolShard, lineAwa
 	be := &lfBackend{
 		pageSpan:  make(map[uint64]*lfSpan),
 		lineAware: lineAware,
-		lineSize:  as.LineSize(),
 		stats:     stats,
 	}
 	for _, sh := range shards {
@@ -207,7 +206,7 @@ func (be *lfBackend) newSpan(t *sim.Thread, nd *lfNode, csz uint32, batch int) (
 		// every thread's hot head chunk maps to the same index sets.
 		seq := be.colorSeq.get(t.ID())
 		be.colorSeq.set(t.ID(), seq+1)
-		off := uint64((t.ID()+seq)%lfSpanColors) * be.lineSize
+		off := uint64((t.ID()+seq)%lfSpanColors) * cache.LineSize
 		if off > 0 && uint64(sp.pages)*vm.PageSize-off >= uint64(csz) {
 			sp.base = addr + off
 			sp.chunks = int((uint64(sp.pages)*vm.PageSize - off) / uint64(csz))

@@ -3,6 +3,7 @@ package malloc
 import (
 	"testing"
 
+	"mtmalloc/internal/cache"
 	"mtmalloc/internal/heap"
 	"mtmalloc/internal/sim"
 )
@@ -22,7 +23,7 @@ func TestLineAwareQuantization(t *testing.T) {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			m, as := newWorld(2, 7)
-			line := as.LineSize()
+			line := uint64(cache.LineSize)
 			err := m.Run(func(th *sim.Thread) {
 				al, err := New(th, kind, as, heap.DefaultParams(), lineAwareCosts())
 				if err != nil {
@@ -181,7 +182,7 @@ func TestSharedMagazineLinesChurn(t *testing.T) {
 // origins under LineAware and track the sacrificed bytes as a gauge.
 func TestSpanColoringGauges(t *testing.T) {
 	m, as := newWorld(2, 13)
-	line := as.LineSize()
+	line := uint64(cache.LineSize)
 	err := m.Run(func(th *sim.Thread) {
 		al, err := New(th, KindLockFree, as, heap.DefaultParams(), lineAwareCosts())
 		if err != nil {

@@ -93,7 +93,7 @@ func TestLockFreeTorture(t *testing.T) {
 	cfg.Costs.ThreadSpawn = 100
 	cfg.Costs.SpawnJitter = 10
 	m := sim.NewMachine(cfg)
-	c := cache.NewModel(4, 5, cache.DefaultCosts())
+	c := cache.NewModel(4, cache.DefaultCosts())
 	as := vm.New(1, m, c)
 	var al *ThreadCache
 	err := m.Run(func(main *sim.Thread) {
@@ -242,7 +242,7 @@ func TestLockFreeScavengeDuringChurn(t *testing.T) {
 	cfg.Costs.ThreadSpawn = 100
 	cfg.Costs.SpawnJitter = 10
 	m := sim.NewMachine(cfg)
-	c := cache.NewModel(4, 5, cache.DefaultCosts())
+	c := cache.NewModel(4, cache.DefaultCosts())
 	as := vm.New(1, m, c)
 	var al *ThreadCache
 	err := m.Run(func(main *sim.Thread) {

@@ -58,12 +58,12 @@
 // All variants serve requests at or above the mmap threshold from dedicated
 // anonymous mappings, as glibc does ("mmap() for allocation requests larger
 // than 32 pages"). A fourth, orthogonal tier lives in the vm layer: the
-// mmap-region reuse cache (MmapReuseCap bytes, mmapReuseWork cycles per
-// operation) parks munmapped above-threshold regions — pages intact — on a
-// bounded size-bucketed list and re-hands them out without a syscall or
-// fresh first-touch faults. ThreadCache enables it by default
-// (DefaultMmapReuseCap); the paper's designs leave it off so their measured
-// syscall and fault counts stay faithful. Stats reports all tiers:
+// mmap-region reuse cache (MmapReuseCap bytes) parks munmapped
+// above-threshold regions — pages intact — on a bounded park-ordered list
+// and re-hands them out without a syscall or fresh first-touch faults.
+// ThreadCache enables it by default (DefaultMmapReuseCap); the paper's
+// designs leave it off so their measured syscall and fault counts stay
+// faithful. Stats reports all tiers:
 // Depot{Hits,Misses,Donates,Overflows,Chunks,Bytes}, CachedBytes,
 // CacheMark{Grows,Shrinks}, ArenaLockAcqs, and MmapReuses/MmapReuseBytes.
 //
@@ -151,6 +151,7 @@ package malloc
 import (
 	"fmt"
 
+	"mtmalloc/internal/cache"
 	"mtmalloc/internal/heap"
 	"mtmalloc/internal/scavenge"
 	"mtmalloc/internal/sim"
@@ -245,9 +246,6 @@ type CostParams struct {
 // MmapReuseCap is zero: a few above-threshold regions, bounded so the RSS
 // the cache holds back from the kernel stays honest.
 const DefaultMmapReuseCap = 4 << 20
-
-// mmapReuseWork is the cycles one reuse-cache park or lookup costs.
-const mmapReuseWork = 30
 
 // DefaultDepotCapBytes is the per-class byte cap NewThreadCache applies when
 // DepotCapBytes is zero: about eight spans of cacheBatch default-sized
@@ -565,13 +563,11 @@ func (b *base) init(t *sim.Thread, kind design, name string, as *vm.AddressSpace
 		// buddy-carved — lands on a line boundary. quantBase keeps the blind
 		// params so the overhead is priced per allocation.
 		b.quantBase = b.params
-		if ls := uint32(as.LineSize()); b.params.Align < ls {
-			b.params.Align = ls
-		}
+		b.params.Align = max(b.params.Align, cache.LineSize)
 		b.lineAware = true
 	}
 	if costs.MmapReuseCap > 0 {
-		as.SetMmapReuse(uint64(costs.MmapReuseCap), mmapReuseWork)
+		as.SetMmapReuse(uint64(costs.MmapReuseCap))
 	}
 	main, err := heap.NewMain(t, as, &b.params)
 	if err != nil {

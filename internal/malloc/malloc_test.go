@@ -13,7 +13,7 @@ import (
 
 func newWorld(cpus int, seed uint64) (*sim.Machine, *vm.AddressSpace) {
 	m := sim.NewMachine(sim.Config{CPUs: cpus, ClockMHz: 100, Seed: seed})
-	c := cache.NewModel(cpus, 5, cache.DefaultCosts())
+	c := cache.NewModel(cpus, cache.DefaultCosts())
 	return m, vm.New(1, m, c)
 }
 

@@ -18,7 +18,7 @@ func newNUMAWorld(cpus, nodes int, seed uint64) (*sim.Machine, *vm.AddressSpace)
 	costs := sim.DefaultCosts()
 	costs.RemoteAccess = 2.0
 	m := sim.NewMachine(sim.Config{CPUs: cpus, Nodes: nodes, ClockMHz: 100, Costs: costs, Seed: seed})
-	c := cache.NewModel(cpus, 5, cache.DefaultCosts())
+	c := cache.NewModel(cpus, cache.DefaultCosts())
 	return m, vm.New(1, m, c)
 }
 

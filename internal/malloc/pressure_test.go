@@ -113,9 +113,10 @@ func TestPerThreadOverflowsToMainUnderCommitLimit(t *testing.T) {
 
 // TestPtmallocSurvivesInjectedMmapFailures drives ptmalloc's arena retry
 // machinery (the ErrArenaFull sweep and subordinate-arena creation) against
-// deterministic growth-failure injection: every second mmap/sbrk growth call
-// fails, and the allocator must keep serving what it can, fail the rest with
-// a clean out-of-memory error, and stay structurally consistent.
+// deterministic growth-failure injection: each mmap/sbrk growth call fails
+// with probability one half, and the allocator must keep serving what it
+// can, fail the rest with a clean out-of-memory error, and stay structurally
+// consistent.
 func TestPtmallocSurvivesInjectedMmapFailures(t *testing.T) {
 	m, as := newWorld(2, 7)
 	err := m.Run(func(th *sim.Thread) {
@@ -124,7 +125,7 @@ func TestPtmallocSurvivesInjectedMmapFailures(t *testing.T) {
 			t.Errorf("New: %v", err)
 			return
 		}
-		as.SetFaultInjection(vm.InjectPolicy{EveryNth: 2, Seed: 7})
+		as.SetFaultInjection(0.5, 7)
 		var workers []*sim.Thread
 		for i := 0; i < 2; i++ {
 			workers = append(workers, th.Spawn(fmt.Sprintf("churn-%d", i), func(wt *sim.Thread) {

@@ -27,7 +27,7 @@ func TestCacheRehomeAfterMigration(t *testing.T) {
 	cfg.Costs.ThreadSpawn = 100
 	cfg.Costs.SpawnJitter = 10
 	m := sim.NewMachine(cfg)
-	c := cache.NewModel(4, 5, cache.DefaultCosts())
+	c := cache.NewModel(4, cache.DefaultCosts())
 	as := vm.New(1, m, c)
 
 	const sleep = 4_000_000

@@ -201,13 +201,9 @@ func (s trimSource) Scavenge(t *sim.Thread, cutoff sim.Time, decayPercent int) u
 	return released
 }
 
-// The scavenger's fixed tuning: the resident pad each arena keeps at its top
-// when the trim stage runs (malloc_trim's pad), and the cycles charged per
-// scavenge pass.
-const (
-	scavengeTrimPad = 64 << 10
-	scavengeWork    = 120
-)
+// scavengeTrimPad is the resident pad each arena keeps at its top when the
+// scavenger's trim stage runs (malloc_trim's pad).
+const scavengeTrimPad = 64 << 10
 
 // newScavenger builds the scavenger for a thread cache from its (already
 // default-filled) cost params and registers the tier sources in cascade
@@ -228,7 +224,6 @@ func (tc *ThreadCache) newScavenger(costs CostParams) {
 	sc := scavenge.New(scavenge.Policy{
 		Interval:     sim.Time(costs.ScavengeInterval),
 		DecayPercent: costs.ScavengeDecay,
-		Work:         scavengeWork,
 	})
 	sc.Register(magazineSource{tc})
 	if len(tc.depots) > 0 {

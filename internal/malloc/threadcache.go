@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 
+	"mtmalloc/internal/cache"
 	"mtmalloc/internal/heap"
 	"mtmalloc/internal/sim"
 	"mtmalloc/internal/telemetry"
@@ -993,7 +994,7 @@ func (tc *ThreadCache) check() error {
 // CostParams.LineAware the count is zero by construction (Check enforces it);
 // blind it measures how badly sub-line carving interleaved the magazines.
 func (tc *ThreadCache) SharedMagazineLines() int {
-	line := tc.as.LineSize()
+	const line = cache.LineSize
 	owner := make(map[uint64]int)
 	shared := make(map[uint64]bool)
 	for _, tid := range tc.caches.keys() {

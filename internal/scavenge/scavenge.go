@@ -36,6 +36,9 @@ package scavenge
 import "mtmalloc/internal/sim"
 
 // Policy is the scavenger's tuning, mirrored from malloc.CostParams.
+// Tier-specific tuning (trim pads, binned-release floors, ...) lives with the
+// sources' owner, not here: the engine hands sources only the cutoff and
+// decay rate, so there is exactly one copy of each knob.
 type Policy struct {
 	// Interval is the epoch length in simulated cycles. A tier item must
 	// have been idle for at least one full interval before it decays.
@@ -43,14 +46,11 @@ type Policy struct {
 	// DecayPercent is the portion of an idle tier's parked memory released
 	// per epoch (1-100; 100 drains an idle tier in one pass).
 	DecayPercent int
-	// Work is the fixed cycle charge per pass, on top of whatever the
-	// sources themselves charge (lock traffic, page releases, ...).
-	//
-	// Tier-specific tuning (trim pads, binned-release floors, ...) lives
-	// with the sources' owner, not here: the engine hands sources only the
-	// cutoff and decay rate, so there is exactly one copy of each knob.
-	Work int64
 }
+
+// passWork is the fixed cycle charge of one pass, on top of whatever the
+// sources themselves charge (lock traffic, page releases, ...).
+const passWork sim.Time = 120
 
 // Stats counts scavenger activity. Per-tier byte counters live in the
 // owning allocator's Stats; these are the engine-level numbers.
@@ -91,8 +91,7 @@ type Scavenger struct {
 }
 
 // New creates a scavenger. Interval must be positive; DecayPercent is
-// clamped into [1, 100] and a negative Work (the "free pass" convention of
-// the owner's other knobs) to zero, since charges cannot be negative.
+// clamped into [1, 100].
 func New(p Policy) *Scavenger {
 	if p.Interval <= 0 {
 		panic("scavenge: non-positive interval")
@@ -102,9 +101,6 @@ func New(p Policy) *Scavenger {
 	}
 	if p.DecayPercent > 100 {
 		p.DecayPercent = 100
-	}
-	if p.Work < 0 {
-		p.Work = 0
 	}
 	return &Scavenger{policy: p}
 }
@@ -168,7 +164,7 @@ func (s *Scavenger) pass(t *sim.Thread) {
 	if cutoff < 0 {
 		cutoff = 0
 	}
-	t.Charge(sim.Time(s.policy.Work))
+	t.Charge(passWork)
 	released := uint64(0)
 	for _, src := range s.sources {
 		released += src.Scavenge(t, cutoff, s.policy.DecayPercent)

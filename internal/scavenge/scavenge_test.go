@@ -25,7 +25,7 @@ func TestTickFiresOnEpochBoundary(t *testing.T) {
 	m := sim.NewMachine(sim.Config{CPUs: 1, ClockMHz: 100, Seed: 1})
 	err := m.Run(func(th *sim.Thread) {
 		src := &fakeSource{releases: 100}
-		s := New(Policy{Interval: 1000, DecayPercent: 50, Work: 7})
+		s := New(Policy{Interval: 1000, DecayPercent: 50})
 		s.Register(src)
 		if s.Tick(th) {
 			t.Error("first Tick ran a pass instead of arming the schedule")
@@ -42,8 +42,8 @@ func TestTickFiresOnEpochBoundary(t *testing.T) {
 		if !s.Tick(th) {
 			t.Fatal("Tick did not fire at the epoch boundary")
 		}
-		if th.Now() != before+7 {
-			t.Errorf("pass charged %d cycles, want the 7-cycle work", th.Now()-before)
+		if th.Now() != before+passWork {
+			t.Errorf("pass charged %d cycles, want the %d-cycle pass work", th.Now()-before, passWork)
 		}
 		if src.calls != 1 || src.decays[0] != 50 {
 			t.Fatalf("source swept %d times (decays %v), want once at 50%%", src.calls, src.decays)

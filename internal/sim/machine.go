@@ -9,23 +9,17 @@ import (
 
 // Costs is the machine-level cost model, in cycles. Per-allocator and cache
 // costs live in their own packages; these are the scheduler- and
-// synchronization-level constants.
+// synchronization-level constants that differ between machines (joinCost
+// and mutexMaxWait are the ones that do not).
 type Costs struct {
 	ContextSwitch Time // charged to an incoming thread when a CPU changes occupant
 	ThreadSpawn   Time // charged to the parent at Spawn; also the child's start offset
-	JoinCost      Time // charged to a joiner after the target finishes
 	MutexAtomic   Time // uncontended lock or unlock instruction cost
 	MutexHandoff  Time // extra cost per ownership change on a contended lock
 	// MutexHotWindow is how long after a contended acquisition a mutex keeps
 	// charging per-acquisition handoffs (models per-critical-section
 	// alternation that batch-granular scheduling cannot observe).
 	MutexHotWindow Time
-	// MutexMaxWait caps a single contended Lock wait. A real wait lasts at
-	// most a few critical sections; without the cap, a thread whose clock
-	// lags another's committed batch would charge the whole batch gap.
-	// Saturated locks are unaffected: their per-acquire waits are one
-	// critical section long.
-	MutexMaxWait Time
 	// DeschedResidual is the extra delay charged when a lock is held by a
 	// thread that was preempted mid-critical-section.
 	DeschedResidual Time
@@ -50,11 +44,9 @@ func DefaultCosts() Costs {
 	return Costs{
 		ContextSwitch:   4000,
 		ThreadSpawn:     60000,
-		JoinCost:        2000,
 		MutexAtomic:     12,
 		MutexHandoff:    600,
 		MutexHotWindow:  150000,
-		MutexMaxWait:    4000,
 		DeschedResidual: 2000,
 		SpawnJitter:     2500,
 	}
@@ -74,16 +66,26 @@ type Config struct {
 	// touching it from the wrong node are tracked by the vm layer using
 	// NodeOfCPU and Costs.RemoteAccess.
 	Nodes int
-
-	// BatchOps bounds how many operations a thread does between yields
-	// (batchCycles bounds its cycles); together they set the engine's
-	// interleaving granularity.
-	BatchOps int
 }
 
-// batchCycles is the other yield bound: a thread that has run this many
-// cycles since its last yield yields at its next operation boundary.
-const batchCycles Time = 250000
+// joinCost is charged to a joiner after the target finishes.
+const joinCost Time = 2000
+
+// mutexMaxWait caps a single contended Lock wait. A real wait lasts at most
+// a few critical sections; without the cap, a thread whose clock lags
+// another's committed batch would charge the whole batch gap. Saturated
+// locks are unaffected: their per-acquire waits are one critical section
+// long.
+const mutexMaxWait Time = 4000
+
+// batchOps bounds how many operations a thread does between yields and
+// batchCycles how many cycles it runs: a thread yields at the operation
+// boundary where either is reached. Together they set the engine's
+// interleaving granularity.
+const (
+	batchOps         = 256
+	batchCycles Time = 250000
+)
 
 // defaultQuantum is the involuntary-preemption period per CPU, about 20 ms
 // at 500 MHz (Linux 2.2-era timeslices were tens of ms). Once per quantum of
@@ -102,9 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Costs == (Costs{}) {
 		c.Costs = DefaultCosts()
-	}
-	if c.BatchOps == 0 {
-		c.BatchOps = 256
 	}
 	if c.Nodes < 1 {
 		c.Nodes = 1

@@ -102,9 +102,7 @@ func (mu *Mutex) lockAt(t *Thread) Time {
 	}
 	if mu.busyUntil > t.clock {
 		w := mu.busyUntil - t.clock
-		if c.MutexMaxWait > 0 && w > c.MutexMaxWait {
-			w = c.MutexMaxWait
-		}
+		w = min(w, mutexMaxWait)
 		wait += w
 		t.clock += w
 		mu.Contended++

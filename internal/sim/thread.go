@@ -140,14 +140,13 @@ func (t *Thread) CAS(p *CASPoint) { p.update(t, true) }
 func (t *Thread) AtomicAdd(p *CASPoint) { p.update(t, false) }
 
 // MaybeYield marks an operation boundary. Thread bodies (and the allocator
-// entry points) call it once per logical operation; every BatchOps
+// entry points) call it once per logical operation; every batchOps
 // operations or batchCycles simulated cycles the thread yields to the engine
 // so other threads can interleave. Must not be called while holding a Mutex.
 func (t *Thread) MaybeYield() {
 	t.Ops++
 	t.opsSinceYield++
-	cfg := &t.machine.cfg
-	if t.opsSinceYield >= cfg.BatchOps || t.clock-t.batchStart >= batchCycles {
+	if t.opsSinceYield >= batchOps || t.clock-t.batchStart >= batchCycles {
 		t.Yield()
 	}
 }
@@ -217,7 +216,7 @@ func (t *Thread) Join(other *Thread) {
 		panic("sim: woke from Join before target finished")
 	}
 	t.clock = maxTime(t.clock, other.finish)
-	t.Charge(t.machine.cfg.Costs.JoinCost)
+	t.Charge(joinCost)
 }
 
 // Elapsed returns the simulated duration between the thread's first

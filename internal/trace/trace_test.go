@@ -17,7 +17,7 @@ import (
 func newAlloc(t *testing.T, body func(th *sim.Thread, al malloc.Allocator)) {
 	t.Helper()
 	m := sim.NewMachine(sim.Config{CPUs: 1, ClockMHz: 100, Seed: 1})
-	c := cache.NewModel(1, 5, cache.DefaultCosts())
+	c := cache.NewModel(1, cache.DefaultCosts())
 	as := vm.New(1, m, c)
 	err := m.Run(func(th *sim.Thread) {
 		al, err := malloc.NewPTMalloc(th, as, heap.DefaultParams(), malloc.DefaultCostParams())

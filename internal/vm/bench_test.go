@@ -19,7 +19,7 @@ var sink uint32
 func benchSpace(b *testing.B, nodes int, body func(th *sim.Thread, as *AddressSpace)) {
 	b.Helper()
 	m := sim.NewMachine(sim.Config{CPUs: 2, Nodes: nodes, ClockMHz: 100, Seed: 1})
-	as := New(1, m, cache.NewModel(2, 5, cache.DefaultCosts()))
+	as := New(1, m, cache.NewModel(2, cache.DefaultCosts()))
 	if err := m.Run(func(th *sim.Thread) { body(th, as) }); err != nil {
 		b.Fatal(err)
 	}

@@ -13,7 +13,7 @@ func numaSetup(cpus, nodes int) (*sim.Machine, *AddressSpace) {
 	costs := sim.DefaultCosts()
 	costs.RemoteAccess = 2.0
 	m := sim.NewMachine(sim.Config{CPUs: cpus, Nodes: nodes, ClockMHz: 100, Costs: costs, Seed: 1})
-	c := cache.NewModel(cpus, 5, cache.DefaultCosts())
+	c := cache.NewModel(cpus, cache.DefaultCosts())
 	return m, New(1, m, c)
 }
 
@@ -131,7 +131,7 @@ func TestReleaseRehomesOnRefault(t *testing.T) {
 func TestReuseAffinityPrefersLocalRegion(t *testing.T) {
 	for _, affinity := range []bool{false, true} {
 		m, as := numaSetup(2, 2)
-		as.SetMmapReuse(1<<20, 10)
+		as.SetMmapReuse(1 << 20)
 		as.SetReuseNodeAffinity(affinity)
 		err := m.Run(func(main *sim.Thread) {
 			// A worker on the other CPU parks a region homed on its node...

@@ -124,40 +124,11 @@ func TestStacksChargedButNeverRefused(t *testing.T) {
 	}
 }
 
-func TestInjectionEveryNth(t *testing.T) {
-	as := runAS(t, func(th *sim.Thread, as *AddressSpace) {
-		as.SetFaultInjection(InjectPolicy{EveryNth: 3})
-		for i := 1; i <= 9; i++ {
-			_, err := as.Mmap(th, PageSize, "probe")
-			if wantFail := i%3 == 0; (err != nil) != wantFail {
-				t.Errorf("call %d: err = %v, want failure = %v", i, err, wantFail)
-			} else if wantFail && !errors.Is(err, ErrNoMem) {
-				t.Errorf("call %d: got %v, want ErrNoMem", i, err)
-			}
-		}
-	})
-	if st := as.Stats(); st.InjectedFaults != 3 {
-		t.Errorf("InjectedFaults = %d, want 3", st.InjectedFaults)
-	}
-}
-
-func TestInjectionBudget(t *testing.T) {
-	runAS(t, func(th *sim.Thread, as *AddressSpace) {
-		as.SetFaultInjection(InjectPolicy{BudgetBytes: 3 * PageSize})
-		for i := 1; i <= 6; i++ {
-			_, err := as.Mmap(th, PageSize, "probe")
-			if wantFail := i > 3; (err != nil) != wantFail {
-				t.Errorf("call %d: err = %v, want failure = %v (budget exhausted after 3 pages)", i, err, wantFail)
-			}
-		}
-	})
-}
-
 func TestInjectionProbDeterministic(t *testing.T) {
 	pattern := func(seed uint64) []bool {
 		var fails []bool
 		runAS(t, func(th *sim.Thread, as *AddressSpace) {
-			as.SetFaultInjection(InjectPolicy{Prob: 0.5, Seed: seed})
+			as.SetFaultInjection(0.5, seed)
 			for i := 0; i < 64; i++ {
 				_, err := as.Mmap(th, PageSize, "probe")
 				if err != nil && !errors.Is(err, ErrNoMem) {
@@ -191,7 +162,7 @@ func TestInjectionProbDeterministic(t *testing.T) {
 
 func TestParkedReuseCountsAgainstLimit(t *testing.T) {
 	runAS(t, func(th *sim.Thread, as *AddressSpace) {
-		as.SetMmapReuse(64*PageSize, 0)
+		as.SetMmapReuse(64 * PageSize)
 		as.SetMemLimit(4 * PageSize)
 		addr, err := as.Mmap(th, 2*PageSize, "a")
 		if err != nil {
@@ -222,7 +193,7 @@ func TestParkedReuseCountsAgainstLimit(t *testing.T) {
 
 func TestReuseParkingDisabled(t *testing.T) {
 	runAS(t, func(th *sim.Thread, as *AddressSpace) {
-		as.SetMmapReuse(64*PageSize, 0)
+		as.SetMmapReuse(64 * PageSize)
 		addr, err := as.Mmap(th, PageSize, "x")
 		if err != nil {
 			t.Fatalf("mmap: %v", err)

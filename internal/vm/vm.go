@@ -17,9 +17,9 @@
 // lookup structure: a two-level radix table over the 32-bit space — a
 // 1024-entry directory of 1024-entry leaves, each leaf allocated on first
 // use — maps a page number to its record. The record holds everything the
-// access path needs: the page's home node and its touched 32-byte
-// granules, found through a one-byte-per-granule slot index. A granule
-// holds its bytes and, when it starts a cache line, that line's coherence
+// access path needs: the page's home node and its touched granules, found
+// through a one-byte-per-granule slot index. A granule is exactly one
+// 32-byte cache line (cache.LineSize): its bytes and the line's coherence
 // directory entry (cache.Line). So one page walk — usually answered by the
 // one-entry cache of the last page touched — and one slot load yield both
 // the data and the line to charge; a hit is then settled by
@@ -254,67 +254,12 @@ func (f OOMFault) Error() string {
 // Unwrap lets errors.Is(err, ErrNoMem) see through a recovered OOMFault.
 func (f OOMFault) Unwrap() error { return ErrNoMem }
 
-// InjectPolicy configures deterministic fault injection on the two growth
-// syscalls (sbrk growth and mmap). Modes combine: a call fails when any
-// active mode says so. The zero policy disables injection.
-type InjectPolicy struct {
-	// Prob fails each growth call with this probability, drawn from a
-	// dedicated PCG stream seeded by Seed — independent of the machine's
-	// scheduling randomness, so adding injection never perturbs a run's
-	// other draws.
-	Prob float64
-	// EveryNth fails every Nth growth call (counting from 1) when > 0.
-	EveryNth uint64
-	// BudgetBytes, when > 0, allows that many bytes of further mapping
-	// growth and then fails every growth call — the remaining-budget mode
-	// that simulates a slowly exhausting reserve.
-	BudgetBytes int64
-	// Seed seeds the probability stream (0 is a valid seed).
-	Seed uint64
-}
-
-// active reports whether any injection mode is configured.
-func (p InjectPolicy) active() bool {
-	return p.Prob > 0 || p.EveryNth > 0 || p.BudgetBytes > 0
-}
-
-// injector is the live fault-injection state behind SetFaultInjection.
-type injector struct {
-	policy InjectPolicy
-	rng    *xrand.RNG
-	calls  uint64
-	budget int64
-}
-
-// fire decides whether this growth call (of delta bytes) fails. The budget
-// is spent only by calls that survive the other modes, so a probability
-// failure does not also consume reserve.
-func (in *injector) fire(delta uint64) bool {
-	in.calls++
-	if in.policy.EveryNth > 0 && in.calls%in.policy.EveryNth == 0 {
-		return true
-	}
-	if in.policy.Prob > 0 && in.rng.Float64() < in.policy.Prob {
-		return true
-	}
-	if in.policy.BudgetBytes > 0 {
-		if in.budget < int64(delta) {
-			return true
-		}
-		in.budget -= int64(delta)
-	}
-	return false
-}
-
 // AddressSpace is one simulated process image.
 type AddressSpace struct {
 	ID    uint32
 	mach  *sim.Machine
 	cache *cache.Model
 	costs Costs
-	// refault, when positive, prices touching a page ReleasePages gave back
-	// instead of costs.PageFault; only same-package tests set it.
-	refault int64
 
 	vmas []VMA // sorted by Start, non-overlapping
 	brk  uint64
@@ -324,8 +269,6 @@ type AddressSpace struct {
 	dir      [dirSize]*pageLeaf
 	resident uint64
 	pool     pool
-	// lineShift is log2 of the cache model's line size.
-	lineShift uint
 	// numaOn caches whether the machine has more than one node (events are
 	// counted whenever they cross nodes); remoteMult caches the cross-node
 	// multiplier that prices them (1 = free interconnect, nothing extra
@@ -339,8 +282,7 @@ type AddressSpace struct {
 	lastIdx  uint64
 	lastPage *page
 	// lastGran is the granule the last access resolved, and lastGranIdx its
-	// address / granuleSize (noGranule when there is none); set only when
-	// lines are granule-sized, so the granule holds its own line. Read32 and
+	// address / granuleSize (noGranule when there is none). Read32 and
 	// Write32 settle a repeat hit on it without walking the page table.
 	// Every eviction clears it: the granule may be recycled into another
 	// page.
@@ -358,14 +300,13 @@ type AddressSpace struct {
 	stackHint uint64
 
 	// Mmap-region reuse cache: munmapped above-threshold regions park on a
-	// bounded size-bucketed free list (with their pages and cache lines
-	// intact) and are re-handed out without a syscall or fresh first-touch
-	// faults. Disabled until SetMmapReuse is called with a non-zero cap.
-	reuseCap     uint64 // max parked bytes; 0 disables the cache
-	reuseWork    int64  // cycles charged per park/lookup
-	reuseParked  uint64
-	reuseSeq     uint64
-	reuseBuckets map[uint64][]reuseRegion // keyed by page-rounded length
+	// bounded list (with their pages and cache lines intact) and are
+	// re-handed out without a syscall or fresh first-touch faults. Disabled
+	// until SetMmapReuse is called with a non-zero cap. reuse holds the
+	// parked regions in park order, oldest first.
+	reuseCap    uint64 // max parked bytes; 0 disables the cache
+	reuseParked uint64
+	reuse       []reuseRegion
 	// parkDisabled suspends parking new regions (MunmapReuse refuses, the
 	// caller munmaps for real) while leaving already-parked regions
 	// available for lookup — the allocator's under-pressure degradation.
@@ -375,8 +316,10 @@ type AddressSpace struct {
 	// RLIMIT_AS / cgroup memory.max analog. committed is tracked either way.
 	memLimit  uint64
 	committed uint64
-	// inject, when non-nil, deterministically fails growth syscalls.
-	inject *injector
+	// injectRNG, when non-nil, fails each growth syscall with probability
+	// injectProb (SetFaultInjection).
+	injectProb float64
+	injectRNG  *xrand.RNG
 
 	stats Stats
 }
@@ -389,13 +332,11 @@ const (
 	dirSize  = 1 << (32 - 12 - leafBits)
 )
 
-// Granule geometry: a page is stored as the granules touched on it. A
-// granule is the narrowest line the cache model accepts, so every line
-// starts on a granule boundary. noGranule is a granule number no address
-// has.
+// Granule geometry: a page is stored as the granules touched on it, and a
+// granule is one cache line. noGranule is a granule number no address has.
 const (
-	granuleShift = cache.MinLineShift
-	granuleSize  = 1 << granuleShift
+	granuleShift = cache.LineShift
+	granuleSize  = cache.LineSize
 	pageGranules = PageSize >> granuleShift
 	noGranule    = ^uint64(0)
 )
@@ -423,9 +364,8 @@ type page struct {
 	grans []uint32
 }
 
-// granule is 32 touched bytes of a page, plus the directory entry of the
-// cache line that starts at them (unused when a wider line starts on an
-// earlier granule).
+// granule is one touched cache line of a page: its 32 bytes and its
+// directory entry.
 type granule struct {
 	data [granuleSize]byte
 	line cache.Line
@@ -546,7 +486,6 @@ func (as *AddressSpace) evict(idx uint64, mark *page) bool {
 // reuseRegion is one parked anonymous mapping awaiting reuse.
 type reuseRegion struct {
 	addr, length uint64
-	seq          uint64   // park order, for FIFO eviction under the cap
 	parkedAt     sim.Time // park time, for the scavenger's age sweep
 	node         int8     // home node of the region's resident pages
 }
@@ -569,18 +508,16 @@ func WithCosts(c Costs) Option {
 // charging cache traffic to model.
 func New(id uint32, m *sim.Machine, model *cache.Model, opts ...Option) *AddressSpace {
 	as := &AddressSpace{
-		ID:           id,
-		mach:         m,
-		cache:        model,
-		costs:        DefaultCosts(),
-		brk:          DataBase,
-		lineShift:    model.LineShift(),
-		lastGranIdx:  noGranule,
-		numaOn:       m.Nodes() > 1,
-		remoteMult:   m.RemoteMultiplier(),
-		mmapHint:     MmapBase,
-		stackHint:    StackTop,
-		reuseBuckets: make(map[uint64][]reuseRegion),
+		ID:          id,
+		mach:        m,
+		cache:       model,
+		costs:       DefaultCosts(),
+		brk:         DataBase,
+		lastGranIdx: noGranule,
+		numaOn:      m.Nodes() > 1,
+		remoteMult:  m.RemoteMultiplier(),
+		mmapHint:    MmapBase,
+		stackHint:   StackTop,
 	}
 	as.vmas = []VMA{
 		{Start: TextBase, End: TextBase + 0x60000, Kind: KindText, Name: "text", Node: -1},
@@ -652,8 +589,8 @@ func (as *AddressSpace) numa() bool { return as.numaOn }
 
 // SetReuseNodeAffinity toggles the reuse cache's local-node preference:
 // when on, MmapFromReuse serves a region homed on the caller's node if the
-// bucket holds one. Off (the default) keeps the pure-LIFO node-blind
-// behaviour; remote hand-outs are charged and counted either way.
+// cache holds one of the length. Off (the default) keeps the pure-LIFO
+// node-blind behaviour; remote hand-outs are charged and counted either way.
 func (as *AddressSpace) SetReuseNodeAffinity(on bool) {
 	as.reuseNodeAffinity = on
 }
@@ -674,13 +611,14 @@ func (as *AddressSpace) chargeRemote(t *sim.Thread, base int64, fault bool) {
 	}
 }
 
+// reuseWork is the cycles one reuse-cache park or lookup costs.
+const reuseWork = 30
+
 // SetMmapReuse enables the mmap-region reuse cache with the given byte cap
-// (0 disables it) and per-operation cycle charge. Parked regions keep their
-// pages resident, so the cap is the honest bound on the extra RSS the cache
-// may hold.
-func (as *AddressSpace) SetMmapReuse(capBytes uint64, work int64) {
+// (0 disables it). Parked regions keep their pages resident, so the cap is
+// the honest bound on the extra RSS the cache may hold.
+func (as *AddressSpace) SetMmapReuse(capBytes uint64) {
 	as.reuseCap = capBytes
-	as.reuseWork = work
 }
 
 // SetReuseParkingDisabled suspends (or resumes) parking regions on the reuse
@@ -706,22 +644,24 @@ func (as *AddressSpace) SetMemLimit(bytes uint64) {
 // MemLimit returns the current commit limit (0 = unlimited).
 func (as *AddressSpace) MemLimit() uint64 { return as.memLimit }
 
-// SetFaultInjection installs deterministic growth-failure injection (the
-// zero policy disables it). The probability stream is seeded from
-// p.Seed only, so two spaces with the same policy fail identically.
-func (as *AddressSpace) SetFaultInjection(p InjectPolicy) {
-	if !p.active() {
-		as.inject = nil
-		return
+// SetFaultInjection fails each later growth syscall (sbrk growth and mmap)
+// with probability prob; 0 disables injection. The draws come from a
+// dedicated PCG stream seeded by seed and the space's ID — independent of
+// the machine's scheduling randomness, so adding injection never perturbs
+// a run's other draws, and two spaces with the same ID and arguments fail
+// identically.
+func (as *AddressSpace) SetFaultInjection(prob float64, seed uint64) {
+	as.injectProb, as.injectRNG = prob, nil
+	if prob > 0 {
+		as.injectRNG = xrand.New(seed, uint64(as.ID))
 	}
-	as.inject = &injector{policy: p, rng: xrand.New(p.Seed, uint64(as.ID)), budget: p.BudgetBytes}
 }
 
 // mayGrow vets a growth syscall of delta bytes against fault injection and
 // the commit limit, in that order. The caller charges syscall time first:
 // a refused call still entered the kernel.
 func (as *AddressSpace) mayGrow(delta uint64) error {
-	if as.inject != nil && as.inject.fire(delta) {
+	if as.injectRNG != nil && as.injectRNG.Float64() < as.injectProb {
 		as.stats.InjectedFaults++
 		return fmt.Errorf("injected fault: %w", ErrNoMem)
 	}
@@ -987,54 +927,51 @@ func (as *AddressSpace) Munmap(t *sim.Thread, addr, length uint64) error {
 // reuse cache. On a hit the region is returned with its pages still present,
 // so no syscall happens and later accesses do not re-fault; its stale
 // contents are NOT zeroed (callers that need calloc semantics must clear).
-// Buckets match on the exact page-rounded length, keeping the accounting
-// honest: a hit reuses precisely what a park put in.
+// A hit matches the exact page-rounded length, keeping the accounting
+// honest: a hit reuses precisely what a park put in. Among the regions of
+// that length the newest wins (LIFO): it has the warmest pages and cache
+// lines.
 //
 // On a multi-node machine a hand-out of a region homed on another node is a
 // remote-access event: it is counted, and the reuse work is charged at the
 // remote rate (the touches that follow pay their own remote miss costs).
-// With SetReuseNodeAffinity on, the bucket is first scanned newest-to-oldest
-// for a region homed on the caller's node, so local warmth wins over pure
-// LIFO order.
+// With SetReuseNodeAffinity on, the newest region of the length homed on the
+// caller's node wins, so local warmth beats pure LIFO order; without one
+// the newest of the length is still served. That fallback beats a fresh
+// mmap — the remote surcharge on a region's touches is cheaper than
+// first-touch-faulting every page of a new mapping — it is just recorded and
+// charged as the remote hand-out it is.
 func (as *AddressSpace) MmapFromReuse(t *sim.Thread, length uint64) (uint64, bool) {
 	if as.reuseCap == 0 || length == 0 {
 		return 0, false
 	}
-	t.Charge(sim.Time(as.reuseWork))
+	t.Charge(reuseWork)
 	length = pageCeil(length)
-	list := as.reuseBuckets[length]
-	if len(list) == 0 {
-		return 0, false
-	}
-	// LIFO within the bucket: the most recently parked region has the
-	// warmest pages and cache lines.
-	pick := len(list) - 1
-	if as.reuseNodeAffinity && as.numa() {
-		// Node affinity: serve the newest region homed on the caller's node
-		// when the bucket holds one; otherwise fall back to the LIFO pick.
-		// The fallback still beats a fresh mmap — the remote surcharge on a
-		// region's touches is cheaper than first-touch-faulting every page
-		// of a new mapping — it is just recorded and charged as the remote
-		// hand-out it is.
-		node := int8(t.Node())
-		for i := len(list) - 1; i >= 0; i-- {
-			if list[i].node == node {
-				pick = i
-				break
-			}
+	affinity := as.reuseNodeAffinity && as.numa()
+	pick := -1
+	for i := len(as.reuse) - 1; i >= 0; i-- {
+		if as.reuse[i].length != length {
+			continue
+		}
+		if pick < 0 {
+			pick = i
+		}
+		if !affinity || int(as.reuse[i].node) == t.Node() {
+			pick = i
+			break
 		}
 	}
-	r := list[pick]
-	as.reuseBuckets[length] = append(list[:pick], list[pick+1:]...)
-	if len(as.reuseBuckets[length]) == 0 {
-		delete(as.reuseBuckets, length)
+	if pick < 0 {
+		return 0, false
 	}
+	r := as.reuse[pick]
+	as.reuse = slices.Delete(as.reuse, pick, pick+1)
 	as.reuseParked -= r.length
 	as.stats.MmapReuses++
 	as.stats.MmapReuseBytes += r.length
 	if as.numa() && int(r.node) != t.Node() {
 		as.stats.ReuseRemoteHands++
-		as.chargeRemote(t, as.reuseWork, false)
+		as.chargeRemote(t, reuseWork, false)
 	}
 	return r.addr, true
 }
@@ -1053,13 +990,13 @@ func (as *AddressSpace) MunmapReuse(t *sim.Thread, addr, length uint64) (bool, e
 	if length > as.reuseCap {
 		return false, nil
 	}
-	t.Charge(sim.Time(as.reuseWork))
-	for as.reuseParked+length > as.reuseCap && as.reuseParked > 0 {
-		if err := as.evictOldestReuse(t); err != nil {
-			return false, err
+	t.Charge(reuseWork)
+	for as.reuseParked+length > as.reuseCap && len(as.reuse) > 0 {
+		as.stats.MmapReuseEvicts++
+		if err := as.unparkOldest(t); err != nil {
+			return false, fmt.Errorf("vm: evicting parked reuse region: %w", err)
 		}
 	}
-	as.reuseSeq++
 	// The region's home is where its resident pages live: the home of its
 	// first page (the one its owner always touched), falling back to the
 	// parker's node for a region that was never touched at all.
@@ -1071,54 +1008,21 @@ func (as *AddressSpace) MunmapReuse(t *sim.Thread, addr, length uint64) (bool, e
 			node = int8(t.Node())
 		}
 	}
-	as.reuseBuckets[length] = append(as.reuseBuckets[length], reuseRegion{addr: addr, length: length, seq: as.reuseSeq, parkedAt: t.Now(), node: node})
+	as.reuse = append(as.reuse, reuseRegion{addr: addr, length: length, parkedAt: t.Now(), node: node})
 	as.reuseParked += length
 	as.stats.MmapReuseParks++
 	return true, nil
 }
 
-// oldestReuse locates the least recently parked region (minimum seq, which is
-// also the minimum park time) across all buckets. Returns ok=false when the
-// cache is empty.
-func (as *AddressSpace) oldestReuse() (key uint64, idx int, ok bool) {
-	bestSeq := ^uint64(0)
-	idx = -1
-	for k, list := range as.reuseBuckets {
-		for i, r := range list {
-			if r.seq < bestSeq {
-				bestSeq, key, idx = r.seq, k, i
-			}
-		}
-	}
-	return key, idx, idx >= 0
-}
-
-// removeReuse unlinks bucket entry (key, idx) and returns it.
-func (as *AddressSpace) removeReuse(key uint64, idx int) reuseRegion {
-	list := as.reuseBuckets[key]
-	r := list[idx]
-	as.reuseBuckets[key] = append(list[:idx], list[idx+1:]...)
-	if len(as.reuseBuckets[key]) == 0 {
-		delete(as.reuseBuckets, key)
-	}
+// unparkOldest takes the least recently parked region off the cache and
+// munmaps it. Eviction is a recovery path under a commit limit, so a munmap
+// failure is returned, not panicked: the region is off the cache books
+// either way.
+func (as *AddressSpace) unparkOldest(t *sim.Thread) error {
+	r := as.reuse[0]
+	as.reuse = slices.Delete(as.reuse, 0, 1)
 	as.reuseParked -= r.length
-	return r
-}
-
-// evictOldestReuse munmaps the least recently parked region. Eviction is a
-// recovery path under a commit limit, so a munmap failure is returned, not
-// panicked: the region is already off the cache books either way.
-func (as *AddressSpace) evictOldestReuse(t *sim.Thread) error {
-	k, i, ok := as.oldestReuse()
-	if !ok {
-		return nil
-	}
-	r := as.removeReuse(k, i)
-	as.stats.MmapReuseEvicts++
-	if err := as.Munmap(t, r.addr, r.length); err != nil {
-		return fmt.Errorf("vm: evicting parked reuse region: %w", err)
-	}
-	return nil
+	return as.Munmap(t, r.addr, r.length)
 }
 
 // EvictReuseBefore munmaps every parked reuse region whose park time is
@@ -1126,19 +1030,16 @@ func (as *AddressSpace) evictOldestReuse(t *sim.Thread) error {
 // Regions are evicted oldest-first, so the sweep is deterministic. Returns
 // the regions and bytes released before any error stopped the sweep.
 func (as *AddressSpace) EvictReuseBefore(t *sim.Thread, cutoff sim.Time) (regions, bytes uint64, err error) {
-	for {
-		k, i, ok := as.oldestReuse()
-		if !ok || as.reuseBuckets[k][i].parkedAt >= cutoff {
-			return regions, bytes, nil
-		}
-		r := as.removeReuse(k, i)
+	for len(as.reuse) > 0 && as.reuse[0].parkedAt < cutoff {
+		length := as.reuse[0].length
 		as.stats.MmapReuseExpired++
-		if err := as.Munmap(t, r.addr, r.length); err != nil {
+		if err := as.unparkOldest(t); err != nil {
 			return regions, bytes, fmt.Errorf("vm: expiring parked reuse region: %w", err)
 		}
 		regions++
-		bytes += r.length
+		bytes += length
 	}
+	return regions, bytes, nil
 }
 
 // ReleasePages hands the resident pages of [addr, addr+length) back to the
@@ -1264,14 +1165,10 @@ func (as *AddressSpace) page(t *sim.Thread, addr uint64, op string) *page {
 				panic(OOMFault{Space: as.ID, Addr: addr, Limit: as.memLimit})
 			}
 			as.commitCharge(PageSize)
-			cost := as.costs.PageFault
-			if as.refault > 0 {
-				cost = as.refault
-			}
 			as.stats.Refaults++
-			t.Charge(sim.Time(cost))
+			t.Charge(sim.Time(as.costs.PageFault))
 			if as.numa() && home != t.Node() {
-				as.chargeRemote(t, cost, true)
+				as.chargeRemote(t, as.costs.PageFault, true)
 			}
 		} else {
 			t.Lock(as.mmLock)
@@ -1290,10 +1187,11 @@ func (as *AddressSpace) page(t *sim.Thread, addr uint64, op string) *page {
 }
 
 // access is the one data path of every charged load and store: it resolves
-// the page holding addr (faulting it in on first touch) and the granule
-// holding addr, bills one cache access for addr's line, and returns both.
-// A hit is settled inline; anything else goes to miss. Hits and the misses
-// that moved no data (upgrades) count as local fills.
+// the page holding addr (faulting it in on first touch) and the granule —
+// the cache line — holding addr, makes that granule the last one resolved,
+// bills one cache access for its line, and returns both. A hit is settled
+// inline; anything else goes to miss. Hits and the misses that moved no
+// data (upgrades) count as local fills.
 func (as *AddressSpace) access(t *sim.Thread, addr uint64, write bool, op string) (*page, *granule) {
 	p := as.lastPage
 	if p == nil || as.lastIdx != addr/PageSize {
@@ -1304,16 +1202,10 @@ func (as *AddressSpace) access(t *sim.Thread, addr uint64, write bool, op string
 	if g == nil {
 		g = as.touch(p, off>>granuleShift)
 	}
-	l := &g.line
-	if as.lineShift == granuleShift {
-		as.lastGranIdx, as.lastGran = addr>>granuleShift, g
-	} else {
-		// A wider line keeps its entry in the granule it starts at.
-		l = &as.granule(p, off>>as.lineShift<<(as.lineShift-granuleShift)).line
-	}
-	c, local := as.cache.Hit(t.CPU(), l, write)
+	as.lastGranIdx, as.lastGran = addr>>granuleShift, g
+	c, local := as.cache.Hit(t.CPU(), &g.line, write)
 	if !local {
-		c, local = as.miss(t, p, l, write)
+		c, local = as.miss(t, p, &g.line, write)
 	}
 	if local {
 		as.chargeLocal(t, c)
@@ -1354,10 +1246,6 @@ func (as *AddressSpace) miss(t *sim.Thread, p *page, l *cache.Line, write bool) 
 	}
 	return c, fill == cache.FillNone
 }
-
-// LineSize reports the cache model's line size in bytes — the quantum
-// line-aware allocator placement (malloc.CostParams.LineAware) rounds to.
-func (as *AddressSpace) LineSize() uint64 { return as.cache.LineSize() }
 
 // Read32 loads a little-endian uint32. A word inside the last granule
 // access resolved, on a line the CPU holds, is settled here with the

@@ -13,7 +13,7 @@ import (
 
 func testSetup(cpus int) (*sim.Machine, *cache.Model) {
 	m := sim.NewMachine(sim.Config{CPUs: cpus, ClockMHz: 100, Seed: 1})
-	return m, cache.NewModel(cpus, 5, cache.DefaultCosts())
+	return m, cache.NewModel(cpus, cache.DefaultCosts())
 }
 
 // runAS executes body on a fresh machine/address-space pair.
@@ -326,18 +326,18 @@ func TestKernelLockShared(t *testing.T) {
 
 func TestFalseSharingCostsMoreAcrossCPUs(t *testing.T) {
 	// Two threads on two CPUs write bytes in the same cache line vs in
-	// different lines; the same-line pair must take longer. BatchOps is 1 so
-	// the engine interleaves per write: at coarser batching, coherence
-	// traffic coalesces, which is why benchmark 3 uses the analytic
-	// SteadyWriteCost path instead of raw loops.
+	// different lines; the same-line pair must take longer. Each write
+	// yields, so the engine interleaves per write: at the engine's coarser
+	// batching, coherence traffic coalesces, which is why benchmark 3 uses
+	// the analytic SteadyWriteCost path instead of raw loops.
 	elapsed := func(offsetB uint64) sim.Time {
 		// Tiny spawn costs so the two loops overlap in simulated time even
 		// with this small iteration count.
 		costs := sim.DefaultCosts()
 		costs.ThreadSpawn = 100
 		costs.SpawnJitter = 50
-		m := sim.NewMachine(sim.Config{CPUs: 2, ClockMHz: 100, Seed: 1, BatchOps: 1, Costs: costs})
-		c := cache.NewModel(2, 5, cache.DefaultCosts())
+		m := sim.NewMachine(sim.Config{CPUs: 2, ClockMHz: 100, Seed: 1, Costs: costs})
+		c := cache.NewModel(2, cache.DefaultCosts())
 		as := New(1, m, c)
 		var e1, e2 sim.Time
 		err := m.Run(func(main *sim.Thread) {
@@ -346,13 +346,13 @@ func TestFalseSharingCostsMoreAcrossCPUs(t *testing.T) {
 			w1 := main.Spawn("w1", func(th *sim.Thread) {
 				for i := 0; i < 20000; i++ {
 					as.Write8(th, base, 1)
-					th.MaybeYield()
+					th.Yield()
 				}
 			})
 			w2 := main.Spawn("w2", func(th *sim.Thread) {
 				for i := 0; i < 20000; i++ {
 					as.Write8(th, base+offsetB, 2)
-					th.MaybeYield()
+					th.Yield()
 				}
 			})
 			main.Join(w1)
@@ -443,7 +443,7 @@ func TestPageContentStability(t *testing.T) {
 // syscall, with its pages still present so nothing re-faults.
 func TestMmapReuseRoundTrip(t *testing.T) {
 	runAS(t, func(th *sim.Thread, as *AddressSpace) {
-		as.SetMmapReuse(1<<20, 10)
+		as.SetMmapReuse(1 << 20)
 		if _, ok := as.MmapFromReuse(th, 8*PageSize); ok {
 			t.Fatal("empty reuse cache produced a region")
 		}
@@ -492,7 +492,7 @@ func TestMmapReuseRoundTrip(t *testing.T) {
 // region for real (FIFO), keeping parked RSS bounded.
 func TestMmapReuseCapEviction(t *testing.T) {
 	runAS(t, func(th *sim.Thread, as *AddressSpace) {
-		as.SetMmapReuse(2*PageSize, 10)
+		as.SetMmapReuse(2 * PageSize)
 		var bases []uint64
 		for i := 0; i < 3; i++ {
 			b, err := as.Mmap(th, PageSize, "r")
@@ -536,11 +536,67 @@ func TestMmapReuseCapEviction(t *testing.T) {
 	})
 }
 
+// TestMmapReuseEvictsInParkOrderAcrossLengths: regions of one and two pages
+// parked interleaved leave the cache in the order they were parked, whatever
+// their length — both under the cap and in the scavenger's age sweep — while
+// a take still finds the newest region of its own length.
+func TestMmapReuseEvictsInParkOrderAcrossLengths(t *testing.T) {
+	runAS(t, func(th *sim.Thread, as *AddressSpace) {
+		as.SetMmapReuse(6 * PageSize)
+		lengths := []uint64{1, 2, 1, 2, 1, 2} // pages, in park order
+		bases := make([]uint64, len(lengths))
+		for i, n := range lengths {
+			b, err := as.Mmap(th, n*PageSize, "r")
+			if err != nil {
+				t.Errorf("mmap %d: %v", i, err)
+				return
+			}
+			as.Write8(th, b, byte(i+1))
+			bases[i] = b
+		}
+		present := func(want ...bool) {
+			t.Helper()
+			for i, b := range bases {
+				if got := as.Peek8(b) != 0; got != want[i] {
+					t.Errorf("region %d (%d pages) resident = %v, want %v", i, lengths[i], got, want[i])
+				}
+			}
+		}
+		marks := make([]sim.Time, len(lengths))
+		for i, b := range bases {
+			th.Charge(100)
+			marks[i] = th.Now()
+			if ok, perr := as.MunmapReuse(th, b, lengths[i]*PageSize); perr != nil || !ok {
+				t.Errorf("park %d refused: (%v, %v)", i, ok, perr)
+				return
+			}
+		}
+		// The first four fill the cap; parking the fifth (one page) evicts
+		// region 0, the sixth (two pages) region 1.
+		if st := as.Stats(); st.MmapReuseEvicts != 2 || st.MmapReuseParked != 6*PageSize {
+			t.Errorf("evictions = %d, parked = %d; want 2 and %d", st.MmapReuseEvicts, st.MmapReuseParked, 6*PageSize)
+		}
+		present(false, false, true, true, true, true)
+		// Sweeping everything parked before region 4 takes regions 2 and 3.
+		regions, bytes, err := as.EvictReuseBefore(th, marks[4])
+		if err != nil || regions != 2 || bytes != 3*PageSize {
+			t.Errorf("EvictReuseBefore = (%d, %d, %v), want (2, %d, nil)", regions, bytes, err, 3*PageSize)
+		}
+		present(false, false, false, false, true, true)
+		if got, ok := as.MmapFromReuse(th, PageSize); !ok || got != bases[4] {
+			t.Errorf("one-page take = (0x%x, %v), want (0x%x, true)", got, ok, bases[4])
+		}
+		if got, ok := as.MmapFromReuse(th, 2*PageSize); !ok || got != bases[5] {
+			t.Errorf("two-page take = (0x%x, %v), want (0x%x, true)", got, ok, bases[5])
+		}
+	})
+}
+
 // TestMmapReuseOversizeRefused: a region larger than the whole cap is never
 // parked; the caller munmaps as before.
 func TestMmapReuseOversizeRefused(t *testing.T) {
 	runAS(t, func(th *sim.Thread, as *AddressSpace) {
-		as.SetMmapReuse(PageSize, 10)
+		as.SetMmapReuse(PageSize)
 		b, err := as.Mmap(th, 4*PageSize, "big")
 		if err != nil {
 			t.Fatal(err)
@@ -613,8 +669,7 @@ func TestReleasePagesAndRefault(t *testing.T) {
 
 func TestReleasePagesChargesRefaultCost(t *testing.T) {
 	m, c := testSetup(1)
-	as := New(1, m, c, WithCosts(Costs{Syscall: 100, KernelHold: 100, PageFault: 1000}))
-	as.refault = 5000
+	as := New(1, m, c, WithCosts(Costs{Syscall: 100, KernelHold: 100, PageFault: 5000}))
 	err := m.Run(func(th *sim.Thread) {
 		base, err := as.Mmap(th, 2*PageSize, "scratch")
 		if err != nil {
@@ -627,7 +682,7 @@ func TestReleasePagesChargesRefaultCost(t *testing.T) {
 		as.Write8(th, base, 2)
 		elapsed := int64(th.Now() - before)
 		if elapsed < 5000 {
-			t.Errorf("refault charged %d cycles, want >= the 5000-cycle refault cost", elapsed)
+			t.Errorf("refault charged %d cycles, want >= the 5000-cycle PageFault cost", elapsed)
 		}
 	})
 	if err != nil {
@@ -658,7 +713,7 @@ func TestReleasePagesPartialPagesUntouched(t *testing.T) {
 
 func TestEvictReuseBefore(t *testing.T) {
 	runAS(t, func(th *sim.Thread, as *AddressSpace) {
-		as.SetMmapReuse(1<<20, 10)
+		as.SetMmapReuse(1 << 20)
 		park := func() uint64 {
 			a, err := as.Mmap(th, 8*PageSize, "blob")
 			if err != nil {

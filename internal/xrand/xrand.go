@@ -99,25 +99,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Perm returns a pseudo-random permutation of [0, n) as a slice.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle permutes the first n elements using the supplied swap function.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Jitter returns a value in [0, max) used to perturb start times between
 // runs. A zero max returns zero, so callers need not special-case
 // deterministic configurations.
@@ -126,10 +107,4 @@ func (r *RNG) Jitter(max int64) int64 {
 		return 0
 	}
 	return r.Int63n(max)
-}
-
-// Fork derives a child generator from this one. The child's sequence is
-// independent of subsequent draws from the parent.
-func (r *RNG) Fork(stream uint64) *RNG {
-	return New(r.Uint64(), stream)
 }
