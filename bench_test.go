@@ -140,11 +140,13 @@ func BenchmarkFigure11(b *testing.B) { runB3(b, 4, 24, false) }
 
 func runB1Alloc(b *testing.B, kind AllocatorKind, threads int) {
 	b.Helper()
+	prof := QuadXeon500()
+	prof.Allocator = kind
 	var last float64
 	for i := 0; i < b.N; i++ {
 		res, err := bench.RunBench1(bench.B1Config{
-			Profile: QuadXeon500(), Threads: threads, Size: 8192,
-			Pairs: benchPairs, Runs: 1, Seed: uint64(i + 1), Allocator: kind,
+			Profile: prof, Threads: threads, Size: 8192,
+			Pairs: benchPairs, Runs: 1, Seed: uint64(i + 1),
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -263,7 +263,7 @@ func torture(cfg tortureConfig) (tortureResult, error) {
 			checkErr = al.Check()
 		}
 		st := al.Stats()
-		res.peakCommitted = st.PeakCommitted
+		res.peakCommitted = as.Stats().PeakCommitted
 		res.emergencies = st.EmergencyScavenges
 		res.retries = st.OOMRetries
 		res.fails = st.OOMFails

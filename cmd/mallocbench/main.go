@@ -57,7 +57,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	kind := malloc.Kind(*allocator)
+	if *allocator != "" {
+		prof.Allocator = malloc.Kind(*allocator)
+	}
 
 	var tab *bench.Table
 	var record any // what -json writes; the bare table unless set below
@@ -65,7 +67,7 @@ func main() {
 	case "1":
 		res, err := bench.RunBench1(bench.B1Config{
 			Profile: prof, Threads: *threads, Processes: *processes,
-			Size: uint32(*size), Pairs: *pairs, Runs: *runs, Seed: *seed, Allocator: kind,
+			Size: uint32(*size), Pairs: *pairs, Runs: *runs, Seed: *seed,
 		})
 		if err != nil {
 			fatal(err)
@@ -75,11 +77,11 @@ func main() {
 		for i, s := range res.PerThread {
 			tab.AddRow(i+1, s.Mean, s.Stddev, s.Min, s.Max)
 		}
-		tab.Note("arenas at end of run 0: %d", res.Runs[0].ArenaCount)
+		tab.Note("arenas at end of run 0: %d", res.Runs[0].AllocStats.ArenaCount)
 	case "2":
 		res, err := bench.RunBench2(bench.B2Config{
 			Profile: prof, Threads: *threads, Rounds: *rounds, Objects: *objects,
-			Size: uint32(*size), Runs: *runs, Seed: *seed, Allocator: kind,
+			Size: uint32(*size), Runs: *runs, Seed: *seed,
 		})
 		if err != nil {
 			fatal(err)
@@ -87,14 +89,14 @@ func main() {
 		tab = &bench.Table{ID: "bench2", Title: fmt.Sprintf("%d threads x %d rounds, %d objects of %dB on %s", *threads, *rounds, *objects, *size, prof.Name),
 			Columns: []string{"run", "minor faults", "arenas", "peak heap(KB)"}}
 		for i, r := range res.Runs {
-			tab.AddRow(i+1, r.MinorFaults, r.ArenaCount, r.HeapBytes/1024)
+			tab.AddRow(i+1, r.VMStats.MinorFaults, r.AllocStats.ArenaCount, r.VMStats.PeakMapped/1024)
 		}
 		tab.Note("predictor mpf = %.1f; measured min %.0f avg %.1f max %.0f",
 			res.Predicted, res.Faults.Min, res.Faults.Mean, res.Faults.Max)
 	case "3":
 		res, err := bench.RunBench3(bench.B3Config{
 			Profile: prof, Threads: *threads, Size: uint32(*size), Writes: *writes,
-			Aligned: *aligned, Allocator: kind, Runs: *runs, Seed: *seed,
+			Aligned: *aligned, Runs: *runs, Seed: *seed,
 		})
 		if err != nil {
 			fatal(err)
@@ -109,7 +111,6 @@ func main() {
 		cfg.Threads = *threads
 		cfg.Runs = *runs
 		cfg.Seed = *seed
-		cfg.Allocator = kind
 		cfg.Telemetry = *telemetryPath != ""
 		res, err := bench.RunLarson(cfg)
 		if err != nil {
@@ -123,10 +124,10 @@ func main() {
 		for i, r := range res.Runs {
 			if *telemetryPath != "" {
 				h := r.Telemetry.Hist(telemetry.OpMalloc)
-				tab.AddRow(i+1, r.Throughput, r.WallSeconds, r.MinorFaults, r.ArenaCount,
+				tab.AddRow(i+1, r.Throughput, r.WallSeconds, r.VMStats.MinorFaults, r.AllocStats.ArenaCount,
 					h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999))
 			} else {
-				tab.AddRow(i+1, r.Throughput, r.WallSeconds, r.MinorFaults, r.ArenaCount)
+				tab.AddRow(i+1, r.Throughput, r.WallSeconds, r.VMStats.MinorFaults, r.AllocStats.ArenaCount)
 			}
 		}
 		if *telemetryPath != "" {

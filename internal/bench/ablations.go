@@ -20,8 +20,9 @@ func AblationArenaPolicy(o Options) (*Table, error) {
 	pairs := o.pairs()
 	base := 0.0
 	for _, kind := range []malloc.Kind{malloc.KindPTMalloc, malloc.KindSerial, malloc.KindPerThread} {
+		prof.Allocator = kind
 		r, err := RunBench1(B1Config{Profile: prof, Threads: 4, Size: 8192, Pairs: pairs,
-			Runs: 3, Seed: o.seed(), Allocator: kind})
+			Runs: 3, Seed: o.seed()})
 		if err != nil {
 			return nil, err
 		}

@@ -20,21 +20,14 @@ type B1Config struct {
 	Pairs     int
 	Runs      int
 	Seed      uint64
-	// Allocator overrides the profile default when non-empty (ablations).
-	Allocator malloc.Kind
-	// Costs overrides the profile's allocator cost params when non-nil
-	// (mid-tier ablations).
-	Costs *malloc.CostParams
 }
 
 // B1Run is one benchmark execution: per-worker elapsed seconds.
 type B1Run struct {
 	PerThread []float64
-	// ArenaCount is the number of arenas in instance 0 at the end.
-	ArenaCount int
 	// AllocStats is instance 0's allocator statistics at the end, so
-	// experiments can report trylock failures, cross-arena frees and cache
-	// hit rates alongside elapsed time.
+	// experiments can report arenas, trylock failures, cross-arena frees
+	// and cache hit rates alongside elapsed time.
 	AllocStats malloc.Stats
 }
 
@@ -73,7 +66,7 @@ func RunBench1(cfg B1Config) (B1Result, error) {
 }
 
 func runBench1Once(cfg B1Config, seed uint64) (B1Run, error) {
-	w := NewWorld(cfg.Profile.withAlloc(cfg.Allocator, cfg.Costs), seed)
+	w := NewWorld(cfg.Profile, seed)
 	out := B1Run{PerThread: make([]float64, cfg.Threads)}
 	err := w.Run(func(main *sim.Thread) {
 		// Build instances: one shared, or one per worker.
@@ -121,7 +114,6 @@ func runBench1Once(cfg B1Config, seed uint64) (B1Run, error) {
 		for _, inst := range insts {
 			malloc.ServiceOf(inst.Alloc).Stop(main)
 		}
-		out.ArenaCount = len(insts[0].Alloc.Arenas())
 		out.AllocStats = insts[0].Alloc.Stats()
 	})
 	return out, err

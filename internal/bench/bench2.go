@@ -6,6 +6,7 @@ import (
 	"mtmalloc/internal/malloc"
 	"mtmalloc/internal/sim"
 	"mtmalloc/internal/stats"
+	"mtmalloc/internal/vm"
 )
 
 // B2Config parameterizes benchmark 2, the heap-leak test: Threads chains of
@@ -36,11 +37,6 @@ type B2Config struct {
 	TouchObjects bool
 	Runs         int
 	Seed         uint64
-	// Allocator overrides the profile default when non-empty.
-	Allocator malloc.Kind
-	// Costs overrides the profile's allocator cost params when non-nil
-	// (mid-tier ablations).
-	Costs *malloc.CostParams
 }
 
 // b2Replace is the fraction of its objects each benchmark-2 round
@@ -52,13 +48,11 @@ func DefaultB2(p Profile) B2Config {
 	return B2Config{Profile: p, Threads: 1, Rounds: 1, Objects: 10000, Size: 40, Runs: 5, Seed: 1}
 }
 
-// B2Run is one execution's observables.
+// B2Run is one execution's observables, both snapshotted at the end: the
+// address space's (minor faults, peak mapped bytes, remote accesses) and
+// the allocator's (arenas, arena-lock acquisitions, depot traffic).
 type B2Run struct {
-	MinorFaults uint64
-	ArenaCount  int
-	HeapBytes   uint64 // peak mapped bytes
-	// AllocStats is the allocator's statistics at the end, so experiments
-	// can report arena-lock acquisitions and depot traffic per run.
+	VMStats    vm.Stats
 	AllocStats malloc.Stats
 }
 
@@ -91,14 +85,14 @@ func RunBench2(cfg B2Config) (B2Result, error) {
 	}
 	var xs []float64
 	for _, r := range res.Runs {
-		xs = append(xs, float64(r.MinorFaults))
+		xs = append(xs, float64(r.VMStats.MinorFaults))
 	}
 	res.Faults = stats.Summarize(xs)
 	return res, nil
 }
 
 func runBench2Once(cfg B2Config, seed uint64) (B2Run, error) {
-	w := NewWorld(cfg.Profile.withAlloc(cfg.Allocator, cfg.Costs), seed)
+	w := NewWorld(cfg.Profile, seed)
 	var out B2Run
 	err := w.Run(func(main *sim.Thread) {
 		inst, err := w.AddInstance(main)
@@ -190,10 +184,7 @@ func runBench2Once(cfg B2Config, seed uint64) (B2Run, error) {
 		}
 		svc.Stop(main)
 
-		st := as.Stats()
-		out.MinorFaults = st.MinorFaults
-		out.ArenaCount = len(al.Arenas())
-		out.HeapBytes = st.PeakMapped
+		out.VMStats = as.Stats()
 		out.AllocStats = al.Stats()
 	})
 	return out, err

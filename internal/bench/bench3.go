@@ -15,23 +15,20 @@ import (
 // allocator variant; normal uses default 8-byte alignment, so neighbouring
 // objects can share cache lines and ping-pong between CPUs.
 //
-// Allocator, when set, overrides the profile's default design so the
-// benchmark exercises that design's real placement (magazine refills, depot
-// spans, buddy carving) instead of only the main arena's, with an offloaded
-// kind's service threads running; Costs additionally overrides the allocator
-// cost params (LineAware placement, for one). The write loop itself still
-// advances analytically from the resulting sharing topology — the placement
-// is real, the 100M iterations are not replayed.
+// The objects come from the profile's allocator design (Profile.Allocator,
+// priced by Profile.AllocCosts), so the benchmark exercises that design's
+// real placement (magazine refills, depot spans, buddy carving, LineAware
+// quantization) with an offloaded kind's service threads running. The write
+// loop itself still advances analytically from the resulting sharing
+// topology — the placement is real, the 100M iterations are not replayed.
 type B3Config struct {
-	Profile   Profile
-	Threads   int
-	Size      uint32
-	Writes    int64
-	Aligned   bool
-	Allocator malloc.Kind
-	Costs     *malloc.CostParams
-	Runs      int
-	Seed      uint64
+	Profile Profile
+	Threads int
+	Size    uint32
+	Writes  int64
+	Aligned bool
+	Runs    int
+	Seed    uint64
 }
 
 // B3Run is one execution's observables.
@@ -77,7 +74,7 @@ func runBench3Once(cfg B3Config, seed uint64) (B3Run, error) {
 	if cfg.Aligned {
 		prof.HeapParams.Align = cache.LineSize
 	}
-	w := NewWorld(prof.withAlloc(cfg.Allocator, cfg.Costs), seed)
+	w := NewWorld(prof, seed)
 	var out B3Run
 	err := w.Run(func(main *sim.Thread) {
 		inst, err := w.AddInstance(main)

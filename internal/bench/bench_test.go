@@ -186,8 +186,8 @@ func TestFigure5SingleThreadMatchesPredictor(t *testing.T) {
 		if math.Abs(res.Faults.Mean-res.Predicted)/res.Predicted > 0.10 {
 			t.Errorf("rounds=%d: faults %.0f vs predictor %.0f", rounds, res.Faults.Mean, res.Predicted)
 		}
-		if res.Runs[0].ArenaCount != 1 {
-			t.Errorf("single thread grew %d arenas", res.Runs[0].ArenaCount)
+		if n := res.Runs[0].AllocStats.ArenaCount; n != 1 {
+			t.Errorf("single thread grew %d arenas", n)
 		}
 	}
 }
@@ -402,8 +402,10 @@ func TestAblationsSmoke(t *testing.T) {
 func TestAblationKindsRun(t *testing.T) {
 	// Every allocator kind must complete the bench1 loop.
 	for _, kind := range malloc.Kinds() {
-		r, err := RunBench1(B1Config{Profile: QuadXeon500(), Threads: 2, Size: 512,
-			Pairs: 5000, Runs: 1, Seed: 1, Allocator: kind})
+		prof := QuadXeon500()
+		prof.Allocator = kind
+		r, err := RunBench1(B1Config{Profile: prof, Threads: 2, Size: 512,
+			Pairs: 5000, Runs: 1, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -430,18 +432,17 @@ func TestTableRendering(t *testing.T) {
 // take fewer arena-lock acquisitions than PR 1's depot-less thread cache.
 func TestDepotCutsArenaLockAcqsOnBench2(t *testing.T) {
 	run := func(depotCapBytes int64) uint64 {
-		costs := QuadXeon500().AllocCosts
-		costs.DepotCapBytes = depotCapBytes
-		costs.MmapReuseCap = -1
-		costs.CacheAdaptive = -1
-		cfg := DefaultB2(QuadXeon500())
+		prof := QuadXeon500()
+		prof.Allocator = malloc.KindThreadCache
+		prof.AllocCosts.DepotCapBytes = depotCapBytes
+		prof.AllocCosts.MmapReuseCap = -1
+		prof.AllocCosts.CacheAdaptive = -1
+		cfg := DefaultB2(prof)
 		cfg.Threads = 4
 		cfg.Rounds = 2
 		cfg.Objects = 2000
 		cfg.BatchReplace = 100
 		cfg.Runs = 1
-		cfg.Allocator = malloc.KindThreadCache
-		cfg.Costs = &costs
 		res, err := RunBench2(cfg)
 		if err != nil {
 			t.Fatalf("bench2 (depot cap %d bytes): %v", depotCapBytes, err)
@@ -460,19 +461,19 @@ func TestDepotCutsArenaLockAcqsOnBench2(t *testing.T) {
 // mmap+munmap syscall count and the minor fault count.
 func TestReuseCutsSyscallsAndFaultsOnLarson(t *testing.T) {
 	run := func(reuseCap int64) (syscalls, faults uint64) {
-		costs := QuadXeon500().AllocCosts
-		costs.MmapReuseCap = reuseCap
-		costs.DepotCapBytes = -1
-		costs.CacheAdaptive = -1
-		cfg := LarsonConfig{Profile: QuadXeon500(), Threads: 2, Slots: 20,
-			MinSize: 160 * 1024, MaxSize: 160 * 1024, Ops: 300, Runs: 1, Seed: 1,
-			Allocator: malloc.KindThreadCache, Costs: &costs}
+		prof := QuadXeon500()
+		prof.Allocator = malloc.KindThreadCache
+		prof.AllocCosts.MmapReuseCap = reuseCap
+		prof.AllocCosts.DepotCapBytes = -1
+		prof.AllocCosts.CacheAdaptive = -1
+		cfg := LarsonConfig{Profile: prof, Threads: 2, Slots: 20,
+			MinSize: 160 * 1024, MaxSize: 160 * 1024, Ops: 300, Runs: 1, Seed: 1}
 		res, err := RunLarson(cfg)
 		if err != nil {
 			t.Fatalf("larson (reuse cap %d): %v", reuseCap, err)
 		}
 		r := res.Runs[0]
-		return r.VMStats.MmapCalls + r.VMStats.MunmapCalls, r.MinorFaults
+		return r.VMStats.MmapCalls + r.VMStats.MunmapCalls, r.VMStats.MinorFaults
 	}
 	sysOff, faultsOff := run(-1)
 	sysOn, faultsOn := run(4 << 20)
@@ -498,9 +499,7 @@ func TestScavengerFootprintDecay(t *testing.T) {
 		cfg.Phases = []Phase{{Ops: 8000, IdleSeconds: 0.06}, {Ops: 8000}}
 		cfg.SamplePeriodSeconds = 0.002
 		if scav {
-			costs := prof.AllocCosts
-			costs.ScavengeInterval = 1_000_000
-			cfg.Costs = &costs
+			cfg.Profile.AllocCosts.ScavengeInterval = 1_000_000
 		}
 		r, err := RunFootprint(cfg)
 		if err != nil {
@@ -545,7 +544,7 @@ func TestBinnedReleaseFootprintDecay(t *testing.T) {
 		cfg.LargeSlots = 2
 		cfg.Phases = []Phase{{Ops: 8000, IdleSeconds: 0.06}, {Ops: 8000}}
 		cfg.SamplePeriodSeconds = 0.002
-		costs := prof.AllocCosts
+		costs := &cfg.Profile.AllocCosts
 		costs.ScavengeInterval = 1_000_000
 		if binned {
 			costs.ScavengeMinBinBytes = 4096
@@ -553,7 +552,6 @@ func TestBinnedReleaseFootprintDecay(t *testing.T) {
 			// resident bin pad down with it or nothing clears the floor.
 			costs.ScavengeBinPad = 64 << 10
 		}
-		cfg.Costs = &costs
 		r, err := RunFootprint(cfg)
 		if err != nil {
 			t.Fatalf("footprint (binned=%v): %v", binned, err)
@@ -635,14 +633,16 @@ func TestLarsonShapesHonourMemLimit(t *testing.T) {
 	for _, sh := range shapes {
 		sh := sh
 		t.Run(sh.name, func(t *testing.T) {
-			cfg := LarsonConfig{Profile: QuadXeon500(), Threads: 4, Slots: 500, MinSize: 10, MaxSize: 400,
-				Ops: 4000, Runs: 1, Seed: 1, Allocator: malloc.KindSerial}
+			prof := QuadXeon500()
+			prof.Allocator = malloc.KindSerial
+			cfg := LarsonConfig{Profile: prof, Threads: 4, Slots: 500, MinSize: 10, MaxSize: 400,
+				Ops: 4000, Runs: 1, Seed: 1}
 			sh.shape(&cfg)
 			base, err := RunLarson(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.MemLimit = uint64(0.98 * float64(base.Runs[0].AllocStats.PeakCommitted))
+			cfg.MemLimit = uint64(0.98 * float64(base.Runs[0].VMStats.PeakCommitted))
 			res, err := RunLarson(cfg)
 			if err != nil {
 				t.Fatalf("under a commit limit at 0.98x peak: %v", err)

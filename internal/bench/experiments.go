@@ -347,9 +347,7 @@ func roundsSweep(o Options, prof Profile, threads int, rounds []int, runs int, i
 		res := results[i]
 		arenas := 0
 		for _, rr := range res.Runs {
-			if rr.ArenaCount > arenas {
-				arenas = rr.ArenaCount
-			}
+			arenas = max(arenas, rr.AllocStats.ArenaCount)
 		}
 		t.AddRow(r, res.Faults.Min, res.Faults.Mean, res.Faults.Max, res.Predicted,
 			fmt.Sprintf("%.0f%%", 100*res.Faults.RelSpread()), arenas)
@@ -454,8 +452,9 @@ func ExpDesigns(o Options) (*Table, error) {
 	}
 	var rows []row
 	for _, kind := range []malloc.Kind{malloc.KindPTMalloc, malloc.KindSerial, malloc.KindPerThread, malloc.KindThreadCache} {
+		prof.Allocator = kind
 		b1, err := RunBench1(B1Config{Profile: prof, Threads: 4, Size: 512, Pairs: pairs,
-			Runs: 3, Seed: o.seed(), Allocator: kind})
+			Runs: 3, Seed: o.seed()})
 		if err != nil {
 			return nil, err
 		}
@@ -464,7 +463,6 @@ func ExpDesigns(o Options) (*Table, error) {
 		b2cfg.Rounds = 4
 		b2cfg.Runs = 3
 		b2cfg.Seed = o.seed()
-		b2cfg.Allocator = kind
 		b2, err := RunBench2(b2cfg)
 		if err != nil {
 			return nil, err
@@ -474,7 +472,6 @@ func ExpDesigns(o Options) (*Table, error) {
 		lcfg.Ops = 20000
 		lcfg.Runs = 3
 		lcfg.Seed = o.seed()
-		lcfg.Allocator = kind
 		lar, err := RunLarson(lcfg)
 		if err != nil {
 			return nil, err
@@ -516,23 +513,24 @@ func ExpDesigns(o Options) (*Table, error) {
 // above-threshold Larson variant whose every object takes the mmap path, at
 // 1/2/4/8 threads.
 func ExpMidTier(o Options) (*Table, error) {
-	prof := QuadXeon500()
-	mk := func(depot, reuse, adaptive bool) *malloc.CostParams {
-		c := prof.AllocCosts
+	base := QuadXeon500()
+	base.Allocator = malloc.KindThreadCache
+	mk := func(depot, reuse, adaptive bool) Profile {
+		p := base
 		if !depot {
-			c.DepotCapBytes = -1
+			p.AllocCosts.DepotCapBytes = -1
 		}
 		if !reuse {
-			c.MmapReuseCap = -1
+			p.AllocCosts.MmapReuseCap = -1
 		}
 		if !adaptive {
-			c.CacheAdaptive = -1
+			p.AllocCosts.CacheAdaptive = -1
 		}
-		return &c
+		return p
 	}
 	configs := []struct {
-		name  string
-		costs *malloc.CostParams
+		name string
+		prof Profile
 	}{
 		{"pr1-baseline", mk(false, false, false)},
 		{"depot-only", mk(true, false, false)},
@@ -546,12 +544,12 @@ func ExpMidTier(o Options) (*Table, error) {
 	const runs = 2
 	for _, cfg := range configs {
 		for _, n := range []int{1, 2, 4, 8} {
-			b1, err := RunBench1(B1Config{Profile: prof, Threads: n, Size: 512, Pairs: pairs,
-				Runs: runs, Seed: o.seed(), Allocator: malloc.KindThreadCache, Costs: cfg.costs})
+			b1, err := RunBench1(B1Config{Profile: cfg.prof, Threads: n, Size: 512, Pairs: pairs,
+				Runs: runs, Seed: o.seed()})
 			if err != nil {
 				return nil, fmt.Errorf("D2 %s bench1 %dt: %w", cfg.name, n, err)
 			}
-			b2cfg := DefaultB2(prof)
+			b2cfg := DefaultB2(cfg.prof)
 			b2cfg.Threads = n
 			b2cfg.Rounds = 3
 			b2cfg.Objects = 4000
@@ -560,15 +558,12 @@ func ExpMidTier(o Options) (*Table, error) {
 			b2cfg.BatchReplace = 100
 			b2cfg.Runs = runs
 			b2cfg.Seed = o.seed()
-			b2cfg.Allocator = malloc.KindThreadCache
-			b2cfg.Costs = cfg.costs
 			b2, err := RunBench2(b2cfg)
 			if err != nil {
 				return nil, fmt.Errorf("D2 %s bench2 %dt: %w", cfg.name, n, err)
 			}
-			lcfg := LarsonConfig{Profile: prof, Threads: n, Slots: 40,
-				MinSize: 160 * 1024, MaxSize: 160 * 1024, Ops: 1200, Runs: runs, Seed: o.seed(),
-				Allocator: malloc.KindThreadCache, Costs: cfg.costs}
+			lcfg := LarsonConfig{Profile: cfg.prof, Threads: n, Slots: 40,
+				MinSize: 160 * 1024, MaxSize: 160 * 1024, Ops: 1200, Runs: runs, Seed: o.seed()}
 			lar, err := RunLarson(lcfg)
 			if err != nil {
 				return nil, fmt.Errorf("D2 %s larson %dt: %w", cfg.name, n, err)
@@ -584,8 +579,8 @@ func ExpMidTier(o Options) (*Table, error) {
 			}
 			for _, r := range lar.Runs {
 				syscalls += float64(r.VMStats.MmapCalls+r.VMStats.MunmapCalls) / nr
-				lfaults += float64(r.MinorFaults) / nr
-				reuses += float64(r.AllocStats.MmapReuses) / nr
+				lfaults += float64(r.VMStats.MinorFaults) / nr
+				reuses += float64(r.VMStats.MmapReuses) / nr
 			}
 			hitRate := "n/a"
 			if attempts > 0 {

@@ -34,11 +34,6 @@ type FootprintConfig struct {
 	// SamplePeriodSeconds is the footprint sampling interval.
 	SamplePeriodSeconds float64
 	Seed                uint64
-	// Allocator overrides the profile default when non-empty.
-	Allocator malloc.Kind
-	// Costs overrides the profile's allocator cost params when non-nil
-	// (scavenger ablations).
-	Costs *malloc.CostParams
 }
 
 // FootprintSample is one point of the footprint time series.
@@ -67,9 +62,10 @@ type FootprintRun struct {
 	AllocStats    malloc.Stats
 }
 
-// DefaultFootprint returns the D3 shape: a burst, a long idle, and a second
-// burst to measure the refault bill, on the quad Xeon.
+// DefaultFootprint returns the D3 shape on p running the thread cache: a
+// burst, a long idle, and a second burst to measure the refault bill.
 func DefaultFootprint(p Profile) FootprintConfig {
+	p.Allocator = malloc.KindThreadCache
 	return FootprintConfig{
 		Profile:             p,
 		Threads:             4,
@@ -80,7 +76,6 @@ func DefaultFootprint(p Profile) FootprintConfig {
 		Phases:              []Phase{{Ops: 40000, IdleSeconds: 0.08}, {Ops: 40000}},
 		SamplePeriodSeconds: 0.004,
 		Seed:                1,
-		Allocator:           malloc.KindThreadCache,
 	}
 }
 
@@ -90,7 +85,7 @@ func RunFootprint(cfg FootprintConfig) (FootprintRun, error) {
 	if cfg.Threads < 1 || cfg.Slots < 1 || len(cfg.Phases) == 0 || cfg.SamplePeriodSeconds <= 0 {
 		return FootprintRun{}, fmt.Errorf("footprint: bad config %+v", cfg)
 	}
-	w := NewWorld(cfg.Profile.withAlloc(cfg.Allocator, cfg.Costs), cfg.Seed)
+	w := NewWorld(cfg.Profile, cfg.Seed)
 	var out FootprintRun
 	err := w.Run(func(main *sim.Thread) {
 		inst, err := w.AddInstance(main)
@@ -283,12 +278,12 @@ func ExpFootprint(o Options) (*Table, error) {
 	configs := []struct {
 		name  string
 		kind  malloc.Kind
-		costs *malloc.CostParams
+		costs malloc.CostParams
 	}{
-		{"ptmalloc", malloc.KindPTMalloc, nil},
-		{"threadcache", malloc.KindThreadCache, nil},
-		{"threadcache+scav", malloc.KindThreadCache, &scavCosts},
-		{"threadcache+scav+binned", malloc.KindThreadCache, &binCosts},
+		{"ptmalloc", malloc.KindPTMalloc, prof.AllocCosts},
+		{"threadcache", malloc.KindThreadCache, prof.AllocCosts},
+		{"threadcache+scav", malloc.KindThreadCache, scavCosts},
+		{"threadcache+scav+binned", malloc.KindThreadCache, binCosts},
 	}
 	t := &Table{ID: "D3", Title: "footprint under phase shifts, quad Xeon: burst / idle 80ms / burst, 4 threads, 512B + 160KB slots",
 		Columns: []string{"config", "t(ms)", "resident(KB)", "parked(KB)", "footprint(KB)"}}
@@ -300,8 +295,8 @@ func ExpFootprint(o Options) (*Table, error) {
 	for _, c := range configs {
 		cfg := DefaultFootprint(prof)
 		cfg.Seed = o.seed()
-		cfg.Allocator = c.kind
-		cfg.Costs = c.costs
+		cfg.Profile.Allocator = c.kind
+		cfg.Profile.AllocCosts = c.costs
 		for i := range cfg.Phases {
 			cfg.Phases[i].Ops = ops
 		}

@@ -58,11 +58,6 @@ type LarsonConfig struct {
 	Rotate bool
 	Runs   int
 	Seed   uint64
-	// Allocator overrides the profile default when non-empty.
-	Allocator malloc.Kind
-	// Costs overrides the profile's allocator cost params when non-nil
-	// (mid-tier ablations).
-	Costs *malloc.CostParams
 	// MemLimit, when > 0, caps the instance's committed bytes
 	// (vm.SetMemLimit) before the workload starts: growth past it fails
 	// with vm.ErrNoMem and the allocator's emergency cascade takes over. A
@@ -91,13 +86,11 @@ func DefaultLarson(p Profile) LarsonConfig {
 type LarsonRun struct {
 	WallSeconds float64
 	Throughput  float64 // replace ops per simulated second, all threads
-	MinorFaults uint64
-	ArenaCount  int
 	// OOMSkips counts slot refills abandoned because even the emergency
 	// cascade could not free enough memory (MemLimit runs only).
 	OOMSkips uint64
-	// VMStats and AllocStats expose the run's syscall, fault and reuse
-	// counters for the above-threshold (mmap-path) variants.
+	// VMStats and AllocStats snapshot the address space (syscalls, faults,
+	// reuse) and the allocator (arenas, tiers) at the end of the run.
 	VMStats    vm.Stats
 	AllocStats malloc.Stats
 	// Telemetry holds the run's recorder when LarsonConfig.Telemetry is
@@ -152,7 +145,7 @@ func RunLarson(cfg LarsonConfig) (LarsonResult, error) {
 // r workers ahead behind a barrier. Producers run the same loop, dealing
 // each displaced object to a consumer's box instead of freeing it.
 func runLarsonOnce(cfg LarsonConfig, seed uint64) (LarsonRun, error) {
-	w := NewWorld(cfg.Profile.withAlloc(cfg.Allocator, cfg.Costs), seed)
+	w := NewWorld(cfg.Profile, seed)
 	var out LarsonRun
 	err := w.Run(func(main *sim.Thread) {
 		inst, err := w.AddInstance(main)
@@ -335,8 +328,6 @@ func runLarsonOnce(cfg LarsonConfig, seed uint64) (LarsonRun, error) {
 		out.WallSeconds = wall
 		out.Throughput = float64(cfg.Ops*workers) / wall
 		out.VMStats = as.Stats()
-		out.MinorFaults = out.VMStats.MinorFaults
-		out.ArenaCount = len(al.Arenas())
 		out.AllocStats = al.Stats()
 		out.OOMSkips = oomSkips
 	})

@@ -18,17 +18,6 @@ import (
 // counter: every fault, memory-served miss and reuse hand-out that crossed
 // a node boundary and paid the RemoteAccess multiplier.
 
-// d4LarsonCosts returns the threadcache costs for the D4 Larson runs: the
-// reuse cap is raised so the in-flight large regions never hit
-// FIFO eviction (which would turn placement noise into syscall noise), and
-// the placement mode is the one knob under study.
-func d4LarsonCosts(p Profile, blind bool) *malloc.CostParams {
-	c := p.AllocCosts
-	c.MmapReuseCap = 128 << 20
-	c.NUMANodeBlind = blind
-	return &c
-}
-
 // ExpLocality (D4) compares node-blind and node-sharded placement on
 // benchmark 2 (producer/consumer chains: every round's successor frees its
 // predecessor's chunks, the cross-node free generator) and a Larson variant
@@ -50,6 +39,7 @@ func ExpLocality(o Options) (*Table, error) {
 	larRemote := make(map[key]float64)
 	for _, nodes := range []int{1, 2, 4} {
 		prof := NUMAServer(nodes)
+		prof.Allocator = malloc.KindThreadCache
 		for _, blind := range []bool{true, false} {
 			mode := "node-sharded"
 			if blind {
@@ -64,31 +54,31 @@ func ExpLocality(o Options) (*Table, error) {
 				b2cfg.TouchObjects = true
 				b2cfg.Runs = 1
 				b2cfg.Seed = o.seed()
-				b2cfg.Allocator = malloc.KindThreadCache
-				b2costs := prof.AllocCosts
-				b2costs.NUMANodeBlind = blind
-				b2cfg.Costs = &b2costs
+				b2cfg.Profile.AllocCosts.NUMANodeBlind = blind
 				b2, err := RunBench2(b2cfg)
 				if err != nil {
 					return nil, fmt.Errorf("D4 %s %s bench2 %dt: %w", prof.Name, mode, n, err)
 				}
-				b2s := b2.Runs[0].AllocStats
+				b2r := b2.Runs[0]
 
 				lcfg := LarsonConfig{Profile: prof, Threads: n, Slots: 32,
 					MinSize: 132 * 1024, MaxSize: 148 * 1024, Ops: larOps, Runs: 1,
-					TouchObjects: true, Seed: o.seed(), Allocator: malloc.KindThreadCache,
-					Costs: d4LarsonCosts(prof, blind)}
+					TouchObjects: true, Seed: o.seed()}
+				// The reuse cap is raised so the in-flight large regions
+				// never hit FIFO eviction (which would turn placement noise
+				// into syscall noise); placement is the one knob under study.
+				lcfg.Profile.AllocCosts.MmapReuseCap = 128 << 20
+				lcfg.Profile.AllocCosts.NUMANodeBlind = blind
 				lar, err := RunLarson(lcfg)
 				if err != nil {
 					return nil, fmt.Errorf("D4 %s %s larson %dt: %w", prof.Name, mode, n, err)
 				}
-				ls := lar.Runs[0].AllocStats
 				lvs := lar.Runs[0].VMStats
-				larRemote[key{nodes, n, blind}] = float64(ls.RemoteAccesses)
+				larRemote[key{nodes, n, blind}] = float64(lvs.RemoteAccesses)
 
 				t.AddRow(prof.Name, mode, n,
-					b2s.RemoteAccesses, b2s.RemoteFrees, b2.Runs[0].MinorFaults,
-					ls.RemoteAccesses, fmt.Sprintf("%.1f", float64(ls.RemoteAccessCycles)/1000),
+					b2r.VMStats.RemoteAccesses, b2r.AllocStats.RemoteFrees, b2r.VMStats.MinorFaults,
+					lvs.RemoteAccesses, fmt.Sprintf("%.1f", float64(lvs.RemoteAccessCycles)/1000),
 					lvs.ReuseRemoteHands, fmt.Sprintf("%.0f", lar.Runs[0].Throughput))
 			}
 		}

@@ -22,8 +22,9 @@ func TestOffloadedLarsonDeterministic(t *testing.T) {
 				cfg := LarsonConfig{
 					Profile: NUMAServerScale(2, 8), Threads: 8, Slots: 50,
 					MinSize: 10, MaxSize: 100, Ops: 300, Runs: 1, Seed: 7,
-					Rotate: true, Allocator: kind, Telemetry: true,
+					Rotate: true, Telemetry: true,
 				}
+				cfg.Profile.Allocator = kind
 				res, err := RunLarson(cfg)
 				if err != nil {
 					t.Fatalf("RunLarson: %v", err)
@@ -35,9 +36,9 @@ func TestOffloadedLarsonDeterministic(t *testing.T) {
 				t.Errorf("throughput/wall differ across identical runs: %v/%v vs %v/%v",
 					a.Throughput, a.WallSeconds, b.Throughput, b.WallSeconds)
 			}
-			if a.MinorFaults != b.MinorFaults || a.ArenaCount != b.ArenaCount {
+			if a.VMStats.MinorFaults != b.VMStats.MinorFaults || a.AllocStats.ArenaCount != b.AllocStats.ArenaCount {
 				t.Errorf("faults/arenas differ: %d/%d vs %d/%d",
-					a.MinorFaults, a.ArenaCount, b.MinorFaults, b.ArenaCount)
+					a.VMStats.MinorFaults, a.AllocStats.ArenaCount, b.VMStats.MinorFaults, b.AllocStats.ArenaCount)
 			}
 			if !reflect.DeepEqual(a.AllocStats, b.AllocStats) {
 				t.Errorf("allocator stats differ:\n%+v\nvs\n%+v", a.AllocStats, b.AllocStats)
@@ -61,10 +62,11 @@ func TestOffloadedLarsonDeterministic(t *testing.T) {
 // harness start an offloaded kind's service threads, so a -svc kind there
 // measures the mailbox design rather than silently running inline.
 func TestHarnessesRunTheService(t *testing.T) {
-	svc := malloc.KindThreadCacheSvc
+	prof := QuadXeon500()
+	prof.Allocator = malloc.KindThreadCacheSvc
 	for _, processes := range []bool{false, true} {
-		res, err := RunBench1(B1Config{Profile: QuadXeon500(), Threads: 2, Processes: processes,
-			Size: 64, Pairs: 2000, Runs: 1, Seed: 1, Allocator: svc})
+		res, err := RunBench1(B1Config{Profile: prof, Threads: 2, Processes: processes,
+			Size: 64, Pairs: 2000, Runs: 1, Seed: 1})
 		if err != nil {
 			t.Fatalf("RunBench1 (processes %v): %v", processes, err)
 		}
@@ -72,16 +74,18 @@ func TestHarnessesRunTheService(t *testing.T) {
 			t.Errorf("RunBench1 (processes %v): no service epoch ran", processes)
 		}
 	}
-	b2, err := RunBench2(B2Config{Profile: QuadXeon500(), Threads: 2, Rounds: 2, Objects: 500,
-		Size: 40, Runs: 1, Seed: 1, Allocator: svc})
+	b2, err := RunBench2(B2Config{Profile: prof, Threads: 2, Rounds: 2, Objects: 500,
+		Size: 40, Runs: 1, Seed: 1})
 	if err != nil {
 		t.Fatalf("RunBench2: %v", err)
 	}
 	if b2.Runs[0].AllocStats.SvcEpochs == 0 {
 		t.Error("RunBench2: no service epoch ran")
 	}
-	pl, err := RunPlacement(PlacementConfig{Profile: NUMAServerScale(2, 4), Threads: 3, Sizes: []uint32{16, 24, 56},
-		ObjsPerConsumer: 40, WorkingSet: 4, QueueDepth: 4, Allocator: svc, Seed: 1})
+	numa := NUMAServerScale(2, 4)
+	numa.Allocator = malloc.KindThreadCacheSvc
+	pl, err := RunPlacement(PlacementConfig{Profile: numa, Threads: 3, Sizes: []uint32{16, 24, 56},
+		ObjsPerConsumer: 40, WorkingSet: 4, QueueDepth: 4, Seed: 1})
 	if err != nil {
 		t.Fatalf("RunPlacement: %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"mtmalloc/internal/malloc"
 	"mtmalloc/internal/sim"
+	"mtmalloc/internal/vm"
 )
 
 // This file is experiment D9, the allocation-placement study. The paper's
@@ -51,13 +52,13 @@ type PlacementConfig struct {
 	// QueueDepth bounds each consumer's handoff queue; the producer polls
 	// (charged) when a queue is full, consumers poll when empty.
 	QueueDepth int
-	Allocator  malloc.Kind
-	Costs      *malloc.CostParams
 	Seed       uint64
 }
 
-// DefaultPlacement fills the workload constants the D9 sweep uses.
+// DefaultPlacement fills the workload constants the D9 sweep uses, on p
+// running the thread cache.
 func DefaultPlacement(p Profile) PlacementConfig {
+	p.Allocator = malloc.KindThreadCache
 	return PlacementConfig{
 		Profile:         p,
 		Threads:         2,
@@ -65,7 +66,6 @@ func DefaultPlacement(p Profile) PlacementConfig {
 		ObjsPerConsumer: 300,
 		WorkingSet:      32,
 		QueueDepth:      4,
-		Allocator:       malloc.KindThreadCache,
 		Seed:            1,
 	}
 }
@@ -76,12 +76,12 @@ type PlacementRun struct {
 	// Throughput is handoffs (objects produced, written and freed) per
 	// simulated second.
 	Throughput float64
-	// AllocStats snapshots the allocator at the end of the run: the fill-
-	// class counters (FillC2C is the coherence-transfer currency), the
-	// placement overhead counters and the usual tier stats.
+	// VMStats snapshots the address space at the end of the run: the fill-
+	// class counters (FillC2C is the coherence-transfer currency) and the
+	// resident footprint. AllocStats snapshots the allocator: the placement
+	// overhead counters and the usual tier stats.
+	VMStats    vm.Stats
 	AllocStats malloc.Stats
-	// ResidentBytes is the address space's resident footprint at the end.
-	ResidentBytes uint64
 	// SharedMagazineLines is the end-of-run count of cache lines split
 	// between live magazines (zero by construction under LineAware).
 	SharedMagazineLines int
@@ -117,7 +117,7 @@ func RunPlacement(cfg PlacementConfig) (PlacementRun, error) {
 	if len(cfg.Sizes) == 0 || cfg.ObjsPerConsumer < 1 || cfg.WorkingSet < 1 || cfg.QueueDepth < 1 {
 		return PlacementRun{}, fmt.Errorf("placement: bad config %+v", cfg)
 	}
-	w := NewWorld(cfg.Profile.withAlloc(cfg.Allocator, cfg.Costs), cfg.Seed)
+	w := NewWorld(cfg.Profile, cfg.Seed)
 	var out PlacementRun
 	err := w.Run(func(main *sim.Thread) {
 		inst, err := w.AddInstance(main)
@@ -228,8 +228,8 @@ func RunPlacement(cfg PlacementConfig) (PlacementRun, error) {
 			out.Throughput = float64(consumers*cfg.ObjsPerConsumer) / out.WallSeconds
 		}
 		svc.Stop(main)
+		out.VMStats = as.Stats()
 		out.AllocStats = al.Stats()
-		out.ResidentBytes = as.Stats().ResidentBytes
 		if sm, ok := al.(interface{ SharedMagazineLines() int }); ok {
 			out.SharedMagazineLines = sm.SharedMagazineLines()
 		}
@@ -263,13 +263,9 @@ func ExpPlacement(o Options) (*Table, error) {
 		cfg := DefaultPlacement(p)
 		cfg.Threads = n
 		cfg.ObjsPerConsumer = objs
-		cfg.Allocator = kind
+		cfg.Profile.Allocator = kind
+		cfg.Profile.AllocCosts.LineAware = aware
 		cfg.Seed = o.seed()
-		if aware {
-			costs := p.AllocCosts
-			costs.LineAware = true
-			cfg.Costs = &costs
-		}
 		return RunPlacement(cfg)
 	}
 	mode := func(aware bool) string {
@@ -285,9 +281,9 @@ func ExpPlacement(o Options) (*Table, error) {
 				if err != nil {
 					return nil, fmt.Errorf("D9 %s %s %dt: %w", kind, mode(aware), n, err)
 				}
-				s := r.AllocStats
+				vs, s := r.VMStats, r.AllocStats
 				t.AddRow(string(kind), mode(aware), n, fmt.Sprintf("%.0f", r.Throughput),
-					s.FillC2C, s.FillC2CCycles, s.FillRemote, r.ResidentBytes/1024,
+					vs.FillC2C, vs.FillC2CCycles, vs.FillRemote, vs.ResidentBytes/1024,
 					s.LineQuantBytes, s.LineColorBytes, r.SharedMagazineLines)
 				seen[key{kind, aware, n}] = r
 			}
@@ -305,18 +301,19 @@ func ExpPlacement(o Options) (*Table, error) {
 	for _, kind := range kinds {
 		for _, n := range threadCounts {
 			bl, aw := seen[key{kind, false, n}], seen[key{kind, true, n}]
-			if bl.AllocStats.FillC2CCycles == 0 || bl.Throughput == 0 || bl.ResidentBytes == 0 {
+			bv, av := bl.VMStats, aw.VMStats
+			if bv.FillC2CCycles == 0 || bl.Throughput == 0 || bv.ResidentBytes == 0 {
 				continue
 			}
-			cut := 100 * (1 - float64(aw.AllocStats.FillC2CCycles)/float64(bl.AllocStats.FillC2CCycles))
+			cut := 100 * (1 - float64(av.FillC2CCycles)/float64(bv.FillC2CCycles))
 			ratio := aw.Throughput / bl.Throughput
-			res := float64(aw.ResidentBytes)/float64(bl.ResidentBytes) - 1
+			res := float64(av.ResidentBytes)/float64(bv.ResidentBytes) - 1
 			label := ""
 			if n == 2 {
 				label = " [control: 1 consumer, no false sharing possible]"
 			}
 			t.Note("%s %dt: C2C cycles %d -> %d (cut %.1f%%), throughput %.2fx blind, resident %+.1f%%, shared magazine lines %d -> %d%s",
-				kind, n, bl.AllocStats.FillC2CCycles, aw.AllocStats.FillC2CCycles, cut, ratio,
+				kind, n, bv.FillC2CCycles, av.FillC2CCycles, cut, ratio,
 				100*res, bl.SharedMagazineLines, aw.SharedMagazineLines, label)
 			if n == 2 {
 				continue
@@ -343,9 +340,9 @@ func ExpPlacement(o Options) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("D9 4-node %s: %w", mode(aware), err)
 		}
-		s := r.AllocStats
+		vs := r.VMStats
 		t.Note("4-node probe, threadcache 8t %s: %.0f objs/s, C2C cycles %d, remote-access cycles %d, resident %d KB",
-			mode(aware), r.Throughput, s.FillC2CCycles, s.RemoteAccessCycles, r.ResidentBytes/1024)
+			mode(aware), r.Throughput, vs.FillC2CCycles, vs.RemoteAccessCycles, vs.ResidentBytes/1024)
 	}
 
 	t.Note("workload: 1 producer allocates a %d/%d/%dB size rotation — one same-size object per consumer each round, so span-adjacent chunks go to different consumers — initializes front+back, and deals over depth-4 queues; each consumer holds a 32-object working set, re-writing every held object's front+back per arrival, and frees the oldest (cross-thread) — the paper's bench-3 pattern through real allocator placement",

@@ -32,7 +32,8 @@ func ExpPressure(o Options) (*Table, error) {
 	for _, kind := range malloc.Kinds() {
 		for _, wl := range []string{"flat", "phases"} {
 			cfg := LarsonConfig{Profile: prof, Threads: 4, Slots: 500,
-				MinSize: 10, MaxSize: 400, Ops: ops, Runs: 1, Seed: o.seed(), Allocator: kind}
+				MinSize: 10, MaxSize: 400, Ops: ops, Runs: 1, Seed: o.seed()}
+			cfg.Profile.Allocator = kind
 			if wl == "phases" {
 				cfg.Phases = []Phase{{Ops: ops / 2, IdleSeconds: 0.02}, {Ops: ops - ops/2}}
 			}
@@ -41,7 +42,7 @@ func ExpPressure(o Options) (*Table, error) {
 				return nil, fmt.Errorf("D6 %s %s baseline: %w", kind, wl, err)
 			}
 			br := base.Runs[0]
-			peak := br.AllocStats.PeakCommitted
+			peak := br.VMStats.PeakCommitted
 			t.AddRow(string(kind), wl, "none", peak/1024,
 				fmt.Sprintf("%.0f", br.Throughput), "1.00", 0, 0, 0, 0)
 			failedAt := 0.0

@@ -66,14 +66,15 @@ func TestReplayBench1(t *testing.T) {
 	for _, g := range goldens {
 		g := g
 		t.Run(string(g.kind), func(t *testing.T) {
+			prof := QuadXeon500()
+			prof.Allocator = g.kind
 			cfg := B1Config{
-				Profile:   QuadXeon500(),
-				Threads:   4,
-				Size:      512,
-				Pairs:     20000,
-				Runs:      1,
-				Seed:      1,
-				Allocator: g.kind,
+				Profile: prof,
+				Threads: 4,
+				Size:    512,
+				Pairs:   20000,
+				Runs:    1,
+				Seed:    1,
 			}
 			res, err := RunBench1(cfg)
 			if err != nil {
@@ -88,8 +89,8 @@ func TestReplayBench1(t *testing.T) {
 			}
 			wantu(t, "TrylockFailures", run.AllocStats.TrylockFailures, g.trylock)
 			wantu(t, "ArenaLockAcqs", run.AllocStats.ArenaLockAcqs, g.lockAcqs)
-			if run.ArenaCount != g.arenas {
-				t.Errorf("ArenaCount = %d, want %d", run.ArenaCount, g.arenas)
+			if run.AllocStats.ArenaCount != g.arenas {
+				t.Errorf("ArenaCount = %d, want %d", run.AllocStats.ArenaCount, g.arenas)
 			}
 		})
 	}
@@ -141,12 +142,8 @@ func TestReplayLarson(t *testing.T) {
 			cfg.Ops = 3000
 			cfg.Runs = 1
 			cfg.Seed = 1
-			cfg.Allocator = g.kind
-			if g.lineAware {
-				costs := prof.AllocCosts
-				costs.LineAware = true
-				cfg.Costs = &costs
-			}
+			cfg.Profile.Allocator = g.kind
+			cfg.Profile.AllocCosts.LineAware = g.lineAware
 			res, err := RunLarson(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -154,7 +151,7 @@ func TestReplayLarson(t *testing.T) {
 			run := res.Runs[0]
 			st := run.AllocStats
 			wantf(t, "Throughput", run.Throughput, g.throughput)
-			wantu(t, "MinorFaults", run.MinorFaults, g.faults)
+			wantu(t, "MinorFaults", run.VMStats.MinorFaults, g.faults)
 			wantu(t, "ArenaLockAcqs", st.ArenaLockAcqs, g.lockAcqs)
 			wantu(t, "DepotHits", st.DepotHits, g.depotHits)
 			wantu(t, "DepotDonates", st.DepotDonates, g.depotD)
@@ -188,26 +185,23 @@ func TestReplayD4Locality(t *testing.T) {
 			name = "blind"
 		}
 		t.Run(name, func(t *testing.T) {
-			prof := NUMAServer(4)
-			costs := prof.AllocCosts
-			costs.NUMANodeBlind = g.blind
-			cfg := DefaultLarson(prof)
+			cfg := DefaultLarson(NUMAServer(4))
 			cfg.Threads = 8
 			cfg.Ops = 2000
 			cfg.Runs = 1
 			cfg.Seed = 1
 			cfg.TouchObjects = true
-			cfg.Allocator = malloc.KindThreadCache
-			cfg.Costs = &costs
+			cfg.Profile.Allocator = malloc.KindThreadCache
+			cfg.Profile.AllocCosts.NUMANodeBlind = g.blind
 			res, err := RunLarson(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			run := res.Runs[0]
 			wantf(t, "Throughput", run.Throughput, g.throughput)
-			wantu(t, "RemoteAccesses", run.AllocStats.RemoteAccesses, g.remote)
+			wantu(t, "RemoteAccesses", run.VMStats.RemoteAccesses, g.remote)
 			wantu(t, "RemoteFrees", run.AllocStats.RemoteFrees, g.remFrees)
-			wantu(t, "MinorFaults", run.MinorFaults, g.faults)
+			wantu(t, "MinorFaults", run.VMStats.MinorFaults, g.faults)
 		})
 	}
 }
@@ -223,8 +217,8 @@ func TestReplayD3Scavenge(t *testing.T) {
 	cfg.Ops = 2500
 	cfg.Runs = 1
 	cfg.Seed = 1
-	cfg.Allocator = malloc.KindThreadCache
-	cfg.Costs = &costs
+	cfg.Profile.Allocator = malloc.KindThreadCache
+	cfg.Profile.AllocCosts = costs
 	cfg.Phases = []Phase{{Ops: 1500, IdleSeconds: 0.05}, {Ops: 1000}}
 	res, err := RunLarson(cfg)
 	if err != nil {
@@ -234,5 +228,5 @@ func TestReplayD3Scavenge(t *testing.T) {
 	wantf(t, "Throughput", run.Throughput, "0x1.707b0c236991dp+17")
 	wantu(t, "ScavengeEpochs", run.AllocStats.ScavengeEpochs, 2)
 	wantu(t, "ScavengeBytes", run.AllocStats.ScavengeBytes, 130224)
-	wantu(t, "PagesReleased", run.AllocStats.PagesReleased, 0)
+	wantu(t, "PagesReleased", run.VMStats.PagesReleased, 0)
 }

@@ -45,7 +45,8 @@ func ExpScaling(o Options) (*Table, error) {
 	for _, kind := range malloc.Kinds() {
 		for _, n := range []int{8, 16, 32, 64} {
 			lcfg := LarsonConfig{Profile: prof, Threads: n, Slots: 200,
-				MinSize: 10, MaxSize: 100, Ops: ops, Runs: 1, Seed: o.seed(), Allocator: kind}
+				MinSize: 10, MaxSize: 100, Ops: ops, Runs: 1, Seed: o.seed()}
+			lcfg.Profile.Allocator = kind
 			lar, err := RunLarson(lcfg)
 			if err != nil {
 				return nil, fmt.Errorf("D5 %s larson %dt: %w", kind, n, err)
@@ -67,7 +68,8 @@ func ExpScaling(o Options) (*Table, error) {
 	for _, kind := range []malloc.Kind{malloc.KindThreadCache, malloc.KindLockFree} {
 		lcfg := LarsonConfig{Profile: OriginServer(4, 64), Threads: 32, Slots: 200,
 			MinSize: 10, MaxSize: 100, Ops: ops, Runs: 1, Seed: o.seed(),
-			Allocator: kind, TouchObjects: true}
+			TouchObjects: true}
+		lcfg.Profile.Allocator = kind
 		lar, err := RunLarson(lcfg)
 		if err != nil {
 			return nil, fmt.Errorf("D5 origin-touch %s: %w", kind, err)
@@ -78,7 +80,8 @@ func ExpScaling(o Options) (*Table, error) {
 		for _, n := range []int{16, 32, 64} {
 			lcfg := LarsonConfig{Profile: prof, Threads: n, Slots: 200,
 				MinSize: 10, MaxSize: 100, Ops: ops, Runs: 1, Seed: o.seed(),
-				Allocator: kind, Producers: n / 4}
+				Producers: n / 4}
+			lcfg.Profile.Allocator = kind
 			lar, err := RunLarson(lcfg)
 			if err != nil {
 				return nil, fmt.Errorf("D5 imbalanced %s %dt: %w", kind, n, err)

@@ -50,7 +50,8 @@ func ExpServiceOffload(o Options) (*Table, error) {
 		for _, n := range threadCounts {
 			lcfg := LarsonConfig{Profile: prof, Threads: n, Slots: 200,
 				MinSize: 10, MaxSize: 100, Ops: ops, Runs: 1, Seed: o.seed(),
-				Rotate: true, Allocator: kind, Telemetry: true}
+				Rotate: true, Telemetry: true}
+			lcfg.Profile.Allocator = kind
 			lar, err := RunLarson(lcfg)
 			if err != nil {
 				return nil, fmt.Errorf("D10 %s larson %dt: %w", kind, n, err)
@@ -125,9 +126,8 @@ func ExpServiceOffload(o Options) (*Table, error) {
 	for _, c := range fpConfigs {
 		cfg := DefaultFootprint(prof)
 		cfg.Seed = o.seed()
-		cfg.Allocator = c.kind
-		costs := scavCosts
-		cfg.Costs = &costs
+		cfg.Profile.Allocator = c.kind
+		cfg.Profile.AllocCosts = scavCosts
 		for i := range cfg.Phases {
 			cfg.Phases[i].Ops = fpOps
 		}

@@ -52,7 +52,7 @@ func TestRoundsSweepMatchesSequential(t *testing.T) {
 		}
 		arenas := 0
 		for _, rr := range res.Runs {
-			arenas = max(arenas, rr.ArenaCount)
+			arenas = max(arenas, rr.AllocStats.ArenaCount)
 		}
 		want.AddRow(r, res.Faults.Min, res.Faults.Mean, res.Faults.Max, res.Predicted,
 			fmt.Sprintf("%.0f%%", 100*res.Faults.RelSpread()), arenas)

@@ -28,7 +28,7 @@ func telemetryLarsonConfig() LarsonConfig {
 	cfg.Ops = 3000
 	cfg.Runs = 1
 	cfg.Seed = 1
-	cfg.Allocator = malloc.KindThreadCache
+	cfg.Profile.Allocator = malloc.KindThreadCache
 	cfg.Telemetry = true
 	return cfg
 }
@@ -42,7 +42,7 @@ func TestTelemetryLeavesLarsonGoldenIdentical(t *testing.T) {
 	// Goldens from TestReplayLarson (threadcache row), captured with
 	// telemetry off.
 	wantf(t, "Throughput", run.Throughput, "0x1.c9fdaee43f3d4p+21")
-	wantu(t, "MinorFaults", run.MinorFaults, 153)
+	wantu(t, "MinorFaults", run.VMStats.MinorFaults, 153)
 	wantu(t, "ArenaLockAcqs", run.AllocStats.ArenaLockAcqs, 306)
 	wantu(t, "DepotHits", run.AllocStats.DepotHits, 67)
 	wantu(t, "DepotDonates", run.AllocStats.DepotDonates, 145)
@@ -106,8 +106,8 @@ func TestTelemetryLeavesScavengeGoldenIdentical(t *testing.T) {
 	cfg.Ops = 2500
 	cfg.Runs = 1
 	cfg.Seed = 1
-	cfg.Allocator = malloc.KindThreadCache
-	cfg.Costs = &costs
+	cfg.Profile.Allocator = malloc.KindThreadCache
+	cfg.Profile.AllocCosts = costs
 	cfg.Phases = []Phase{{Ops: 1500, IdleSeconds: 0.05}, {Ops: 1000}}
 	cfg.Telemetry = true
 	res, err := RunLarson(cfg)
@@ -118,7 +118,7 @@ func TestTelemetryLeavesScavengeGoldenIdentical(t *testing.T) {
 	wantf(t, "Throughput", run.Throughput, "0x1.707b0c236991dp+17")
 	wantu(t, "ScavengeEpochs", run.AllocStats.ScavengeEpochs, 2)
 	wantu(t, "ScavengeBytes", run.AllocStats.ScavengeBytes, 130224)
-	wantu(t, "PagesReleased", run.AllocStats.PagesReleased, 0)
+	wantu(t, "PagesReleased", run.VMStats.PagesReleased, 0)
 	if run.Telemetry.EventCount() == 0 {
 		t.Error("no trace events from a phased scavenging run")
 	}

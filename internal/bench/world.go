@@ -44,23 +44,12 @@ func WithAllocator(kind malloc.Kind) WorldOption {
 	return func(w *World) { w.Profile.Allocator = kind }
 }
 
-// WithAllocCosts overrides the profile's allocator cost parameters, so
-// experiments can ablate individual tiers (transfer cache, mmap reuse,
-// adaptive marks) without defining a whole new profile.
+// WithAllocCosts overrides the profile's allocator cost parameters, so a
+// caller that builds its own world (heapcheck, perfbench) can turn on a
+// tier such as the scavenger without defining a whole new profile. The
+// harnesses take theirs from their config's Profile.
 func WithAllocCosts(costs malloc.CostParams) WorldOption {
 	return func(w *World) { w.Profile.AllocCosts = costs }
-}
-
-// withAlloc applies a harness config's Allocator and Costs overrides to p:
-// a non-empty kind and non-nil costs replace the profile's own.
-func (p Profile) withAlloc(kind malloc.Kind, costs *malloc.CostParams) Profile {
-	if kind != "" {
-		p.Allocator = kind
-	}
-	if costs != nil {
-		p.AllocCosts = *costs
-	}
-	return p
 }
 
 // WithGlobalKernelLock serializes all instances' VM syscalls on one kernel

@@ -228,9 +228,9 @@ func TestSpanColoringGauges(t *testing.T) {
 	}
 }
 
-// TestFillClassMirrors: the vm fill-class counters must flow into allocator
-// Stats, classify every charged access, and count a cross-CPU dirty handoff
-// as a cache-to-cache transfer.
+// TestFillClassMirrors: under an allocator's traffic the address space's
+// fill-class counters classify every charged access and count a cross-CPU
+// dirty handoff as a cache-to-cache transfer.
 func TestFillClassMirrors(t *testing.T) {
 	m, as := newWorld(2, 17)
 	err := m.Run(func(th *sim.Thread) {
@@ -249,16 +249,12 @@ func TestFillClassMirrors(t *testing.T) {
 			as.Write8(o, p, 2) // dirty in th's cache: a C2C fill
 		})
 		th.Join(other)
-		s := al.Stats()
+		s := as.Stats()
 		if s.FillC2C == 0 || s.FillC2CCycles == 0 {
 			t.Errorf("cross-CPU write of a dirty line not counted: C2C %d cycles %d", s.FillC2C, s.FillC2CCycles)
 		}
 		if s.FillLocal == 0 || s.FillRemote == 0 {
 			t.Errorf("fill classes missing: local %d remote %d", s.FillLocal, s.FillRemote)
-		}
-		vs := as.Stats()
-		if s.FillC2C != vs.FillC2C || s.FillLocal != vs.FillLocal || s.FillRemote != vs.FillRemote {
-			t.Errorf("allocator mirrors diverge from vm: %+v vs %+v", s, vs)
 		}
 	})
 	if err != nil {

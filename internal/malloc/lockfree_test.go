@@ -37,8 +37,8 @@ func TestLockFreeBatchAccounting(t *testing.T) {
 		if st.CachedChunks != 3 {
 			t.Errorf("CachedChunks = %d, want 3 (batch 4 minus the user chunk)", st.CachedChunks)
 		}
-		if st.BuddyAllocs != 1 {
-			t.Errorf("BuddyAllocs = %d, want 1 (one span carved)", st.BuddyAllocs)
+		if n := al.lf.bStats().Allocs; n != 1 {
+			t.Errorf("buddy Allocs = %d, want 1 (one span carved)", n)
 		}
 		if st.ArenaLockAcqs != 0 || st.DepotLockAcqs != 0 {
 			t.Errorf("lock acqs = %d arena / %d depot, want 0/0", st.ArenaLockAcqs, st.DepotLockAcqs)

@@ -63,9 +63,10 @@
 // and re-hands them out without a syscall or fresh first-touch faults.
 // ThreadCache enables it by default (DefaultMmapReuseCap); the paper's
 // designs leave it off so their measured syscall and fault counts stay
-// faithful. Stats reports all tiers:
+// faithful. Stats reports the allocator's own tiers:
 // Depot{Hits,Misses,Donates,Overflows,Chunks,Bytes}, CachedBytes,
-// CacheMark{Grows,Shrinks}, ArenaLockAcqs, and MmapReuses/MmapReuseBytes.
+// CacheMark{Grows,Shrinks} and ArenaLockAcqs; the reuse tier counts in the
+// address space's vm.Stats (MmapReuses, MmapReuseBytes, MmapReuseParked).
 //
 // # The four-tier hierarchy and its reclamation paths
 //
@@ -97,8 +98,9 @@
 // stages skip arenas with a malloc/free since the cutoff, so a mid-burst
 // arena is never forced into a madvise/refault ping-pong. Experiment D3
 // measures the result: burst footprint decays during idle phases while the
-// post-idle burst keeps its throughput. Stats carries the whole story in
-// the Scavenge* counters plus PagesReleased/Refaults.
+// post-idle burst keeps its throughput. Stats carries the allocator's side
+// in the Scavenge* counters; the address space's vm.Stats counts the pages
+// released and refaulted (PagesReleased, Refaults).
 //
 // # The locality model (NUMA node sharding)
 //
@@ -126,7 +128,7 @@
 //     in node order, so reclamation stays node-local too.
 //
 // The cost side lives in vm (the RemoteAccess multiplier on cross-node
-// faults, memory-served misses and hand-outs, mirrored into Stats as
+// faults, memory-served misses and hand-outs, counted in vm.Stats as
 // RemoteAccesses/RemoteAccessCycles/RemoteFaults). Experiment D4 compares
 // node-blind and node-sharded placement across 1/2/4-node machines; on one
 // node both configurations are the same single-shard code path and every
@@ -295,7 +297,12 @@ func DefaultCostParams() CostParams {
 	}
 }
 
-// Stats aggregates allocator-level counters.
+// Stats aggregates what the allocator counts or sums itself: its tiers, its
+// contention points, its scavenger and its arenas. Counters of the layers
+// below are not copied: faults, residency, the mmap reuse cache, the commit
+// meter, remote accesses and fill classes live in the address space's
+// vm.Stats (AddressSpace().Stats()), and the buddy backend's block counters
+// in heap.BuddyStats.
 type Stats struct {
 	Ops             uint64
 	MmapDirect      uint64
@@ -323,10 +330,6 @@ type Stats struct {
 	// ArenaLockAcqs sums the arenas' mutex acquisitions: the contention
 	// currency the transfer cache exists to save.
 	ArenaLockAcqs uint64
-	// Mmap-region reuse counters, mirrored from the address space.
-	MmapReuses      uint64 // above-threshold regions served without a syscall
-	MmapReuseBytes  uint64 // cumulative bytes served from the reuse cache
-	MmapReuseParked uint64 // bytes parked in the reuse cache right now
 	// Scavenger counters (all zero while scavenging is off).
 	ScavengeEpochs uint64 // decay passes run
 	// ScavengeBytes sums what every tier shed. Tiers overlap: magazine and
@@ -340,19 +343,9 @@ type Stats struct {
 	ScavengeReuseBytes  uint64 // parked mmap regions munmapped by age
 	ScavengeBinBytes    uint64 // binned-chunk interior bytes released to the kernel
 	ScavengeTrimBytes   uint64 // arena-top bytes released to the kernel
-	// Page-residency mirrors from the address space.
-	PagesReleased uint64 // pages handed back by ReleasePages — top trim and binned release (cumulative)
-	Refaults      uint64 // faults on pages the scavenger had released
 	// NUMA counters (all zero on 1-node machines).
 	RemoteFrees uint64 // frees of chunks owned by another node's arena (routed home, Hoard-style)
 	RemoteBytes uint64 // bytes those remote frees covered
-	// Remote-access mirrors from the address space: the cross-node events
-	// (faults, refaults, memory misses, reuse hand-outs), the extra cycles
-	// they paid — the currency experiment D4 compares placements in — and
-	// the fault subset.
-	RemoteAccesses     uint64
-	RemoteAccessCycles uint64
-	RemoteFaults       uint64
 	// Contention-point counters (experiment D5's currency). DepotLockAcqs
 	// sums the depot class-lock acquisitions — zero by construction on the
 	// lock-free depot, whose traffic shows up in the CAS counters instead.
@@ -373,20 +366,12 @@ type Stats struct {
 	SvcFlushPosts   uint64 // flush/remote batches posted to a mailbox
 	SvcFallbacks    uint64 // posts refused by a full mailbox (synchronous release)
 	SvcDrains       uint64 // posted batches the service thread drained
-	SvcRoutedSpans  uint64 // remote flush pieces posted straight into the owning node's mailbox
 	SvcPrefetches   uint64 // spans prefetched into mailboxes ahead of demand
 	SvcParkedChunks int    // chunks parked in mailboxes right now
 	SvcParkedBytes  uint64 // bytes parked in mailboxes right now
-	// Buddy page-backend counters (the lock-free kinds; mirrors heap.BuddyStats).
-	BuddyAllocs    uint64 // block allocations served by the buddy
-	BuddyFrees     uint64 // whole blocks returned to the buddy
-	BuddySplits    uint64 // block splits on the alloc path
-	BuddyMerges    uint64 // buddy coalesces on the free path
-	BuddyGrowLocks uint64 // grow-lock acquisitions (the only locked buddy path)
 	// Memory-pressure counters (pressure.go; all zero unless a commit limit
 	// or fault injection makes an allocation fail).
 	EmergencyScavenges uint64 // emergency reclamation cascade passes run
-	EmergencyBytes     uint64 // bytes those passes shed (all tiers)
 	OOMRetries         uint64 // allocations retried after a cascade pass
 	OOMFails           uint64 // allocations that still failed after the last retry
 	// PressureLevel is a gauge, not a counter: 0 calm, 1 an emergency pass
@@ -394,11 +379,6 @@ type Stats struct {
 	// parking disabled too). It decays back to 0 once allocations stop
 	// failing for a pressure window.
 	PressureLevel int
-	// Commit-limit mirrors from the address space (vm.SetMemLimit).
-	CommittedBytes uint64 // mapped-minus-released bytes charged right now
-	PeakCommitted  uint64 // high-water mark of CommittedBytes
-	CommitFails    uint64 // grows/commits refused by the limit
-	InjectedFaults uint64 // grows refused by fault injection instead
 	// Line-aware placement counters (CostParams.LineAware; all zero blind).
 	// LineQuantBytes is the cumulative internal fragmentation added by
 	// rounding chunk sizes to line multiples — the memory half of the D9
@@ -406,18 +386,9 @@ type Stats struct {
 	LineQuantBytes uint64 // extra bytes per malloc from line quantization (cumulative)
 	LineColorBytes uint64 // bytes currently sacrificed to span color offsets
 	LineColorSpans uint64 // buddy spans currently carrying a color offset
-	// Cache fill-class mirrors from the address space: every data access
-	// split by where the line came from. FillC2C — lines supplied dirty by
-	// another CPU — is the coherence-transfer currency experiment D9
-	// compares placements in.
-	FillLocal        uint64 // hits and upgrades: no data moved
-	FillLocalCycles  uint64
-	FillRemote       uint64 // misses served from memory (cold or clean)
-	FillRemoteCycles uint64
-	FillC2C          uint64 // cache-to-cache transfers from another CPU's dirty copy
-	FillC2CCycles    uint64
-	ArenaCount       int
-	Heap             heap.Stats // summed over arenas
+	// The arena list.
+	ArenaCount int        // arenas right now
+	Heap       heap.Stats // summed over arenas
 }
 
 // Allocator is the public allocator interface: the system malloc/free pair
@@ -438,10 +409,6 @@ type Allocator interface {
 	// counted toward sharing).
 	AttachThread(t *sim.Thread)
 	DetachThread(t *sim.Thread)
-
-	// CurrentArena reports which arena the thread last allocated from
-	// (nil if none); used by reports and tests.
-	CurrentArena(t *sim.Thread) *heap.Arena
 
 	Arenas() []*heap.Arena
 	AddressSpace() *vm.AddressSpace
@@ -538,8 +505,8 @@ type design interface {
 	// kinds' buddy-backed chunks), 0 for a chunk with a boundary tag.
 	spanClass(t *sim.Thread, mem uint64) uint32
 	// reclaim runs one emergency cascade pass at the given pressure level
-	// (escalated: the level just rose) and returns the bytes it shed.
-	reclaim(t *sim.Thread, level int, escalated bool) uint64
+	// (escalated: the level just rose).
+	reclaim(t *sim.Thread, level int, escalated bool)
 	// addStats adds the design's own tiers to s; check verifies them.
 	addStats(s *Stats)
 	check() error
@@ -594,10 +561,6 @@ func (b *base) DetachThread(t *sim.Thread) {
 		b.attached.set(t.ID(), false)
 		b.active--
 	}
-}
-
-func (b *base) CurrentArena(t *sim.Thread) *heap.Arena {
-	return b.lastArena.get(t.ID())
 }
 
 // Malloc allocates size bytes. An out-of-memory failure runs the emergency
@@ -742,17 +705,15 @@ func (b *base) calloc(t *sim.Thread, size uint32) (uint64, error) {
 	return mem, err
 }
 
-// Stats returns aggregated statistics. The vm mirrors and the arena sums
-// each go through one path — mirrorVMStats and heap.Stats.Add — so a
-// counter added to either layer cannot be silently dropped from the
-// allocator-level aggregate. Heap.Mallocs/Frees report user-level
-// operation counts (the raw per-arena numbers stay available through
-// Arenas()).
+// Stats returns aggregated statistics. The arena sums go through one path,
+// heap.Stats.Add, so a counter added to the heap layer cannot be silently
+// dropped from the allocator-level aggregate. Heap.Mallocs/Frees report
+// user-level operation counts (the raw per-arena numbers stay available
+// through Arenas()).
 func (b *base) Stats() Stats {
 	s := b.stats
 	s.ArenaCount = len(b.arenas)
 	s.PressureLevel = b.level
-	mirrorVMStats(&s, b.as.Stats())
 	for _, a := range b.arenas {
 		s.ArenaLockAcqs += a.Lock.Acquisitions
 		s.Heap.Add(a.Stats())
@@ -929,30 +890,6 @@ func (b *base) mallocOn(t *sim.Thread, a *heap.Arena, size uint32) (uint64, erro
 		b.lastArena.set(t.ID(), a)
 	}
 	return mem, err
-}
-
-// mirrorVMStats copies the address-space counters that Stats re-exports at
-// the allocator level: the reuse-cache tier, page residency, and the
-// cross-node access charges.
-func mirrorVMStats(s *Stats, vs vm.Stats) {
-	s.MmapReuses = vs.MmapReuses
-	s.MmapReuseBytes = vs.MmapReuseBytes
-	s.MmapReuseParked = vs.MmapReuseParked
-	s.PagesReleased = vs.PagesReleased
-	s.Refaults = vs.Refaults
-	s.RemoteAccesses = vs.RemoteAccesses
-	s.RemoteAccessCycles = vs.RemoteAccessCycles
-	s.RemoteFaults = vs.RemoteFaults
-	s.CommittedBytes = vs.CommittedBytes
-	s.PeakCommitted = vs.PeakCommitted
-	s.CommitFails = vs.CommitFails
-	s.InjectedFaults = vs.InjectedFaults
-	s.FillLocal = vs.FillLocal
-	s.FillLocalCycles = vs.FillLocalCycles
-	s.FillRemote = vs.FillRemote
-	s.FillRemoteCycles = vs.FillRemoteCycles
-	s.FillC2C = vs.FillC2C
-	s.FillC2CCycles = vs.FillC2CCycles
 }
 
 // noteQuant records the internal fragmentation one allocation pays for line

@@ -161,7 +161,7 @@ func TestPTMallocCrossThreadFree(t *testing.T) {
 			}
 		})
 		main.Join(prod)
-		prodArena := al.CurrentArena(prod)
+		prodArena := al.lastArena.get(prod.ID())
 		if prodArena == nil {
 			t.Error("producer has no arena")
 			return
@@ -211,7 +211,7 @@ func TestPerThreadArenasAreDistinct(t *testing.T) {
 					t.Errorf("Malloc: %v", err)
 					return
 				}
-				arenas[al.CurrentArena(w)] = true
+				arenas[al.lastArena.get(w.ID())] = true
 				if err := al.Free(w, p); err != nil {
 					t.Errorf("Free: %v", err)
 				}
@@ -340,7 +340,7 @@ func TestMainArenaSloshTax(t *testing.T) {
 			main.Join(w)
 		}
 		for _, w := range ws {
-			a := al.CurrentArena(w)
+			a := al.lastArena.get(w.ID())
 			if a != nil && a.IsMain {
 				mainArenaT = w
 			}

@@ -413,9 +413,20 @@ func TestSumStatsDropsNoHeapField(t *testing.T) {
 	}
 }
 
-// TestStatsMirrorsRemoteCounters: the allocator-level Stats re-export the
-// address space's remote-access counters verbatim.
-func TestStatsMirrorsRemoteCounters(t *testing.T) {
+// TestStatsCopiesNoVMCounter: every number has one home. The remote-access
+// counters live in the address space's Stats, where a cross-node probe moves
+// them, and no allocator Stats field shares a name with a vm.Stats field —
+// a copy would be a second home that can drift from the first.
+func TestStatsCopiesNoVMCounter(t *testing.T) {
+	vmFields := make(map[string]bool)
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(vm.Stats{})) {
+		vmFields[f.Name] = true
+	}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Stats{})) {
+		if vmFields[f.Name] {
+			t.Errorf("Stats.%s copies vm.Stats.%s: read it from AddressSpace().Stats()", f.Name, f.Name)
+		}
+	}
 	m, as := newNUMAWorld(2, 2, 41)
 	err := m.Run(func(main *sim.Thread) {
 		al, err := NewThreadCache(main, as, heap.DefaultParams(), DefaultCostParams())
@@ -433,15 +444,8 @@ func TestStatsMirrorsRemoteCounters(t *testing.T) {
 			return
 		}
 		as.Write8(main, addr, 1)
-		vs := as.Stats()
-		st := al.Stats()
-		if vs.RemoteAccesses == 0 {
+		if vs := as.Stats(); vs.RemoteAccesses == 0 {
 			t.Fatal("probe produced no remote accesses")
-		}
-		if st.RemoteAccesses != vs.RemoteAccesses || st.RemoteAccessCycles != vs.RemoteAccessCycles || st.RemoteFaults != vs.RemoteFaults {
-			t.Errorf("mirror mismatch: alloc %d/%d/%d vs vm %d/%d/%d",
-				st.RemoteAccesses, st.RemoteAccessCycles, st.RemoteFaults,
-				vs.RemoteAccesses, vs.RemoteAccessCycles, vs.RemoteFaults)
 		}
 	})
 	if err != nil {

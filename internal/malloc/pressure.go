@@ -86,7 +86,7 @@ func (b *base) rescue(t *sim.Thread, err error, class uint32, start sim.Time, op
 		}
 		b.calmAt = t.Now() + pressureWindow
 		b.stats.EmergencyScavenges++
-		b.stats.EmergencyBytes += b.kind.reclaim(t, b.level, escalated)
+		b.kind.reclaim(t, b.level, escalated)
 		b.stats.OOMRetries++
 		b.tel.Instant(t, "oom retry", "pressure")
 		mem, err = op()
@@ -104,20 +104,15 @@ func (b *base) rescue(t *sim.Thread, err error, class uint32, start sim.Time, op
 // reclaim is the generic cascade: evict every parked reuse region, then
 // release the page-level free memory of every arena (binned-chunk
 // interiors plus the top tail, pad zero — pressure keeps nothing warm).
-// Returns the bytes handed back to the kernel.
-func (b *base) reclaim(t *sim.Thread, _ int, _ bool) uint64 {
-	_, total, err := b.as.EvictReuseBefore(t, farFuture)
-	if err != nil {
-		b.recordErr(err)
-		total = 0
-	}
+func (b *base) reclaim(t *sim.Thread, _ int, _ bool) {
+	_, _, err := b.as.EvictReuseBefore(t, farFuture)
+	b.recordErr(err)
 	for _, a := range b.arenas {
 		t.Lock(a.Lock)
-		total += a.ReleaseBinned(t, farFuture, 1, 0)
-		total += a.TrimTop(t, 0)
+		a.ReleaseBinned(t, farFuture, 1, 0)
+		a.TrimTop(t, 0)
 		t.Unlock(a.Lock)
 	}
-	return total
 }
 
 // reclaim for the thread cache clamps every magazine class's high-water
@@ -126,7 +121,7 @@ func (b *base) reclaim(t *sim.Thread, _ int, _ bool) uint64 {
 // thread's at level 2) flushes into the arenas, the service mailboxes and
 // every depot span drain, and then the page-level pass runs — the flushed
 // chunks coalesce there and go out with the binned release.
-func (tc *ThreadCache) reclaim(t *sim.Thread, level int, escalated bool) uint64 {
+func (tc *ThreadCache) reclaim(t *sim.Thread, level int, escalated bool) {
 	if escalated {
 		for _, tid := range tc.caches.keys() {
 			c := tc.caches.get(tid)
@@ -137,7 +132,6 @@ func (tc *ThreadCache) reclaim(t *sim.Thread, level int, escalated bool) uint64 
 			}
 		}
 	}
-	total := uint64(0)
 	for _, tid := range tc.caches.keys() {
 		if level < 2 && tid != t.ID() {
 			continue
@@ -145,22 +139,20 @@ func (tc *ThreadCache) reclaim(t *sim.Thread, level int, escalated bool) uint64 
 		c := tc.caches.get(tid)
 		for _, k := range c.classes.keys() {
 			cl := c.classes.get(k)
-			n := len(cl.entries) + len(cl.remote)
-			if n == 0 {
+			if len(cl.entries)+len(cl.remote) == 0 {
 				continue
 			}
 			victims := append(cl.entries, cl.remote...)
 			cl.entries, cl.remote = nil, nil
 			cl.streak = 0
-			total += uint64(n) * uint64(cl.csz)
 			tc.recordErr(tc.flush(t, victims))
 		}
 	}
 	if tc.svc != nil {
 		// Spans parked in service mailboxes are reclaimable memory too:
 		// flush them ahead of the depot drain so they coalesce with it.
-		total += tc.svc.reclaim(t)
+		tc.svc.reclaim(t)
 	}
-	_, _, bytes := tc.drainDepots(t, farFuture, 100)
-	return total + bytes + tc.base.reclaim(t, level, escalated)
+	tc.drainDepots(t, farFuture, 100)
+	tc.base.reclaim(t, level, escalated)
 }

@@ -166,8 +166,7 @@ func TestPtmallocSurvivesInjectedMmapFailures(t *testing.T) {
 		for _, w := range workers {
 			th.Join(w)
 		}
-		st := al.Stats()
-		if st.InjectedFaults == 0 {
+		if st := as.Stats(); st.InjectedFaults == 0 {
 			t.Error("InjectedFaults = 0: the workload never exercised a growth call")
 		}
 		if err := al.Check(); err != nil {

@@ -261,8 +261,8 @@ func TestScavengerExpiresReuseRegionsAndTrims(t *testing.T) {
 		if st.ScavengeReuseBytes == 0 {
 			t.Error("ScavengeReuseBytes = 0")
 		}
-		if st.ScavengeTrimBytes == 0 || st.PagesReleased == 0 {
-			t.Errorf("trim released %d bytes / %d pages, want nonzero", st.ScavengeTrimBytes, st.PagesReleased)
+		if st.ScavengeTrimBytes == 0 || vs.PagesReleased == 0 {
+			t.Errorf("trim released %d bytes / %d pages, want nonzero", st.ScavengeTrimBytes, vs.PagesReleased)
 		}
 		if vs.PagesPresent >= before.PagesPresent {
 			t.Errorf("residency did not drop: %d -> %d pages", before.PagesPresent, vs.PagesPresent)

