@@ -11,6 +11,9 @@
 // out-of-memory malloc as a skipped operation (the emergency cascade already
 // retried it) — every other error, and any invariant break, still fails.
 //
+// With no -allocator it tortures every kind malloc.Kinds lists, one after
+// another, each under a "kind" header line.
+//
 // Exit status is non-zero if any invariant breaks.
 package main
 
@@ -21,6 +24,7 @@ import (
 	"sort"
 
 	"mtmalloc/internal/bench"
+	"mtmalloc/internal/cache"
 	"mtmalloc/internal/malloc"
 	"mtmalloc/internal/sim"
 	"mtmalloc/internal/telemetry"
@@ -29,7 +33,7 @@ import (
 
 func main() {
 	profileName := flag.String("profile", "quad-xeon-500", "machine profile")
-	allocator := flag.String("allocator", "ptmalloc", "allocator kind: serial, ptmalloc, perthread, threadcache, lockfree (plus threadcache-svc, lockfree-svc)")
+	allocator := flag.String("allocator", "", fmt.Sprint("allocator kind, one of ", malloc.Kinds(), " (empty: every kind in turn)"))
 	threads := flag.Int("threads", 4, "worker threads")
 	ops := flag.Int("ops", 20000, "operations per thread")
 	seeds := flag.Int("seeds", 5, "number of seeds to torture")
@@ -38,7 +42,7 @@ func main() {
 	scavenge := flag.Int64("scavenge", 0, "scavenger epoch interval in cycles (0 off): tortures reclamation against the churn")
 	binnedRelease := flag.Bool("binned-release", false, "enable the PageHeap-style binned-chunk page release with no resident pad (implies -scavenge 50000 when -scavenge is 0): tortures interior releases against the churn")
 	nodes := flag.Int("nodes", 0, "override the profile's NUMA node count (0 keeps it): tortures node-sharded placement and cross-node free routing")
-	lineAware := flag.Bool("lineaware", false, "enable line-aware placement (line-quantized carving + span coloring): tortures the no-shared-line invariant Check() enforces against the churn")
+	lineAware := flag.Bool("lineaware", false, "align the heap to the cache line, which turns on line-aware placement (line-quantized carving + span coloring): tortures the no-shared-line invariant Check() enforces against the churn")
 	memLimit := flag.Uint64("memlimit", 0, "absolute commit limit in bytes (0 off): tortures the emergency reclamation cascade")
 	memLimitRatio := flag.Float64("memlimit-ratio", 0, "commit limit as a fraction of the unlimited run's peak committed bytes (0 off; measures peak with a first pass per seed)")
 	faultRate := flag.Float64("faultrate", 0, "probability of an injected mmap/sbrk failure per growth attempt (0 off; deterministic per seed)")
@@ -46,6 +50,14 @@ func main() {
 	flag.Parse()
 	if *binnedRelease && *scavenge == 0 {
 		*scavenge = 50000
+	}
+	kinds := malloc.Kinds()
+	if *allocator != "" {
+		kind, err := malloc.ParseKind(*allocator)
+		if err != nil {
+			fatal(err)
+		}
+		kinds = []malloc.Kind{kind}
 	}
 
 	prof, err := bench.ProfileByName(*profileName)
@@ -58,36 +70,43 @@ func main() {
 			prof.SimCosts.RemoteAccess = 1.6
 		}
 	}
-	for seed := 1; seed <= *seeds; seed++ {
-		cfg := tortureConfig{
-			prof: prof, kind: malloc.Kind(*allocator),
-			threads: *threads, ops: *ops, maxSize: *maxSize, checkEvery: *checkEvery,
-			scavenge: *scavenge, binnedRelease: *binnedRelease,
-			lineAware: *lineAware,
-			memLimit:  *memLimit, faultRate: *faultRate, seed: uint64(seed),
-			telemetry: *telemetryOn,
+	if *lineAware {
+		prof.HeapParams.Align = cache.LineSize
+	}
+	for _, kind := range kinds {
+		if len(kinds) > 1 {
+			fmt.Printf("kind %s\n", kind)
 		}
-		if *memLimitRatio > 0 {
-			base := cfg
-			base.memLimit, base.faultRate = 0, 0
-			r, err := torture(base)
-			if err != nil {
-				fatal(fmt.Errorf("seed %d (measuring pass): %w", seed, err))
+		for seed := 1; seed <= *seeds; seed++ {
+			cfg := tortureConfig{
+				prof: prof, kind: kind,
+				threads: *threads, ops: *ops, maxSize: *maxSize, checkEvery: *checkEvery,
+				scavenge: *scavenge, binnedRelease: *binnedRelease,
+				memLimit: *memLimit, faultRate: *faultRate, seed: uint64(seed),
+				telemetry: *telemetryOn,
 			}
-			cfg.memLimit = uint64(*memLimitRatio * float64(r.peakCommitted))
-		}
-		r, err := torture(cfg)
-		if err != nil {
-			fatal(fmt.Errorf("seed %d: %w", seed, err))
-		}
-		if cfg.pressured() {
-			fmt.Printf("seed %d: ok (peak %d KB, limit %d KB, %d emergency passes, %d retries, %d fails, %d skipped ops)\n",
-				seed, r.peakCommitted/1024, cfg.memLimit/1024, r.emergencies, r.retries, r.fails, r.skips)
-		} else {
-			fmt.Printf("seed %d: ok\n", seed)
-		}
-		if r.telemetry != nil {
-			printTelemetry(r.telemetry)
+			if *memLimitRatio > 0 {
+				base := cfg
+				base.memLimit, base.faultRate = 0, 0
+				r, err := torture(base)
+				if err != nil {
+					fatal(fmt.Errorf("%s seed %d (measuring pass): %w", kind, seed, err))
+				}
+				cfg.memLimit = uint64(*memLimitRatio * float64(r.peakCommitted))
+			}
+			r, err := torture(cfg)
+			if err != nil {
+				fatal(fmt.Errorf("%s seed %d: %w", kind, seed, err))
+			}
+			if cfg.pressured() {
+				fmt.Printf("seed %d: ok (peak %d KB, limit %d KB, %d emergency passes, %d retries, %d fails, %d skipped ops)\n",
+					seed, r.peakCommitted/1024, cfg.memLimit/1024, r.emergencies, r.retries, r.fails, r.skips)
+			} else {
+				fmt.Printf("seed %d: ok\n", seed)
+			}
+			if r.telemetry != nil {
+				printTelemetry(r.telemetry)
+			}
 		}
 	}
 	fmt.Println("heapcheck: all invariants held")
@@ -99,7 +118,6 @@ type tortureConfig struct {
 	threads, ops, maxSize, checkEvery int
 	scavenge                          int64
 	binnedRelease                     bool
-	lineAware                         bool
 	memLimit                          uint64
 	faultRate                         float64
 	seed                              uint64
@@ -140,20 +158,17 @@ func printTelemetry(rec *telemetry.Recorder) {
 
 func torture(cfg tortureConfig) (tortureResult, error) {
 	opts := []bench.WorldOption{bench.WithAllocator(cfg.kind)}
-	if cfg.scavenge > 0 || cfg.lineAware {
+	if cfg.scavenge > 0 {
 		// Designs without a scavenger simply ignore the knobs, so one flag
 		// set tortures all kinds uniformly.
 		costs := cfg.prof.AllocCosts
-		if cfg.scavenge > 0 {
-			costs.ScavengeInterval = cfg.scavenge
-		}
+		costs.ScavengeInterval = cfg.scavenge
 		if cfg.binnedRelease {
 			// Padless and floor-at-one-page: maximum release pressure, so
 			// every released interior the churn re-carves is checked.
 			costs.ScavengeMinBinBytes = 4096
 			costs.ScavengeBinPad = -1
 		}
-		costs.LineAware = cfg.lineAware
 		opts = append(opts, bench.WithAllocCosts(costs))
 	}
 	w := bench.NewWorld(cfg.prof, cfg.seed, opts...)

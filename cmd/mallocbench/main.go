@@ -43,7 +43,7 @@ func main() {
 	aligned := flag.Bool("aligned", false, "benchmark 3: cache-line aligned allocator")
 	runs := flag.Int("runs", 3, "repetitions")
 	seed := flag.Uint64("seed", 1, "base seed")
-	allocator := flag.String("allocator", "", "override allocator: serial, ptmalloc, perthread, threadcache, lockfree, threadcache-svc or lockfree-svc")
+	allocator := flag.String("allocator", "", fmt.Sprint("override the profile's allocator kind, one of ", malloc.Kinds()))
 	scale := flag.Float64("scale", 0.02, "experiments: workload scale factor (d2: fraction of the 10M benchmark-1 pairs)")
 	jsonPath := flag.String("json", "", "also write the result table as JSON to this file")
 	telemetryPath := flag.String("telemetry", "", "larson: record telemetry and write run 0's report JSON here plus a Chrome trace-event file next to it (<name>.trace.json); adds latency percentile columns")
@@ -58,7 +58,9 @@ func main() {
 		fatal(err)
 	}
 	if *allocator != "" {
-		prof.Allocator = malloc.Kind(*allocator)
+		if prof.Allocator, err = malloc.ParseKind(*allocator); err != nil {
+			fatal(err)
+		}
 	}
 
 	var tab *bench.Table

@@ -12,12 +12,13 @@ import (
 // B3Config parameterizes benchmark 3, the false-sharing test: Threads (at
 // most the CPU count) each receive one Size-byte heap object and write a
 // byte at its front and back Writes times. Aligned uses the cache-aligned
-// allocator variant; normal uses default 8-byte alignment, so neighbouring
-// objects can share cache lines and ping-pong between CPUs.
+// allocator variant (HeapParams.Align = cache.LineSize, which turns on the
+// allocator's line-aware placement); normal uses default 8-byte alignment,
+// so neighbouring objects can share cache lines and ping-pong between CPUs.
 //
 // The objects come from the profile's allocator design (Profile.Allocator,
 // priced by Profile.AllocCosts), so the benchmark exercises that design's
-// real placement (magazine refills, depot spans, buddy carving, LineAware
+// real placement (magazine refills, depot spans, buddy carving, line
 // quantization) with an offloaded kind's service threads running. The write
 // loop itself still advances analytically from the resulting sharing
 // topology — the placement is real, the 100M iterations are not replayed.

@@ -213,19 +213,24 @@ func TestFigure6LeakageAppears(t *testing.T) {
 }
 
 func TestFigure8OffsetRoughlyConstant(t *testing.T) {
-	get := func(rounds int) float64 {
+	// The two round counts are independent simulations, so they run
+	// concurrently, as F8's rows do.
+	rounds := []int{10, 40}
+	offsets, err := sweepRows(len(rounds), func(i int) (float64, error) {
 		cfg := DefaultB2(QuadXeon500())
 		cfg.Threads = 7
-		cfg.Rounds = rounds
+		cfg.Rounds = rounds[i]
 		cfg.Runs = 2
 		res, err := RunBench2(cfg)
 		if err != nil {
-			t.Fatal(err)
+			return 0, err
 		}
-		return res.Faults.Mean - res.Predicted
+		return res.Faults.Mean - res.Predicted, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	o10 := get(10)
-	o40 := get(40)
+	o10, o40 := offsets[0], offsets[1]
 	if o10 <= 0 || o40 <= 0 {
 		t.Fatalf("offsets not positive: %f %f", o10, o40)
 	}
@@ -304,8 +309,10 @@ func TestExperimentRegistry(t *testing.T) {
 			t.Errorf("missing experiment %s", want)
 		}
 	}
-	if _, err := ByID("T1"); err != nil {
-		t.Error(err)
+	for _, id := range []string{"T1", "A4"} {
+		if _, err := ByID(id); err != nil {
+			t.Error(err)
+		}
 	}
 	if _, err := ByID("nope"); err == nil {
 		t.Error("ByID accepted unknown ID")

@@ -78,9 +78,9 @@ func All() []Experiment {
 	}
 }
 
-// ByID returns the experiment with the given ID.
+// ByID returns the experiment or ablation with the given ID.
 func ByID(id string) (Experiment, error) {
-	for _, e := range All() {
+	for _, e := range append(All(), Ablations()...) {
 		if e.ID == id {
 			return e, nil
 		}

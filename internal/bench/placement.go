@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"mtmalloc/internal/cache"
 	"mtmalloc/internal/malloc"
 	"mtmalloc/internal/sim"
 	"mtmalloc/internal/vm"
@@ -15,12 +16,13 @@ import (
 // allocates, thread B writes and frees) driven through a real allocator's
 // placement — magazine refills, depot spans, buddy carving — with every
 // write charged by the MESI-lite directory, so coherence transfers are
-// counted, not predicted. The ablation is CostParams.LineAware: blind
+// counted, not predicted. The ablation is the heap's alignment: blind 8-byte
 // carving packs sub-line chunks from one span into adjacent line halves and
-// hands them to different threads; line-aware carving quantizes classes to
-// line multiples and colors buddy spans so no two magazines ever split a
-// line. The counter-metric is the memory the cure costs: quantization and
-// coloring bytes on top of blind resident bytes.
+// hands them to different threads; line-aware carving (HeapParams.Align =
+// cache.LineSize, the switch benchmark 3's aligned mode sets) quantizes
+// classes to line multiples and colors buddy spans so no two magazines ever
+// split a line. The counter-metric is the memory the cure costs:
+// quantization and coloring bytes on top of blind resident bytes.
 
 // PlacementConfig parameterizes one producer-consumer placement run. One
 // producer thread allocates objects of the configured size mix, initializes
@@ -83,7 +85,8 @@ type PlacementRun struct {
 	VMStats    vm.Stats
 	AllocStats malloc.Stats
 	// SharedMagazineLines is the end-of-run count of cache lines split
-	// between live magazines (zero by construction under LineAware).
+	// between live magazines (zero by construction under line-aware
+	// placement).
 	SharedMagazineLines int
 }
 
@@ -264,7 +267,9 @@ func ExpPlacement(o Options) (*Table, error) {
 		cfg.Threads = n
 		cfg.ObjsPerConsumer = objs
 		cfg.Profile.Allocator = kind
-		cfg.Profile.AllocCosts.LineAware = aware
+		if aware {
+			cfg.Profile.HeapParams.Align = cache.LineSize
+		}
 		cfg.Seed = o.seed()
 		return RunPlacement(cfg)
 	}
@@ -347,7 +352,7 @@ func ExpPlacement(o Options) (*Table, error) {
 
 	t.Note("workload: 1 producer allocates a %d/%d/%dB size rotation — one same-size object per consumer each round, so span-adjacent chunks go to different consumers — initializes front+back, and deals over depth-4 queues; each consumer holds a 32-object working set, re-writing every held object's front+back per arrival, and frees the oldest (cross-thread) — the paper's bench-3 pattern through real allocator placement",
 		16, 24, 56)
-	t.Note("line-aware = CostParams.LineAware: chunk classes quantized to 32B-line multiples (blind 24/32/64B classes become 32/32/64B) plus per-thread buddy span coloring; quant B is the cumulative rounding overhead, color B the live coloring offsets")
+	t.Note("line-aware = HeapParams.Align = 32 (the cache line): chunk classes quantized to 32B-line multiples (blind 24/32/64B classes become 32/32/64B) plus per-thread buddy span coloring; quant B is the cumulative rounding overhead, color B the live coloring offsets")
 	t.Note("C2C fills = lines supplied dirty from another CPU's cache (the coherence-transfer currency); the line-aware residue is the inherent handoff transfer — producer-dirtied lines moving once to their consumer — which no placement can remove")
 	if objs != 300 {
 		t.Note("workload scaled down from 300 objects per consumer")

@@ -29,7 +29,7 @@ func ExpPressure(o Options) (*Table, error) {
 	ops := o.scaled(20000, 2000)
 	t := &Table{ID: "D6", Title: "graceful degradation under memory pressure: Larson 4 threads, commit limit ratcheting toward peak live bytes",
 		Columns: []string{"allocator", "workload", "limit/peak", "limit(KB)", "tput(ops/s)", "tput ratio", "emerg passes", "oom retries", "oom fails", "skips"}}
-	for _, kind := range malloc.Kinds() {
+	for _, kind := range []malloc.Kind{malloc.KindSerial, malloc.KindPTMalloc, malloc.KindPerThread, malloc.KindThreadCache, malloc.KindLockFree} {
 		for _, wl := range []string{"flat", "phases"} {
 			cfg := LarsonConfig{Profile: prof, Threads: 4, Slots: 500,
 				MinSize: 10, MaxSize: 400, Ops: ops, Runs: 1, Seed: o.seed()}

@@ -33,15 +33,14 @@ type Profile struct {
 	VMCosts    vm.Costs
 	AllocCosts malloc.CostParams
 
-	// Per-machine reclamation tuning: the epoch interval, decay rate and
-	// binned-release resident pad a scavenger-enabled run on this machine
-	// should use (D3-style experiments read them via ScavengeCosts instead
-	// of hardcoding one 2ms/50% policy for every host). They do NOT enable
-	// the scavenger by themselves — AllocCosts.ScavengeInterval stays 0, so
-	// throughput experiments measure exactly what they always did.
+	// ScavengeInterval is the epoch a scavenger-enabled run on this machine
+	// should use (D3-style experiments read it via ScavengeCosts instead of
+	// hardcoding one 2ms policy for every host). It does NOT enable the
+	// scavenger by itself — AllocCosts.ScavengeInterval stays 0, so
+	// throughput experiments measure exactly what they always did. The rest
+	// of the machine's reclamation tuning (decay rate, binned-release pad)
+	// lives in AllocCosts, where it does nothing until an interval is set.
 	ScavengeInterval int64
-	ScavengeDecay    int
-	ScavengeBinPad   int64
 
 	// Allocator is the platform's default allocator design.
 	Allocator malloc.Kind
@@ -54,14 +53,12 @@ type Profile struct {
 }
 
 // ScavengeCosts returns the profile's allocator costs with the reclamation
-// subsystem switched on at the machine's own tuning. Experiments that study
-// reclamation (D3, D4) use this instead of one hardcoded policy for every
+// subsystem switched on at the machine's own epoch. Experiments that study
+// reclamation (D3, D10) use this instead of one hardcoded policy for every
 // host.
 func (p Profile) ScavengeCosts() malloc.CostParams {
 	c := p.AllocCosts
 	c.ScavengeInterval = p.ScavengeInterval
-	c.ScavengeDecay = p.ScavengeDecay
-	c.ScavengeBinPad = p.ScavengeBinPad
 	return c
 }
 
@@ -92,16 +89,16 @@ func DualPPro200() Profile {
 			// twice, reproducing the ~12% thread-vs-process tax at s=2.
 			SharedTaxUnit:      55,
 			MainArenaSloshUnit: 0, // not observed on this host
+			// The bin pad halves with the era's memory sizes.
+			ScavengeDecay:  50,
+			ScavengeBinPad: 128 << 10,
 		},
 		Allocator:      malloc.KindPTMalloc,
 		HeapParams:     heap.DefaultParams(),
 		Bench3LoopWork: 6,
 		// 4ms epochs at 200 MHz: scavenge work is a bigger slice of this
-		// machine, so reclamation runs at half the cadence of the Xeon; the
-		// bin pad halves with the era's memory sizes.
+		// machine, so reclamation runs at half the cadence of the Xeon.
 		ScavengeInterval: 800_000,
-		ScavengeDecay:    50,
-		ScavengeBinPad:   128 << 10,
 	}
 	return p
 }
@@ -135,14 +132,15 @@ func QuadXeon500() Profile {
 			// Table 4's 12.6 s vs 14.8 s bimodality: the main-arena thread
 			// pays 2*57*(s-2) cycles per pair once a third thread joins.
 			MainArenaSloshUnit: 57,
+			// The D3 tuning this host always ran: 50% decay, default bin
+			// pad (0 = the allocator's 256KB).
+			ScavengeDecay: 50,
 		},
 		Allocator:      malloc.KindPTMalloc,
 		HeapParams:     heap.DefaultParams(),
 		Bench3LoopWork: 7,
-		// The D3 tuning this host always ran: 2ms epochs at 500 MHz, 50%
-		// decay, default bin pad (0 = the allocator's 256KB).
+		// 2ms epochs at 500 MHz.
 		ScavengeInterval: 1_000_000,
-		ScavengeDecay:    50,
 	}
 	return p
 }
@@ -170,19 +168,20 @@ func SunUltra2x400() Profile {
 		AllocCosts: malloc.CostParams{
 			// The Solaris allocator is the fastest single-thread allocator
 			// in the paper (6 s at 400 MHz vs 10.4 s at 500 MHz).
-			WorkMalloc:    77,
-			WorkFree:      67,
-			TSDRead:       0, // no TSD: one heap
-			SharedTaxUnit: 0, // contention dominates; no separate tax
+			WorkMalloc:     77,
+			WorkFree:       67,
+			TSDRead:        0, // no TSD: one heap
+			SharedTaxUnit:  0, // contention dominates; no separate tax
+			ScavengeDecay:  50,
+			ScavengeBinPad: 128 << 10,
 		},
 		Allocator:      malloc.KindSerial,
 		HeapParams:     heap.DefaultParams(),
 		Bench3LoopWork: 5,
-		// 2ms at 400 MHz; the single-lock libc has no parking tiers, so this
-		// only matters when a threadcache run borrows the host.
+		// 2ms at 400 MHz; the single-lock libc has no parking tiers, so the
+		// reclamation tuning only matters when a threadcache run borrows the
+		// host.
 		ScavengeInterval: 800_000,
-		ScavengeDecay:    50,
-		ScavengeBinPad:   128 << 10,
 	}
 	return p
 }
@@ -210,16 +209,17 @@ func K6_400() Profile {
 			WorkMalloc: 170,
 			WorkFree:   140,
 			TSDRead:    8,
+			// A uniprocessor pays every inline scavenge pass out of its
+			// only CPU: a gentle 25%/epoch decay, with the smallest bin pad
+			// (64MB-class machine).
+			ScavengeDecay:  25,
+			ScavengeBinPad: 64 << 10,
 		},
 		Allocator:      malloc.KindPTMalloc,
 		HeapParams:     heap.DefaultParams(),
 		Bench3LoopWork: 6,
-		// A uniprocessor pays every inline scavenge pass out of its only
-		// CPU: long 4ms epochs and a gentle 25%/epoch decay, with the
-		// smallest bin pad (64MB-class machine).
+		// Long 4ms epochs, for the same reason.
 		ScavengeInterval: 1_600_000,
-		ScavengeDecay:    25,
-		ScavengeBinPad:   64 << 10,
 	}
 	return p
 }

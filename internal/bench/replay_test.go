@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"testing"
 
+	"mtmalloc/internal/cache"
 	"mtmalloc/internal/malloc"
 )
 
@@ -143,7 +144,9 @@ func TestReplayLarson(t *testing.T) {
 			cfg.Runs = 1
 			cfg.Seed = 1
 			cfg.Profile.Allocator = g.kind
-			cfg.Profile.AllocCosts.LineAware = g.lineAware
+			if g.lineAware {
+				cfg.Profile.HeapParams.Align = cache.LineSize
+			}
 			res, err := RunLarson(cfg)
 			if err != nil {
 				t.Fatal(err)

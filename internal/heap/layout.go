@@ -72,7 +72,8 @@ type Params struct {
 	TrimThreshold uint32
 	// Align is the address alignment of returned memory; 8 is the glibc
 	// default, a cache line (32) reproduces the paper's "cache-aligned"
-	// benchmark 3 variant at the cost of internal fragmentation.
+	// benchmark 3 variant at the cost of internal fragmentation. At a cache
+	// line or more, package malloc's placement is line-aware too.
 	Align uint32
 	// RetrySbrkWithMmap enables the glibc >= 2.1.3 behaviour of falling back
 	// to mmap when sbrk cannot grow past a library mapping (§3).

@@ -16,7 +16,7 @@ import (
 // The offloaded kinds run their service threads through both phases.
 func TestReallocCallocAcrossArenas(t *testing.T) {
 	const nObjs = 60
-	for _, kind := range allKinds() {
+	for _, kind := range Kinds() {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			m, as := newWorld(2, 31)

@@ -20,19 +20,32 @@ const (
 	KindLockFree    Kind = "lockfree"    // thread cache with CAS depot + buddy page backend
 
 	// Offloaded variants: the same machines with bookkeeping moved to
-	// per-node service threads (service.go). Not listed by Kinds() —
-	// experiments that sweep the five designs keep their original matrix;
-	// D10 names these explicitly.
+	// per-node service threads (service.go).
 	KindThreadCacheSvc Kind = "threadcache-svc"
 	KindLockFreeSvc    Kind = "lockfree-svc"
 )
 
-// Kinds lists the five designs under study. The offloaded kinds
-// (KindThreadCacheSvc, KindLockFreeSvc) are not in it: experiments that
-// sweep the designs keep their original matrix, and a caller that wants
-// every kind appends the two itself.
+// Kinds lists every kind New builds: the five designs, then the two
+// offloaded kinds. Experiments that sweep a subset name theirs.
 func Kinds() []Kind {
-	return []Kind{KindSerial, KindPTMalloc, KindPerThread, KindThreadCache, KindLockFree}
+	return []Kind{KindSerial, KindPTMalloc, KindPerThread, KindThreadCache, KindLockFree,
+		KindThreadCacheSvc, KindLockFreeSvc}
+}
+
+// ParseKind returns the kind named s, or an error that lists the valid
+// kinds. Command-line tools check their -allocator with it before they
+// build a world.
+func ParseKind(s string) (Kind, error) {
+	for _, k := range Kinds() {
+		if string(k) == s {
+			return k, nil
+		}
+	}
+	return "", unknownKind(Kind(s))
+}
+
+func unknownKind(kind Kind) error {
+	return fmt.Errorf("malloc: unknown allocator kind %q (valid: %v)", kind, Kinds())
 }
 
 // New constructs an allocator of the given kind on as. The design itself is
@@ -52,7 +65,7 @@ func New(t *sim.Thread, kind Kind, as *vm.AddressSpace, params heap.Params, cost
 	case KindThreadCache, KindLockFree, KindThreadCacheSvc, KindLockFreeSvc:
 		al, err = newThreadCache(t, kind, as, params, costs)
 	default:
-		return nil, fmt.Errorf("malloc: unknown allocator kind %q", kind)
+		return nil, unknownKind(kind)
 	}
 	if err != nil {
 		return nil, err

@@ -28,7 +28,7 @@ type lfBackend struct {
 	// walk, priced at TSDRead scale by the caller).
 	pageSpan map[uint64]*lfSpan
 
-	// Line-aware span coloring (CostParams.LineAware): each carving thread
+	// Line-aware span coloring (a line-aligned heap): each carving thread
 	// rotates fresh spans' first-chunk origin through lfSpanColors line-size
 	// strides; colorSeq is the per-thread position on the wheel, keyed by
 	// thread ID.

@@ -8,24 +8,25 @@ import (
 	"mtmalloc/internal/sim"
 )
 
-// lineAwareCosts returns the default cost params with line-aware placement on.
-func lineAwareCosts() CostParams {
-	c := DefaultCostParams()
-	c.LineAware = true
-	return c
+// lineAlignedParams returns the default heap params aligned to the cache
+// line, which turns line-aware placement on.
+func lineAlignedParams() heap.Params {
+	p := heap.DefaultParams()
+	p.Align = cache.LineSize
+	return p
 }
 
-// TestLineAwareQuantization: under LineAware every design must hand out
-// line-aligned chunks whose classes are line multiples, and must account the
-// rounding overhead in LineQuantBytes.
+// TestLineAwareQuantization: on a line-aligned heap every design must hand
+// out line-aligned chunks whose classes are line multiples, and must account
+// the rounding overhead in LineQuantBytes.
 func TestLineAwareQuantization(t *testing.T) {
-	for _, kind := range allKinds() {
+	for _, kind := range Kinds() {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			m, as := newWorld(2, 7)
 			line := uint64(cache.LineSize)
 			err := m.Run(func(th *sim.Thread) {
-				al, err := New(th, kind, as, heap.DefaultParams(), lineAwareCosts())
+				al, err := New(th, kind, as, lineAlignedParams(), DefaultCostParams())
 				if err != nil {
 					t.Errorf("New: %v", err)
 					return
@@ -62,8 +63,8 @@ func TestLineAwareQuantization(t *testing.T) {
 	}
 }
 
-// TestLineQuantBytesOffByDefault: with LineAware off the placement counters
-// stay zero and placement is the blind 8-byte-aligned one.
+// TestLineQuantBytesOffByDefault: at the default 8-byte alignment the
+// placement counters stay zero and placement is the blind one.
 func TestLineQuantBytesOffByDefault(t *testing.T) {
 	m, as := newWorld(2, 7)
 	err := m.Run(func(th *sim.Thread) {
@@ -157,7 +158,7 @@ func TestSharedMagazineLinesChurn(t *testing.T) {
 		t.Run(string(kind)+"/line-aware", func(t *testing.T) {
 			m, as := newWorld(2, 11)
 			err := m.Run(func(th *sim.Thread) {
-				al, err := New(th, kind, as, heap.DefaultParams(), lineAwareCosts())
+				al, err := New(th, kind, as, lineAlignedParams(), DefaultCostParams())
 				if err != nil {
 					t.Errorf("New: %v", err)
 					return
@@ -179,12 +180,12 @@ func TestSharedMagazineLinesChurn(t *testing.T) {
 }
 
 // TestSpanColoringGauges: the lock-free backend must rotate buddy span
-// origins under LineAware and track the sacrificed bytes as a gauge.
+// origins under a line-aligned heap and track the sacrificed bytes as a gauge.
 func TestSpanColoringGauges(t *testing.T) {
 	m, as := newWorld(2, 13)
 	line := uint64(cache.LineSize)
 	err := m.Run(func(th *sim.Thread) {
-		al, err := New(th, KindLockFree, as, heap.DefaultParams(), lineAwareCosts())
+		al, err := New(th, KindLockFree, as, lineAlignedParams(), DefaultCostParams())
 		if err != nil {
 			t.Errorf("New: %v", err)
 			return

@@ -134,6 +134,22 @@
 // node both configurations are the same single-shard code path and every
 // paper-era number is unchanged.
 //
+// # Line-aware placement
+//
+// A heap.Params.Align of at least the cache line (cache.LineSize) — the
+// paper's cache-aligned malloc, benchmark 3's aligned mode — makes placement
+// line-aware, the experiment D9 dimension. Request2Size rounds every chunk
+// to a line multiple, so a chunk carved by any arena or by the buddy backend
+// owns its payload lines outright and two magazines never split a line
+// through any tier, because magazines, depots and the service shelf exchange
+// chunks whole; the thread cache's Check enforces it. Buddy-backed spans
+// also get a per-thread color offset (the first-chunk origin rotates by line
+// strides) so the hot head chunks of different threads' spans do not
+// collide in the same cache index sets. The price is internal
+// fragmentation: Stats.LineQuantBytes (cumulative rounding overhead against
+// the 8-byte baseline) and Stats.LineColorBytes (bytes currently lost to
+// color offsets). At the default 8-byte alignment none of this runs.
+//
 // # Shared C library state model
 //
 // The paper measures a ~10% (dual-CPU) to ~20% (quad-CPU) penalty for two
@@ -226,22 +242,6 @@ type CostParams struct {
 	// machine the sharded and blind paths are the same code with one shard,
 	// so the flag has no effect there.
 	NUMANodeBlind bool
-
-	// LineAware makes placement cache-line-aware, the experiment D9 dimension.
-	// Chunk sizes are quantized up to cache-line multiples (heap.Params.Align
-	// is raised to the vm cache model's line size), so a chunk carved by any
-	// arena or by the buddy backend owns its payload lines outright and two
-	// magazines never split a line — through every tier, because magazines,
-	// depots and the service shelf exchange chunks whole. Buddy-backed spans
-	// additionally get a per-magazine color offset (the first-chunk origin
-	// rotates by line-size strides per carving thread) so hot head chunks of
-	// different threads' spans don't collide in the same cache index sets.
-	// The price is internal fragmentation, reported honestly in
-	// Stats.LineQuantBytes (cumulative quantization overhead) and
-	// Stats.LineColorBytes (bytes currently lost to color offsets). Off by
-	// default: placement, charge sequences and the D1-D6/D10 goldens are
-	// bit-identical.
-	LineAware bool
 }
 
 // DefaultMmapReuseCap is the parked-bytes cap NewThreadCache applies when
@@ -379,7 +379,8 @@ type Stats struct {
 	// parking disabled too). It decays back to 0 once allocations stop
 	// failing for a pressure window.
 	PressureLevel int
-	// Line-aware placement counters (CostParams.LineAware; all zero blind).
+	// Line-aware placement counters (heap.Params.Align at least a cache
+	// line; all zero blind).
 	// LineQuantBytes is the cumulative internal fragmentation added by
 	// rounding chunk sizes to line multiples — the memory half of the D9
 	// tradeoff. The color fields are gauges over live colored spans.
@@ -430,9 +431,9 @@ type base struct {
 	arenas   []*heap.Arena
 	listLock *sim.Mutex
 
-	// Line-aware placement (CostParams.LineAware): lineAware records that
-	// init raised params.Align to the cache line size; quantBase keeps the
-	// pre-raise params so noteQuant can price what the raise costs each
+	// Line-aware placement: lineAware records that params align chunks to
+	// at least a cache line; quantBase is the same params at the 8-byte
+	// baseline, so noteQuant can price what the alignment costs each
 	// allocation.
 	lineAware bool
 	quantBase heap.Params
@@ -523,14 +524,14 @@ func (b *base) init(t *sim.Thread, kind design, name string, as *vm.AddressSpace
 		costs:    costs,
 		listLock: as.Machine().NewMutex(name + ".list"),
 	}
-	if costs.LineAware {
-		// Line-quantized carving: raising Align to the line size makes
-		// Request2Size round every class to a line multiple and the arenas
-		// line-align the first chunk, so every chunk boundary — arena- or
-		// buddy-carved — lands on a line boundary. quantBase keeps the blind
-		// params so the overhead is priced per allocation.
-		b.quantBase = b.params
-		b.params.Align = max(b.params.Align, cache.LineSize)
+	if params.Align >= cache.LineSize {
+		// Line-quantized carving: a line-sized Align makes Request2Size
+		// round every class to a line multiple and the arenas line-align
+		// the first chunk, so every chunk boundary — arena- or buddy-carved
+		// — lands on a line boundary. quantBase keeps the 8-byte baseline so
+		// the overhead is priced per allocation.
+		b.quantBase = params
+		b.quantBase.Align = heap.AlignMask + 1
 		b.lineAware = true
 	}
 	if costs.MmapReuseCap > 0 {
@@ -894,7 +895,7 @@ func (b *base) mallocOn(t *sim.Thread, a *heap.Arena, size uint32) (uint64, erro
 
 // noteQuant records the internal fragmentation one allocation pays for line
 // quantization: the chunk-size delta between the line-aware params and the
-// blind params the design would otherwise run. No-op when LineAware is off.
+// 8-byte baseline. No-op below a line-sized alignment.
 func (b *base) noteQuant(size uint32) {
 	if b.lineAware {
 		b.stats.LineQuantBytes += uint64(b.params.Request2Size(size) - b.quantBase.Request2Size(size))

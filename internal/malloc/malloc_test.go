@@ -2,6 +2,7 @@ package malloc
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"mtmalloc/internal/cache"
@@ -17,17 +18,36 @@ func newWorld(cpus int, seed uint64) (*sim.Machine, *vm.AddressSpace) {
 	return m, vm.New(1, m, c)
 }
 
-// allKinds lists every kind New builds: the five designs plus the two
-// offloaded kinds Kinds() leaves out.
-func allKinds() []Kind {
-	return append(Kinds(), KindThreadCacheSvc, KindLockFreeSvc)
+// TestParseKind: the check the command-line tools run on -allocator accepts
+// every kind Kinds lists and rejects any other name with one line that
+// names them all.
+func TestParseKind(t *testing.T) {
+	for _, kind := range Kinds() {
+		got, err := ParseKind(string(kind))
+		if err != nil || got != kind {
+			t.Errorf("ParseKind(%q) = %q, %v", kind, got, err)
+		}
+	}
+	_, err := ParseKind("bogus")
+	if err == nil {
+		t.Fatal("ParseKind accepted \"bogus\"")
+	}
+	msg := err.Error()
+	if strings.Contains(msg, "\n") {
+		t.Errorf("error spans lines: %q", msg)
+	}
+	for _, kind := range Kinds() {
+		if !strings.Contains(msg, string(kind)) {
+			t.Errorf("error %q does not name %q", msg, kind)
+		}
+	}
 }
 
 // runAllKinds builds an allocator of each kind and runs body against it on
 // the main thread (the offloaded kinds' mailboxes stay inert: no workers).
 func runAllKinds(t *testing.T, body func(t *testing.T, th *sim.Thread, al Allocator)) {
 	t.Helper()
-	for _, kind := range allKinds() {
+	for _, kind := range Kinds() {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			m, as := newWorld(2, 7)
@@ -411,7 +431,7 @@ func TestAlignedVariant(t *testing.T) {
 // structural invariants. The offloaded kinds run their service threads
 // beside the workers, stopped (draining every mailbox) before the checks.
 func TestTortureMultiThread(t *testing.T) {
-	for _, kind := range allKinds() {
+	for _, kind := range Kinds() {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			m, as := newWorld(2, 29)

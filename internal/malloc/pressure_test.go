@@ -312,7 +312,7 @@ func TestDeferredErrorSurfacesInCheck(t *testing.T) {
 // for the whole call, cascade passes and retry included — per-tier malloc
 // cycles still sum to the malloc total, and the cascade counters rise.
 func TestEmergencyTierTelemetryAllKinds(t *testing.T) {
-	for _, kind := range allKinds() {
+	for _, kind := range Kinds() {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			m, as := newWorld(1, 7)

@@ -267,7 +267,7 @@ func newThreadCache(t *sim.Thread, kind Kind, as *vm.AddressSpace, params heap.P
 		for _, sh := range tc.shards {
 			sh.cursor = as.Machine().NewCASPoint(fmt.Sprintf("%s.pool.n%d", tc.name, sh.node))
 		}
-		tc.lf = newLFBackend(tc.name, as, tc.shards, costs.LineAware, &tc.stats)
+		tc.lf = newLFBackend(tc.name, as, tc.shards, tc.lineAware, &tc.stats)
 	}
 	if costs.DepotCapBytes > 0 {
 		for range tc.shards {
@@ -973,7 +973,7 @@ func (tc *ThreadCache) check() error {
 			return err
 		}
 	}
-	if tc.costs.LineAware {
+	if tc.lineAware {
 		if n := tc.SharedMagazineLines(); n > 0 {
 			return fmt.Errorf("malloc: line-aware invariant broken: %d cache lines split across magazines", n)
 		}
@@ -986,8 +986,9 @@ func (tc *ThreadCache) check() error {
 // while another part is parked in a different thread's. Each such line is a
 // standing false-sharing hazard — both threads will eventually hand their
 // halves to their own callers, and writes then ping-pong the line. Under
-// CostParams.LineAware the count is zero by construction (Check enforces it);
-// blind it measures how badly sub-line carving interleaved the magazines.
+// line-aware placement (heap.Params.Align at least a cache line) the count
+// is zero by construction (Check enforces it); blind it measures how badly
+// sub-line carving interleaved the magazines.
 func (tc *ThreadCache) SharedMagazineLines() int {
 	const line = cache.LineSize
 	owner := make(map[uint64]int)

@@ -11,10 +11,10 @@ import (
 
 func TestKindsIncludesThreadCache(t *testing.T) {
 	kinds := Kinds()
-	if len(kinds) != 5 {
-		t.Fatalf("Kinds() = %v, want 5 designs", kinds)
+	if len(kinds) != 7 {
+		t.Fatalf("Kinds() = %v, want the 5 designs and 2 offloaded kinds", kinds)
 	}
-	for _, want := range []Kind{KindThreadCache, KindLockFree} {
+	for _, want := range []Kind{KindThreadCache, KindLockFree, KindThreadCacheSvc, KindLockFreeSvc} {
 		found := false
 		for _, k := range kinds {
 			if k == want {
