@@ -1,6 +1,9 @@
 package mtmalloc
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestFacadeWorldRoundtrip(t *testing.T) {
 	w := NewWorld(QuadXeon500(), 1)
@@ -44,8 +47,12 @@ func TestFacadeExperimentsRegistry(t *testing.T) {
 	if len(Experiments()) < 16 {
 		t.Fatalf("only %d experiments registered", len(Experiments()))
 	}
-	if len(Ablations()) < 5 {
-		t.Fatalf("only %d ablations registered", len(Ablations()))
+	var ids []string
+	for _, ab := range Ablations() {
+		ids = append(ids, ab.ID)
+	}
+	if got, want := strings.Join(ids, " "), "A1 A4 A5 A6"; got != want {
+		t.Fatalf("ablations = %s, want %s", got, want)
 	}
 }
 

@@ -144,6 +144,19 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("unknown -bench %q (want 1, 2, 3, larson or an experiment ID such as d2)", *which))
 		}
+		// The experiment runs its own configuration: a workload flag would
+		// be silently ignored, so it is refused.
+		var ignored []string
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "bench", "scale", "seed", "json", "csv":
+			default:
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			fatal(fmt.Errorf("-bench %s runs its own configuration, so %s would be ignored (only -scale, -seed, -json and -csv apply)", *which, strings.Join(ignored, ", ")))
+		}
 		tab, err = e.Run(bench.Options{Scale: *scale, Seed: *seed})
 		if err != nil {
 			fatal(err)

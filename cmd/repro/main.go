@@ -31,7 +31,7 @@ func main() {
 	scale := flag.Float64("scale", 0.05, "fraction of the paper's 10M benchmark-1 pairs to simulate (1 = full)")
 	seed := flag.Uint64("seed", 1, "base random seed")
 	exp := flag.String("experiment", "", "run a single experiment or ablation by ID (e.g. T1, F9, A4); empty = all")
-	ablations := flag.Bool("ablations", false, "also run the ablation studies A1-A6")
+	ablations := flag.Bool("ablations", false, "also run the ablation studies A1 and A4-A6")
 	mdPath := flag.String("md", "", "also write the results as a markdown report to this file")
 	flag.Parse()
 

@@ -37,36 +37,6 @@ func AblationArenaPolicy(o Options) (*Table, error) {
 	return t, nil
 }
 
-// AblationAlignment (A3) summarizes benchmark 3's aligned-vs-normal worst
-// cases per thread count.
-func AblationAlignment(o Options) (*Table, error) {
-	t := &Table{ID: "A3", Title: "cache-aligned allocation vs false sharing (worst size in 3-52B)",
-		Columns: []string{"threads", "aligned worst(s)", "normal worst(s)", "slowdown"}}
-	for _, threads := range []int{2, 3, 4} {
-		worstA, worstN := 0.0, 0.0
-		for size := uint32(3); size <= 52; size += 7 {
-			a, err := RunBench3(B3Config{Profile: QuadXeon500(), Threads: threads, Size: size,
-				Writes: 100_000_000, Aligned: true, Runs: 2, Seed: o.seed()})
-			if err != nil {
-				return nil, err
-			}
-			n, err := RunBench3(B3Config{Profile: QuadXeon500(), Threads: threads, Size: size,
-				Writes: 100_000_000, Aligned: false, Runs: 3, Seed: o.seed()})
-			if err != nil {
-				return nil, err
-			}
-			if a.Wall.Max > worstA {
-				worstA = a.Wall.Max
-			}
-			if n.Wall.Max > worstN {
-				worstN = n.Wall.Max
-			}
-		}
-		t.AddRow(threads, worstA, worstN, fmt.Sprintf("%.2fx", worstN/worstA))
-	}
-	return t, nil
-}
-
 // AblationSbrkMmap (A4) measures how many 60KB allocations succeed once the
 // brk range is exhausted, with and without the glibc >=2.1.3 mmap retry.
 func AblationSbrkMmap(o Options) (*Table, error) {
@@ -225,7 +195,6 @@ func AblationKernelLock(o Options) (*Table, error) {
 func Ablations() []Experiment {
 	return []Experiment{
 		{"A1", "Allocator design comparison (incl. per-thread arenas)", "single lock collapses; arenas scale", AblationArenaPolicy},
-		{"A3", "Cache-line alignment on/off", "alignment removes false-sharing slowdowns", AblationAlignment},
 		{"A4", "sbrk retry-with-mmap on/off", "without retry, allocation fails at the library mapping", AblationSbrkMmap},
 		{"A5", "Heap trim on/off", "trim trades refaults for footprint", AblationTrim},
 		{"A6", "Global vs per-mm kernel lock", "the authors' sbrk kernel patch", AblationKernelLock},

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mtmalloc/internal/malloc"
@@ -323,8 +324,16 @@ func TestProfileLookup(t *testing.T) {
 	if _, err := ProfileByName("quad-xeon-500"); err != nil {
 		t.Error(err)
 	}
-	if _, err := ProfileByName("cray-1"); err == nil {
-		t.Error("unknown profile accepted")
+	_, err := ProfileByName("cray-1")
+	if err == nil {
+		t.Fatal("unknown profile accepted")
+	}
+	for name := range Profiles() {
+		// Each name is followed by the list's separator or its end, so
+		// numa-500-4n64c does not stand in for numa-500-4n.
+		if !strings.Contains(err.Error(), name+",") && !strings.Contains(err.Error(), name+")") {
+			t.Errorf("unknown-profile error %q does not name %s", err, name)
+		}
 	}
 }
 

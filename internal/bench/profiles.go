@@ -5,6 +5,8 @@ package bench
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"mtmalloc/internal/cache"
 	"mtmalloc/internal/heap"
@@ -288,11 +290,18 @@ func Profiles() map[string]Profile {
 	}
 }
 
-// ProfileByName looks a profile up, with a helpful error.
+// ProfileByName looks a profile up; an unknown name's error lists every
+// profile Profiles has.
 func ProfileByName(name string) (Profile, error) {
-	p, ok := Profiles()[name]
+	profiles := Profiles()
+	p, ok := profiles[name]
 	if !ok {
-		return Profile{}, fmt.Errorf("bench: unknown profile %q (have dual-ppro-200, quad-xeon-500, sun-ultra-2x400, k6-400, numa-500-{1,2,4}n, numa-500-4n64c, origin-500-4n64c)", name)
+		names := make([]string, 0, len(profiles))
+		for n := range profiles {
+			names = append(names, n)
+		}
+		slices.Sort(names)
+		return Profile{}, fmt.Errorf("bench: unknown profile %q (have %s)", name, strings.Join(names, ", "))
 	}
 	return p, nil
 }

@@ -42,8 +42,6 @@ type Stats struct {
 	Trims         uint64
 	MmapChunks    uint64
 	MunmapChunks  uint64
-	GrowsInPlace  uint64 // realloc satisfied by absorbing a neighbour
-	BytesCopied   uint64 // payload bytes moved by CopyPayload (realloc moves)
 	TopReleases   uint64 // TrimTop calls that released at least one page
 	BytesReleased uint64 // bytes handed back to the kernel by TrimTop
 	// Binned-chunk page release (ReleaseBinned, the PageHeap-style path that
@@ -124,9 +122,9 @@ type Arena struct {
 	binSettled                   bool
 	binSettledMin, binSettledPad uint64
 
-	// lastOp is the virtual time of the most recent Malloc/Free/
-	// ReallocInPlace on this arena; the scavenger's trim source skips arenas
-	// active since its cutoff so mid-burst arenas are not forced to refault.
+	// lastOp is the virtual time of the most recent Malloc/Free on this
+	// arena; the scavenger's trim source skips arenas active since its
+	// cutoff so mid-burst arenas are not forced to refault.
 	lastOp sim.Time
 
 	stats Stats

@@ -7,14 +7,13 @@ import (
 	"mtmalloc/internal/sim"
 )
 
-// TestReallocCallocAcrossArenas covers the cross-arena routing paths for
-// every kind: a producer thread fills its arena, a consumer thread (owning
-// a different arena where the design has one) reallocs every chunk — forcing
-// moves whose size reads, copies and frees must route through the chunk's
-// owning arena — and callocs fresh zeroed memory. Asserts data integrity,
-// copied-byte accounting, cross-arena free counts and Check() cleanliness.
-// The offloaded kinds run their service threads through both phases.
-func TestReallocCallocAcrossArenas(t *testing.T) {
+// TestCrossArenaFreesAllKinds covers the cross-arena free routing for every
+// kind: a producer thread fills its arena, and a consumer thread (owning a
+// different arena where the design has one) frees every chunk, each free
+// routing to the chunk's owning arena. Asserts the stamps survive the
+// handoff, cross-arena free counts and Check() cleanliness. The offloaded
+// kinds run their service threads through both phases.
+func TestCrossArenaFreesAllKinds(t *testing.T) {
 	const nObjs = 60
 	for _, kind := range Kinds() {
 		kind := kind
@@ -55,31 +54,14 @@ func TestReallocCallocAcrossArenas(t *testing.T) {
 						return
 					}
 					for i, p := range objs {
-						np, err := al.Realloc(w, p, 300)
-						if err != nil {
-							t.Errorf("Realloc: %v", err)
+						if got := space.Read8(w, p); got != byte(i+1) {
+							t.Errorf("obj %d: stamp %x before free, want %x", i, got, byte(i+1))
 							return
 						}
-						if got := space.Read8(w, np); got != byte(i+1) {
-							t.Errorf("obj %d: stamp %x after realloc, want %x", i, got, byte(i+1))
+						if err := al.Free(w, p); err != nil {
+							t.Errorf("Free: %v", err)
 							return
 						}
-						objs[i] = np
-					}
-					q, err := al.Calloc(w, 256)
-					if err != nil {
-						t.Errorf("Calloc: %v", err)
-						return
-					}
-					for j := uint64(0); j < 256; j++ {
-						if space.Read8(w, q+j) != 0 {
-							t.Errorf("calloc byte %d nonzero", j)
-							return
-						}
-					}
-					if err := al.Free(w, q); err != nil {
-						t.Errorf("Free calloc: %v", err)
-						return
 					}
 					if err := al.Free(w, own); err != nil {
 						t.Errorf("Free own: %v", err)
@@ -89,33 +71,19 @@ func TestReallocCallocAcrossArenas(t *testing.T) {
 				svc.Stop(main)
 
 				st := al.Stats()
-				// Nearly all chunks must have moved and copied their
-				// payload; a handful can grow in place when their successor
-				// happens to be free (the top chunk, or a flushed tail of a
-				// thread-cache refill batch).
-				if want := uint64((nObjs - 5) * 100); st.Heap.BytesCopied < want {
-					t.Errorf("BytesCopied = %d, want >= %d", st.Heap.BytesCopied, want)
-				}
 				if kind == KindPerThread || kind == KindThreadCache {
 					if st.CrossArenaFrees == 0 {
-						t.Error("no cross-arena frees counted despite consumer realloc of producer chunks")
+						t.Error("no cross-arena frees counted despite consumer frees of producer chunks")
 					}
 					if st.ArenaCount < 2 {
 						t.Errorf("arena count = %d, want >= 2", st.ArenaCount)
 					}
 				}
-				for _, p := range objs {
-					if err := al.Free(main, p); err != nil {
-						t.Errorf("drain Free: %v", err)
-						return
-					}
-				}
 				if err := al.Check(); err != nil {
 					t.Errorf("Check: %v", err)
 				}
-				st = al.Stats()
 				if st.Heap.Mallocs != st.Heap.Frees {
-					t.Errorf("mallocs %d != frees %d after full drain", st.Heap.Mallocs, st.Heap.Frees)
+					t.Errorf("mallocs %d != frees %d after the consumer freed everything", st.Heap.Mallocs, st.Heap.Frees)
 				}
 			})
 			if err != nil {

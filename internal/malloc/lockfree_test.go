@@ -318,56 +318,3 @@ func TestLockFreeScavengeDuringChurn(t *testing.T) {
 		t.Errorf("DepotLockAcqs = %d, want 0", st.DepotLockAcqs)
 	}
 }
-
-// TestLockFreeCallocIgnoresNeighbourBytes: a buddy-backed chunk has no
-// boundary tag, so the word below it belongs to the left neighbour's user
-// data. Calloc must not read it: its cost may not depend on whether that
-// word happens to carry the mmapped-chunk flag bit.
-func TestLockFreeCallocIgnoresNeighbourBytes(t *testing.T) {
-	cost := func(word uint32) sim.Time {
-		m, as := newWorld(2, 41)
-		var took sim.Time
-		err := m.Run(func(main *sim.Thread) {
-			al, err := newThreadCache(main, KindLockFree, as, heap.DefaultParams(), DefaultCostParams())
-			if err != nil {
-				t.Errorf("newThreadCache: %v", err)
-				return
-			}
-			// A refill carves a span front to back and hands out its last
-			// chunk; the magazine pops the next one down, the first chunk's
-			// left neighbour.
-			p, err := al.Malloc(main, 64)
-			if err != nil {
-				t.Errorf("Malloc: %v", err)
-				return
-			}
-			left, err := al.Malloc(main, 64)
-			if err != nil {
-				t.Errorf("Malloc: %v", err)
-				return
-			}
-			if al.lf.spanAt(p) == nil || left+uint64(al.lf.spanAt(p).csz) != p {
-				t.Errorf("chunks 0x%x and 0x%x are not buddy-carved neighbours", left, p)
-				return
-			}
-			as.Write32(main, p-4, word) // the neighbour's last user word
-			if err := al.Free(main, p); err != nil {
-				t.Errorf("Free: %v", err)
-				return
-			}
-			start := main.Now()
-			q, err := al.Calloc(main, 64)
-			took = main.Now() - start
-			if err != nil || q != p {
-				t.Errorf("Calloc = 0x%x, %v; want the parked 0x%x", q, err, p)
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return took
-	}
-	if zero, flagged := cost(0), cost(heap.IsMmapped); zero != flagged {
-		t.Errorf("Calloc cost %d cycles after a neighbour word of 0, %d after 0x%x", zero, flagged, heap.IsMmapped)
-	}
-}

@@ -41,19 +41,18 @@
 // # One op frame, many designs
 //
 // Every kind runs the same op frame, written once on base: Malloc, Free,
-// Realloc, Calloc, Stats and Check. The frame owns everything the designs
-// share — the preemption point, the per-op shared-state tax, the inline
-// scavenge tick, the mmap path, line-quantization metering, one telemetry
-// record per op and the out-of-memory cascade-and-retry (pressure.go) —
-// and asks the design, through the unexported design interface, only what
-// differs. base answers every question itself — a malloc locks the one
-// main arena, a free is routed to its owner — so Serial is base plus one
-// answer, PTMalloc and PerThread override how a malloc gets a locked arena
-// and what a full arena falls over to (paper.go), and ThreadCache replaces
-// the arena path wholesale with its tier walk (threadcache.go). Which
-// arena is a thread's own, the one the per-op tax bills, is data: the
-// table base.own points at. New returns the design itself; nothing wraps
-// it.
+// Stats and Check. The frame owns everything the designs share — the
+// preemption point, the per-op shared-state tax, the inline scavenge tick,
+// the mmap path, line-quantization metering, one telemetry record per op and
+// the out-of-memory cascade-and-retry (pressure.go) — and asks the design,
+// through the unexported design interface, only what differs. base answers
+// every question itself — a malloc locks the one main arena, a free is
+// routed to its owner — so Serial is base plus one answer, PTMalloc and
+// PerThread override how a malloc gets a locked arena and what a full arena
+// falls over to (paper.go), and ThreadCache replaces the arena path
+// wholesale with its tier walk (threadcache.go). Which arena is a thread's
+// own, the one the per-op tax bills, is data: the table base.own points at.
+// New returns the design itself; nothing wraps it.
 //
 // All variants serve requests at or above the mmap threshold from dedicated
 // anonymous mappings, as glibc does ("mmap() for allocation requests larger
@@ -398,11 +397,6 @@ type Allocator interface {
 	Name() string
 	Malloc(t *sim.Thread, size uint32) (uint64, error)
 	Free(t *sim.Thread, mem uint64) error
-	// Realloc resizes mem to size with C realloc semantics: Realloc(0, n)
-	// allocates, Realloc(p, 0) frees and returns 0.
-	Realloc(t *sim.Thread, mem uint64, size uint32) (uint64, error)
-	// Calloc allocates size bytes of zeroed memory.
-	Calloc(t *sim.Thread, size uint32) (uint64, error)
 
 	// AttachThread and DetachThread maintain the active-thread registry
 	// behind the shared-state tax; benchmark workers bracket their run with
@@ -502,9 +496,6 @@ type design interface {
 	// does not class chunks) and the tier the free reached; the default
 	// unmaps mmapped chunks and frees the rest into freeArena's arena.
 	deallocate(t *sim.Thread, mem uint64) (uint32, telemetry.Tier, error)
-	// spanClass reports the chunk size of a headerless chunk (the lock-free
-	// kinds' buddy-backed chunks), 0 for a chunk with a boundary tag.
-	spanClass(t *sim.Thread, mem uint64) uint32
 	// reclaim runs one emergency cascade pass at the given pressure level
 	// (escalated: the level just rose).
 	reclaim(t *sim.Thread, level int, escalated bool)
@@ -570,7 +561,7 @@ func (b *base) Malloc(t *sim.Thread, size uint32) (uint64, error) {
 	start := b.calm(t)
 	mem, err := b.malloc(t, size)
 	if err != nil && IsNoMem(err) {
-		return b.rescue(t, err, b.params.Request2Size(size), start, func() (uint64, error) { return b.malloc(t, size) })
+		return b.rescue(t, size, err, start)
 	}
 	return mem, err
 }
@@ -621,89 +612,6 @@ func (b *base) Free(t *sim.Thread, mem uint64) error {
 	}
 	b.telOp(t, telemetry.OpFree, class, tier, start)
 	return nil
-}
-
-// Realloc resizes mem with C semantics, retried whole after an
-// out-of-memory failure: a failed realloc leaves the original chunk intact.
-func (b *base) Realloc(t *sim.Thread, mem uint64, size uint32) (uint64, error) {
-	start := b.calm(t)
-	np, err := b.realloc(t, mem, size)
-	if err != nil && IsNoMem(err) {
-		return b.rescue(t, err, 0, start, func() (uint64, error) { return b.realloc(t, mem, size) })
-	}
-	return np, err
-}
-
-// realloc is one unguarded realloc. Moves go through the unguarded malloc
-// and Free, so the design's policy (arena selection, magazines, the mmap
-// threshold) applies to them.
-func (b *base) realloc(t *sim.Thread, mem uint64, size uint32) (uint64, error) {
-	switch {
-	case mem == 0:
-		return b.malloc(t, size)
-	case size == 0:
-		return 0, b.Free(t, mem)
-	}
-	t.MaybeYield()
-	// Mmapped and headerless chunks live outside every arena's segments;
-	// chunk-format operations on them go through the main arena by
-	// convention (the addresses are plain mapped memory).
-	ref := b.arenas[0]
-	if csz := b.kind.spanClass(t, mem); csz != 0 {
-		if b.params.Request2Size(size) == csz {
-			return mem, nil // same class: the chunk already fits
-		}
-		return b.move(t, ref, mem, csz, size)
-	}
-	if ref.IsMmappedMem(t, mem) {
-		return b.move(t, ref, mem, ref.UsableSize(t, mem), size)
-	}
-	a, err := b.routeFree(t, mem)
-	if err != nil {
-		return 0, err
-	}
-	t.Lock(a.Lock)
-	np, ok, err := a.ReallocInPlace(t, mem, size)
-	t.Unlock(a.Lock)
-	if err != nil || ok {
-		return np, err
-	}
-	// In-place resize impossible: move. Size reads and the copy go through
-	// the owning arena, so the coherence charges land on its cache lines.
-	return b.move(t, a, mem, a.UsableSize(t, mem), size)
-}
-
-// move reallocates by a fresh malloc, a copy of the surviving payload
-// through ref, and a free of the old chunk (oldUs usable bytes).
-func (b *base) move(t *sim.Thread, ref *heap.Arena, mem uint64, oldUs, size uint32) (uint64, error) {
-	np, err := b.malloc(t, size)
-	if err != nil {
-		return 0, fmt.Errorf("realloc: %w", err)
-	}
-	ref.CopyPayload(t, np, mem, min(size, oldUs))
-	return np, b.Free(t, mem)
-}
-
-// Calloc allocates size bytes of zeroed memory, retried whole after an
-// out-of-memory failure.
-func (b *base) Calloc(t *sim.Thread, size uint32) (uint64, error) {
-	start := b.calm(t)
-	mem, err := b.calloc(t, size)
-	if err != nil && IsNoMem(err) {
-		return b.rescue(t, err, b.params.Request2Size(size), start, func() (uint64, error) { return b.calloc(t, size) })
-	}
-	return mem, err
-}
-
-// calloc is one unguarded calloc. Zeroing writes through the address space
-// (via the main arena, as for every chunk-format operation on memory
-// outside an arena's books): it needs no owner, so it reads no chunk header.
-func (b *base) calloc(t *sim.Thread, size uint32) (uint64, error) {
-	mem, err := b.malloc(t, size)
-	if err == nil {
-		b.arenas[0].Memzero(t, mem, size)
-	}
-	return mem, err
 }
 
 // Stats returns aggregated statistics. The arena sums go through one path,
@@ -802,9 +710,8 @@ func (b *base) deallocate(t *sim.Thread, mem uint64) (uint32, telemetry.Tier, er
 	return 0, telemetry.TierArena, err
 }
 
-func (b *base) spanClass(*sim.Thread, uint64) uint32 { return 0 }
-func (b *base) addStats(*Stats)                      {}
-func (b *base) check() error                         { return nil }
+func (b *base) addStats(*Stats) {}
+func (b *base) check() error    { return nil }
 
 // opCharge bills the per-op shared-state taxes for one operation by t.
 func (b *base) opCharge(t *sim.Thread) {

@@ -214,6 +214,83 @@ func TestPTMallocCrossThreadFree(t *testing.T) {
 	}
 }
 
+// TestPTMallocFalloverFromFullSubArena pins PTMalloc.fallover past its
+// ErrArenaFull check: once the caller's sub-arena has mapped heap's 1 MB
+// sub-arena budget, the next malloc is served by another arena that can
+// grow (the main arena, by sbrk) or, when none can, by a fresh sub-arena.
+func TestPTMallocFalloverFromFullSubArena(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		brkBlocked bool // brk run up to the library mapping, no mmap retry
+		served     int  // index of the arena that serves the fallover
+		creations  uint64
+	}{
+		{"main arena serves", false, 0, 1},
+		{"fresh arena", true, 2, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m, as := newWorld(2, 59)
+			err := m.Run(func(main *sim.Thread) {
+				params := heap.DefaultParams()
+				params.RetrySbrkWithMmap = !c.brkBlocked
+				p, err := NewPTMalloc(main, as, params, DefaultCostParams())
+				if err != nil {
+					t.Errorf("NewPTMalloc: %v", err)
+					return
+				}
+				if c.brkBlocked {
+					room := int64(vm.LibBase-as.Brk()) - 8*vm.PageSize
+					if _, err := as.Sbrk(main, room); err != nil {
+						t.Errorf("Sbrk: %v", err)
+						return
+					}
+				}
+				// ptmalloc grows a sub-arena when its sweep finds every arena
+				// busy; grow one the way lockArena does and make it the
+				// caller's last arena.
+				main.Lock(p.listLock)
+				sub, err := p.grow(main, -1)
+				main.Unlock(p.listLock)
+				if err != nil {
+					t.Errorf("grow: %v", err)
+					return
+				}
+				p.lastArena.set(main.ID(), sub)
+				inSub := 0
+				for {
+					mem, err := p.Malloc(main, 60*1024)
+					if err != nil {
+						t.Errorf("malloc %d: %v", inSub+1, err)
+						return
+					}
+					if !sub.Contains(mem - heap.HeaderSz) {
+						if c.served >= len(p.arenas) || !p.arenas[c.served].Contains(mem-heap.HeaderSz) {
+							t.Errorf("fallover chunk 0x%x not in arena %d (%d arenas)", mem, c.served, len(p.arenas))
+						}
+						break
+					}
+					if inSub++; inSub > 20 {
+						t.Errorf("sub-arena still serving after %d chunks of 60 KB", inSub)
+						return
+					}
+				}
+				if inSub < 10 {
+					t.Errorf("sub-arena served only %d chunks before falling over", inSub)
+				}
+				if got := p.Stats().ArenaCreations; got != c.creations {
+					t.Errorf("ArenaCreations = %d, want %d", got, c.creations)
+				}
+				if err := p.Check(); err != nil {
+					t.Errorf("Check: %v", err)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestPerThreadArenasAreDistinct(t *testing.T) {
 	m, as := newWorld(2, 11)
 	err := m.Run(func(main *sim.Thread) {
@@ -506,112 +583,4 @@ func TestTortureMultiThread(t *testing.T) {
 			}
 		})
 	}
-}
-
-func TestReallocAllKinds(t *testing.T) {
-	runAllKinds(t, func(t *testing.T, th *sim.Thread, al Allocator) {
-		space := al.AddressSpace()
-		// Realloc(0, n) allocates.
-		p, err := al.Realloc(th, 0, 64)
-		if err != nil || p == 0 {
-			t.Fatalf("Realloc(0, 64) = %x, %v", p, err)
-		}
-		space.Write8(th, p, 0x5a)
-		// Grow preserves data.
-		p2, err := al.Realloc(th, p, 3000)
-		if err != nil {
-			t.Fatalf("grow: %v", err)
-		}
-		if space.Read8(th, p2) != 0x5a {
-			t.Fatal("data lost on grow")
-		}
-		// Shrink preserves data.
-		p3, err := al.Realloc(th, p2, 16)
-		if err != nil {
-			t.Fatalf("shrink: %v", err)
-		}
-		if space.Read8(th, p3) != 0x5a {
-			t.Fatal("data lost on shrink")
-		}
-		// Realloc(p, 0) frees.
-		z, err := al.Realloc(th, p3, 0)
-		if err != nil || z != 0 {
-			t.Fatalf("Realloc(p, 0) = %x, %v", z, err)
-		}
-		if err := al.Check(); err != nil {
-			t.Fatalf("Check: %v", err)
-		}
-	})
-}
-
-func TestReallocAcrossMmapBoundary(t *testing.T) {
-	runAllKinds(t, func(t *testing.T, th *sim.Thread, al Allocator) {
-		space := al.AddressSpace()
-		// Small -> huge: moves into an mmapped chunk.
-		p, err := al.Malloc(th, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		space.Write8(th, p, 0x77)
-		big, err := al.Realloc(th, p, 300*1024)
-		if err != nil {
-			t.Fatalf("grow to mmap: %v", err)
-		}
-		if big < vm.MmapBase {
-			t.Errorf("big block not mmapped: %x", big)
-		}
-		if space.Read8(th, big) != 0x77 {
-			t.Fatal("data lost moving to mmap")
-		}
-		// Huge -> small: moves back into the arena.
-		small, err := al.Realloc(th, big, 64)
-		if err != nil {
-			t.Fatalf("shrink from mmap: %v", err)
-		}
-		if space.Read8(th, small) != 0x77 {
-			t.Fatal("data lost moving from mmap")
-		}
-		if err := al.Free(th, small); err != nil {
-			t.Fatal(err)
-		}
-		if err := al.Check(); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-func TestCallocAllKinds(t *testing.T) {
-	runAllKinds(t, func(t *testing.T, th *sim.Thread, al Allocator) {
-		space := al.AddressSpace()
-		// Dirty a chunk, free it, calloc the same size: must read zero.
-		p, err := al.Malloc(th, 128)
-		if err != nil {
-			t.Fatal(err)
-		}
-		barrier, err := al.Malloc(th, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := uint64(0); i < 128; i++ {
-			space.Write8(th, p+i, 0xee)
-		}
-		if err := al.Free(th, p); err != nil {
-			t.Fatal(err)
-		}
-		q, err := al.Calloc(th, 128)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := uint64(0); i < 128; i++ {
-			if space.Read8(th, q+i) != 0 {
-				t.Fatalf("calloc byte %d = %x, want 0", i, space.Read8(th, q+i))
-			}
-		}
-		if err := al.Free(th, q); err != nil {
-			t.Fatal(err)
-		}
-		if err := al.Free(th, barrier); err != nil {
-			t.Fatal(err)
-		}
-	})
 }

@@ -364,6 +364,77 @@ func TestTwoNodeChurnTortureWithScavenge(t *testing.T) {
 	}
 }
 
+// TestShardFallsBackToAnyArena pins arenaBatch's last resort on a sharded
+// pool: a node-1 thread fills its home arena to heap's 1 MB sub-arena budget
+// with requests too large to cache, and a commit limit then refuses its
+// shard a fresh arena, so the request is served by an arena of another
+// shard (the main arena, whose brk still fits it) rather than failing.
+func TestShardFallsBackToAnyArena(t *testing.T) {
+	const size = 40 * 1024 // above cacheMax: every malloc goes to the home arena
+	m, as := newNUMAWorld(2, 2, 53)
+	err := m.Run(func(main *sim.Thread) {
+		al, err := NewThreadCache(main, as, heap.DefaultParams(), DefaultCostParams())
+		if err != nil {
+			t.Errorf("NewThreadCache: %v", err)
+			return
+		}
+		w := main.Spawn("node1", func(w *sim.Thread) {
+			w.Pin(1)
+			w.Yield()
+			if w.Node() != 1 {
+				t.Errorf("worker runs on node %d, want 1", w.Node())
+				return
+			}
+			// Room for the home arena's whole 1 MB budget plus the main
+			// arena's sbrk growth for one request, but not for another
+			// sub-arena's first 128 KB mapping.
+			as.SetMemLimit(as.Stats().CommittedBytes + 1<<20 + 64<<10)
+			var home *heap.Arena
+			inHome := 0
+			for {
+				mem, err := al.Malloc(w, size)
+				if err != nil {
+					t.Errorf("malloc %d: %v", inHome+1, err)
+					return
+				}
+				if home == nil {
+					home = al.caches.get(w.ID()).home
+					if home == nil || home.Node != 1 {
+						t.Errorf("home arena %v is not bound to node 1", home)
+						return
+					}
+				}
+				if !home.Contains(mem - heap.HeaderSz) {
+					if !al.arenas[0].Contains(mem - heap.HeaderSz) {
+						t.Errorf("fallback chunk 0x%x not in the main arena", mem)
+					}
+					break
+				}
+				if inHome++; inHome > 30 {
+					t.Errorf("home arena still serving after %d chunks of 40 KB", inHome)
+					return
+				}
+			}
+			if inHome < 20 {
+				t.Errorf("home arena served only %d chunks before the fallback", inHome)
+			}
+		})
+		main.Join(w)
+		if got := al.Stats().ArenaCreations; got != 1 {
+			t.Errorf("ArenaCreations = %d, want 1 (the home arena; its shard's growth was refused)", got)
+		}
+		if as.Stats().CommitFails == 0 {
+			t.Error("the commit limit refused nothing")
+		}
+		if err := al.Check(); err != nil {
+			t.Errorf("Check: %v", err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSumStatsDropsNoHeapField is the end-to-end no-silent-drop test for
 // the allocator-level aggregation: after real traffic, every field of
 // Stats().Heap must equal the reflection-computed sum over the arenas

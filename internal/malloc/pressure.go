@@ -11,14 +11,12 @@ import (
 )
 
 // This file is the allocator's answer to ENOMEM, part of the op frame every
-// kind runs: when a Malloc, Realloc or Calloc fails because the address
-// space refused to grow — a commit limit (vm.SetMemLimit) or an injected
-// fault — the frame runs an emergency reclamation cascade over every tier
-// that parks memory and retries the whole operation a bounded number of
-// times before letting the failure through. Free is never retried, and the
-// malloc and free inside a retried Realloc or Calloc never start a cascade
-// of their own. With no commit limit and no fault injection nothing here
-// runs: no charges, no state, bit-identical numbers.
+// kind runs: when a Malloc fails because the address space refused to grow
+// — a commit limit (vm.SetMemLimit) or an injected fault — the frame runs
+// an emergency reclamation cascade over every tier that parks memory and
+// retries the malloc a bounded number of times before letting the failure
+// through. Free is never retried. With no commit limit and no fault
+// injection nothing here runs: no charges, no state, bit-identical numbers.
 //
 // The cascade runs the same direction as the scavenger's idle-decay sweep
 // (magazines -> depot -> binned pages -> reuse cache -> arena-top trim), but
@@ -67,14 +65,14 @@ func (b *base) calm(t *sim.Thread) sim.Time {
 	return now
 }
 
-// rescue runs the cascade-and-retry loop after a guarded operation failed
-// with the out-of-memory error err; op reruns it unguarded. With telemetry
-// attached the whole rescue — failed first attempt, cascade passes, retries
-// — is attributed as one malloc of the given class to the emergency tier,
-// from the operation's start: recording inside the frame is muted for the
-// duration so the retried op is not double-counted in whichever tier
+// rescue runs the cascade-and-retry loop after a malloc of size bytes
+// failed with the out-of-memory error err, rerunning the unguarded malloc.
+// With telemetry attached the whole rescue — failed first attempt, cascade
+// passes, retries — is attributed as one malloc to the emergency tier, from
+// the operation's start: recording inside the frame is muted for the
+// duration so the retried malloc is not double-counted in whichever tier
 // finally serves it.
-func (b *base) rescue(t *sim.Thread, err error, class uint32, start sim.Time, op func() (uint64, error)) (uint64, error) {
+func (b *base) rescue(t *sim.Thread, size uint32, err error, start sim.Time) (uint64, error) {
 	b.tel.Instant(t, "emergency cascade", "pressure")
 	b.muted = true
 	var mem uint64
@@ -89,7 +87,7 @@ func (b *base) rescue(t *sim.Thread, err error, class uint32, start sim.Time, op
 		b.kind.reclaim(t, b.level, escalated)
 		b.stats.OOMRetries++
 		b.tel.Instant(t, "oom retry", "pressure")
-		mem, err = op()
+		mem, err = b.malloc(t, size)
 	}
 	if IsNoMem(err) {
 		mem = 0
@@ -97,7 +95,7 @@ func (b *base) rescue(t *sim.Thread, err error, class uint32, start sim.Time, op
 		b.tel.Instant(t, "oom fail", "pressure")
 	}
 	b.muted = false
-	b.tel.Op(t, telemetry.OpMalloc, class, telemetry.TierEmergency, start)
+	b.tel.Op(t, telemetry.OpMalloc, b.params.Request2Size(size), telemetry.TierEmergency, start)
 	return mem, err
 }
 

@@ -112,11 +112,12 @@ func TestPerThreadOverflowsToMainUnderCommitLimit(t *testing.T) {
 }
 
 // TestPtmallocSurvivesInjectedMmapFailures drives ptmalloc's arena retry
-// machinery (the ErrArenaFull sweep and subordinate-arena creation) against
-// deterministic growth-failure injection: each mmap/sbrk growth call fails
-// with probability one half, and the allocator must keep serving what it
-// can, fail the rest with a clean out-of-memory error, and stay structurally
-// consistent.
+// machinery (the trylock sweeps and subordinate-arena creation; no arena
+// fills, so TestPTMallocFalloverFromFullSubArena covers the ErrArenaFull
+// fall-over) against deterministic growth-failure injection: each mmap/sbrk
+// growth call fails with probability one half, and the allocator must keep
+// serving what it can, fail the rest with a clean out-of-memory error, and
+// stay structurally consistent.
 func TestPtmallocSurvivesInjectedMmapFailures(t *testing.T) {
 	m, as := newWorld(2, 7)
 	err := m.Run(func(th *sim.Thread) {

@@ -846,21 +846,6 @@ func (tc *ThreadCache) DetachThread(t *sim.Thread) {
 	tc.base.DetachThread(t)
 }
 
-// spanClass reports the class of a buddy-backed chunk, which carries no
-// boundary tag for realloc to read; the lookup is priced like the free
-// path's.
-func (tc *ThreadCache) spanClass(t *sim.Thread, mem uint64) uint32 {
-	if tc.lf == nil {
-		return 0
-	}
-	sp := tc.lf.spanAt(mem)
-	if sp == nil {
-		return 0
-	}
-	t.Charge(sim.Time(tc.costs.TSDRead))
-	return sp.csz
-}
-
 // addStats adds the caching tiers: chunks and bytes parked in magazines,
 // depots and mailboxes, and the contention counters of the pool cursors and
 // the buddy backend.

@@ -142,7 +142,7 @@ func RunLarson(cfg LarsonConfig) (LarsonResult, error) { return bench.RunLarson(
 // Experiments returns the registry reproducing every table and figure.
 func Experiments() []Experiment { return bench.All() }
 
-// Ablations returns the design-choice studies (A1, A3–A6).
+// Ablations returns the design-choice studies (A1, A4–A6).
 func Ablations() []Experiment { return bench.Ablations() }
 
 // PredictMinorFaults is benchmark 2's lower-bound fault predictor
