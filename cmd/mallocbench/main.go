@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"mtmalloc/internal/bench"
@@ -30,27 +31,71 @@ import (
 	"mtmalloc/internal/telemetry"
 )
 
+// flags is the command line. Each -bench reads only some of it.
+var (
+	flags         = flag.NewFlagSet("mallocbench", flag.ExitOnError)
+	which         = flags.String("bench", "1", "benchmark: 1, 2, 3, larson, or an experiment ID of cmd/repro's registry: d1 (design comparison), d2 (mid-tier ablation), d3 (footprint phase-shift), d4 (NUMA locality), d5 (contention scaling), d6 (memory-pressure degradation), d9 (line-aware placement), d10 (service-thread offload), ...")
+	profileName   = flags.String("profile", "quad-xeon-500", "machine profile")
+	threads       = flags.Int("threads", 2, "worker threads")
+	processes     = flags.Bool("processes", false, "benchmark 1: one process per worker")
+	size          = flags.Uint("size", 512, "benchmarks 1-3: request size in bytes")
+	pairs         = flags.Int("pairs", 1000000, "benchmark 1: malloc/free pairs per thread")
+	rounds        = flags.Int("rounds", 4, "benchmark 2: thread-recreation rounds")
+	objects       = flags.Int("objects", 10000, "benchmark 2: objects per chain")
+	writes        = flags.Int64("writes", 100000000, "benchmark 3: writes per thread")
+	aligned       = flags.Bool("aligned", false, "benchmark 3: cache-line aligned allocator")
+	runs          = flags.Int("runs", 3, "repetitions")
+	seed          = flags.Uint64("seed", 1, "base seed")
+	allocator     = flags.String("allocator", "", fmt.Sprint("override the profile's allocator kind, one of ", malloc.Kinds()))
+	scale         = flags.Float64("scale", 0.02, "experiments: workload scale factor (d2: fraction of the 10M benchmark-1 pairs)")
+	jsonPath      = flags.String("json", "", "also write the result table as JSON to this file")
+	telemetryPath = flags.String("telemetry", "", "larson: record telemetry and write run 0's report JSON here plus a Chrome trace-event file next to it (<name>.trace.json); adds latency percentile columns")
+	csv           = flags.Bool("csv", false, "CSV output")
+)
+
+// benchFlags names the flags each built-in -bench reads besides -bench, and
+// experimentFlags those an experiment ID of the registry reads: it runs its
+// own configuration. Any other flag set on the command line would be
+// silently ignored, so it is refused.
+var (
+	benchFlags = map[string][]string{
+		"1":      {"profile", "allocator", "threads", "processes", "size", "pairs", "runs", "seed", "json", "csv"},
+		"2":      {"profile", "allocator", "threads", "rounds", "objects", "size", "runs", "seed", "json", "csv"},
+		"3":      {"profile", "allocator", "threads", "size", "writes", "aligned", "runs", "seed", "json", "csv"},
+		"larson": {"profile", "allocator", "threads", "runs", "seed", "telemetry", "json", "csv"},
+	}
+	experimentFlags = []string{"scale", "seed", "json", "csv"}
+)
+
+// unread returns, as -name, the flags of set other than -bench that reads
+// does not name.
+func unread(reads, set []string) []string {
+	var out []string
+	for _, f := range set {
+		if f != "bench" && !slices.Contains(reads, f) {
+			out = append(out, "-"+f)
+		}
+	}
+	return out
+}
+
 func main() {
-	which := flag.String("bench", "1", "benchmark: 1, 2, 3, larson, or an experiment ID of cmd/repro's registry: d1 (design comparison), d2 (mid-tier ablation), d3 (footprint phase-shift), d4 (NUMA locality), d5 (contention scaling), d6 (memory-pressure degradation), d9 (line-aware placement), d10 (service-thread offload), ...")
-	profileName := flag.String("profile", "quad-xeon-500", "machine profile")
-	threads := flag.Int("threads", 2, "worker threads")
-	processes := flag.Bool("processes", false, "benchmark 1: one process per worker")
-	size := flag.Uint("size", 512, "request size in bytes")
-	pairs := flag.Int("pairs", 1000000, "benchmark 1: malloc/free pairs per thread")
-	rounds := flag.Int("rounds", 4, "benchmark 2: thread-recreation rounds")
-	objects := flag.Int("objects", 10000, "benchmark 2: objects per chain")
-	writes := flag.Int64("writes", 100000000, "benchmark 3: writes per thread")
-	aligned := flag.Bool("aligned", false, "benchmark 3: cache-line aligned allocator")
-	runs := flag.Int("runs", 3, "repetitions")
-	seed := flag.Uint64("seed", 1, "base seed")
-	allocator := flag.String("allocator", "", fmt.Sprint("override the profile's allocator kind, one of ", malloc.Kinds()))
-	scale := flag.Float64("scale", 0.02, "experiments: workload scale factor (d2: fraction of the 10M benchmark-1 pairs)")
-	jsonPath := flag.String("json", "", "also write the result table as JSON to this file")
-	telemetryPath := flag.String("telemetry", "", "larson: record telemetry and write run 0's report JSON here plus a Chrome trace-event file next to it (<name>.trace.json); adds latency percentile columns")
-	csv := flag.Bool("csv", false, "CSV output")
-	flag.Parse()
-	if *telemetryPath != "" && *which != "larson" {
-		fatal(fmt.Errorf("-telemetry is only wired into -bench larson (got -bench %q)", *which))
+	flags.Parse(os.Args[1:])
+	reads, builtin := benchFlags[*which]
+	var exp bench.Experiment
+	if !builtin {
+		// Every other name is an experiment of the registry cmd/repro runs
+		// (d1 ... d10 are the extensions whose records are checked in).
+		var err error
+		if exp, err = bench.ByID(strings.ToUpper(*which)); err != nil {
+			fatal(fmt.Errorf("unknown -bench %q (want 1, 2, 3, larson or an experiment ID such as d2)", *which))
+		}
+		reads = experimentFlags
+	}
+	var set []string
+	flags.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if bad := unread(reads, set); len(bad) > 0 {
+		fatal(fmt.Errorf("-bench %s does not read %s (it reads -%s)", *which, strings.Join(bad, ", "), strings.Join(reads, ", -")))
 	}
 
 	prof, err := bench.ProfileByName(*profileName)
@@ -138,26 +183,7 @@ func main() {
 			}
 		}
 	default:
-		// Every other name is an experiment of the registry cmd/repro runs
-		// (d1 ... d10 are the extensions whose records are checked in).
-		e, err := bench.ByID(strings.ToUpper(*which))
-		if err != nil {
-			fatal(fmt.Errorf("unknown -bench %q (want 1, 2, 3, larson or an experiment ID such as d2)", *which))
-		}
-		// The experiment runs its own configuration: a workload flag would
-		// be silently ignored, so it is refused.
-		var ignored []string
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "bench", "scale", "seed", "json", "csv":
-			default:
-				ignored = append(ignored, "-"+f.Name)
-			}
-		})
-		if len(ignored) > 0 {
-			fatal(fmt.Errorf("-bench %s runs its own configuration, so %s would be ignored (only -scale, -seed, -json and -csv apply)", *which, strings.Join(ignored, ", ")))
-		}
-		tab, err = e.Run(bench.Options{Scale: *scale, Seed: *seed})
+		tab, err = exp.Run(bench.Options{Scale: *scale, Seed: *seed})
 		if err != nil {
 			fatal(err)
 		}

@@ -159,7 +159,13 @@ func TestPTMallocCreatesArenaUnderContention(t *testing.T) {
 	}
 }
 
+// TestPTMallocCrossThreadFree: a producer allocates 500 chunks and a
+// consumer on its own arena frees them all. The consumer allocates once
+// while the producer still runs, so the trylock sweep finds the producer's
+// arena busy and grows a second arena for it. Each free returns its chunk
+// to the producer's arena, not the consumer's, and counts as cross-arena.
 func TestPTMallocCrossThreadFree(t *testing.T) {
+	const n = 500
 	m, as := newWorld(2, 5)
 	err := m.Run(func(main *sim.Thread) {
 		al, err := NewPTMalloc(main, as, heap.DefaultParams(), DefaultCostParams())
@@ -167,11 +173,9 @@ func TestPTMallocCrossThreadFree(t *testing.T) {
 			t.Errorf("NewPTMalloc: %v", err)
 			return
 		}
-		// Producer allocates, consumer frees: the chunks must return to the
-		// producer's arena, not the consumer's.
 		var objs []uint64
 		prod := main.Spawn("prod", func(w *sim.Thread) {
-			for i := 0; i < 500; i++ {
+			for i := 0; i < n; i++ {
 				p, err := al.Malloc(w, 40)
 				if err != nil {
 					t.Errorf("Malloc: %v", err)
@@ -180,25 +184,33 @@ func TestPTMallocCrossThreadFree(t *testing.T) {
 				objs = append(objs, p)
 			}
 		})
-		main.Join(prod)
-		prodArena := al.lastArena.get(prod.ID())
-		if prodArena == nil {
-			t.Error("producer has no arena")
-			return
-		}
+		var consArena *heap.Arena
 		cons := main.Spawn("cons", func(w *sim.Thread) {
+			own, err := al.Malloc(w, 40)
+			if err != nil {
+				t.Errorf("consumer Malloc: %v", err)
+				return
+			}
+			consArena = al.lastArena.get(w.ID())
+			w.Join(prod)
 			for _, p := range objs {
 				if err := al.Free(w, p); err != nil {
 					t.Errorf("Free: %v", err)
 					return
 				}
 			}
+			if err := al.Free(w, own); err != nil {
+				t.Errorf("Free own: %v", err)
+			}
 		})
 		main.Join(cons)
-		if al.Stats().CrossArenaFrees == 0 {
-			// The consumer had no arena of its own, so last==nil; at
-			// minimum the frees must have been routed correctly.
-			t.Log("note: consumer never allocated; cross-arena counter may be 0")
+		prodArena := al.lastArena.get(prod.ID())
+		if prodArena == nil || consArena == nil || prodArena == consArena {
+			t.Errorf("producer arena %p, consumer arena %p: want two different arenas", prodArena, consArena)
+			return
+		}
+		if got := al.Stats().CrossArenaFrees; got != n {
+			t.Errorf("CrossArenaFrees = %d, want %d", got, n)
 		}
 		if err := al.Check(); err != nil {
 			t.Errorf("Check: %v", err)

@@ -525,10 +525,6 @@ func (m *Machine) Threads() []*Thread { return m.threads }
 // order.
 func (m *Machine) Points() []ContentionPoint { return m.points }
 
-// RNG exposes the machine-level random stream (used by harness components
-// that need machine-scoped, thread-independent draws).
-func (m *Machine) RNG() *xrand.RNG { return m.rng }
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

@@ -77,9 +77,6 @@ type Thread struct {
 // ID returns the thread's unique identifier (dense, starting at 0).
 func (t *Thread) ID() int { return t.id }
 
-// Machine returns the machine the thread runs on.
-func (t *Thread) Machine() *Machine { return t.machine }
-
 // Now returns the thread's current simulated time.
 func (t *Thread) Now() Time { return t.clock }
 

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"testing"
 
 	"mtmalloc/internal/cache"
@@ -35,6 +36,31 @@ func BenchmarkRead32Hit(b *testing.B) {
 			sink = as.Read32(th, base+64)
 		}
 	})
+}
+
+// BenchmarkRead32WorkingSet: one CPU reading a word in each of n distinct
+// granules round-robin, every line already held. 8 and 256 contiguous
+// granules fit the granule cache, so every read settles in Read32's fast
+// path; 4,096 granules (32 pages) evict one another from it, so every read
+// walks the page table and refills its entry.
+func BenchmarkRead32WorkingSet(b *testing.B) {
+	for _, n := range []uint64{8, 256, 4096} {
+		b.Run(fmt.Sprintf("granules=%d", n), func(b *testing.B) {
+			benchSpace(b, 1, func(th *sim.Thread, as *AddressSpace) {
+				base, _ := as.Sbrk(th, int64(n*granuleSize))
+				for i := uint64(0); i < n; i++ {
+					as.Write32(th, base+i*granuleSize, uint32(i))
+				}
+				b.ResetTimer()
+				for i, g := 0, uint64(0); i < b.N; i++ {
+					sink = as.Read32(th, base+g*granuleSize)
+					if g++; g == n {
+						g = 0
+					}
+				}
+			})
+		})
+	}
 }
 
 // BenchmarkWrite32PingPong: two CPUs take turns writing the same lines, so

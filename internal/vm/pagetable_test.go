@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -255,6 +256,161 @@ func TestRecycledGranuleStartsUntouched(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestEvictedGranuleLeavesCache: an eviction retires the granule cache's
+// entry for every granule of the page it drops, not only for the last one
+// resolved. CPU 0 writes a word on page P and then one on page Q, so P's
+// granule is cached but not last. P is unmapped, released or trimmed off
+// the break, and a write on Q draws P's old granule from the pool, so CPU 0
+// holds that granule's line dirty again under another address. With P's
+// address mapped again, a read of P's word returns 0 and is billed one cold
+// miss and one memory fill, not a hit on the recycled granule.
+func TestEvictedGranuleLeavesCache(t *testing.T) {
+	mmapPage := func(th *sim.Thread, as *AddressSpace) uint64 {
+		a, _ := as.Mmap(th, PageSize, "p")
+		return a
+	}
+	cases := []struct {
+		name string
+		// mapP maps page P and returns its address.
+		mapP func(th *sim.Thread, as *AddressSpace) uint64
+		// evict drops P and leaves its address mapped again.
+		evict func(th *sim.Thread, as *AddressSpace, p uint64)
+	}{
+		{"munmap", mmapPage, func(th *sim.Thread, as *AddressSpace, p uint64) {
+			if err := as.Munmap(th, p, PageSize); err != nil {
+				panic(err)
+			}
+			if again, _ := as.Mmap(th, PageSize, "again"); again != p {
+				panic(fmt.Sprintf("remapped at 0x%x, want 0x%x", again, p))
+			}
+		}},
+		{"release", mmapPage, func(th *sim.Thread, as *AddressSpace, p uint64) {
+			if as.ReleasePages(th, p, PageSize) != PageSize {
+				panic("page not released")
+			}
+		}},
+		{"sbrk", func(th *sim.Thread, as *AddressSpace) uint64 {
+			a, _ := as.Sbrk(th, PageSize)
+			return a
+		}, func(th *sim.Thread, as *AddressSpace, p uint64) {
+			as.Sbrk(th, -PageSize)
+			if again, _ := as.Sbrk(th, PageSize); again != p {
+				panic(fmt.Sprintf("break regrown at 0x%x, want 0x%x", again, p))
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, c := testSetup(1)
+			as := New(1, m, c)
+			err := m.Run(func(th *sim.Thread) {
+				p := tc.mapP(th, as)
+				q, _ := as.Mmap(th, PageSize, "q")
+				as.Write32(th, p+3*32, 0xdeadbeef)
+				as.Write32(th, q, 1)
+				gran := as.lookup(p / PageSize).grans[0]
+				tc.evict(th, as, p)
+				as.Write32(th, q+7*32, 0xfeedface)
+				if qp := as.lookup(q / PageSize); len(qp.grans) != 2 || qp.grans[1] != gran {
+					t.Errorf("the write on Q did not draw P's granule %d", gran)
+					return
+				}
+				cpu, vs := c.Stats()[0], as.Stats()
+				if got := as.Read32(th, p+3*32); got != 0 {
+					t.Errorf("P's word reads %#x after the eviction, want 0", got)
+				}
+				cpu2, vs2 := c.Stats()[0], as.Stats()
+				if cpu2.ColdMisses != cpu.ColdMisses+1 || cpu2.Hits != cpu.Hits {
+					t.Errorf("P's line billed %d cold misses and %d hits, want 1 and 0",
+						cpu2.ColdMisses-cpu.ColdMisses, cpu2.Hits-cpu.Hits)
+				}
+				if vs2.FillRemote != vs.FillRemote+1 || vs2.FillLocal != vs.FillLocal {
+					t.Errorf("P's line billed %d memory fills and %d local fills, want 1 and 0",
+						vs2.FillRemote-vs.FillRemote, vs2.FillLocal-vs.FillLocal)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestGranuleCacheOutOfRange: the granule cache answers only for addresses
+// in the 32-bit space. With base+64's granule cached, each accessor at
+// base+64 plus 1<<32 or plus 1<<37 — granule numbers that differ from
+// base+64's only at bit 27 or bit 32 — panics with Fault, as it does with
+// nothing cached.
+func TestGranuleCacheOutOfRange(t *testing.T) {
+	accessors := map[string]func(th *sim.Thread, as *AddressSpace, addr uint64){
+		"read32":  func(th *sim.Thread, as *AddressSpace, addr uint64) { as.Read32(th, addr) },
+		"write32": func(th *sim.Thread, as *AddressSpace, addr uint64) { as.Write32(th, addr, 1) },
+		"read8":   func(th *sim.Thread, as *AddressSpace, addr uint64) { as.Read8(th, addr) },
+		"write8":  func(th *sim.Thread, as *AddressSpace, addr uint64) { as.Write8(th, addr, 1) },
+	}
+	for _, op := range []string{"read32", "write32", "read8", "write8"} {
+		for _, shift := range []uint{32, 37} {
+			t.Run(fmt.Sprintf("%s/+1<<%d", op, shift), func(t *testing.T) {
+				m, c := testSetup(1)
+				as := New(1, m, c)
+				var addr uint64
+				err := m.Run(func(th *sim.Thread) {
+					base, _ := as.Sbrk(th, PageSize)
+					as.Write32(th, base+64, 7)
+					addr = base + 64 + 1<<shift
+					accessors[op](th, as, addr)
+				})
+				var f Fault
+				if !errors.As(err, &f) {
+					t.Fatalf("err = %v, want a wrapped vm.Fault", err)
+				}
+				if f.Addr != addr || f.Op != op {
+					t.Errorf("fault = %+v, want %s at 0x%x", f, op, addr)
+				}
+			})
+		}
+	}
+}
+
+// TestGranuleCacheGenerationWrap: the eviction that wraps the granule
+// cache's 32-bit generation still retires every entry, also those filled
+// at the first generation, which the wrapped counter would reach again.
+// Two pages' writes fill all 256 entries at the first generation; the
+// counter is then set to the last generation before the wrap, and one
+// munmap wraps it.
+func TestGranuleCacheGenerationWrap(t *testing.T) {
+	m, c := testSetup(1)
+	as := New(1, m, c)
+	err := m.Run(func(th *sim.Thread) {
+		kept, _ := as.Mmap(th, 2*PageSize, "kept")
+		old, _ := as.Mmap(th, PageSize, "old")
+		for a := kept; a < kept+2*PageSize; a += granuleSize {
+			as.Write32(th, a, uint32(a))
+		}
+		as.gen = ^uint64(0) &^ (genStep - 1)
+		as.Write32(th, old, 1)
+		if err := as.Munmap(th, old, PageSize); err != nil {
+			panic(err)
+		}
+		if as.gen == 0 {
+			t.Errorf("generation wrapped to 0, where an empty entry's key matches address 0")
+		}
+		for i, e := range as.grans {
+			if e.key&^(genStep-1) == as.gen {
+				t.Errorf("entry %d (key %#x) survived the wrapping eviction", i, e.key)
+			}
+		}
+		for a := kept; a < kept+2*PageSize; a += granuleSize {
+			if got := as.Read32(th, a); got != uint32(a) {
+				t.Fatalf("0x%x reads %#x after the wrap, want %#x", a, got, uint32(a))
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

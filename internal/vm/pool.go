@@ -13,8 +13,8 @@ const (
 // slabGranules plus its place in the slab — which a page keeps in 4 bytes
 // instead of an 8-byte pointer the garbage collector would scan. Slabs are
 // never freed or moved, so a granule's address is stable for the life of
-// the address space, and the address space may keep the last granule it
-// resolved. Evicting a page returns its record and its granules to the
+// the address space, and the address space's granule cache may point at
+// the granules it resolved. Evicting a page returns its record and its granules to the
 // free lists here; the next fault draws from them, last freed first.
 type pool struct {
 	slabs []*[slabGranules]granule

@@ -23,8 +23,12 @@
 // directory entry (cache.Line). So one page walk — usually answered by the
 // one-entry cache of the last page touched — and one slot load yield both
 // the data and the line to charge; a hit is then settled by
-// cache.Model.Hit without entering the full protocol. A repeat word access
-// to the granule the last access resolved skips even that walk.
+// cache.Model.Hit without entering the full protocol. An access to one of
+// the granules resolved most recently skips even that walk: the granule
+// cache, a 256-entry table direct-mapped by granule number, remembers
+// them, and every page eviction retires all its entries at once by
+// advancing the table's generation. The table saves the host the walk and
+// changes no charge.
 //
 // Only touched granules are stored: a granule never touched reads as zero,
 // so a resident page costs the host memory of what the program wrote or
@@ -129,24 +133,6 @@ const (
 	KindLib
 	KindStack
 )
-
-func (k Kind) String() string {
-	switch k {
-	case KindText:
-		return "text"
-	case KindData:
-		return "data"
-	case KindBrk:
-		return "brk"
-	case KindAnon:
-		return "anon"
-	case KindLib:
-		return "lib"
-	case KindStack:
-		return "stack"
-	}
-	return "?"
-}
 
 // VMA is one mapped region [Start, End). Node is the NUMA node the mapping
 // is bound to (mbind semantics): pages fault in homed there regardless of
@@ -278,16 +264,18 @@ type AddressSpace struct {
 	// reuseNodeAffinity makes MmapFromReuse prefer regions homed on the
 	// caller's node (the node-sharded allocator turns it on).
 	reuseNodeAffinity bool
-	// one-entry page lookup cache: allocator loops touch few pages.
+	// one-entry page lookup cache for the page walks the granule cache
+	// misses: allocator loops touch few pages.
 	lastIdx  uint64
 	lastPage *page
-	// lastGran is the granule the last access resolved, and lastGranIdx its
-	// address / granuleSize (noGranule when there is none). Read32 and
-	// Write32 settle a repeat hit on it without walking the page table.
-	// Every eviction clears it: the granule may be recycled into another
-	// page.
-	lastGranIdx uint64
-	lastGran    *granule
+	// grans is the granule cache: the granules access resolved most
+	// recently, direct-mapped by granule number (address / granuleSize).
+	// An entry is valid while its key's high 32 bits equal gen's, the
+	// cache's generation. Every eviction advances gen by genStep and so
+	// retires every entry at once: the evicted page's granules may be
+	// recycled into another page.
+	grans [granCacheSize]granEntry
+	gen   uint64
 
 	// mmLock serializes faults and mapping changes among threads of this
 	// address space (mmap_sem). kernelLock models the kernel-side lock for
@@ -333,13 +321,31 @@ const (
 )
 
 // Granule geometry: a page is stored as the granules touched on it, and a
-// granule is one cache line. noGranule is a granule number no address has.
+// granule is one cache line.
 const (
 	granuleShift = cache.LineShift
 	granuleSize  = cache.LineSize
 	pageGranules = PageSize >> granuleShift
-	noGranule    = ^uint64(0)
 )
+
+// Granule-cache geometry. The cache holds granCacheSize entries, two pages'
+// worth of lines: allocator loops re-touch a few hundred lines — chunk
+// headers, free-list links, a thread's stack top — and a larger table
+// bought no host time. Only addresses below spaceLimit, the 32-bit space
+// the page table covers, are looked up, so a key's granule number fits in
+// its low 32 bits and never reaches the generation above them.
+const (
+	granCacheSize = 256
+	spaceLimit    = 1 << 32
+	genStep       = 1 << 32
+)
+
+// granEntry is one granule-cache entry: key is the cache generation when
+// the entry was filled, in the high 32 bits, or'd with the granule number.
+type granEntry struct {
+	key uint64
+	g   *granule
+}
 
 // pageLeaf is one second-level node of the page table. An entry is nil for
 // a page never touched (or unmapped), released for a page ReleasePages
@@ -458,7 +464,9 @@ func (as *AddressSpace) install(idx uint64, p *page) {
 // evict drops page number idx's record — granules, home node and cache
 // lines together — to the pool, leaves mark (nil or released) in its
 // entry, and reports whether the page was resident. A page that was not
-// resident keeps a released entry only when mark is released too.
+// resident keeps a released entry only when mark is released too. It is
+// the one place a granule leaves its page, so it is the one place that
+// retires the granule cache.
 func (as *AddressSpace) evict(idx uint64, mark *page) bool {
 	if idx >= dirSize*leafSize {
 		return false
@@ -479,7 +487,13 @@ func (as *AddressSpace) evict(idx uint64, mark *page) bool {
 	as.resident--
 	as.pool.put(p)
 	as.lastPage = nil
-	as.lastGranIdx, as.lastGran = noGranule, nil
+	// Retire every granule-cache entry. When the generation wraps, entries
+	// of an old generation would match again, so the table starts over.
+	as.gen += genStep
+	if as.gen == 0 {
+		as.grans = [granCacheSize]granEntry{}
+		as.gen = genStep
+	}
 	return true
 }
 
@@ -508,16 +522,16 @@ func WithCosts(c Costs) Option {
 // charging cache traffic to model.
 func New(id uint32, m *sim.Machine, model *cache.Model, opts ...Option) *AddressSpace {
 	as := &AddressSpace{
-		ID:          id,
-		mach:        m,
-		cache:       model,
-		costs:       DefaultCosts(),
-		brk:         DataBase,
-		lastGranIdx: noGranule,
-		numaOn:      m.Nodes() > 1,
-		remoteMult:  m.RemoteMultiplier(),
-		mmapHint:    MmapBase,
-		stackHint:   StackTop,
+		ID:         id,
+		mach:       m,
+		cache:      model,
+		costs:      DefaultCosts(),
+		brk:        DataBase,
+		gen:        genStep, // a zero entry's key never matches
+		numaOn:     m.Nodes() > 1,
+		remoteMult: m.RemoteMultiplier(),
+		mmapHint:   MmapBase,
+		stackHint:  StackTop,
 	}
 	as.vmas = []VMA{
 		{Start: TextBase, End: TextBase + 0x60000, Kind: KindText, Name: "text", Node: -1},
@@ -1186,33 +1200,50 @@ func (as *AddressSpace) page(t *sim.Thread, addr uint64, op string) *page {
 	return p
 }
 
+// residentPage returns the record of the page holding addr, which an
+// access has already made resident, and makes it the one-entry cache's
+// page. It never faults: the page walk here serves the few readers of a
+// page beyond its granule, a memory fill's home node and a word that
+// straddles two granules.
+func (as *AddressSpace) residentPage(addr uint64) *page {
+	if idx := addr / PageSize; as.lastPage == nil || as.lastIdx != idx {
+		as.lastIdx, as.lastPage = idx, as.lookup(idx)
+	}
+	return as.lastPage
+}
+
 // access is the one data path of every charged load and store: it resolves
-// the page holding addr (faulting it in on first touch) and the granule —
-// the cache line — holding addr, makes that granule the last one resolved,
-// bills one cache access for its line, and returns both. A hit is settled
+// the granule — the cache line — holding addr, bills one cache access for
+// its line, and returns it. The granule comes from the granule cache when
+// an entry holds it; otherwise access walks the page table to it (faulting
+// the page in on first touch) and fills the entry. A hit is settled
 // inline; anything else goes to miss. Hits and the misses that moved no
 // data (upgrades) count as local fills.
-func (as *AddressSpace) access(t *sim.Thread, addr uint64, write bool, op string) (*page, *granule) {
-	p := as.lastPage
-	if p == nil || as.lastIdx != addr/PageSize {
-		p = as.page(t, addr, op)
+func (as *AddressSpace) access(t *sim.Thread, addr uint64, write bool, op string) *granule {
+	e, key := &as.grans[addr>>granuleShift%granCacheSize], as.gen|addr>>granuleShift
+	if e.key != key || addr >= spaceLimit {
+		p := as.lastPage
+		if p == nil || as.lastIdx != addr/PageSize {
+			p = as.page(t, addr, op)
+		}
+		i := addr % PageSize >> granuleShift
+		g := as.peek(p, i)
+		if g == nil {
+			g = as.touch(p, i)
+		}
+		e.key, e.g = key, g
 	}
-	off := addr % PageSize
-	g := as.peek(p, off>>granuleShift)
-	if g == nil {
-		g = as.touch(p, off>>granuleShift)
-	}
-	as.lastGranIdx, as.lastGran = addr>>granuleShift, g
+	g := e.g
 	c, local := as.cache.Hit(t.CPU(), &g.line, write)
 	if !local {
-		c, local = as.miss(t, p, &g.line, write)
+		c, local = as.miss(t, addr, &g.line, write)
 	}
 	if local {
 		as.chargeLocal(t, c)
 	} else {
 		t.Charge(sim.Time(c))
 	}
-	return p, g
+	return g
 }
 
 // chargeLocal bills an access that moved no data: a hit or an upgrade.
@@ -1222,19 +1253,19 @@ func (as *AddressSpace) chargeLocal(t *sim.Thread, c int64) {
 	t.Charge(sim.Time(c))
 }
 
-// miss settles an access to line l of page p that Hit declined and returns
+// miss settles an access to line l at addr that Hit declined and returns
 // its cost and whether no data moved (an upgrade, billed at the local rate).
 // It counts the fills that moved data. On a multi-node machine such a fill
 // that crossed a node boundary pays the remote multiplier on top: a
 // memory-served miss travels from the page's home node, a cache-to-cache
 // transfer from the supplying CPU's node.
-func (as *AddressSpace) miss(t *sim.Thread, p *page, l *cache.Line, write bool) (int64, bool) {
+func (as *AddressSpace) miss(t *sim.Thread, addr uint64, l *cache.Line, write bool) (int64, bool) {
 	c, fill, from := as.cache.Access(t.CPU(), l, write)
 	switch fill {
 	case cache.FillMemory:
 		as.stats.FillRemote++
 		as.stats.FillRemoteCycles += uint64(c)
-		if as.numaOn && int(p.node) != t.Node() {
+		if as.numaOn && int(as.residentPage(addr).node) != t.Node() {
 			as.chargeRemote(t, c, false)
 		}
 	case cache.FillCache:
@@ -1247,19 +1278,19 @@ func (as *AddressSpace) miss(t *sim.Thread, p *page, l *cache.Line, write bool) 
 	return c, fill == cache.FillNone
 }
 
-// Read32 loads a little-endian uint32. A word inside the last granule
-// access resolved, on a line the CPU holds, is settled here with the
+// Read32 loads a little-endian uint32. A word inside one granule that the
+// granule cache holds, on a line the CPU holds, is settled here with the
 // charges of access's hit branch; anything else goes to access, nothing
 // updated.
 func (as *AddressSpace) Read32(t *sim.Thread, addr uint64) uint32 {
-	if as.lastGranIdx == addr>>granuleShift && addr%granuleSize <= granuleSize-4 {
-		g := as.lastGran
-		if c, ok := as.cache.Hit(t.CPU(), &g.line, false); ok {
+	if e := &as.grans[addr>>granuleShift%granCacheSize]; e.key == as.gen|addr>>granuleShift &&
+		addr < spaceLimit && addr%granuleSize <= granuleSize-4 {
+		if c, ok := as.cache.Hit(t.CPU(), &e.g.line, false); ok {
 			as.chargeLocal(t, c)
-			return binary.LittleEndian.Uint32(g.data[addr%granuleSize:])
+			return binary.LittleEndian.Uint32(e.g.data[addr%granuleSize:])
 		}
 	}
-	p, g := as.access(t, addr, false, "read32")
+	g := as.access(t, addr, false, "read32")
 	if o := addr % granuleSize; o <= granuleSize-4 {
 		return binary.LittleEndian.Uint32(g.data[o:])
 	}
@@ -1267,21 +1298,21 @@ func (as *AddressSpace) Read32(t *sim.Thread, addr uint64) uint32 {
 	if o+4 > PageSize {
 		panic(Fault{Space: as.ID, Addr: addr, Op: "read32-split"})
 	}
-	return as.load32(p, o)
+	return as.load32(as.residentPage(addr), o)
 }
 
-// Write32 stores a little-endian uint32, settling a repeat hit as Read32
+// Write32 stores a little-endian uint32, settling a cached hit as Read32
 // does.
 func (as *AddressSpace) Write32(t *sim.Thread, addr uint64, v uint32) {
-	if as.lastGranIdx == addr>>granuleShift && addr%granuleSize <= granuleSize-4 {
-		g := as.lastGran
-		if c, ok := as.cache.Hit(t.CPU(), &g.line, true); ok {
+	if e := &as.grans[addr>>granuleShift%granCacheSize]; e.key == as.gen|addr>>granuleShift &&
+		addr < spaceLimit && addr%granuleSize <= granuleSize-4 {
+		if c, ok := as.cache.Hit(t.CPU(), &e.g.line, true); ok {
 			as.chargeLocal(t, c)
-			binary.LittleEndian.PutUint32(g.data[addr%granuleSize:], v)
+			binary.LittleEndian.PutUint32(e.g.data[addr%granuleSize:], v)
 			return
 		}
 	}
-	p, g := as.access(t, addr, true, "write32")
+	g := as.access(t, addr, true, "write32")
 	if o := addr % granuleSize; o <= granuleSize-4 {
 		binary.LittleEndian.PutUint32(g.data[o:], v)
 		return
@@ -1290,7 +1321,7 @@ func (as *AddressSpace) Write32(t *sim.Thread, addr uint64, v uint32) {
 	if o+4 > PageSize {
 		panic(Fault{Space: as.ID, Addr: addr, Op: "write32-split"})
 	}
-	as.store32(p, o, v)
+	as.store32(as.residentPage(addr), o, v)
 }
 
 // Read64 loads a little-endian uint64.
@@ -1308,13 +1339,13 @@ func (as *AddressSpace) Write64(t *sim.Thread, addr uint64, v uint64) {
 
 // Write8 stores one byte (benchmark 3's write primitive).
 func (as *AddressSpace) Write8(t *sim.Thread, addr uint64, v byte) {
-	_, g := as.access(t, addr, true, "write8")
+	g := as.access(t, addr, true, "write8")
 	g.data[addr%granuleSize] = v
 }
 
 // Read8 loads one byte.
 func (as *AddressSpace) Read8(t *sim.Thread, addr uint64) byte {
-	_, g := as.access(t, addr, false, "read8")
+	g := as.access(t, addr, false, "read8")
 	return g.data[addr%granuleSize]
 }
 

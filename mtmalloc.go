@@ -98,28 +98,18 @@ type (
 	B3Config = bench.B3Config
 	B3Result = bench.B3Result
 
-	LarsonConfig = bench.LarsonConfig
-	LarsonResult = bench.LarsonResult
-
 	Experiment = bench.Experiment
 	Options    = bench.Options
 	Table      = bench.Table
 )
 
-// Machine profiles of the paper's four hosts, plus the multi-node NUMA
-// family the locality experiment runs on.
-func DualPPro200() Profile                    { return bench.DualPPro200() }
-func QuadXeon500() Profile                    { return bench.QuadXeon500() }
-func SunUltra2x400() Profile                  { return bench.SunUltra2x400() }
-func K6_400() Profile                         { return bench.K6_400() }
-func NUMAServer(nodes int) Profile            { return bench.NUMAServer(nodes) }
-func NUMAServerScale(nodes, cpus int) Profile { return bench.NUMAServerScale(nodes, cpus) }
-func OriginServer(nodes, cpus int) Profile    { return bench.OriginServer(nodes, cpus) }
-func Profiles() map[string]Profile            { return bench.Profiles() }
-
-// DefaultHeapParams mirrors glibc 2.0/2.1 defaults (128 KB trim and mmap
-// thresholds, 8-byte alignment).
-func DefaultHeapParams() HeapParams { return heap.DefaultParams() }
+// Machine profiles of the paper's four hosts; Profiles lists every
+// profile by name, the multi-node NUMA family included.
+func DualPPro200() Profile         { return bench.DualPPro200() }
+func QuadXeon500() Profile         { return bench.QuadXeon500() }
+func SunUltra2x400() Profile       { return bench.SunUltra2x400() }
+func K6_400() Profile              { return bench.K6_400() }
+func Profiles() map[string]Profile { return bench.Profiles() }
 
 // NewWorld builds a machine + cache model for a profile; add instances and
 // spawn workers from inside Run.
@@ -134,10 +124,6 @@ func WithAllocator(kind AllocatorKind) bench.WorldOption { return bench.WithAllo
 func RunBench1(cfg B1Config) (B1Result, error) { return bench.RunBench1(cfg) }
 func RunBench2(cfg B2Config) (B2Result, error) { return bench.RunBench2(cfg) }
 func RunBench3(cfg B3Config) (B3Result, error) { return bench.RunBench3(cfg) }
-
-// RunLarson runs the full random-size Larson & Krishnan workload that
-// benchmark 2 simplifies.
-func RunLarson(cfg LarsonConfig) (LarsonResult, error) { return bench.RunLarson(cfg) }
 
 // Experiments returns the registry reproducing every table and figure.
 func Experiments() []Experiment { return bench.All() }
