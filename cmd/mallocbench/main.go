@@ -1,5 +1,8 @@
-// Command mallocbench runs one microbenchmark configuration and prints the
-// result as text or CSV — the lab tool behind the tables in cmd/repro.
+// Command mallocbench runs one of the paper's three microbenchmarks, or the
+// Larson server workload, in one configuration and prints the result as a
+// text table. The experiment registry (the paper's tables and figures, the
+// ablations and the extensions whose BENCH_Dn.json records are checked in)
+// runs through cmd/repro -experiment.
 //
 // Examples:
 //
@@ -8,14 +11,7 @@
 //	mallocbench -bench 2 -profile k6-400 -threads 3 -rounds 8 -runs 5
 //	mallocbench -bench 3 -profile quad-xeon-500 -threads 4 -size 24 -aligned
 //	mallocbench -bench larson -threads 4 -allocator perthread
-//	mallocbench -bench d1 -scale 0.01 -json BENCH_D1.json
-//	mallocbench -bench d2 -scale 0.01 -json BENCH_D2.json
-//	mallocbench -bench d3 -scale 1 -json BENCH_D3.json
-//	mallocbench -bench d4 -scale 1 -json BENCH_D4.json
-//	mallocbench -bench d5 -scale 1 -json BENCH_D5.json
-//	mallocbench -bench d6 -scale 1 -json BENCH_D6.json
-//	mallocbench -bench d9 -scale 1 -json BENCH_D9.json
-//	mallocbench -bench d10 -scale 1 -json BENCH_D10.json
+//	mallocbench -bench larson -threads 4 -runs 1 -telemetry telemetry.json
 package main
 
 import (
@@ -34,7 +30,7 @@ import (
 // flags is the command line. Each -bench reads only some of it.
 var (
 	flags         = flag.NewFlagSet("mallocbench", flag.ExitOnError)
-	which         = flags.String("bench", "1", "benchmark: 1, 2, 3, larson, or an experiment ID of cmd/repro's registry: d1 (design comparison), d2 (mid-tier ablation), d3 (footprint phase-shift), d4 (NUMA locality), d5 (contention scaling), d6 (memory-pressure degradation), d9 (line-aware placement), d10 (service-thread offload), ...")
+	which         = flags.String("bench", "1", "benchmark: 1, 2, 3 or larson (registry experiments such as D3 run through repro -experiment)")
 	profileName   = flags.String("profile", "quad-xeon-500", "machine profile")
 	threads       = flags.Int("threads", 2, "worker threads")
 	processes     = flags.Bool("processes", false, "benchmark 1: one process per worker")
@@ -47,25 +43,17 @@ var (
 	runs          = flags.Int("runs", 3, "repetitions")
 	seed          = flags.Uint64("seed", 1, "base seed")
 	allocator     = flags.String("allocator", "", fmt.Sprint("override the profile's allocator kind, one of ", malloc.Kinds()))
-	scale         = flags.Float64("scale", 0.02, "experiments: workload scale factor (d2: fraction of the 10M benchmark-1 pairs)")
-	jsonPath      = flags.String("json", "", "also write the result table as JSON to this file")
 	telemetryPath = flags.String("telemetry", "", "larson: record telemetry and write run 0's report JSON here plus a Chrome trace-event file next to it (<name>.trace.json); adds latency percentile columns")
-	csv           = flags.Bool("csv", false, "CSV output")
 )
 
-// benchFlags names the flags each built-in -bench reads besides -bench, and
-// experimentFlags those an experiment ID of the registry reads: it runs its
-// own configuration. Any other flag set on the command line would be
-// silently ignored, so it is refused.
-var (
-	benchFlags = map[string][]string{
-		"1":      {"profile", "allocator", "threads", "processes", "size", "pairs", "runs", "seed", "json", "csv"},
-		"2":      {"profile", "allocator", "threads", "rounds", "objects", "size", "runs", "seed", "json", "csv"},
-		"3":      {"profile", "allocator", "threads", "size", "writes", "aligned", "runs", "seed", "json", "csv"},
-		"larson": {"profile", "allocator", "threads", "runs", "seed", "telemetry", "json", "csv"},
-	}
-	experimentFlags = []string{"scale", "seed", "json", "csv"}
-)
+// benchFlags names the flags each -bench reads besides -bench. Any other
+// flag set on the command line would be silently ignored, so it is refused.
+var benchFlags = map[string][]string{
+	"1":      {"profile", "allocator", "threads", "processes", "size", "pairs", "runs", "seed"},
+	"2":      {"profile", "allocator", "threads", "rounds", "objects", "size", "runs", "seed"},
+	"3":      {"profile", "allocator", "threads", "size", "writes", "aligned", "runs", "seed"},
+	"larson": {"profile", "allocator", "threads", "runs", "seed", "telemetry"},
+}
 
 // unread returns, as -name, the flags of set other than -bench that reads
 // does not name.
@@ -81,16 +69,9 @@ func unread(reads, set []string) []string {
 
 func main() {
 	flags.Parse(os.Args[1:])
-	reads, builtin := benchFlags[*which]
-	var exp bench.Experiment
-	if !builtin {
-		// Every other name is an experiment of the registry cmd/repro runs
-		// (d1 ... d10 are the extensions whose records are checked in).
-		var err error
-		if exp, err = bench.ByID(strings.ToUpper(*which)); err != nil {
-			fatal(fmt.Errorf("unknown -bench %q (want 1, 2, 3, larson or an experiment ID such as d2)", *which))
-		}
-		reads = experimentFlags
+	reads, ok := benchFlags[*which]
+	if !ok {
+		fatal(fmt.Errorf("unknown -bench %q (want 1, 2, 3 or larson; run a registry experiment such as D3 with repro -experiment)", *which))
 	}
 	var set []string
 	flags.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
@@ -109,7 +90,6 @@ func main() {
 	}
 
 	var tab *bench.Table
-	var record any // what -json writes; the bare table unless set below
 	switch *which {
 	case "1":
 		res, err := bench.RunBench1(bench.B1Config{
@@ -182,38 +162,8 @@ func main() {
 				fatal(err)
 			}
 		}
-	default:
-		tab, err = exp.Run(bench.Options{Scale: *scale, Seed: *seed})
-		if err != nil {
-			fatal(err)
-		}
-		// The record carries the options it ran at, so a checked-in
-		// BENCH_Dn.json regenerates from its own contents.
-		record = struct {
-			*bench.Table
-			Scale float64
-			Seed  uint64
-		}{tab, *scale, *seed}
 	}
-
-	if *jsonPath != "" {
-		if record == nil {
-			record = tab
-		}
-		js, err := json.MarshalIndent(record, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*jsonPath, append(js, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintln(os.Stderr, "wrote", *jsonPath)
-	}
-	if *csv {
-		fmt.Print(tab.CSV())
-	} else {
-		fmt.Print(tab.Text())
-	}
+	fmt.Print(tab.Text())
 }
 
 // writeTelemetry writes rec's report to path and its Chrome trace to

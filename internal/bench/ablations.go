@@ -3,39 +3,13 @@ package bench
 import (
 	"fmt"
 
-	"mtmalloc/internal/malloc"
 	"mtmalloc/internal/sim"
 	"mtmalloc/internal/vm"
 )
 
-// Ablations exercise the allocator's design decisions one at a time. Each
-// returns a Table like the paper experiments do.
-
-// AblationArenaPolicy (A1/A2) compares the three allocator designs under
-// the benchmark 1 loop at the machine's CPU count.
-func AblationArenaPolicy(o Options) (*Table, error) {
-	prof := QuadXeon500()
-	t := &Table{ID: "A1", Title: "allocator design vs 4-thread elapsed, quad Xeon, 8192B",
-		Columns: []string{"allocator", "mean(s)", "stddev", "vs ptmalloc"}}
-	pairs := o.pairs()
-	base := 0.0
-	for _, kind := range []malloc.Kind{malloc.KindPTMalloc, malloc.KindSerial, malloc.KindPerThread} {
-		prof.Allocator = kind
-		r, err := RunBench1(B1Config{Profile: prof, Threads: 4, Size: 8192, Pairs: pairs,
-			Runs: 3, Seed: o.seed()})
-		if err != nil {
-			return nil, err
-		}
-		got := ScaleSeconds(r.All.Mean, pairs, FullPairs)
-		if kind == malloc.KindPTMalloc {
-			base = got
-		}
-		t.AddRow(string(kind), got, ScaleSeconds(r.All.Stddev, pairs, FullPairs), ratio(got, base))
-	}
-	t.Note("the single lock collapses; per-thread arenas edge out the trylock sweep")
-	noteScale(t, o)
-	return t, nil
-}
+// The ablations A4-A6 test the paper's §3 claims one switch at a time: the
+// sbrk retry with mmap, the heap trim and the authors' kernel lock patch.
+// They sit in the registry (All) right after F11.
 
 // AblationSbrkMmap (A4) measures how many 60KB allocations succeed once the
 // brk range is exhausted, with and without the glibc >=2.1.3 mmap retry.
@@ -189,14 +163,4 @@ func AblationKernelLock(o Options) (*Table, error) {
 	}
 	t.Note("the authors' kernel patch removed the global lock from most sbrk paths")
 	return t, nil
-}
-
-// Ablations returns the ablation registry.
-func Ablations() []Experiment {
-	return []Experiment{
-		{"A1", "Allocator design comparison (incl. per-thread arenas)", "single lock collapses; arenas scale", AblationArenaPolicy},
-		{"A4", "sbrk retry-with-mmap on/off", "without retry, allocation fails at the library mapping", AblationSbrkMmap},
-		{"A5", "Heap trim on/off", "trim trades refaults for footprint", AblationTrim},
-		{"A6", "Global vs per-mm kernel lock", "the authors' sbrk kernel patch", AblationKernelLock},
-	}
 }

@@ -305,18 +305,30 @@ func TestExperimentRegistry(t *testing.T) {
 			t.Fatalf("incomplete experiment %+v", e.ID)
 		}
 	}
-	for _, want := range []string{"S0", "T1", "T2", "T3", "T4", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "F10", "F11", "D1", "D2", "D3"} {
+	for _, want := range []string{"S0", "T1", "T2", "T3", "T4", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "F10", "F11", "A4", "A5", "A6", "D1", "D2", "D3"} {
 		if !ids[want] {
 			t.Errorf("missing experiment %s", want)
 		}
 	}
-	for _, id := range []string{"T1", "A4"} {
-		if _, err := ByID(id); err != nil {
+	// IDs match in either case.
+	for _, id := range []string{"T1", "A4", "a4", "d10"} {
+		e, err := ByID(id)
+		if err != nil {
 			t.Error(err)
+		} else if !strings.EqualFold(e.ID, id) {
+			t.Errorf("ByID(%q) = %s", id, e.ID)
 		}
 	}
-	if _, err := ByID("nope"); err == nil {
-		t.Error("ByID accepted unknown ID")
+	_, err := ByID("nope")
+	if err == nil {
+		t.Fatal("ByID accepted unknown ID")
+	}
+	// The error names every ID, each followed by the list's separator or
+	// its end, so F10 does not stand in for F1.
+	for id := range ids {
+		if !strings.Contains(err.Error(), id+",") && !strings.Contains(err.Error(), id+")") {
+			t.Errorf("unknown-ID error %q does not name %s", err, id)
+		}
 	}
 }
 
@@ -404,7 +416,11 @@ func TestAblationsSmoke(t *testing.T) {
 		t.Skip("ablations are slow")
 	}
 	o := Options{Scale: 0.003, Seed: 1}
-	for _, ab := range Ablations() {
+	for _, id := range []string{"A4", "A5", "A6"} {
+		ab, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
 		tab, err := ab.Run(o)
 		if err != nil {
 			t.Fatalf("%s: %v", ab.ID, err)
@@ -435,8 +451,8 @@ func TestTableRendering(t *testing.T) {
 	tab := &Table{ID: "X", Title: "demo", Columns: []string{"a", "b"}}
 	tab.AddRow(1, 2.5)
 	tab.Note("hello %d", 7)
-	if tab.Text() == "" || tab.Markdown() == "" || tab.CSV() == "" {
-		t.Fatal("empty rendering")
+	if txt := tab.Text(); !strings.Contains(txt, "X — demo") || !strings.Contains(txt, "note: hello 7") {
+		t.Fatalf("text rendering lacks the title or the note:\n%s", txt)
 	}
 	if tab.Rows[0][1] != "2.500" {
 		t.Fatalf("float formatting: %q", tab.Rows[0][1])

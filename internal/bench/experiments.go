@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -48,7 +49,8 @@ type Experiment struct {
 	Run        func(Options) (*Table, error)
 }
 
-// All returns the experiment registry in paper order.
+// All returns the experiment registry: the paper's tables and figures in
+// paper order, the ablations of its §3 claims, then the extensions.
 func All() []Experiment {
 	return []Experiment{
 		{"S0", "Single-thread calibration scalars", "23.28s PPro / 6.05s Ultra / 10.39s Xeon / 2.10s bench3", ExpScalars},
@@ -67,6 +69,9 @@ func All() []Experiment {
 		{"F9", "Figure 9: false sharing, 2 threads, sizes 3-52", "aligned flat ~2.1s; normal up to >2x slower", expFigure9},
 		{"F10", "Figure 10: false sharing, 3 threads", "same, three-way", expFigure10},
 		{"F11", "Figure 11: false sharing, 4 threads", "up to 4x slowdowns", expFigure11},
+		{"A4", "sbrk retry-with-mmap on/off", "without retry, allocation fails at the library mapping", AblationSbrkMmap},
+		{"A5", "Heap trim on/off", "trim trades refaults for footprint", AblationTrim},
+		{"A6", "Global vs per-mm kernel lock", "the authors' sbrk kernel patch", AblationKernelLock},
 		{"D1", "Four allocator designs: bench 1-2 + Larson, quad Xeon", "threadcache beats ptmalloc with ~0 trylock failures", ExpDesigns},
 		{"D2", "Thread-cache mid-tier ablation: depot, mmap reuse, adaptive marks", "depot cuts arena-lock acquisitions on bench 2; reuse cuts mmap syscalls and faults above threshold", ExpMidTier},
 		{"D3", "Footprint under phase shifts: burst / idle / burst, scavenger on vs off", "resident+parked decays >= 50% during idle with scavenging on; post-idle burst throughput within ~10% of the no-scavenger run", ExpFootprint},
@@ -78,14 +83,16 @@ func All() []Experiment {
 	}
 }
 
-// ByID returns the experiment or ablation with the given ID.
+// ByID returns the experiment with the given ID, in either case.
 func ByID(id string) (Experiment, error) {
-	for _, e := range append(All(), Ablations()...) {
-		if e.ID == id {
+	var ids []string
+	for _, e := range All() {
+		if strings.EqualFold(e.ID, id) {
 			return e, nil
 		}
+		ids = append(ids, e.ID)
 	}
-	return Experiment{}, fmt.Errorf("bench: unknown experiment %q", id)
+	return Experiment{}, fmt.Errorf("bench: unknown experiment %q (valid: %s)", id, strings.Join(ids, ", "))
 }
 
 // --- scalars ---

@@ -5,7 +5,9 @@ import (
 	"strings"
 )
 
-// Table is a rendered experiment result: rows of cells plus notes.
+// Table is an experiment result: rows of cells plus notes. Text renders it
+// for people, and its JSON encoding is the body of a ledger record
+// (cmd/repro -json).
 type Table struct {
 	ID      string
 	Title   string
@@ -68,40 +70,6 @@ func (t *Table) Text() string {
 	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "  note: %s\n", n)
-	}
-	return b.String()
-}
-
-// Markdown renders the table as GitHub-flavoured markdown.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "### %s — %s\n\n", t.ID, t.Title)
-	fmt.Fprintf(&b, "| %s |\n", strings.Join(t.Columns, " | "))
-	seps := make([]string, len(t.Columns))
-	for i := range seps {
-		seps[i] = "---"
-	}
-	fmt.Fprintf(&b, "|%s|\n", strings.Join(seps, "|"))
-	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "| %s |\n", strings.Join(r, " | "))
-	}
-	if len(t.Notes) > 0 {
-		b.WriteByte('\n')
-		for _, n := range t.Notes {
-			fmt.Fprintf(&b, "- %s\n", n)
-		}
-	}
-	return b.String()
-}
-
-// CSV renders the rows as comma-separated values with a header.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString(strings.Join(t.Columns, ","))
-	b.WriteByte('\n')
-	for _, r := range t.Rows {
-		b.WriteString(strings.Join(r, ","))
-		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -113,7 +113,7 @@ func ExpScaling(o Options) (*Table, error) {
 			ilf/imb[key{malloc.KindLockFree, 32}],
 			ilf/itc, ilf, itc)
 	}
-	t.Note("arena/depot locks count mutex acquisitions in tiers 3/2; cas attempts/fails count the lock-free design's retry loops (depot Treiber stacks, buddy bitmaps, pool cursor); retry(k) is the cycles they cost")
+	t.Note("arena/depot locks count mutex acquisitions in tiers 3/2; cas attempts/fails count the lock-free design's retry loops (depot Treiber stacks, buddy bitmaps); retry(k) is the cycles they cost")
 	t.Note("larson ran 200 slots x %d replace ops per thread of 10-100B objects; the imbalanced probe gives each of threads/4 producers %d ops and routes every displaced object to a consumer mailbox", ops, ops)
 	if ops != 4000 {
 		t.Note("workload scaled down from 4000 ops per thread")

@@ -220,7 +220,9 @@ func (d *depot) addPointStats(s *Stats) {
 		if dc := d.classes.get(k); dc.lock != nil {
 			s.DepotLockAcqs += dc.lock.Acquisitions
 		} else {
-			addCASStats(s, dc.head.PointStats())
+			s.CASAttempts += dc.head.Attempts
+			s.CASFails += dc.head.Fails
+			s.CASRetryCycles += uint64(dc.head.RetryCycles)
 		}
 	}
 }

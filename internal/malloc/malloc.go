@@ -349,8 +349,8 @@ type Stats struct {
 	// sums the depot class-lock acquisitions — zero by construction on the
 	// lock-free depot, whose traffic shows up in the CAS counters instead.
 	// CASAttempts/CASFails/CASRetryCycles aggregate every CAS point the
-	// allocator owns: depot stack heads, pool-shard cursors and the buddy
-	// backend's bitmap words.
+	// allocator owns: depot stack heads and the buddy backend's bitmap
+	// words.
 	DepotLockAcqs  uint64
 	CASAttempts    uint64
 	CASFails       uint64

@@ -59,17 +59,17 @@ import (
 // One machine serves the four magazine kinds, and the Kind alone picks its
 // parts (newThreadCache):
 //
-//	kind             depot classes  pool cursor  page backend  re-homing  service
-//	threadcache      mutex          Go-side      arenas        no         no
-//	lockfree         CAS stack      CAS          buddy         yes        no
-//	threadcache-svc  mutex          Go-side      arenas        no         yes
-//	lockfree-svc     CAS stack      CAS          buddy         yes        yes
+//	kind             depot classes  page backend  re-homing  service
+//	threadcache      mutex          arenas        no         no
+//	lockfree         CAS stack      buddy         yes        no
+//	threadcache-svc  mutex          arenas        no         yes
+//	lockfree-svc     CAS stack      buddy         yes        yes
 //
-// The CAS parts are the depot's Treiber stacks (depot.go), a read-mostly
-// pool whose list lock guards growth only, and a per-node non-blocking buddy
-// that cacheable refills carve spans from (lfbackend.go). Magazines re-home
-// with them, since without arena ownership nothing else would repatriate a
-// migrated thread's remote chunks. The service threads live in service.go.
+// The CAS parts are the depot's Treiber stacks (depot.go) and a per-node
+// non-blocking buddy that cacheable refills carve spans from (lfbackend.go).
+// Magazines re-home with them, since without arena ownership nothing else
+// would repatriate a migrated thread's remote chunks. The service threads
+// live in service.go.
 //
 // The machine runs the op frame on base (malloc.go) like every design: it
 // replaces the arena path with its tier walk (allocate, deallocate), adds
@@ -142,8 +142,8 @@ type tcEntry struct {
 }
 
 // poolShard is one NUMA node's slice of the arena pool: its arenas (created
-// lazily, mapped on the shard's node), the round-robin cursor handing out
-// home arenas, and the per-shard cap (the node's CPU count). A flat or
+// lazily, mapped on the shard's node), the round-robin index next handing
+// out home arenas, and the per-shard cap (the node's CPU count). A flat or
 // node-blind machine has exactly one shard with node -1, which reduces to
 // the original CPU-capped pool.
 type poolShard struct {
@@ -151,12 +151,6 @@ type poolShard struct {
 	arenas []*heap.Arena
 	next   int
 	cap    int
-	// cursor prices the round-robin selection as an atomic fetch-add on the
-	// lock-free kinds' read-mostly pool: home-arena picks happen only on a
-	// thread's first miss and after a migration, and never take the list lock
-	// — that is reserved for growing the shard. nil (unpriced Go-side
-	// bookkeeping, the historic behaviour) for the mutex kinds.
-	cursor *sim.CASPoint
 }
 
 // tcClass is one exact-chunk-size free list in a thread's cache (LIFO),
@@ -262,11 +256,6 @@ func newThreadCache(t *sim.Thread, kind Kind, as *vm.AddressSpace, params heap.P
 		as.SetReuseNodeAffinity(true)
 	}
 	if lockFree {
-		// Read-mostly pool: the shards' round-robin cursors become priced
-		// atomic fetch-adds (the list lock now guards growth only).
-		for _, sh := range tc.shards {
-			sh.cursor = as.Machine().NewCASPoint(fmt.Sprintf("%s.pool.n%d", tc.name, sh.node))
-		}
 		tc.lf = newLFBackend(tc.name, as, tc.shards, tc.lineAware, &tc.stats)
 	}
 	if costs.DepotCapBytes > 0 {
@@ -380,11 +369,6 @@ func (tc *ThreadCache) homeArena(t *sim.Thread, c *tcache) (*heap.Arena, error) 
 		return c.home, nil
 	}
 	sh := tc.shardOf(t)
-	if sh.cursor != nil {
-		// Read-mostly pool: the shared cursor bump is a priced fetch-add, not
-		// a lock. It fires only on first assignment and after migrations.
-		t.AtomicAdd(sh.cursor)
-	}
 	idx := sh.next % sh.cap
 	sh.next++
 	if idx < len(sh.arenas) {
@@ -847,8 +831,7 @@ func (tc *ThreadCache) DetachThread(t *sim.Thread) {
 }
 
 // addStats adds the caching tiers: chunks and bytes parked in magazines,
-// depots and mailboxes, and the contention counters of the pool cursors and
-// the buddy backend.
+// depots and mailboxes, and the buddy backend's contention counters.
 func (tc *ThreadCache) addStats(s *Stats) {
 	for _, tid := range tc.caches.keys() {
 		c := tc.caches.get(tid)
@@ -863,11 +846,6 @@ func (tc *ThreadCache) addStats(s *Stats) {
 		s.DepotBytes += depot.byteCount()
 		depot.addPointStats(s)
 	}
-	for _, sh := range tc.shards {
-		if sh.cursor != nil {
-			addCASStats(s, sh.cursor.PointStats())
-		}
-	}
 	if tc.lf != nil {
 		bs := tc.lf.bStats()
 		s.CASAttempts += bs.CASAttempts
@@ -877,13 +855,6 @@ func (tc *ThreadCache) addStats(s *Stats) {
 	if tc.svc != nil {
 		s.SvcParkedChunks, s.SvcParkedBytes = tc.svc.parked()
 	}
-}
-
-// addCASStats adds one CAS point's attempts, failures and retry cycles to s.
-func addCASStats(s *Stats, ps sim.PointStats) {
-	s.CASAttempts += ps.CASAttempts
-	s.CASFails += ps.CASFails
-	s.CASRetryCycles += uint64(ps.WaitCycles)
 }
 
 // ParkedBytes sums the memory parked in every caching tier right now —

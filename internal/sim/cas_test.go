@@ -97,43 +97,6 @@ func TestCASRetriesCapped(t *testing.T) {
 	}
 }
 
-func TestAtomicAddNeverFails(t *testing.T) {
-	cfg := testConfig(2)
-	cfg.Costs = DefaultCosts()
-	cfg.Costs.ThreadSpawn = 100
-	cfg.Costs.SpawnJitter = 10
-	m := NewMachine(cfg)
-	p := m.NewCASPoint("cursor")
-	err := m.Run(func(main *Thread) {
-		a := main.Spawn("a", func(w *Thread) {
-			for i := 0; i < 2000; i++ {
-				w.AtomicAdd(p)
-				w.MaybeYield()
-			}
-		})
-		b := main.Spawn("b", func(w *Thread) {
-			for i := 0; i < 2000; i++ {
-				w.AtomicAdd(p)
-				w.MaybeYield()
-			}
-		})
-		main.Join(a)
-		main.Join(b)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Fails != 0 {
-		t.Errorf("fetch-add recorded %d failures; it cannot fail", p.Fails)
-	}
-	if p.ContendedOps == 0 {
-		t.Errorf("two threads on one cursor never paid a line transfer")
-	}
-	if p.Attempts != p.Updates {
-		t.Errorf("Attempts = %d, want Updates = %d for fetch-add", p.Attempts, p.Updates)
-	}
-}
-
 func TestPointsRegistry(t *testing.T) {
 	m := NewMachine(testConfig(1))
 	mu := m.NewMutex("lock")

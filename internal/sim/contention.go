@@ -10,7 +10,7 @@ package sim
 //     (DeschedResidual) — the convoy physics the paper measures.
 //
 //   - The CAS model (CASPoint, below): an optimistic retry loop (Treiber
-//     push/pop, bitmap claim, cursor bump). Nobody ever blocks or holds
+//     push/pop, bitmap claim). Nobody ever blocks or holds
 //     anything across a preemption; contention instead costs failed
 //     compare-and-swap attempts, each one a cache-line transfer plus a
 //     reread. The price is keyed on a concurrent-writer estimate: the number
@@ -63,7 +63,7 @@ const (
 )
 
 // CASPoint is a word updated by an optimistic compare-and-swap loop: a
-// Treiber stack head, a buddy-bitmap word, an atomic round-robin cursor.
+// Treiber stack head or a buddy-bitmap word.
 // See the file comment for the pricing model. Like mutexes, CAS points are
 // Go-side bookkeeping plus analytic charges: the word itself lives wherever
 // the caller keeps it, and the point only prices the synchronization.
@@ -128,22 +128,18 @@ func (p *CASPoint) concurrentWriters(t *Thread) int {
 	return n
 }
 
-// update prices one committed update by t. canFail distinguishes a CAS
-// retry loop from an unconditional read-modify-write (fetch-add), which
-// cannot fail but still pays one line transfer when the word is contended.
-func (p *CASPoint) update(t *Thread, canFail bool) {
+// update prices one committed update by t: the successful CAS plus the
+// retries its concurrent writers cost.
+func (p *CASPoint) update(t *Thread) {
 	atomic := p.machine.cfg.Costs.MutexAtomic
 	t.Charge(atomic)
 	p.Updates++
 	p.Attempts++
 	w := p.concurrentWriters(t)
 	if w > 0 {
-		retries := 1
-		if canFail {
-			retries = min((w+1)/2, p.machine.casMaxRetries)
-			p.Attempts += uint64(retries)
-			p.Fails += uint64(retries)
-		}
+		retries := min((w+1)/2, p.machine.casMaxRetries)
+		p.Attempts += uint64(retries)
+		p.Fails += uint64(retries)
 		pen := Time(retries) * 4 * atomic
 		t.Charge(pen)
 		p.RetryCycles += pen

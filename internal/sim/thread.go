@@ -129,12 +129,7 @@ func (t *Thread) Unlock(mu *Mutex) { mu.unlockAt(t) }
 // succeeds eventually, and the analytic model charges the retries it took
 // (see CASPoint). Unlike Lock, there is no critical section: nothing is held
 // afterwards, so a preempted caller never blocks anyone.
-func (t *Thread) CAS(p *CASPoint) { p.update(t, true) }
-
-// AtomicAdd commits one unconditional atomic read-modify-write (fetch-add)
-// on p. It cannot fail, so contention costs a single line transfer instead
-// of a retry loop.
-func (t *Thread) AtomicAdd(p *CASPoint) { p.update(t, false) }
+func (t *Thread) CAS(p *CASPoint) { p.update(t) }
 
 // MaybeYield marks an operation boundary. Thread bodies (and the allocator
 // entry points) call it once per logical operation; every batchOps

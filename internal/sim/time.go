@@ -33,12 +33,11 @@
 // Synchronization pricing is unified under the ContentionPoint interface
 // with two disciplines. Mutexes (Thread.Lock/TryLock) resolve contention
 // analytically on the busy-timeline: acquisitions, handoff charges, waits,
-// trylock failures. CAS points (NewCASPoint, Thread.CAS/AtomicAdd) price
-// lock-free retry loops instead: a CAS estimates how many other threads
-// updated the word within a recent hot window of 4000 cycles and charges
-// about half that many failed attempts (4*Costs.MutexAtomic each, at most
-// eight) before the successful one (Costs.MutexAtomic); AtomicAdd is the
-// fetch-and-add variant that contends but cannot fail. Both register in
+// trylock failures. CAS points (NewCASPoint, Thread.CAS) price lock-free
+// retry loops instead: a CAS estimates how many other threads updated the
+// word within a recent hot window of 4000 cycles and charges about half
+// that many failed attempts (4*Costs.MutexAtomic each, at most eight)
+// before the successful one (Costs.MutexAtomic). Both register in
 // the machine's point registry (Machine.Points) and report through the same
 // PointStats, so a mutex design and a lock-free design are directly
 // comparable: lock acquisitions and wait cycles on one side, CAS attempts,

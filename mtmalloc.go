@@ -37,8 +37,9 @@
 //	    _ = inst.Alloc.Free(main, p)
 //	})
 //
-// See ARCHITECTURE.md for the layers and allocator designs; cmd/repro
-// regenerates the measured reproduction of every table and figure.
+// See ARCHITECTURE.md for the layers and allocator designs; cmd/repro runs
+// the registry, regenerating the measured reproduction of every table and
+// figure, and writes the checked-in ledger records (-json).
 package mtmalloc
 
 import (
@@ -125,11 +126,9 @@ func RunBench1(cfg B1Config) (B1Result, error) { return bench.RunBench1(cfg) }
 func RunBench2(cfg B2Config) (B2Result, error) { return bench.RunBench2(cfg) }
 func RunBench3(cfg B3Config) (B3Result, error) { return bench.RunBench3(cfg) }
 
-// Experiments returns the registry reproducing every table and figure.
+// Experiments returns the registry: every table and figure of the paper,
+// the ablations of its §3 claims (A4–A6) and the extensions (D1+).
 func Experiments() []Experiment { return bench.All() }
-
-// Ablations returns the design-choice studies (A1, A4–A6).
-func Ablations() []Experiment { return bench.Ablations() }
 
 // PredictMinorFaults is benchmark 2's lower-bound fault predictor
 // mpf = 14 + 1.1*t*r + 127.6*t.
