@@ -48,6 +48,9 @@ func main() {
 	faultRate := flag.Float64("faultrate", 0, "probability of an injected mmap/sbrk failure per growth attempt (0 off; deterministic per seed)")
 	telemetryOn := flag.Bool("telemetry", false, "record allocator telemetry and print per-seed tier attribution and the top-3 latency classes")
 	flag.Parse()
+	if err := checkCounts(*seeds, *threads, *ops, *maxSize); err != nil {
+		fatal(err)
+	}
 	if *binnedRelease && *scavenge == 0 {
 		*scavenge = 50000
 	}
@@ -110,6 +113,20 @@ func main() {
 		}
 	}
 	fmt.Println("heapcheck: all invariants held")
+}
+
+// checkCounts refuses a count flag below 1: with no seeds, threads or ops
+// nothing is tortured, and sizes are drawn from 1 to -maxsize.
+func checkCounts(seeds, threads, ops, maxSize int) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"seeds", seeds}, {"threads", threads}, {"ops", ops}, {"maxsize", maxSize}} {
+		if f.v < 1 {
+			return fmt.Errorf("-%s %d is below 1", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 type tortureConfig struct {

@@ -7,16 +7,17 @@
 //
 // Usage:
 //
-//	repro [-scale 0.05] [-seed 1] [-experiment T1] [-json BENCH_T1.json]
+//	repro [-scale 0.05] [-seed 1] [-experiment T1] [-json DIR]
 //
-// -scale multiplies benchmark 1's 10-million-pair loops (results are
-// rescaled and annotated); benchmarks 2 and 3 always run at full size.
-// -experiment takes an ID in either case. -json, which needs -experiment,
-// also writes the result as a ledger record: the table's fields, then the
-// Scale and Seed it ran at, so a checked-in BENCH_Dn.json regenerates byte
-// for byte from its own ID, Scale and Seed:
+// -scale, in (0, 1], multiplies benchmark 1's 10-million-pair loops
+// (results are rescaled and annotated) and nothing else: every other
+// workload always runs at full size. -experiment takes an ID in either
+// case. -json names an existing directory and also writes each
+// experiment's result there as a ledger record, DIR/BENCH_<ID>.json: the
+// table's fields, then the Scale and Seed it ran at, so a checked-in
+// BENCH_Dn.json regenerates byte for byte from its own ID, Scale and Seed:
 //
-//	repro -experiment D3 -scale 1 -seed 1 -json BENCH_D3.json
+//	repro -experiment D3 -scale 0.01 -json .
 //
 // All numbers come from the deterministic simulation described in
 // ARCHITECTURE.md: the machines are discrete-event models calibrated only
@@ -33,23 +34,27 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"mtmalloc/internal/bench"
 )
 
 func main() {
-	scale := flag.Float64("scale", 0.05, "fraction of the paper's 10M benchmark-1 pairs to simulate (1 = full)")
+	scale := flag.Float64("scale", 0.05, "fraction, in (0, 1], of the paper's 10M benchmark-1 pairs to simulate (1 = full)")
 	seed := flag.Uint64("seed", 1, "base random seed")
 	exp := flag.String("experiment", "", "run a single experiment by ID, in either case (e.g. T1, F9, A4, d3); empty = all")
-	jsonPath := flag.String("json", "", "with -experiment: also write the result as a ledger record to this file")
+	jsonDir := flag.String("json", "", "also write each experiment's ledger record to BENCH_<ID>.json in this existing directory")
 	flag.Parse()
 
-	list, err := selectExperiments(*exp, *jsonPath)
+	if err := checkFlags(*scale, *jsonDir); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	list, err := selectExperiments(*exp)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -66,8 +71,8 @@ func main() {
 		}
 		fmt.Println(indent(out.Table.Text(), "   "))
 		fmt.Printf("   (%.1fs wall)\n\n", out.Wall.Seconds())
-		if *jsonPath != "" {
-			if err := writeRecord(*jsonPath, out.Table, opts); err != nil {
+		if *jsonDir != "" {
+			if err := writeRecord(*jsonDir, out.Table, opts); err != nil {
 				failures++
 				fmt.Fprintln(os.Stderr, "repro: writing record:", err)
 			}
@@ -78,14 +83,24 @@ func main() {
 	}
 }
 
-// selectExperiments returns the experiment id names, or the whole registry
-// when id is empty. A record holds one experiment, so a jsonPath without an
-// id is refused.
-func selectExperiments(id, jsonPath string) ([]bench.Experiment, error) {
-	if id == "" {
-		if jsonPath != "" {
-			return nil, errors.New("repro: -json writes one experiment's record; name it with -experiment")
+// checkFlags refuses, before any experiment runs, a scale outside (0, 1]
+// (NaN included) and a -json that names no existing directory.
+func checkFlags(scale float64, jsonDir string) error {
+	if !(scale > 0 && scale <= 1) {
+		return fmt.Errorf("repro: -scale %v is outside (0, 1]", scale)
+	}
+	if jsonDir != "" {
+		if fi, err := os.Stat(jsonDir); err != nil || !fi.IsDir() {
+			return fmt.Errorf("repro: -json %s is not an existing directory", jsonDir)
 		}
+	}
+	return nil
+}
+
+// selectExperiments returns the experiment id names, or the whole registry
+// when id is empty.
+func selectExperiments(id string) ([]bench.Experiment, error) {
+	if id == "" {
 		return bench.All(), nil
 	}
 	e, err := bench.ByID(id)
@@ -95,9 +110,10 @@ func selectExperiments(id, jsonPath string) ([]bench.Experiment, error) {
 	return []bench.Experiment{e}, nil
 }
 
-// writeRecord writes t to path as a ledger record: the table's fields, then
-// the Scale and Seed of o, indented two spaces and ending in a newline.
-func writeRecord(path string, t *bench.Table, o bench.Options) error {
+// writeRecord writes t to dir/BENCH_<ID>.json as a ledger record: the
+// table's fields, then the Scale and Seed of o, indented two spaces and
+// ending in a newline.
+func writeRecord(dir string, t *bench.Table, o bench.Options) error {
 	js, err := json.MarshalIndent(struct {
 		*bench.Table
 		Scale float64
@@ -106,7 +122,7 @@ func writeRecord(path string, t *bench.Table, o bench.Options) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(js, '\n'), 0o644)
+	return os.WriteFile(filepath.Join(dir, "BENCH_"+t.ID+".json"), append(js, '\n'), 0o644)
 }
 
 func indent(s, pad string) string {

@@ -121,8 +121,8 @@ func runBench1Once(cfg B1Config, seed uint64) (B1Run, error) {
 
 // ScaleSeconds linearly rescales measured seconds from a reduced iteration
 // count to the paper's full count. The loop is steady-state after its first
-// few thousand iterations, so elapsed time is linear in Pairs; cmd/repro
-// documents when scaling was applied.
+// few thousand iterations, so elapsed time is linear in Pairs; noteScale
+// notes on each table when scaling was applied.
 func ScaleSeconds(measured float64, ranPairs, fullPairs int) float64 {
 	if ranPairs == fullPairs {
 		return measured

@@ -332,6 +332,29 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 }
 
+// TestScaleReachesOnlyBenchmark1: Scale shrinks benchmark 1's pair loop and
+// nothing else, so an experiment that never runs that loop prints the same
+// table at any scale. D3 and D4 are the cheapest such experiments.
+func TestScaleReachesOnlyBenchmark1(t *testing.T) {
+	for _, id := range []string{"D3", "D4"} {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var text [2]string
+		for i, scale := range []float64{0.01, 1} {
+			tab, err := e.Run(Options{Scale: scale, Seed: 1})
+			if err != nil {
+				t.Fatalf("%s at scale %v: %v", id, scale, err)
+			}
+			text[i] = tab.Text()
+		}
+		if text[0] != text[1] {
+			t.Errorf("%s prints a different table at scale 0.01 than at 1:\n%s\nvs\n%s", id, text[0], text[1])
+		}
+	}
+}
+
 func TestProfileLookup(t *testing.T) {
 	if _, err := ProfileByName("quad-xeon-500"); err != nil {
 		t.Error(err)
@@ -415,7 +438,7 @@ func TestAblationsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablations are slow")
 	}
-	o := Options{Scale: 0.003, Seed: 1}
+	o := Options{Seed: 1}
 	for _, id := range []string{"A4", "A5", "A6"} {
 		ab, err := ByID(id)
 		if err != nil {

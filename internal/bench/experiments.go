@@ -12,9 +12,10 @@ import (
 )
 
 // Options control experiment execution. Scale multiplies benchmark 1's
-// 10-million-pair loop (benchmarks 2 and 3 always run at full size: their
-// cost does not depend on a hot loop). Results are rescaled to full count,
-// and every table notes when scaling was applied.
+// 10-million-pair loop and nothing else: benchmarks 2 and 3, Larson and
+// every extension always run at full size, since their cost does not
+// depend on a hot loop. Benchmark-1 times are rescaled to full count, and
+// every table that runs the loop notes when scaling was applied.
 type Options struct {
 	Scale float64
 	Seed  uint64
@@ -23,16 +24,14 @@ type Options struct {
 // FullPairs is the paper's benchmark 1 iteration count.
 const FullPairs = 10_000_000
 
-// scaled shrinks a workload count n by Scale when 0 < Scale < 1, but not
-// below floor; any other Scale leaves n whole.
-func (o Options) scaled(n, floor int) int {
+// pairs is the benchmark-1 loop count: FullPairs times Scale when
+// 0 < Scale < 1, but not below 20,000; any other Scale runs the full loop.
+func (o Options) pairs() int {
 	if o.Scale <= 0 || o.Scale >= 1 {
-		return n
+		return FullPairs
 	}
-	return max(int(float64(n)*o.Scale), floor)
+	return max(int(FullPairs*o.Scale), 20000)
 }
-
-func (o Options) pairs() int { return o.scaled(FullPairs, 20000) }
 
 func (o Options) seed() uint64 {
 	if o.Seed == 0 {

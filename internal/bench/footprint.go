@@ -271,7 +271,6 @@ func RunFootprint(cfg FootprintConfig) (FootprintRun, error) {
 // criteria read.
 func ExpFootprint(o Options) (*Table, error) {
 	prof := QuadXeon500()
-	ops := o.scaled(40000, 4000)
 	scavCosts := prof.ScavengeCosts() // the host's own tuning: 2ms epochs at 500 MHz, 50%/epoch
 	binCosts := scavCosts
 	binCosts.ScavengeMinBinBytes = 4096 // release any binned chunk with a whole idle page
@@ -297,9 +296,6 @@ func ExpFootprint(o Options) (*Table, error) {
 		cfg.Seed = o.seed()
 		cfg.Profile.Allocator = c.kind
 		cfg.Profile.AllocCosts = c.costs
-		for i := range cfg.Phases {
-			cfg.Phases[i].Ops = ops
-		}
 		run, err := RunFootprint(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("D3 %s: %w", c.name, err)
@@ -335,9 +331,6 @@ func ExpFootprint(o Options) (*Table, error) {
 			tcBin.DecayPercent, tcOn.DecayPercent, ratio)
 	}
 	t.Note("footprint = resident pages + tier-parked bytes; scavenger: 2ms epochs, 50%%/epoch decay, 64KB trim pad; binned release floor 4KB, 256KB/arena resident bin pad")
-	if ops != 40000 {
-		t.Note("bursts ran %d replace ops per thread (scaled from 40000)", ops)
-	}
 	return t, nil
 }
 

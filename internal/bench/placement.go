@@ -249,7 +249,6 @@ func RunPlacement(cfg PlacementConfig) (PlacementRun, error) {
 // supplied dirty from another CPU's cache) and the counter-metric is the
 // resident-byte cost of quantization and coloring.
 func ExpPlacement(o Options) (*Table, error) {
-	objs := o.scaled(300, 40)
 	prof := NUMAServerScale(2, 16)
 	t := &Table{ID: "D9", Title: "cache-line-aware placement, 16-CPU 2-node 500MHz host: blind vs line-aware carving, producer-consumer handoff at 2-16 threads",
 		Columns: []string{"allocator", "mode", "threads", "objs/s", "C2C fills", "C2C cycles", "mem fills", "resident KB", "quant B", "color B", "shared mag lines"}}
@@ -265,7 +264,6 @@ func ExpPlacement(o Options) (*Table, error) {
 	runPoint := func(p Profile, kind malloc.Kind, n int, aware bool) (PlacementRun, error) {
 		cfg := DefaultPlacement(p)
 		cfg.Threads = n
-		cfg.ObjsPerConsumer = objs
 		cfg.Profile.Allocator = kind
 		if aware {
 			cfg.Profile.HeapParams.Align = cache.LineSize
@@ -354,8 +352,5 @@ func ExpPlacement(o Options) (*Table, error) {
 		16, 24, 56)
 	t.Note("line-aware = HeapParams.Align = 32 (the cache line): chunk classes quantized to 32B-line multiples (blind 24/32/64B classes become 32/32/64B) plus per-thread buddy span coloring; quant B is the cumulative rounding overhead, color B the live coloring offsets")
 	t.Note("C2C fills = lines supplied dirty from another CPU's cache (the coherence-transfer currency); the line-aware residue is the inherent handoff transfer — producer-dirtied lines moving once to their consumer — which no placement can remove")
-	if objs != 300 {
-		t.Note("workload scaled down from 300 objects per consumer")
-	}
 	return t, nil
 }

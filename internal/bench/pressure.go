@@ -26,7 +26,7 @@ var PressureRatios = []float64{1.50, 1.25, 1.10, 1.00, 0.95, 0.90, 0.85, 0.80, 0
 // shape — against the ratcheting commit limit for all five designs.
 func ExpPressure(o Options) (*Table, error) {
 	prof := QuadXeon500()
-	ops := o.scaled(20000, 2000)
+	const ops = 20000
 	t := &Table{ID: "D6", Title: "graceful degradation under memory pressure: Larson 4 threads, commit limit ratcheting toward peak live bytes",
 		Columns: []string{"allocator", "workload", "limit/peak", "limit(KB)", "tput(ops/s)", "tput ratio", "emerg passes", "oom retries", "oom fails", "skips"}}
 	for _, kind := range []malloc.Kind{malloc.KindSerial, malloc.KindPTMalloc, malloc.KindPerThread, malloc.KindThreadCache, malloc.KindLockFree} {
@@ -74,8 +74,5 @@ func ExpPressure(o Options) (*Table, error) {
 	}
 	t.Note("peak committed = the unlimited run's high-water mapped-minus-released bytes (stacks included)")
 	t.Note("emerg passes / retries / fails are the cascade counters; skips are slot refills abandoned after the last retry")
-	if ops != 20000 {
-		t.Note("larson ran %d ops per thread (scaled from 20000)", ops)
-	}
 	return t, nil
 }

@@ -24,7 +24,7 @@ import (
 // producers packed on one node allocate everything and 24 consumers
 // elsewhere only free — aiming every free at one node's depot and buddy.
 func ExpScaling(o Options) (*Table, error) {
-	ops := o.scaled(4000, 200)
+	const ops = 4000
 	designs := []malloc.Kind{malloc.KindSerial, malloc.KindPTMalloc, malloc.KindPerThread, malloc.KindThreadCache, malloc.KindLockFree}
 	t := &Table{ID: "D5", Title: "contention scaling, 64-CPU 4-node 500MHz host: Larson at 8-64 threads, five designs",
 		Columns: []string{"profile", "workload", "allocator", "threads", "ops/s", "arena locks", "depot locks", "trylock fails", "cas attempts", "cas fails", "cas retry(k)"}}
@@ -115,8 +115,5 @@ func ExpScaling(o Options) (*Table, error) {
 	}
 	t.Note("arena/depot locks count mutex acquisitions in tiers 3/2; cas attempts/fails count the lock-free design's retry loops (depot Treiber stacks, buddy bitmaps); retry(k) is the cycles they cost")
 	t.Note("larson ran 200 slots x %d replace ops per thread of 10-100B objects; the imbalanced probe gives each of threads/4 producers %d ops and routes every displaced object to a consumer mailbox", ops, ops)
-	if ops != 4000 {
-		t.Note("workload scaled down from 4000 ops per thread")
-	}
 	return t, nil
 }

@@ -29,7 +29,7 @@ import (
 // background actor per node (epoch-driven cascade instead of a dedicated
 // scavenger thread).
 func ExpServiceOffload(o Options) (*Table, error) {
-	ops := o.scaled(4000, 200)
+	const ops = 4000
 	prof := NUMAServerScale(4, 64)
 	t := &Table{ID: "D10", Title: "service-thread offload, 64-CPU 4-node 500MHz host: inline vs offloaded magazine designs, Larson at 8-64 threads",
 		Columns: []string{"allocator", "threads", "ops/s", "app cycles in malloc", "cycles/op", "svc cycles", "refill hit", "prefetch", "drains", "fallbacks", "epochs"}}
@@ -109,7 +109,6 @@ func ExpServiceOffload(o Options) (*Table, error) {
 	// scavenging on, inline (dedicated background scavenger thread) vs
 	// offloaded (the per-node service threads drive the cascade from their
 	// epoch loops — one background actor per node, no separate scavenger).
-	fpOps := o.scaled(40000, 4000)
 	scavCosts := prof.ScavengeCosts()
 	fpConfigs := []struct {
 		name string
@@ -128,9 +127,6 @@ func ExpServiceOffload(o Options) (*Table, error) {
 		cfg.Seed = o.seed()
 		cfg.Profile.Allocator = c.kind
 		cfg.Profile.AllocCosts = scavCosts
-		for i := range cfg.Phases {
-			cfg.Phases[i].Ops = fpOps
-		}
 		run, err := RunFootprint(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("D10 footprint %s: %w", c.name, err)
@@ -156,9 +152,6 @@ func ExpServiceOffload(o Options) (*Table, error) {
 	t.Note("app cycles in malloc = telemetry malloc+free cycles on app threads; mailbox-hit refills land in the service tier but still bill the app thread; the service thread's own drain/prefetch work is recorded as mailbox ops and excluded")
 	t.Note("offload: one service thread per node, pinned to the node's last CPU; a mailbox swap costs two atomic RMWs plus one remote-miss transfer per cache line of span metadata; watermark %d spans/class, epoch every %d cycles",
 		malloc.DefaultServiceWatermark, malloc.DefaultServiceInterval)
-	t.Note("larson ran 200 slots x %d replace ops per thread of 10-100B objects, slot arrays rotating between threads each round (the paper's bleeding handoff: most frees hit memory some other thread allocated); phase bursts ran %d replace ops per thread", ops, fpOps)
-	if ops != 4000 {
-		t.Note("workload scaled down from 4000 ops per thread")
-	}
+	t.Note("larson ran 200 slots x %d replace ops per thread of 10-100B objects, slot arrays rotating between threads each round (the paper's bleeding handoff: most frees hit memory some other thread allocated); phase bursts ran %d replace ops per thread", ops, DefaultFootprint(prof).Phases[0].Ops)
 	return t, nil
 }
