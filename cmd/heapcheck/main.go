@@ -4,23 +4,34 @@
 // reproduction.
 //
 // The memory-pressure modes assert that the heap stays consistent while
-// allocations are failing underneath it: -memlimit caps the committed bytes
-// (vm.SetMemLimit), -memlimit-ratio first measures the unlimited run's peak
-// and reruns at that fraction of it, and -faultrate injects deterministic
-// mmap/sbrk failures. In any of those modes the workers treat an
+// allocations are failing underneath it: -memlimit-ratio first measures the
+// unlimited run's peak committed bytes and reruns with the commit limit
+// (vm.SetMemLimit) at that fraction of it, and -faultrate injects
+// deterministic mmap/sbrk failures. In either mode the workers treat an
 // out-of-memory malloc as a skipped operation (the emergency cascade already
 // retried it) — every other error, and any invariant break, still fails.
 //
 // With no -allocator it tortures every kind malloc.Kinds lists, one after
 // another, each under a "kind" header line.
 //
-// Exit status is non-zero if any invariant breaks.
+// -telemetry DIR records allocator telemetry: each seed prints its tier
+// attribution and top-3 latency classes, and writes its report and Chrome
+// trace to DIR/<kind>-seed<N>.json and DIR/<kind>-seed<N>.trace.json,
+// refusing an export whose tier cycles do not sum to the op totals:
+//
+//	mkdir -p /tmp/telemetry && heapcheck -seeds 2 -ops 5000 -telemetry /tmp/telemetry
+//
+// Exit status is non-zero if any invariant breaks, a flag is out of range
+// or an export fails its checks.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"path/filepath"
 	"sort"
 
 	"mtmalloc/internal/bench"
@@ -43,12 +54,18 @@ func main() {
 	binnedRelease := flag.Bool("binned-release", false, "enable the PageHeap-style binned-chunk page release with no resident pad (implies -scavenge 50000 when -scavenge is 0): tortures interior releases against the churn")
 	nodes := flag.Int("nodes", 0, "override the profile's NUMA node count (0 keeps it): tortures node-sharded placement and cross-node free routing")
 	lineAware := flag.Bool("lineaware", false, "align the heap to the cache line, which turns on line-aware placement (line-quantized carving + span coloring): tortures the no-shared-line invariant Check() enforces against the churn")
-	memLimit := flag.Uint64("memlimit", 0, "absolute commit limit in bytes (0 off): tortures the emergency reclamation cascade")
 	memLimitRatio := flag.Float64("memlimit-ratio", 0, "commit limit as a fraction of the unlimited run's peak committed bytes (0 off; measures peak with a first pass per seed)")
 	faultRate := flag.Float64("faultrate", 0, "probability of an injected mmap/sbrk failure per growth attempt (0 off; deterministic per seed)")
-	telemetryOn := flag.Bool("telemetry", false, "record allocator telemetry and print per-seed tier attribution and the top-3 latency classes")
+	telemetryDir := flag.String("telemetry", "", "record allocator telemetry: print each seed's tier attribution and top-3 latency classes, and write its report and Chrome trace to <kind>-seed<N>.json and <kind>-seed<N>.trace.json in this existing directory")
 	flag.Parse()
-	if err := checkCounts(*seeds, *threads, *ops, *maxSize); err != nil {
+	if err := checkCounts(counts{
+		seeds: *seeds, threads: *threads, ops: *ops, maxSize: *maxSize,
+		checkEvery: *checkEvery, nodes: *nodes, scavenge: *scavenge,
+		faultRate: *faultRate, memLimitRatio: *memLimitRatio,
+	}); err != nil {
+		fatal(err)
+	}
+	if err := checkDir(*telemetryDir); err != nil {
 		fatal(err)
 	}
 	if *binnedRelease && *scavenge == 0 {
@@ -85,12 +102,12 @@ func main() {
 				prof: prof, kind: kind,
 				threads: *threads, ops: *ops, maxSize: *maxSize, checkEvery: *checkEvery,
 				scavenge: *scavenge, binnedRelease: *binnedRelease,
-				memLimit: *memLimit, faultRate: *faultRate, seed: uint64(seed),
-				telemetry: *telemetryOn,
+				faultRate: *faultRate, seed: uint64(seed),
+				telemetry: *telemetryDir != "",
 			}
 			if *memLimitRatio > 0 {
 				base := cfg
-				base.memLimit, base.faultRate = 0, 0
+				base.faultRate = 0
 				r, err := torture(base)
 				if err != nil {
 					fatal(fmt.Errorf("%s seed %d (measuring pass): %w", kind, seed, err))
@@ -109,22 +126,59 @@ func main() {
 			}
 			if r.telemetry != nil {
 				printTelemetry(r.telemetry)
+				if err := writeTelemetry(filepath.Join(*telemetryDir, fmt.Sprintf("%s-seed%d", kind, seed)), r.telemetry); err != nil {
+					fatal(fmt.Errorf("%s seed %d: %w", kind, seed, err))
+				}
 			}
 		}
 	}
 	fmt.Println("heapcheck: all invariants held")
 }
 
-// checkCounts refuses a count flag below 1: with no seeds, threads or ops
-// nothing is tortured, and sizes are drawn from 1 to -maxsize.
-func checkCounts(seeds, threads, ops, maxSize int) error {
+// counts is heapcheck's numeric flags.
+type counts struct {
+	seeds, threads, ops, maxSize, checkEvery, nodes int
+	scavenge                                        int64
+	faultRate, memLimitRatio                        float64
+}
+
+// checkCounts refuses a numeric flag out of range, naming it: a count below
+// 1 (with no seeds, threads or ops nothing is tortured, and sizes are drawn
+// from 1 to -maxsize), a period, interval or node count below 0, a
+// -faultrate outside [0, 1] and a -memlimit-ratio below 0, NaN refused by
+// both and an infinite ratio too. Each of these would otherwise run a
+// plainer torture than the one asked for and pass.
+func checkCounts(c counts) error {
 	for _, f := range []struct {
-		name string
-		v    int
-	}{{"seeds", seeds}, {"threads", threads}, {"ops", ops}, {"maxsize", maxSize}} {
-		if f.v < 1 {
-			return fmt.Errorf("-%s %d is below 1", f.name, f.v)
+		name   string
+		v, min int64
+	}{
+		{"seeds", int64(c.seeds), 1}, {"threads", int64(c.threads), 1},
+		{"ops", int64(c.ops), 1}, {"maxsize", int64(c.maxSize), 1},
+		{"check-every", int64(c.checkEvery), 0}, {"nodes", int64(c.nodes), 0},
+		{"scavenge", c.scavenge, 0},
+	} {
+		if f.v < f.min {
+			return fmt.Errorf("-%s %d is below %d", f.name, f.v, f.min)
 		}
+	}
+	if !(c.faultRate >= 0 && c.faultRate <= 1) {
+		return fmt.Errorf("-faultrate %v is outside [0, 1]", c.faultRate)
+	}
+	if !(c.memLimitRatio >= 0 && c.memLimitRatio <= math.MaxFloat64) {
+		return fmt.Errorf("-memlimit-ratio %v is not a finite number at or above 0", c.memLimitRatio)
+	}
+	return nil
+}
+
+// checkDir refuses a -telemetry that is set but names no existing
+// directory.
+func checkDir(dir string) error {
+	if dir == "" {
+		return nil
+	}
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		return fmt.Errorf("-telemetry %s is not an existing directory", dir)
 	}
 	return nil
 }
@@ -307,6 +361,64 @@ func torture(cfg tortureConfig) (tortureResult, error) {
 		return res, err
 	}
 	return res, checkErr
+}
+
+// writeTelemetry writes rec's report to base.json and its Chrome trace to
+// base.trace.json, refusing a malformed export: per-tier cycles must sum
+// to the op totals, no latency row's p99 may sit below its p50, the time
+// series must carry the fragmentation gauge, and both files must parse. A
+// run too short to sample an op span writes a valid trace with no events.
+// Catching a malformed export here beats catching it in a trace viewer.
+func writeTelemetry(base string, rec *telemetry.Recorder) error {
+	rep := rec.Report()
+	var mallocCycles, freeCycles, mailboxCycles uint64
+	for _, ts := range rep.Tiers {
+		switch ts.Op {
+		case "malloc":
+			mallocCycles += ts.Cycles
+		case "free":
+			freeCycles += ts.Cycles
+		case "mailbox":
+			mailboxCycles += ts.Cycles
+		default:
+			return fmt.Errorf("telemetry: tier attribution carries unknown op kind %q", ts.Op)
+		}
+	}
+	if mallocCycles != rep.TotalMallocCycles || freeCycles != rep.TotalFreeCycles || mailboxCycles != rep.TotalMailboxCycles {
+		return fmt.Errorf("telemetry: tier attribution (%d/%d/%d cycles) does not sum to the op totals (%d/%d/%d)",
+			mallocCycles, freeCycles, mailboxCycles, rep.TotalMallocCycles, rep.TotalFreeCycles, rep.TotalMailboxCycles)
+	}
+	for _, cl := range rep.Latency {
+		if cl.P99 < cl.P50 {
+			return fmt.Errorf("telemetry: %s class %d has p99 %d below p50 %d cycles", cl.Op, cl.SizeClass, cl.P99, cl.P50)
+		}
+	}
+	if len(rep.Samples) == 0 {
+		return fmt.Errorf("telemetry: empty time series")
+	}
+	for _, s := range rep.Samples {
+		if len(s.Arenas) == 0 {
+			return fmt.Errorf("telemetry: sample at %d cycles lacks the per-arena fragmentation gauge", s.Time)
+		}
+	}
+	rj, err := rec.ReportJSON()
+	if err != nil {
+		return err
+	}
+	if !json.Valid(rj) {
+		return fmt.Errorf("telemetry: report is not valid JSON")
+	}
+	if err := os.WriteFile(base+".json", rj, 0o644); err != nil {
+		return err
+	}
+	tj, err := rec.TraceJSON()
+	if err != nil {
+		return err
+	}
+	if !json.Valid(tj) {
+		return fmt.Errorf("telemetry: trace is not valid JSON")
+	}
+	return os.WriteFile(base+".trace.json", tj, 0o644)
 }
 
 func fatal(err error) {

@@ -35,7 +35,7 @@ type lfBackend struct {
 	lineAware bool
 	colorSeq  denseTable[int]
 
-	stats *Stats
+	stats *Stats // the owning thread cache's counters
 }
 
 // lfNode is one node's slice of the backend: its buddy, its size classes
@@ -121,13 +121,13 @@ func (be *lfBackend) nodeOf(node int) *lfNode {
 	return be.nodes[node]
 }
 
-// refill carves want chunks of class csz from the caller's node, allocating
+// refill carves batch chunks of class csz from the caller's node, allocating
 // fresh buddy blocks sized for batch chunks as partial spans run out. The
 // entries carry nil arenas; their owning span is found via pageSpan.
-func (be *lfBackend) refill(t *sim.Thread, node int, csz uint32, want, batch int) ([]tcEntry, error) {
+func (be *lfBackend) refill(t *sim.Thread, node int, csz uint32, batch int) ([]tcEntry, error) {
 	nd := be.nodeOf(node)
-	out := make([]tcEntry, 0, want)
-	for len(out) < want {
+	out := make([]tcEntry, 0, batch)
+	for len(out) < batch {
 		sp := be.partialSpan(nd, csz)
 		if sp == nil {
 			var err error
@@ -139,7 +139,7 @@ func (be *lfBackend) refill(t *sim.Thread, node int, csz uint32, want, batch int
 				return nil, err
 			}
 		}
-		for len(out) < want && sp.avail() > 0 {
+		for len(out) < batch && sp.avail() > 0 {
 			var mem uint64
 			if n := len(sp.freeList); n > 0 {
 				mem = sp.freeList[n-1]
@@ -210,10 +210,8 @@ func (be *lfBackend) newSpan(t *sim.Thread, nd *lfNode, csz uint32, batch int) (
 		if off > 0 && uint64(sp.pages)*vm.PageSize-off >= uint64(csz) {
 			sp.base = addr + off
 			sp.chunks = int((uint64(sp.pages)*vm.PageSize - off) / uint64(csz))
-			if be.stats != nil {
-				be.stats.LineColorBytes += off
-				be.stats.LineColorSpans++
-			}
+			be.stats.LineColorBytes += off
+			be.stats.LineColorSpans++
 		}
 	}
 	for p := 0; p < pages; p++ {
@@ -273,7 +271,7 @@ func (be *lfBackend) returnChunk(t *sim.Thread, mem uint64) error {
 	for p := 0; p < sp.pages; p++ {
 		delete(be.pageSpan, sp.blockBase/vm.PageSize+uint64(p))
 	}
-	if sp.base != sp.blockBase && be.stats != nil {
+	if sp.base != sp.blockBase {
 		be.stats.LineColorBytes -= sp.base - sp.blockBase
 		be.stats.LineColorSpans--
 	}

@@ -585,7 +585,7 @@ func (s *Service) fetchSpan(t *sim.Thread, node int, csz, req uint32) []tcEntry 
 		}
 	}
 	if tc.lf != nil {
-		entries, err := tc.lf.refill(t, node, csz, tc.batch, tc.batch)
+		entries, err := tc.lf.refill(t, node, csz, tc.batch)
 		if err != nil {
 			if !IsNoMem(err) {
 				tc.recordErr(fmt.Errorf("malloc: service prefetch: %w", err))

@@ -525,7 +525,7 @@ func (tc *ThreadCache) arenaBatch(t *sim.Thread, c *tcache, req uint32, extra in
 // only shared state touched is the buddy's bitmap, priced by CAS.
 func (tc *ThreadCache) buddyBatch(t *sim.Thread, c *tcache, sz uint32) (uint64, error) {
 	t.Charge(sim.Time(cacheRefillWork + tc.costs.WorkMalloc))
-	entries, err := tc.lf.refill(t, t.Node(), sz, tc.batch, tc.batch)
+	entries, err := tc.lf.refill(t, t.Node(), sz, tc.batch)
 	if err != nil {
 		return 0, err
 	}

@@ -164,9 +164,8 @@ type Machine struct {
 	ContextSwitches uint64
 	// PreemptDraws and PreemptMidCS count involuntary preemption draws and
 	// how many found the victim inside a critical section.
-	PreemptDraws  uint64
-	PreemptMidCS  uint64
-	spawnSequence int
+	PreemptDraws uint64
+	PreemptMidCS uint64
 }
 
 // NewMachine creates a machine from cfg.
@@ -276,7 +275,6 @@ func (m *Machine) spawn(parent *Thread, name string, body func(*Thread)) *Thread
 	child.clock = parent.clock + Time(parent.rng.Jitter(int64(c.SpawnJitter)))
 	child.state = stateRunnable
 	m.runnable = append(m.runnable, child)
-	m.spawnSequence++
 	if m.OnSpawn != nil {
 		m.OnSpawn(parent, child)
 	}

@@ -32,9 +32,8 @@ type Thread struct {
 	start  Time // clock when the body began executing
 	finish Time // clock when the body returned
 
-	state   threadState
-	resume  chan struct{}
-	yielded chan struct{}
+	state  threadState
+	resume chan struct{}
 
 	body func(*Thread)
 	rng  *xrand.RNG
@@ -68,10 +67,6 @@ type Thread struct {
 	// goroutine stack at the panic, for the machine's error.
 	panicked   any
 	panicStack []byte
-
-	// Ops counts simulated operations (MaybeYield calls); exported for
-	// harness statistics.
-	Ops uint64
 }
 
 // ID returns the thread's unique identifier (dense, starting at 0).
@@ -136,7 +131,6 @@ func (t *Thread) CAS(p *CASPoint) { p.update(t) }
 // operations or batchCycles simulated cycles the thread yields to the engine
 // so other threads can interleave. Must not be called while holding a Mutex.
 func (t *Thread) MaybeYield() {
-	t.Ops++
 	t.opsSinceYield++
 	if t.opsSinceYield >= batchOps || t.clock-t.batchStart >= batchCycles {
 		t.Yield()
