@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -55,21 +56,34 @@ func TestCheckCounts(t *testing.T) {
 	}
 }
 
-// TestTelemetryExport: one offloaded seed with telemetry on writes a
-// report and a Chrome trace that parse, the trace holds events, every op
-// kind's tiers sum to its total, and the service threads' mailbox work is
-// non-zero. The directory check accepts the directory and an unset flag,
-// and refuses a regular file and a missing path.
+// TestMemLimit: -memlimit-ratio times the measured peak is the commit
+// limit, and a ratio that rounds it to 0 bytes is refused, naming the flag
+// and the peak.
+func TestMemLimit(t *testing.T) {
+	if got, err := memLimit(1.25, 1000); got != 1250 || err != nil {
+		t.Errorf("memLimit(1.25, 1000) = %d, %v, want 1250, nil", got, err)
+	}
+	for _, c := range []struct {
+		ratio float64
+		peak  uint64
+	}{{1e-9, 500_000}, {0.5, 1}, {1, 0}} {
+		_, err := memLimit(c.ratio, c.peak)
+		if err == nil || !strings.HasPrefix(err.Error(), "-memlimit-ratio ") || !strings.Contains(err.Error(), fmt.Sprintf("peak of %d bytes", c.peak)) {
+			t.Errorf("memLimit(%v, %d) = %v, want an error naming -memlimit-ratio and the peak", c.ratio, c.peak, err)
+		}
+	}
+}
+
+// TestTelemetryExport: a seed with telemetry on writes a report and a
+// Chrome trace that parse, and the recorder counts every malloc and free
+// exactly once. The offloaded seed's trace holds events and its service
+// threads' mailbox work is non-zero; the faulting seed runs emergency
+// rescues that yield while other threads' ops go on; the one-thread seed is
+// shorter than one sampling epoch, so its time series is empty and still
+// valid. The directory check accepts the directory and an unset flag, and
+// refuses a regular file and a missing path.
 func TestTelemetryExport(t *testing.T) {
 	prof, err := bench.ProfileByName("quad-xeon-500")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := torture(tortureConfig{
-		prof: prof, kind: malloc.KindThreadCacheSvc,
-		threads: 4, ops: 2000, maxSize: 4000, checkEvery: 1000, seed: 1,
-		telemetry: true,
-	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,34 +93,48 @@ func TestTelemetryExport(t *testing.T) {
 			t.Fatalf("checkDir(%q) = %v, want nil", d, err)
 		}
 	}
-	base := filepath.Join(dir, "threadcache-svc-seed1")
-	if err := writeTelemetry(base, r.telemetry); err != nil {
-		t.Fatal(err)
-	}
-
-	var rep telemetry.Report
-	readJSON(t, base+".json", &rep)
-	sums := map[string]uint64{}
-	for _, ts := range rep.Tiers {
-		sums[ts.Op] += ts.Cycles
-	}
-	for _, op := range []struct {
-		name  string
-		total uint64
-	}{{"malloc", rep.TotalMallocCycles}, {"free", rep.TotalFreeCycles}, {"mailbox", rep.TotalMailboxCycles}} {
-		if sums[op.name] != op.total {
-			t.Errorf("%s tiers sum to %d cycles, the report's total is %d", op.name, sums[op.name], op.total)
+	for _, c := range []struct {
+		name string
+		cfg  tortureConfig
+	}{
+		{"threadcache-svc", tortureConfig{kind: malloc.KindThreadCacheSvc, threads: 4, ops: 2000}},
+		{"threadcache-faults", tortureConfig{kind: malloc.KindThreadCache, threads: 4, ops: 5000, faultRate: 0.05}},
+		{"serial-short", tortureConfig{kind: malloc.KindSerial, threads: 1, ops: 200}},
+	} {
+		cfg := c.cfg
+		cfg.prof, cfg.maxSize, cfg.checkEvery, cfg.seed, cfg.telemetry = prof, 4000, 1000, 1, true
+		r, err := torture(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-	}
-	if rep.TotalMailboxCycles == 0 {
-		t.Error("threadcache-svc recorded no mailbox cycles: the service threads' work is missing")
-	}
-	var trace struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	readJSON(t, base+".trace.json", &trace)
-	if len(trace.TraceEvents) == 0 {
-		t.Error("the trace holds no events")
+		base := filepath.Join(dir, c.name)
+		if err := writeTelemetry(base, r.telemetry, r.ops-r.retries); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		var rep telemetry.Report
+		readJSON(t, base+".json", &rep)
+		var trace struct {
+			TraceEvents []json.RawMessage `json:"traceEvents"`
+		}
+		readJSON(t, base+".trace.json", &trace)
+		switch c.name {
+		case "threadcache-svc":
+			if rep.TotalMailboxCycles == 0 {
+				t.Error("threadcache-svc recorded no mailbox cycles: the service threads' work is missing")
+			}
+			if len(trace.TraceEvents) == 0 {
+				t.Error("the threadcache-svc trace holds no events")
+			}
+		case "threadcache-faults":
+			if r.retries == 0 {
+				t.Error("threadcache at -faultrate 0.05 ran no emergency retries")
+			}
+		case "serial-short":
+			if len(rep.Samples) != 0 {
+				t.Errorf("the 200-op seed sampled %d points, want none", len(rep.Samples))
+			}
+		}
 	}
 
 	file := filepath.Join(dir, "file")

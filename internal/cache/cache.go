@@ -72,9 +72,8 @@ type CPUStats struct {
 // Model is the coherence protocol and its per-CPU counters for one
 // machine.
 type Model struct {
-	numCPUs int
-	costs   Costs
-	stats   []CPUStats
+	costs Costs
+	stats []CPUStats
 
 	// OwnerFlips counts transitions of dirty ownership between distinct
 	// CPUs: the "ping-pong" statistic.
@@ -86,11 +85,7 @@ func NewModel(numCPUs int, costs Costs) *Model {
 	if numCPUs < 1 || numCPUs > 64 {
 		panic("cache: unsupported CPU count")
 	}
-	return &Model{
-		numCPUs: numCPUs,
-		costs:   costs,
-		stats:   make([]CPUStats, numCPUs),
-	}
+	return &Model{costs: costs, stats: make([]CPUStats, numCPUs)}
 }
 
 // Costs returns the cost model.

@@ -32,15 +32,10 @@ type Stats struct {
 	Mallocs       uint64
 	Frees         uint64
 	BinHits       uint64 // served from an exact small bin
-	BinScans      uint64 // served from a larger bin (with split)
 	TopAllocs     uint64 // carved from the top chunk
 	Splits        uint64
 	Coalesces     uint64
-	BinInserts    uint64
-	BinRemoves    uint64
-	Extends       uint64
 	Trims         uint64
-	MmapChunks    uint64
 	MunmapChunks  uint64
 	TopReleases   uint64 // TrimTop calls that released at least one page
 	BytesReleased uint64 // bytes handed back to the kernel by TrimTop
@@ -61,8 +56,8 @@ type Stats struct {
 // Add accumulates o into s, field by field. The reflection walk is the one
 // summing path the allocator-level Stats aggregation uses: a counter added
 // to this struct is summed automatically, instead of being silently dropped
-// from a hand-written field list (which is exactly what happened to
-// BinInserts/BinRemoves before this existed). Every field must be a uint64
+// from a hand-written field list (which is exactly what happened to two of
+// the bin counters before this existed). Every field must be a uint64
 // counter; Add panics otherwise, so a field of another type cannot slip in
 // unsummed.
 func (s *Stats) Add(o Stats) {
@@ -300,7 +295,6 @@ func (a *Arena) Malloc(t *sim.Thread, req uint32) (uint64, error) {
 				if a.binEmpty(t, idx) {
 					a.clearBin(t, idx)
 				}
-				a.stats.BinScans++
 				return a.splitAndFinish(t, c, csz, sz), nil
 			}
 			c = a.fd(t, c)
@@ -454,7 +448,6 @@ func (a *Arena) segmentEndFor(c uint64) uint64 {
 
 // extend grows the heap so the top chunk can satisfy a request of sz bytes.
 func (a *Arena) extend(t *sim.Thread, sz uint32) error {
-	a.stats.Extends++
 	need := pageCeilI(int64(sz) + MinChunk + 64)
 
 	if a.IsMain {
@@ -718,7 +711,6 @@ func (a *Arena) MmapChunk(t *sim.Thread, req uint32) (uint64, error) {
 	offset := c - base
 	a.setPrevSize(t, c, uint32(offset))
 	a.setSizeWord(t, c, uint32(mapLen-offset-HeaderSz)|IsMmapped)
-	a.stats.MmapChunks++
 	a.accountAlloc(mapLen)
 	return c + HeaderSz, nil
 }

@@ -176,7 +176,6 @@ func (a *Arena) frontlink(t *sim.Thread, c uint64, sz uint32) {
 		a.setBk(t, succ, c)
 	}
 	a.markBin(t, idx)
-	a.stats.BinInserts++
 	a.binSettled = false
 	// Idle stamp for ReleaseBinned: a freshly binned chunk (or a re-binned
 	// coalesce product, which may have resident interior again) starts hot,
@@ -196,7 +195,6 @@ func (a *Arena) unlink(t *sim.Thread, c uint64, sz uint32) {
 	b := a.bk(t, c)
 	a.setFd(t, b, f)
 	a.setBk(t, f, b)
-	a.stats.BinRemoves++
 	a.binSettled = false
 	if lo, hi := binReleasable(c, sz); hi > lo {
 		a.binResident -= a.binStamps[c].resident

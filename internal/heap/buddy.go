@@ -47,9 +47,6 @@ type BuddyStats struct {
 	FreePages  uint64 // current free pages across zones
 	AllocPages uint64 // current allocated pages (rounded to block size)
 
-	BitmapReads  uint64
-	BitmapWrites uint64
-
 	// Aggregated from the per-level CAS points.
 	CASAttempts uint64
 	CASFails    uint64
@@ -137,13 +134,11 @@ func (z *buddyZone) wordAddr(k, idx int) uint64 {
 // syncWord writes the mirror word holding bit idx of order k back to
 // simulated memory, charging the store.
 func (b *Buddy) syncWord(t *sim.Thread, z *buddyZone, k, idx int) {
-	b.stats.BitmapWrites++
 	b.as.Write64(t, z.wordAddr(k, idx), z.free[k][idx/64])
 }
 
 // probeWord charges the load of the bitmap word holding bit idx of order k.
 func (b *Buddy) probeWord(t *sim.Thread, z *buddyZone, k, idx int) {
-	b.stats.BitmapReads++
 	b.as.Read64(t, z.wordAddr(k, idx))
 }
 

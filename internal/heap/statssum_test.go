@@ -12,7 +12,7 @@ import (
 // TestStatsAddSumsEveryField is the no-silent-drop regression test: every
 // field of Stats, present and future, must ride through Add. Each field
 // gets a distinct value on both sides so a skipped field (the old
-// hand-written sum dropped BinInserts/BinRemoves) or a crossed wire (field
+// hand-written sum dropped two bin counters) or a crossed wire (field
 // i added into field j) fails loudly.
 func TestStatsAddSumsEveryField(t *testing.T) {
 	var a, b Stats

@@ -220,9 +220,9 @@ func (d *depot) addPointStats(s *Stats) {
 		if dc := d.classes.get(k); dc.lock != nil {
 			s.DepotLockAcqs += dc.lock.Acquisitions
 		} else {
-			s.CASAttempts += dc.head.Attempts
-			s.CASFails += dc.head.Fails
-			s.CASRetryCycles += uint64(dc.head.RetryCycles)
+			s.CASAttempts += dc.head.CASAttempts
+			s.CASFails += dc.head.CASFails
+			s.CASRetryCycles += uint64(dc.head.WaitCycles)
 		}
 	}
 }

@@ -310,27 +310,6 @@ func (be *lfBackend) ownsChunk(mem uint64) error {
 	return nil
 }
 
-// bStats sums the per-node buddy counters.
-func (be *lfBackend) bStats() heap.BuddyStats {
-	var s heap.BuddyStats
-	for _, nd := range be.nodes {
-		st := nd.buddy.Stats()
-		s.Allocs += st.Allocs
-		s.Frees += st.Frees
-		s.Splits += st.Splits
-		s.Merges += st.Merges
-		s.GrowEvents += st.GrowEvents
-		s.Zones += st.Zones
-		s.FreePages += st.FreePages
-		s.AllocPages += st.AllocPages
-		s.CASAttempts += st.CASAttempts
-		s.CASFails += st.CASFails
-		s.RetryCycles += st.RetryCycles
-		s.GrowLockAcqs += st.GrowLockAcqs
-	}
-	return s
-}
-
 // check verifies the span invariants and every buddy's bitmap state.
 func (be *lfBackend) check() error {
 	for _, nd := range be.nodes {

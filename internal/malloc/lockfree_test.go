@@ -37,7 +37,7 @@ func TestLockFreeBatchAccounting(t *testing.T) {
 		if st.CachedChunks != 3 {
 			t.Errorf("CachedChunks = %d, want 3 (batch 4 minus the user chunk)", st.CachedChunks)
 		}
-		if n := al.lf.bStats().Allocs; n != 1 {
+		if n := al.lf.nodes[0].buddy.Stats().Allocs; n != 1 {
 			t.Errorf("buddy Allocs = %d, want 1 (one span carved)", n)
 		}
 		if st.ArenaLockAcqs != 0 || st.DepotLockAcqs != 0 {

@@ -462,11 +462,10 @@ type base struct {
 
 	// tel is the attached telemetry recorder, nil when telemetry is off:
 	// every recording site nil-checks, so the disabled cost is one branch.
-	// muted silences op recording while the emergency cascade reruns an
-	// operation, so the retried op is attributed once, to the emergency
-	// tier, instead of to whichever tier the retry happened to hit.
-	tel   *telemetry.Recorder
-	muted bool
+	// Malloc and Free record each op once; the emergency cascade's retries
+	// run the unrecorded malloc, so a rescued op lands in the emergency
+	// tier alone.
+	tel *telemetry.Recorder
 
 	// deferredErr holds the first error from a context that cannot
 	// propagate one (scavenge passes, magazine re-homing, detach flushes).
@@ -555,19 +554,28 @@ func (b *base) DetachThread(t *sim.Thread) {
 	}
 }
 
-// Malloc allocates size bytes. An out-of-memory failure runs the emergency
-// cascade and retries (pressure.go) before it reaches the caller.
+// Malloc allocates size bytes and records the op once: in the tier that
+// served it, or, when an out-of-memory failure ran the emergency cascade
+// and retries (pressure.go), in the emergency tier, timed from the call's
+// entry whether or not a retry succeeded.
 func (b *base) Malloc(t *sim.Thread, size uint32) (uint64, error) {
-	start := b.calm(t)
-	mem, err := b.malloc(t, size)
-	if err != nil && IsNoMem(err) {
-		return b.rescue(t, size, err, start)
+	entry := b.calm(t)
+	mem, tier, start, err := b.malloc(t, size)
+	if err != nil {
+		if !IsNoMem(err) {
+			return 0, err
+		}
+		mem, err = b.rescue(t, size, err)
+		tier, start = telemetry.TierEmergency, entry
 	}
+	b.telOp(t, telemetry.OpMalloc, b.params.Request2Size(size), tier, start)
 	return mem, err
 }
 
-// malloc is one unguarded malloc: the frame around the design's allocate.
-func (b *base) malloc(t *sim.Thread, size uint32) (uint64, error) {
+// malloc is one unguarded, unrecorded malloc: the frame around the
+// design's allocate. It reports the tier that served it and the time it
+// started, after its yield point.
+func (b *base) malloc(t *sim.Thread, size uint32) (uint64, telemetry.Tier, sim.Time, error) {
 	t.MaybeYield()
 	start := t.Now()
 	b.opCharge(t)
@@ -586,13 +594,12 @@ func (b *base) malloc(t *sim.Thread, size uint32) (uint64, error) {
 		mem, tier, err = b.kind.allocate(t, size, sz)
 	}
 	if err != nil {
-		return 0, err
+		return 0, 0, 0, err
 	}
 	if tier != telemetry.TierVM {
 		b.mallocs++
 	}
-	b.telOp(t, telemetry.OpMalloc, sz, tier, start)
-	return mem, nil
+	return mem, tier, start, nil
 }
 
 // Free releases mem. It is never retried: a free needs no memory.
@@ -753,12 +760,12 @@ func (b *base) ownArena(t *sim.Thread) *heap.Arena {
 }
 
 // telOp records one completed operation with the telemetry recorder,
-// unless telemetry is off or the emergency cascade has muted attribution.
+// unless telemetry is off: the inlined nil check keeps the disabled cost
+// at one branch.
 func (b *base) telOp(t *sim.Thread, kind telemetry.OpKind, class uint32, tier telemetry.Tier, start sim.Time) {
-	if b.tel == nil || b.muted {
-		return
+	if b.tel != nil {
+		b.tel.Op(t, kind, class, tier, start)
 	}
-	b.tel.Op(t, kind, class, tier, start)
 }
 
 // routeFree finds the arena owning mem. The pointer arithmetic glibc uses

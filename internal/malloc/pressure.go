@@ -6,7 +6,6 @@ import (
 
 	"mtmalloc/internal/heap"
 	"mtmalloc/internal/sim"
-	"mtmalloc/internal/telemetry"
 	"mtmalloc/internal/vm"
 )
 
@@ -66,15 +65,12 @@ func (b *base) calm(t *sim.Thread) sim.Time {
 }
 
 // rescue runs the cascade-and-retry loop after a malloc of size bytes
-// failed with the out-of-memory error err, rerunning the unguarded malloc.
-// With telemetry attached the whole rescue — failed first attempt, cascade
-// passes, retries — is attributed as one malloc to the emergency tier, from
-// the operation's start: recording inside the frame is muted for the
-// duration so the retried malloc is not double-counted in whichever tier
-// finally serves it.
-func (b *base) rescue(t *sim.Thread, size uint32, err error, start sim.Time) (uint64, error) {
+// failed with the out-of-memory error err, rerunning the unguarded malloc,
+// which records nothing: Malloc attributes the whole rescue — failed first
+// attempt, cascade passes, retries — as one malloc to the emergency tier.
+// Other threads' ops that run while a retry yields record as usual.
+func (b *base) rescue(t *sim.Thread, size uint32, err error) (uint64, error) {
 	b.tel.Instant(t, "emergency cascade", "pressure")
-	b.muted = true
 	var mem uint64
 	for attempt := 1; attempt <= maxOOMAttempts && IsNoMem(err); attempt++ {
 		escalated := attempt > b.level
@@ -87,15 +83,12 @@ func (b *base) rescue(t *sim.Thread, size uint32, err error, start sim.Time) (ui
 		b.kind.reclaim(t, b.level, escalated)
 		b.stats.OOMRetries++
 		b.tel.Instant(t, "oom retry", "pressure")
-		mem, err = b.malloc(t, size)
+		mem, _, _, err = b.malloc(t, size)
 	}
 	if IsNoMem(err) {
-		mem = 0
 		b.stats.OOMFails++
 		b.tel.Instant(t, "oom fail", "pressure")
 	}
-	b.muted = false
-	b.tel.Op(t, telemetry.OpMalloc, b.params.Request2Size(size), telemetry.TierEmergency, start)
 	return mem, err
 }
 

@@ -57,11 +57,16 @@ type Service struct {
 	// visible (2*MutexAtomic); the wakeup of a poll that finds work pulls
 	// the mailbox lines onto the service core and comes off the timer
 	// sleep, cheaper than a full context switch since posters never signal
-	// (ContextSwitch/4); a span's descriptor line moves at the cache
-	// model's remote-miss price.
-	lineXfer int64
+	// (ContextSwitch/4). spanXfer prices moving a span across caches: one
+	// transfer of its descriptor line (head pointer + count) at the cache
+	// model's remote-miss price. The chunks themselves move on first touch,
+	// exactly as they would coming out of the depot — the mailbox swap
+	// replaces the depot's lock acquisition and depotXferWork charge with a
+	// wait-free line exchange, which is where the offload's app-side saving
+	// comes from.
 	postCost sim.Time
 	wakeCost sim.Time
+	spanXfer sim.Time
 
 	nodes   []*svcNode
 	running bool
@@ -79,8 +84,7 @@ type svcNode struct {
 // and its service thread.
 type svcMailbox struct {
 	// classes holds each class's record, keyed by classSlot.
-	classes   denseTable[*svcClass]
-	fullSpans int // spans shelved across all classes
+	classes denseTable[*svcClass]
 	// empty holds posted flush/remote batches awaiting the drain.
 	empty []svcPost
 }
@@ -169,10 +173,7 @@ func newService(tc *ThreadCache) *Service {
 	mc := mach.Config().Costs
 	s.postCost = 2 * mc.MutexAtomic
 	s.wakeCost = mc.ContextSwitch / 4
-	s.lineXfer = 60
-	if cm := tc.as.Cache(); cm != nil {
-		s.lineXfer = cm.Costs().MissRemote
-	}
+	s.spanXfer = sim.Time(tc.as.Cache().Costs().MissRemote)
 	nodes := mach.Nodes()
 	for n := 0; n < nodes; n++ {
 		nd := &svcNode{node: n}
@@ -272,7 +273,6 @@ func (s *Service) emptyAll(give func(csz uint32, span []tcEntry) error) {
 			}
 			cl.full, cl.seen, cl.idleEpochs = nil, false, 0
 		}
-		box.fullSpans = 0
 	}
 }
 
@@ -298,16 +298,6 @@ func (s *Service) boxFor(node int) *svcNode {
 		node = 0
 	}
 	return s.nodes[node]
-}
-
-// spanXfer prices moving a span across caches: one remote-miss transfer of
-// the descriptor line (head pointer + count). The chunks themselves move on
-// first touch, exactly as they would coming out of the depot — the mailbox
-// swap replaces the depot's lock acquisition and depotXferWork charge with a
-// wait-free line exchange, which is where the offload's app-side saving
-// comes from.
-func (s *Service) spanXfer() sim.Time {
-	return sim.Time(s.lineXfer)
 }
 
 // targetFor is the shelf depth the service keeps prefetched for a class: at
@@ -345,7 +335,6 @@ func (s *Service) takeFull(t *sim.Thread, csz, req uint32) ([]tcEntry, bool) {
 	if n := len(cl.full); n > 0 {
 		span = cl.full[n-1]
 		cl.full = cl.full[:n-1]
-		box.fullSpans--
 	} else {
 		// Nothing prefetched — claim a matching posted flush directly: the
 		// same wait-free exchange, just before the service thread got to
@@ -366,7 +355,7 @@ func (s *Service) takeFull(t *sim.Thread, csz, req uint32) ([]tcEntry, bool) {
 		s.tc.stats.SvcRefillMisses++
 		return nil, false
 	}
-	t.Charge(s.spanXfer())
+	t.Charge(s.spanXfer)
 	cl.used.req = req
 	cl.used.count++
 	s.tc.stats.SvcRefillHits++
@@ -436,16 +425,15 @@ func (s *Service) postEmpty(t *sim.Thread, csz uint32, victims []tcEntry, remote
 func (s *Service) postGroup(t *sim.Thread, d int, csz uint32, span []tcEntry) bool {
 	box := &s.nodes[d].box
 	if cl := box.classOf(csz); len(cl.full) < s.targetFor(cl) {
-		t.Charge(s.postCost + s.spanXfer())
+		t.Charge(s.postCost + s.spanXfer)
 		cl.full = append(cl.full, span)
-		box.fullSpans++
 		s.tc.stats.SvcFlushPosts++
 		return true
 	}
 	if len(box.empty) >= s.boxCap {
 		return false
 	}
-	t.Charge(s.postCost + s.spanXfer())
+	t.Charge(s.postCost + s.spanXfer)
 	box.empty = append(box.empty, svcPost{csz: csz, entries: span})
 	s.tc.stats.SvcFlushPosts++
 	return true
@@ -477,10 +465,9 @@ func (s *Service) epoch(t *sim.Thread, n *svcNode) {
 	}
 	for _, p := range posts {
 		opStart := t.Now()
-		t.Charge(s.postCost + s.spanXfer())
+		t.Charge(s.postCost + s.spanXfer)
 		if cl := box.classOf(p.csz); len(cl.full) < s.targetFor(cl) {
 			cl.full = append(cl.full, p.entries)
-			box.fullSpans++
 		} else if err := tc.release(t, p.csz, p.entries); err != nil {
 			tc.recordErr(fmt.Errorf("malloc: service drain: %w", err))
 		}
@@ -523,7 +510,6 @@ func (s *Service) epoch(t *sim.Thread, n *svcNode) {
 				break
 			}
 			cl.full = append(cl.full, span)
-			box.fullSpans++
 			tc.stats.SvcPrefetches++
 			tc.telOp(t, telemetry.OpMailbox, csz, telemetry.TierService, opStart)
 			worked = true
@@ -553,7 +539,6 @@ func (s *Service) epoch(t *sim.Thread, n *svcNode) {
 			if err := tc.release(t, csz, span); err != nil {
 				tc.recordErr(fmt.Errorf("malloc: service shelf decay: %w", err))
 			}
-			box.fullSpans--
 			worked = true
 		}
 		cl.full, cl.seen, cl.idleEpochs = nil, false, 0

@@ -847,10 +847,12 @@ func (tc *ThreadCache) addStats(s *Stats) {
 		depot.addPointStats(s)
 	}
 	if tc.lf != nil {
-		bs := tc.lf.bStats()
-		s.CASAttempts += bs.CASAttempts
-		s.CASFails += bs.CASFails
-		s.CASRetryCycles += uint64(bs.RetryCycles)
+		for _, nd := range tc.lf.nodes {
+			bs := nd.buddy.Stats()
+			s.CASAttempts += bs.CASAttempts
+			s.CASFails += bs.CASFails
+			s.CASRetryCycles += uint64(bs.RetryCycles)
+		}
 	}
 	if tc.svc != nil {
 		s.SvcParkedChunks, s.SvcParkedBytes = tc.svc.parked()

@@ -61,7 +61,6 @@ type Stats struct {
 	// the same pass's top tail), so this measures decay activity, not RSS
 	// returned — the owner's per-tier counters separate the two.
 	BytesReleased uint64
-	LastPass      sim.Time // virtual time of the most recent pass
 }
 
 // Source is one tier that can shed idle memory. Scavenge must release up to
@@ -171,7 +170,6 @@ func (s *Scavenger) pass(t *sim.Thread) {
 	}
 	s.stats.Epochs++
 	s.stats.BytesReleased += released
-	s.stats.LastPass = t.Now()
 	s.nextAt = t.Now() + s.policy.Interval
 }
 

@@ -23,14 +23,14 @@ package sim
 //
 // Both primitives implement ContentionPoint, so harnesses can enumerate a
 // machine's synchronization points and read one stats shape regardless of
-// the pricing behind each. The mutex designs' charge sequences are untouched
-// by this abstraction: Mutex only gained the read-only stats methods.
+// the pricing behind each. Each point embeds its PointStats and counts into
+// it directly, so the counters a point reports are the only ones it keeps.
 
 // PointStats is the common counter shape every contention point exposes.
 // Mutex-priced points fill the lock-side fields and leave the CAS side zero;
-// CAS-priced points do the opposite.
+// CAS-priced points fill Acquisitions, Contended and WaitCycles plus the
+// CAS side.
 type PointStats struct {
-	// Lock-model counters.
 	Acquisitions  uint64 // successful entries (lock acquires / CAS op completions)
 	Contended     uint64 // entries that paid a contention penalty
 	TryAcquires   uint64
@@ -41,6 +41,11 @@ type PointStats struct {
 	CASAttempts uint64 // total compare-and-swap attempts, failures included
 	CASFails    uint64 // failed attempts (retries) charged by the model
 }
+
+// counters is PointStats under an unexported name, so a point embeds it —
+// mu.Acquisitions reads the counter itself — without the embedded field
+// clashing with the PointStats method.
+type counters = PointStats
 
 // ContentionPoint is one synchronization hot spot priced by the machine's
 // contention model — a Mutex or a CASPoint.
@@ -79,13 +84,9 @@ type CASPoint struct {
 	// and behind the caller's).
 	writers map[int]Time
 
-	// Statistics. Updates counts completed operations; Attempts counts
-	// hardware CAS attempts including the charged retries.
-	Updates      uint64
-	Attempts     uint64
-	Fails        uint64
-	ContendedOps uint64
-	RetryCycles  Time
+	// Acquisitions counts completed updates, CASAttempts the hardware
+	// attempts including the charged retries, WaitCycles the retry charges.
+	counters
 }
 
 // NewCASPoint creates a CAS-priced contention point on machine m and
@@ -97,15 +98,7 @@ func (m *Machine) NewCASPoint(name string) *CASPoint {
 }
 
 // PointStats implements ContentionPoint.
-func (p *CASPoint) PointStats() PointStats {
-	return PointStats{
-		Acquisitions: p.Updates,
-		Contended:    p.ContendedOps,
-		WaitCycles:   p.RetryCycles,
-		CASAttempts:  p.Attempts,
-		CASFails:     p.Fails,
-	}
-}
+func (p *CASPoint) PointStats() PointStats { return p.counters }
 
 // concurrentWriters estimates how many other threads are racing updates on
 // this point right now: the count of other threads whose last committed
@@ -133,17 +126,17 @@ func (p *CASPoint) concurrentWriters(t *Thread) int {
 func (p *CASPoint) update(t *Thread) {
 	atomic := p.machine.cfg.Costs.MutexAtomic
 	t.Charge(atomic)
-	p.Updates++
-	p.Attempts++
+	p.Acquisitions++
+	p.CASAttempts++
 	w := p.concurrentWriters(t)
 	if w > 0 {
 		retries := min((w+1)/2, p.machine.casMaxRetries)
-		p.Attempts += uint64(retries)
-		p.Fails += uint64(retries)
+		p.CASAttempts += uint64(retries)
+		p.CASFails += uint64(retries)
 		pen := Time(retries) * 4 * atomic
 		t.Charge(pen)
-		p.RetryCycles += pen
-		p.ContendedOps++
+		p.WaitCycles += pen
+		p.Contended++
 	}
 	p.writers[t.id] = t.clock
 }

@@ -476,7 +476,6 @@ func (m *Machine) threadFinished(t *Thread) {
 	}
 	// Wake joiners at or after our finish time.
 	for _, w := range t.waiters {
-		w.joining = nil
 		w.state = stateRunnable
 		w.clock = maxTime(w.clock, t.finish)
 		m.runnable = append(m.runnable, w)

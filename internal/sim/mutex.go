@@ -38,13 +38,8 @@ type Mutex struct {
 	// simulation would otherwise only observe one change per batch.
 	hotUntil Time
 
-	// Statistics.
-	Acquisitions  uint64
-	Contended     uint64
-	TryAcquires   uint64
-	TryFailures   uint64
-	WaitCycles    Time
-	HandoffEvents uint64
+	// The lock-side counters (Acquisitions, Contended, ...).
+	counters
 
 	// holder tracks the thread currently inside Lock..Unlock for invariant
 	// checking; the simulator is single-threaded so a plain field suffices.
@@ -62,16 +57,7 @@ func (m *Machine) NewMutex(name string) *Mutex {
 }
 
 // PointStats implements ContentionPoint.
-func (mu *Mutex) PointStats() PointStats {
-	return PointStats{
-		Acquisitions:  mu.Acquisitions,
-		Contended:     mu.Contended,
-		TryAcquires:   mu.TryAcquires,
-		TryFailures:   mu.TryFailures,
-		WaitCycles:    mu.WaitCycles,
-		HandoffEvents: mu.HandoffEvents,
-	}
-}
+func (mu *Mutex) PointStats() PointStats { return mu.counters }
 
 // lockAt performs the analytic acquisition for thread t. It returns the
 // number of cycles the caller waited.

@@ -61,7 +61,6 @@ type Thread struct {
 
 	// Join bookkeeping.
 	waiters []*Thread
-	joining *Thread
 
 	// panicked is the value a panicking body raised and panicStack the
 	// goroutine stack at the panic, for the machine's error.
@@ -192,7 +191,6 @@ func (t *Thread) Join(other *Thread) {
 		panic("sim: thread joining itself")
 	}
 	if other.state != stateDone {
-		t.joining = other
 		other.waiters = append(other.waiters, t)
 		t.state = stateBlocked
 		t.endBatch()

@@ -161,8 +161,6 @@ type Stats struct {
 	MinorFaults  uint64
 	SbrkCalls    uint64
 	SbrkFails    uint64
-	SbrkGrow     uint64 // bytes
-	SbrkShrink   uint64 // bytes
 	MmapCalls    uint64
 	MunmapCalls  uint64
 	MappedBytes  uint64 // current anonymous+brk extent
@@ -798,7 +796,6 @@ func (as *AddressSpace) Sbrk(t *sim.Thread, delta int64) (uint64, error) {
 			return 0, fmt.Errorf("vm: sbrk(%d): %w", delta, err)
 		}
 		as.brk = newBrk
-		as.stats.SbrkGrow += uint64(delta)
 		as.setBrkVMA()
 		as.accountMapped(int64(delta))
 		as.commitCharge(uint64(delta))
@@ -816,7 +813,6 @@ func (as *AddressSpace) Sbrk(t *sim.Thread, delta int64) (uint64, error) {
 		as.commitCredit(shrink - as.releasedBytesIn(dropLo, as.brk))
 		as.dropPages(dropLo, as.brk)
 		as.brk = newBrk
-		as.stats.SbrkShrink += shrink
 		as.setBrkVMA()
 		as.accountMapped(delta)
 		return old, nil
